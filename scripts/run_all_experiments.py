@@ -12,49 +12,27 @@ import sys
 import time
 from pathlib import Path
 
-from tipleak.experiments import (
-    exp_decentralized,
-    exp_heatmap,
-    exp_mitigations,
-    exp_mixer,
-    exp_realworld,
-    exp_variance,
-    heatmap_params,
-)
+from tipleak.experiments import STUDIES
 from tipleak.results import write_result
 
+# Runs per study, each a settings map written to its own file: the heatmap
+# once per placement, and `custom`, one free-form simulation, not at all.
+RUNS = {
+    "heatmap": [
+        {"placement": placement}
+        for placement in ("uniform_grid", "uniform_random", "clustered")
+    ],
+    "custom": [],
+}
 
-def build_jobs(seed: int, workers: int, fast: bool):
-    """Yield (name, thunk) pairs; thunks return an ExperimentResult."""
-    samples = 200 if fast else 1000
-    runs = 20 if fast else 100
-    rounds = 20 if fast else 100
-    participants = 10_000 if fast else 100_000
-
-    yield "decentralized", lambda: exp_decentralized(
-        rounds=rounds, seed=seed, workers=workers
-    )
-    yield "realworld", lambda: exp_realworld(seed=seed)
-    def heatmap_result(placement: str):
-        result = exp_heatmap(
-            placement, samples_per_cell=samples, seed=seed, workers=workers
-        ).to_result(
-            heatmap_params(placement=placement, samples_per_cell=samples), seed
-        )
-        result.name = f"heatmap-{placement}"  # one file per placement
-        return result
-
-    for placement in ("uniform_grid", "uniform_random", "clustered"):
-        yield f"heatmap ({placement})", lambda p=placement: heatmap_result(p)
-    yield "variance", lambda: exp_variance(
-        runs=runs, samples_per_cell=samples, seed=seed, workers=workers
-    )
-    yield "mixer", lambda: exp_mixer(participants=participants, seed=seed)
-    yield "mitigations", lambda: exp_mitigations(
-        baseline_rounds=rounds * 2,
-        scaling_rounds=rounds * 10 if fast else 1000,
-        seed=seed,
-    )
+# --fast: smaller sample counts, per study, for a quick smoke run.
+FAST = {
+    "decentralized": {"rounds": 20},
+    "heatmap": {"samples_per_cell": 200},
+    "variance": {"runs": 20, "samples_per_cell": 200},
+    "mixer": {"participants": 10_000},
+    "mitigations": {"baseline_rounds": 40, "scaling_rounds": 200},
+}
 
 
 def main(argv=None) -> int:
@@ -73,12 +51,18 @@ def main(argv=None) -> int:
         help="smaller sample counts for a quick smoke run",
     )
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.exit(1, f"{parser.prog}: error: --workers must be >= 1\n")
 
     total_start = time.perf_counter()
-    for name, thunk in build_jobs(args.seed, args.workers, args.fast):
-        started = time.perf_counter()
-        path = write_result(thunk(), args.out, args.format)
-        print(f"{name:<26} {time.perf_counter() - started:6.1f}s  -> {path}")
+    for name, study in STUDIES.items():
+        for variant in RUNS.get(name, [{}]):
+            settings = {**(FAST.get(name, {}) if args.fast else {}), **variant}
+            started = time.perf_counter()
+            result = study.run(settings, args.seed, args.workers)
+            result.name = "-".join((name, *variant.values()))
+            path = write_result(result, args.out, args.format)
+            print(f"{result.name:<26} {time.perf_counter() - started:6.1f}s  -> {path}")
     print(f"total {time.perf_counter() - total_start:.1f}s")
     return 0
 

@@ -24,6 +24,7 @@ from .experiments import (
     DEFAULT_SEED,
     ExperimentResult,
     GridHeatmap,
+    exp_custom,
     exp_decentralized,
     exp_heatmap,
     exp_mitigations,
@@ -64,6 +65,7 @@ __all__ = [
     "continental_takeover_rate",
     "deanon_probability",
     "entropy_degree",
+    "exp_custom",
     "exp_decentralized",
     "exp_heatmap",
     "exp_mitigations",

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
-from . import analytic, experiments, network, results, tangle
+from . import analytic, experiments, results, tangle
 from .analytic import ParameterError
 from .network import ConfigError, SimConfig, run_simulation
 from .rng import substream
@@ -24,10 +24,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 
 OUT_ENV_VAR = "TIPLEAK_OUT"
-EXPERIMENTS = (
-    "decentralized", "realworld", "heatmap", "variance", "mixer",
-    "mitigations", "custom",
-)
 
 # sha256 of the bundled 2020 region snapshot; `validate` pins the shipped
 # artifact so silent edits to the data file are caught.
@@ -56,87 +52,41 @@ def _fmt(value: float) -> str:
 # config files and overrides
 # ---------------------------------------------------------------------------
 
-# Tunable knobs per experiment section.  Values double as type witnesses for
-# override parsing; None means "string or unset".
-SECTION_DEFAULTS: dict[str, dict] = {
-    "decentralized": {"light_nodes": 100, "rounds": 100},
-    "realworld": {"samples": 100, "max_adversaries": 16, "data": None},
-    "heatmap": {
-        "placement": "uniform_grid",
-        "node_count": 50,
-        "adversary_ratio": 0.1,
-        "samples_per_cell": 1000,
-        "radius": 3.0,
-        "fanout": 3,
-        "require_local_adversary": None,
-        "cluster_count": 2,
-        "cluster_spread": 0.8,
-        "cluster_fraction": 0.8,
-        "layout_index": 0,
-    },
-    "variance": {
-        "runs": 100,
-        "node_count": 100,
-        "samples_per_cell": 1000,
-        "adversary_ratio": 0.1,
-        "radius": 3.0,
-        "fanout": 3,
-        "placement": "uniform_random",
-        "require_local_adversary": None,
-    },
-    "mixer": {"p_values": "0.05,0.1,0.2", "max_chain": 5, "participants": 100000},
-    "mitigations": {
-        "baseline_nodes": 100,
-        "baseline_adversaries": 10,
-        "scaling_target": 0.01,
-        "baseline_rounds": 200,
-        "scaling_rounds": 1000,
-        "light_nodes": 100,
-        "proxy_light_nodes": 6,
-    },
-    "custom": {
-        "full_node_count": 100,
-        "adversary_count": None,
-        "adversary_ratio": 0.1,
-        "request_fanout": 3,
-        "light_node_count": 100,
-        "rounds": 100,
-        "request_radius": None,
-        "placement": "uniform_random",
-        "cluster_count": 2,
-        "cluster_spread": 0.8,
-        "cluster_fraction": 0.8,
-        "mode": "baseline",
-        "matching": "assume_unique",
-        "proxy_count": 0,
-        "bootstrap_tips": 0,
-    },
-}
-
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
 
 
+def _cast(section: str, key: str, caster, raw: str):
+    try:
+        return caster(raw)
+    except ValueError as exc:
+        raise UsageError(
+            f"{section}.{key} expects {caster.__name__}, got {raw!r}"
+        ) from exc
+
+
 def _coerce(section: str, key: str, raw: str):
-    defaults = SECTION_DEFAULTS[section]
+    """Parse one value to the type of the key's default in its study.
+
+    A tuple default takes comma-separated values of its element type.  A
+    key whose default is None takes none, a boolean word, a number, or
+    text; the study checks what it got.
+    """
+    defaults = experiments.STUDIES[section].defaults()
     if key not in defaults:
         raise UsageError(f"unknown config key {section}.{key}")
+    witness = defaults[key]
     raw = raw.strip()
+    if isinstance(witness, tuple):
+        tokens = [tok for tok in raw.split(",") if tok.strip()]
+        if not tokens:
+            raise UsageError(f"{section}.{key} expects comma-separated values")
+        return tuple(_cast(section, key, type(witness[0]), tok) for tok in tokens)
+    if witness is not None:
+        return _cast(section, key, type(witness), raw)
     if raw.lower() in ("none", ""):
         return None
     if raw.lower() in _BOOL_WORDS:
         return _BOOL_WORDS[raw.lower()]
-    witness = defaults[key]
-    if isinstance(witness, bool):
-        raise UsageError(f"{section}.{key} expects true/false, got {raw!r}")
-    for caster in (int, float):
-        if isinstance(witness, caster):
-            try:
-                return caster(raw)
-            except ValueError as exc:
-                raise UsageError(
-                    f"{section}.{key} expects {caster.__name__}, got {raw!r}"
-                ) from exc
-    # string-typed or unset-by-default keys: try numerics, else keep the text
     for caster in (int, float):
         try:
             return caster(raw)
@@ -160,7 +110,7 @@ def parse_config_line(line: str, default_section: str) -> tuple[str, str, str] |
         key = key.strip()
     else:
         section = default_section
-    if section not in SECTION_DEFAULTS:
+    if section not in experiments.STUDIES:
         raise UsageError(f"unknown config section {section!r}")
     return section, key, value
 
@@ -169,7 +119,7 @@ def resolve_overrides(
     experiment: str, config_path: str | None, sets: list[str]
 ) -> dict[str, dict]:
     """Merge file config then --set pairs into per-section override maps."""
-    merged: dict[str, dict] = {name: {} for name in SECTION_DEFAULTS}
+    merged: dict[str, dict] = {name: {} for name in experiments.STUDIES}
     lines: list[str] = []
     if config_path:
         try:
@@ -270,79 +220,6 @@ def cmd_analytic(args) -> int:
 # run subcommand
 # ---------------------------------------------------------------------------
 
-def _run_experiment(name: str, overrides: dict[str, dict], seed: int,
-                    workers: int) -> experiments.ExperimentResult:
-    opts = dict(SECTION_DEFAULTS[name])
-    opts.update(overrides[name])
-    if name == "decentralized":
-        return experiments.exp_decentralized(
-            light_nodes=opts["light_nodes"], rounds=opts["rounds"],
-            seed=seed, workers=workers,
-        )
-    if name == "realworld":
-        return experiments.exp_realworld(
-            samples=opts["samples"], max_adversaries=opts["max_adversaries"],
-            data_path=opts["data"], seed=seed,
-        )
-    if name == "heatmap":
-        heatmap = experiments.exp_heatmap(
-            opts["placement"],
-            node_count=opts["node_count"],
-            adversary_ratio=opts["adversary_ratio"],
-            samples_per_cell=opts["samples_per_cell"],
-            radius=opts["radius"],
-            fanout=opts["fanout"],
-            require_local_adversary=opts["require_local_adversary"],
-            cluster_count=opts["cluster_count"],
-            cluster_spread=opts["cluster_spread"],
-            cluster_fraction=opts["cluster_fraction"],
-            layout_index=opts["layout_index"],
-            seed=seed, workers=workers,
-        )
-        return heatmap.to_result(experiments.heatmap_params(**opts), seed)
-    if name == "variance":
-        return experiments.exp_variance(
-            runs=opts["runs"], node_count=opts["node_count"],
-            samples_per_cell=opts["samples_per_cell"],
-            adversary_ratio=opts["adversary_ratio"],
-            radius=opts["radius"], fanout=opts["fanout"],
-            placement=opts["placement"],
-            require_local_adversary=opts["require_local_adversary"],
-            seed=seed, workers=workers,
-        )
-    if name == "mixer":
-        raw = opts["p_values"]
-        p_values = (
-            tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
-            if isinstance(raw, str) else (float(raw),)
-        )
-        return experiments.exp_mixer(
-            p_values=p_values, max_chain=opts["max_chain"],
-            participants=opts["participants"], seed=seed,
-        )
-    if name == "mitigations":
-        return experiments.exp_mitigations(
-            baseline_nodes=opts["baseline_nodes"],
-            baseline_adversaries=opts["baseline_adversaries"],
-            scaling_target=opts["scaling_target"],
-            baseline_rounds=opts["baseline_rounds"],
-            scaling_rounds=opts["scaling_rounds"],
-            light_nodes=opts["light_nodes"],
-            proxy_light_nodes=opts["proxy_light_nodes"],
-            seed=seed,
-        )
-    if name == "custom":
-        config = SimConfig(**{k: v for k, v in opts.items()}, seed=seed)
-        sim = run_simulation(config)
-        result = experiments.ExperimentResult("custom", dict(opts), seed)
-        for key, value in sim.to_flat().items():
-            if key == "seed" or value is None:
-                continue
-            result.add("simulation", key, value)
-        return result
-    raise UsageError(f"unknown experiment {name!r}")
-
-
 def _print_summary(result: experiments.ExperimentResult) -> None:
     by_metric: dict[str, list[float]] = {}
     for row in result.rows:
@@ -360,16 +237,18 @@ def _print_summary(result: experiments.ExperimentResult) -> None:
 
 
 def cmd_run(args) -> int:
-    if args.experiment not in EXPERIMENTS:
+    study = experiments.STUDIES.get(args.experiment)
+    if study is None:
         raise UsageError(
-            f"unknown experiment {args.experiment!r}; choose from {EXPERIMENTS}"
+            f"unknown experiment {args.experiment!r}; "
+            f"choose from {tuple(experiments.STUDIES)}"
         )
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     overrides = resolve_overrides(args.experiment, args.config, args.set or [])
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
-        result = _run_experiment(
-            args.experiment, overrides, args.seed, args.workers
-        )
+        result = study.run(overrides[args.experiment], args.seed, args.workers)
     except (ConfigError, ParameterError) as exc:
         raise UsageError(str(exc)) from exc
     try:
@@ -552,6 +431,25 @@ def cmd_validate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _show(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return "none" if value is None else str(value)
+
+
+def _run_epilog() -> str:
+    """Every study's keys with their defaults, for ``tipleak run --help``."""
+    lines = ["keys and their defaults (--set STUDY.KEY=VALUE):"]
+    for name, study in experiments.STUDIES.items():
+        pairs = " ".join(
+            f"{key}={_show(value)}" for key, value in study.defaults().items()
+        )
+        lines.append(textwrap.fill(
+            pairs, initial_indent=f"  {name}: ", subsequent_indent="      "
+        ))
+    return "\n".join(lines)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="tipleak",
@@ -565,8 +463,13 @@ def build_parser() -> _Parser:
     )
     _add_analytic_parser(subparsers)
 
-    run = subparsers.add_parser("run", help="run an experiment and write files")
-    run.add_argument("experiment", help=f"one of {', '.join(EXPERIMENTS)}")
+    run = subparsers.add_parser(
+        "run", help="run an experiment and write files", epilog=_run_epilog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    run.add_argument(
+        "experiment", help=f"one of {', '.join(experiments.STUDIES)}"
+    )
     run.add_argument("--config", help="flat key=value config file")
     run.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
     run.add_argument("--out", help=f"output directory (or ${OUT_ENV_VAR})")

@@ -4,16 +4,22 @@ Each ``exp_*`` function runs one reproducible study and returns an
 :class:`ExperimentResult` table: parameter sweeps of the link-rate identity,
 the 2020 region-snapshot study, spatial heatmaps of adversary selection,
 the layout-variance trend, mixer chain identification, and a comparison of
-the candidate mitigations.  Every draw comes from a substream keyed on
-(seed, experiment, unit), so results are byte-identical for a fixed seed
-regardless of worker count.
+the candidate mitigations; ``exp_custom`` runs one free-form simulation.
+Every draw comes from a substream keyed on (seed, experiment, unit), so
+results are byte-identical for a fixed seed regardless of worker count.
+
+:data:`STUDIES` is the registry of ``tipleak run`` names.  The CLI, its
+``validate`` command and ``scripts/run_all_experiments.py`` all read it, and
+every key's default comes from the study function's signature.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -265,9 +271,14 @@ def _heatmap_cell_job(job) -> tuple[float | None, int]:
 
 
 def pmap(func, jobs, workers: int = 1) -> list:
-    """Order-preserving map, fanned out across processes when workers > 1."""
+    """Order-preserving map, fanned out across processes when workers > 1.
+
+    The pool never outnumbers the jobs or the CPUs: under fork every
+    ``max_workers`` process starts at once.
+    """
     jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, jobs))
@@ -303,6 +314,8 @@ def exp_heatmap(
     """
     if samples_per_cell < 1:
         raise ConfigError("samples_per_cell must be >= 1")
+    if radius <= 0:
+        raise ConfigError("radius must be positive")
     adversary_count = int(round(adversary_ratio * node_count))
     if require_local_adversary is None:
         require_local_adversary = local_adversary_default(placement)
@@ -327,21 +340,6 @@ def exp_heatmap(
         node_counts=cell_node_counts(positions, plane),
         positions=positions,
     )
-
-
-def heatmap_params(placement: str, **kwargs) -> dict:
-    """Parameter echo used when serializing a GridHeatmap."""
-    params = {
-        "placement": placement,
-        "node_count": 50,
-        "adversary_ratio": 0.1,
-        "samples_per_cell": 1000,
-        "radius": 3.0,
-        "fanout": 3,
-        "layout_index": 0,
-    }
-    params.update(kwargs)
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +448,25 @@ def exp_variance(
 
 def load_region_counts(path=None) -> dict[str, int]:
     """Full-node counts per region from the bundled (or a replacement) file."""
-    if path is None:
-        raw = (
-            resources.files("tipleak").joinpath("data", REGION_DATA_FILE)
-            .read_text(encoding="utf-8")
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
-    regions = doc.get("regions")
+    try:
+        if path is None:
+            raw = (
+                resources.files("tipleak").joinpath("data", REGION_DATA_FILE)
+                .read_text(encoding="utf-8")
+            )
+        else:
+            with open(path, encoding="utf-8") as fh:
+                raw = fh.read()
+        doc = json.loads(raw)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read region data: {exc}") from exc
+    regions = doc.get("regions") if isinstance(doc, dict) else None
     if not isinstance(regions, dict) or not regions:
         raise ConfigError("region data file needs a non-empty 'regions' mapping")
     counts = {}
     for name in sorted(regions):
         count = regions[name]
-        if not isinstance(count, int) or count < 0:
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ConfigError(f"region {name!r} has invalid count {count!r}")
         counts[name] = count
     if sum(counts.values()) < 1:
@@ -836,3 +837,89 @@ def exp_mitigations(
         1.0 if proxy_claims and proxy_claims <= proxy_node_ids else 0.0,
     )
     return result
+
+
+# ---------------------------------------------------------------------------
+# free-form simulation
+# ---------------------------------------------------------------------------
+
+def exp_custom(*, seed: int = DEFAULT_SEED, **settings) -> ExperimentResult:
+    """One simulation; ``settings`` are :class:`SimConfig` fields.
+
+    The rows are the simulation's scalar summary, less the seed (it is in
+    the header) and the values it leaves unset.
+    """
+    sim = run_simulation(SimConfig(**settings, seed=seed))
+    result = ExperimentResult("custom", dict(settings), seed)
+    for key, value in sim.to_flat().items():
+        if key != "seed" and value is not None:
+            result.add("simulation", key, value)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# study registry
+# ---------------------------------------------------------------------------
+
+_RUN_ARGUMENTS = ("seed", "workers")  # set by the caller, never by a key
+
+
+@dataclass(frozen=True)
+class Study:
+    """One ``tipleak run`` name: the function it calls and the keys it takes.
+
+    Every parameter of ``defaults_from`` (the study function unless named)
+    is a key, under its own name or the one ``renamed`` gives it, except the
+    ``fixed`` ones and the seed and worker count.  A key's default is the
+    parameter's default; it also tells a text parser which type to expect.
+    Functions are looked up in this module on each use, so a study function
+    patched or replaced at run time is the one that runs.
+    """
+
+    function: str
+    fixed: tuple[str, ...] = ()
+    renamed: dict[str, str] = field(default_factory=dict)  # key -> parameter
+    defaults_from: str | None = None
+
+    def defaults(self) -> dict:
+        """Each key with its default, in signature order."""
+        keys = {param: key for key, param in self.renamed.items()}
+        source = globals()[self.defaults_from or self.function]
+        return {
+            keys.get(name, name): param.default
+            for name, param in inspect.signature(source).parameters.items()
+            if name not in self.fixed + _RUN_ARGUMENTS
+        }
+
+    def run(self, settings: dict, seed: int = DEFAULT_SEED,
+            workers: int = 1) -> ExperimentResult:
+        """Run at the defaults updated by ``settings``, a key -> value map.
+
+        The result echoes every key's value; a heatmap is tabulated.
+        """
+        function = globals()[self.function]
+        resolved = {**self.defaults(), **settings}
+        kwargs = {self.renamed.get(key, key): value for key, value in resolved.items()}
+        if "workers" in inspect.signature(function).parameters:
+            kwargs["workers"] = workers
+        outcome = function(**kwargs, seed=seed)
+        if isinstance(outcome, GridHeatmap):
+            return outcome.to_result(resolved, seed)
+        return outcome
+
+
+STUDIES: dict[str, Study] = {
+    "decentralized": Study(
+        "exp_decentralized", fixed=("node_sweep", "fanout_sweep", "ratio_sweep")
+    ),
+    "realworld": Study(
+        "exp_realworld", fixed=("region_weights",), renamed={"data": "data_path"}
+    ),
+    "heatmap": Study("exp_heatmap", fixed=("plane",)),
+    "variance": Study("exp_variance", fixed=("plane",)),
+    "mixer": Study("exp_mixer"),
+    "mitigations": Study("exp_mitigations"),
+    "custom": Study(
+        "exp_custom", fixed=("plane_size", "regions"), defaults_from="SimConfig"
+    ),
+}

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .analytic import AnonymityProfile, entropy_degree
 from .rng import (
@@ -61,14 +62,6 @@ class NodeDescriptor:
 
 
 @dataclass(frozen=True)
-class TipSelectionResponse:
-    responder_id: int
-    tips: tuple[int, int]
-    request_round: int
-    nonce: tuple[int, int, int]  # (round, responder, requesting light)
-
-
-@dataclass(frozen=True)
 class AdversaryLogEntry:
     nonce: tuple[int, int, int]
     requester_id: int            # network identity visible to the responder
@@ -90,12 +83,17 @@ class LinkRecord:
 class AttachRecord:
     """Internal: one attach plus the ground truth needed to score links."""
 
-    txid: int
     address: str
     parents: tuple[int, int]
     followed_nonce: tuple[int, int, int] | None
     true_identity: int
     origin_light: int
+
+
+_COUNT_FIELDS = (
+    "full_node_count", "adversary_count", "request_fanout", "light_node_count",
+    "rounds", "cluster_count", "proxy_count", "bootstrap_tips",
+)
 
 
 @dataclass
@@ -120,6 +118,12 @@ class SimConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "adversary_count":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.full_node_count < 1:
             raise ConfigError("full_node_count must be >= 1")
         if self.light_node_count < 1:
@@ -342,18 +346,6 @@ def proxy_assign(population: Population) -> dict[int, int]:
     return assignment
 
 
-def sample_followed_responder(
-    reachable: Sequence[int], fanout: int, rng: random.Random
-) -> int | None:
-    """Pick the responder whose answer a light node follows: ``fanout``
-    distinct reachable nodes queried, one answer followed uniformly.
-    Returns None when nothing is reachable."""
-    if not reachable:
-        return None
-    chosen = rng.sample(list(reachable), min(fanout, len(reachable)))
-    return chosen[rng.randrange(len(chosen))]
-
-
 # ---------------------------------------------------------------------------
 # matching
 # ---------------------------------------------------------------------------
@@ -470,12 +462,13 @@ class Simulation:
         self._proxy_for: dict[int, int] = {}
         if config.mode == MODE_PROXY:
             self._proxy_for = proxy_assign(self.population)
+        # lights an adversary cannot tell apart behind each proxy it sees
+        self._lights_per_proxy = Counter(self._proxy_for.values())
         self._reachable = self._precompute_reachability()
         self._unreachable_lights: set[int] = set()
         self._tx_per_light: dict[int, int] = {
             l.node_id: 0 for l in self.population.light_nodes
         }
-        self._correct_per_light: dict[int, int] = dict(self._tx_per_light)
         self._claimed_per_identity: dict[int, int] = {}
         self._origin_of_address: dict[str, int] = {}
 
@@ -512,15 +505,13 @@ class Simulation:
 
         for light in self.population.light_nodes:
             lid = light.node_id
+            address = f"addr-{round_idx}-{lid}"
             if config.mode == MODE_DIRECT:
                 rng = substream(seed, DOMAIN_LOCAL, round_idx, lid)
-                parents = urts_pair(snapshot, rng)
-                address = f"addr-{round_idx}-{lid}"
                 pending.append(
                     AttachRecord(
-                        txid=-1,
                         address=address,
-                        parents=parents,
+                        parents=urts_pair(snapshot, rng),
                         followed_nonce=None,
                         true_identity=lid,
                         origin_light=lid,
@@ -536,14 +527,12 @@ class Simulation:
             rng = substream(seed, DOMAIN_REQUEST, round_idx, lid)
             fanout = min(config.request_fanout, len(reachable))
             queried = rng.sample(reachable, fanout)
-            responses = []
+            responses = []  # (tips, nonce) per queried responder
             for responder in queried:
                 resp_rng = substream(seed, DOMAIN_RESPONSE, round_idx, responder, lid)
                 tips = urts_pair(snapshot, resp_rng)
                 nonce = (round_idx, responder, lid)
-                responses.append(
-                    TipSelectionResponse(responder, tips, round_idx, nonce)
-                )
+                responses.append((tips, nonce))
                 if responder in self._adversaries:
                     round_log.append(
                         AdversaryLogEntry(
@@ -554,22 +543,19 @@ class Simulation:
                             round_logged=round_idx,
                         )
                     )
-            followed = responses[rng.randrange(len(responses))]
-            address = f"addr-{round_idx}-{lid}"
+            tips, nonce = responses[rng.randrange(len(responses))]
             pending.append(
                 AttachRecord(
-                    txid=-1,
                     address=address,
-                    parents=followed.tips,
-                    followed_nonce=followed.nonce,
+                    parents=tips,
+                    followed_nonce=nonce,
                     true_identity=visible_id,
                     origin_light=lid,
                 )
             )
 
-        attached: list[AttachRecord] = []
         for rec in pending:  # already ascending light id
-            txid = ledger.attach(
+            ledger.attach(
                 rec.parents,
                 rec.address,
                 round_issued=round_idx,
@@ -577,21 +563,9 @@ class Simulation:
             )
             self._tx_per_light[rec.origin_light] += 1
             self._origin_of_address[rec.address] = rec.origin_light
-            attached.append(
-                AttachRecord(
-                    txid=txid,
-                    address=rec.address,
-                    parents=rec.parents,
-                    followed_nonce=rec.followed_nonce,
-                    true_identity=rec.true_identity,
-                    origin_light=rec.origin_light,
-                )
-            )
 
-        links = match_responses(round_log, attached, config.matching)
+        links = match_responses(round_log, pending, config.matching)
         for link in links:
-            if link.correct:
-                self._correct_per_light[self._origin_of_address[link.address]] += 1
             self._claimed_per_identity[link.claimed_identity] = (
                 self._claimed_per_identity.get(link.claimed_identity, 0) + 1
             )
@@ -605,25 +579,28 @@ class Simulation:
 
     # -- scoring ----------------------------------------------------------
 
-    def _lights_behind(self, identity: int) -> set[int]:
-        """Candidate light nodes consistent with a claimed identity."""
+    def _candidate_count(self, claims: set[int]) -> int:
+        """How many light nodes fit the identities claimed for one address.
+
+        A proxy stands for every light assigned to it, and no light has two
+        proxies, so the candidates behind distinct proxies never overlap.
+        """
         if self.config.mode == MODE_PROXY:
-            return {
-                lid for lid, proxy in self._proxy_for.items() if proxy == identity
-            }
-        return {identity}
+            return sum(self._lights_per_proxy[identity] for identity in claims)
+        return len(claims)
 
     def _address_degrees(self) -> dict[str, float]:
-        by_address: dict[str, set[int]] = {}
+        claims_by_address: dict[str, set[int]] = {}
         for link in self.links:
-            by_address.setdefault(link.address, set()).update(
-                self._lights_behind(link.claimed_identity)
+            claims_by_address.setdefault(link.address, set()).add(
+                link.claimed_identity
             )
         degrees = {}
-        for address, candidates in sorted(by_address.items()):
-            if len(candidates) >= 2:
+        for address, claims in sorted(claims_by_address.items()):
+            candidates = self._candidate_count(claims)
+            if candidates >= 2:
                 degrees[address] = entropy_degree(
-                    AnonymityProfile.uniform(len(candidates))
+                    AnonymityProfile.uniform(candidates)
                 )
             else:
                 degrees[address] = 0.0  # pinned to a single light node
@@ -632,15 +609,17 @@ class Simulation:
     def _result(self) -> SimResult:
         total = sum(self._tx_per_light.values())
         correct = sum(1 for l in self.links if l.correct)
-        correctly_linked_txs = len(
-            {l.address for l in self.links if l.correct}
+        # a transaction counts once however many adversaries linked it
+        correct_addresses = {l.address for l in self.links if l.correct}
+        correct_per_light = Counter(
+            self._origin_of_address[address] for address in correct_addresses
         )
         false_pos = len(self.links) - correct
         per_light = [
             {
                 "light_id": lid,
                 "transactions": self._tx_per_light[lid],
-                "correct_links": self._correct_per_light[lid],
+                "correct_links": correct_per_light[lid],
                 "claimed_links": self._claimed_per_identity.get(lid, 0),
             }
             for lid in sorted(self._tx_per_light)
@@ -652,7 +631,7 @@ class Simulation:
             linked_count=len(self.links),
             correct_link_count=correct,
             false_positive_count=false_pos,
-            deanon_rate=correctly_linked_txs / total if total else 0.0,
+            deanon_rate=len(correct_addresses) / total if total else 0.0,
             false_positive_rate=false_pos / total if total else 0.0,
             unreachable_light_nodes=len(self._unreachable_lights),
             address_degrees=self._address_degrees(),

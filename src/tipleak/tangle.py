@@ -2,21 +2,15 @@
 
 Every transaction approves two earlier transactions (its parents); a tip
 is a transaction nobody has approved yet.  The ledger starts from a
-single genesis transaction whose parents point at itself.  Selection
-strategies:
-
-* uniform selection -- an ordered pair of distinct tips drawn uniformly
-  (the pair repeats the lone tip when only one exists), and
-* a weighted random walk from genesis toward the tips, stepping to an
-  approver with probability proportional to exp(bias * cumulative
-  weight), the classic Markov-chain walk (bias 0 walks unbiased).
+single genesis transaction whose parents point at itself.  Tip selection
+is uniform: an ordered pair of distinct tips drawn uniformly (the pair
+repeats the lone tip when only one exists).
 
 All draws take an explicit ``random.Random`` so callers own determinism.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -76,7 +70,6 @@ class Ledger:
         self._tip_list: list[int] = [GENESIS_ID]
         self._tip_pos: dict[int, int] = {GENESIS_ID: 0}
         self._next_id = GENESIS_ID + 1
-        self._weight_cache: dict[int, int] = {}
         self.round = 0
 
     # -- introspection ----------------------------------------------------
@@ -141,7 +134,6 @@ class Ledger:
         self._remove_tip(p0)
         self._remove_tip(p1)
         self._add_tip(txid)
-        self._weight_cache.clear()
         return txid
 
     def _remove_tip(self, txid: int) -> None:
@@ -161,54 +153,6 @@ class Ledger:
 
     def urts_select(self, rng: random.Random) -> tuple[int, int]:
         return urts_pair(self._tip_list, rng)
-
-    def cumulative_weight(self, txid: int) -> int:
-        """1 + number of transactions that directly or indirectly approve
-        ``txid``.  Memoized until the next attach."""
-        cached = self._weight_cache.get(txid)
-        if cached is not None:
-            return cached
-        seen = set()
-        stack = list(self._children[txid])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self._children[node])
-        weight = 1 + len(seen)
-        self._weight_cache[txid] = weight
-        return weight
-
-    def weighted_walk_select(
-        self, rng: random.Random, bias: float = 0.0
-    ) -> tuple[int, int]:
-        """Two independent biased walks from genesis; each returns the tip
-        it terminates on."""
-        return (self._walk(rng, bias), self._walk(rng, bias))
-
-    def _walk(self, rng: random.Random, bias: float) -> int:
-        current = GENESIS_ID
-        while True:
-            children = self._children[current]
-            if not children:
-                return current
-            if bias == 0.0 or len(children) == 1:
-                current = children[rng.randrange(len(children))]
-                continue
-            weights = [self.cumulative_weight(c) for c in children]
-            top = max(weights)
-            expw = [math.exp(bias * (w - top)) for w in weights]
-            total = sum(expw)
-            u = rng.random() * total
-            acc = 0.0
-            chosen = children[-1]
-            for child, w in zip(children, expw):
-                acc += w
-                if u < acc:
-                    chosen = child
-                    break
-            current = chosen
 
     # -- serialization ----------------------------------------------------
 

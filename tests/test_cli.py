@@ -186,6 +186,53 @@ def test_run_invalid_override_value(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _usage_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("tipleak: error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("custom.adversary_count=10.5", "adversary_count must be an integer"),
+    ("custom.rounds=true", "custom.rounds expects int"),
+    ("mixer.p_values=", "mixer.p_values expects comma-separated values"),
+    ("mixer.p_values=0.1,x", "mixer.p_values expects float"),
+    ("heatmap.radius=-1", "radius must be positive"),
+    ("realworld.data=/nonexistent/regions.json", "cannot read region data"),
+])
+def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message):
+    study = setting.split(".", 1)[0]
+    assert run_cli(
+        "run", study, "--out", str(tmp_path), "--workers", "1", "--set", setting,
+    ) == EXIT_USAGE
+    assert message in _usage_error_line(capsys)
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_rejects_nonpositive_workers(tmp_path, capsys):
+    assert run_cli(
+        "run", "mixer", "--out", str(tmp_path), "--workers", "0",
+    ) == EXIT_USAGE
+    assert "--workers must be >= 1" in _usage_error_line(capsys)
+
+
+def test_tuple_keys_parse_as_comma_separated():
+    merged = resolve_overrides("mixer", None, ["p_values=0.1, 0.2,", "max_chain=3"])
+    assert merged["mixer"] == {"p_values": (0.1, 0.2), "max_chain": 3}
+    assert resolve_overrides("mixer", None, ["p_values=1"])["mixer"] == {
+        "p_values": (1.0,)
+    }
+
+
+def test_run_help_lists_every_key_with_its_default(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli("run", "--help")
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "mixer: p_values=0.05,0.1,0.2 max_chain=5 participants=100000" in out
+    assert "data=none" in out and "bootstrap_tips=0" in out
+
+
 def test_run_unwritable_out_dir(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")

@@ -19,15 +19,16 @@ from tipleak.experiments import (
     exp_mixer,
     exp_realworld,
     exp_variance,
-    heatmap_params,
     layout_variance,
     load_region_counts,
     local_adversary_default,
     measure_cell_probability,
     pmap,
+    STUDIES,
     regional_rates,
     simulate_mixer_chains,
 )
+from tipleak import experiments
 from tipleak.network import ConfigError
 from tipleak.results import (
     config_hash,
@@ -214,7 +215,7 @@ def test_heatmap_workers_do_not_change_results():
 
 def test_heatmap_to_result_rows_are_finite_and_complete():
     heatmap = exp_heatmap("uniform_grid", samples_per_cell=100, seed=11)
-    result = heatmap.to_result(heatmap_params("uniform_grid"), 11)
+    result = heatmap.to_result({"placement": "uniform_grid"}, 11)
     probs = result.values("adversary_selection_probability")
     assert len(probs) == GRID_CELLS
     assert all(math.isfinite(v) for v in probs)
@@ -500,3 +501,105 @@ def test_pmap_preserves_order_and_matches_serial():
 
 def _square(x: int) -> int:
     return x * x
+
+
+@pytest.mark.parametrize("workers, jobs, cpus, size", [
+    (1000, 5, 4, 4), (3, 5, 4, 3), (1000, 2, 4, 2), (8, 5, 1, None), (2, 1, 4, None),
+])
+def test_pmap_caps_pool_at_jobs_and_cpus(monkeypatch, workers, jobs, cpus, size):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    assert pmap(_square, range(jobs), workers=workers) == [j * j for j in range(jobs)]
+    assert sizes == ([] if size is None else [size])
+
+
+# ---------------------------------------------------------------------------
+# study registry
+# ---------------------------------------------------------------------------
+
+def test_registry_keys_are_the_cli_surface():
+    assert {name: set(study.defaults()) for name, study in STUDIES.items()} == {
+        "decentralized": {"light_nodes", "rounds"},
+        "realworld": {"samples", "max_adversaries", "data"},
+        "heatmap": {
+            "placement", "node_count", "adversary_ratio", "samples_per_cell",
+            "radius", "fanout", "require_local_adversary", "cluster_count",
+            "cluster_spread", "cluster_fraction", "layout_index",
+        },
+        "variance": {
+            "runs", "node_count", "samples_per_cell", "adversary_ratio",
+            "radius", "fanout", "placement", "require_local_adversary",
+        },
+        "mixer": {"p_values", "max_chain", "participants"},
+        "mitigations": {
+            "baseline_nodes", "baseline_adversaries", "scaling_target",
+            "baseline_rounds", "scaling_rounds", "light_nodes",
+            "proxy_light_nodes",
+        },
+        "custom": {
+            "full_node_count", "adversary_count", "adversary_ratio",
+            "request_fanout", "light_node_count", "rounds", "request_radius",
+            "placement", "cluster_count", "cluster_spread", "cluster_fraction",
+            "mode", "matching", "proxy_count", "bootstrap_tips",
+        },
+    }
+    assert STUDIES["custom"].defaults()["rounds"] == 100
+    assert STUDIES["mixer"].defaults()["p_values"] == (0.05, 0.1, 0.2)
+
+
+def test_registry_calls_the_study_function_current_at_run_time(monkeypatch):
+    calls = []
+
+    def fake_mixer(p_values=(0.5,), max_chain=1, *, participants=1, seed=0):
+        calls.append((p_values, max_chain, participants, seed))
+        return ExperimentResult("mixer", {}, seed)
+
+    monkeypatch.setattr(experiments, "exp_mixer", fake_mixer)
+    STUDIES["mixer"].run({"max_chain": 4}, seed=9, workers=3)
+    assert calls == [((0.5,), 4, 1, 9)]
+
+
+def test_registry_renames_data_key(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read region data"):
+        STUDIES["realworld"].run({"data": str(tmp_path / "missing.json")})
+
+
+def test_heatmap_rejects_nonpositive_radius():
+    for radius in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="radius must be positive"):
+            exp_heatmap("uniform_grid", radius=radius, samples_per_cell=10)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe not utf-8", "cannot read region data"),
+    (b"{not json", "cannot read region data"),
+    (b"[1, 2]", "non-empty 'regions' mapping"),
+    (b'{"regions": {"eu": true, "na": 3}}', "invalid count True"),
+])
+def test_load_region_counts_rejects_bad_files(tmp_path, content, message):
+    path = tmp_path / "regions.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=message):
+        load_region_counts(path)
+
+
+def test_load_region_counts_missing_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read region data"):
+        load_region_counts(tmp_path / "absent.json")

@@ -22,9 +22,7 @@ from tipleak.network import (
     place_nodes,
     proxy_assign,
     run_simulation,
-    sample_followed_responder,
 )
-from tipleak.rng import substream
 
 
 def _tiny_config(**kw) -> SimConfig:
@@ -61,6 +59,15 @@ def test_config_rejects_bad_values():
         SimConfig(request_radius=-1.0)
     with pytest.raises(ConfigError):
         SimConfig(matching="fuzzy")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("adversary_count", 10.5), ("adversary_count", True), ("rounds", 2.0),
+    ("light_node_count", False), ("proxy_count", "1"),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        SimConfig(**{field: value})
 
 
 def test_config_explicit_regions_must_sum_to_n():
@@ -151,14 +158,6 @@ def test_unbounded_radius_reaches_everyone():
     assert pop.reachable_full_ids((0.0, 0.0)) == list(range(10))
 
 
-def test_sample_followed_responder():
-    rng = substream(5, 1)
-    assert sample_followed_responder([], 3, rng) is None
-    assert sample_followed_responder([7], 3, rng) == 7
-    seen = {sample_followed_responder([1, 2, 3, 4], 3, substream(5, 2, i)) for i in range(60)}
-    assert seen == {1, 2, 3, 4}
-
-
 def test_proxy_assignment_nearest_with_lowest_id_ties():
     light = NodeDescriptor(200, KIND_LIGHT, (5.0, 5.0))
     proxies = [
@@ -189,7 +188,7 @@ def _log(nonce, requester, tips):
 
 def _attach(address, parents, nonce, identity):
     return AttachRecord(
-        txid=0, address=address, parents=parents,
+        address=address, parents=parents,
         followed_nonce=nonce, true_identity=identity, origin_light=identity,
     )
 
@@ -370,6 +369,20 @@ def test_per_light_table_consistent_with_totals():
         sum(r["correct_links"] for r in result.per_light)
         == result.correct_link_count
     )
+
+
+def test_collision_aware_counts_each_transaction_once_per_light():
+    # three adversaries serve the only light the same genesis pair: three
+    # correct links, but one linked transaction
+    result = run_simulation(SimConfig(
+        full_node_count=3, adversary_count=3, light_node_count=1, rounds=1,
+        matching="collision_aware", seed=1,
+    ))
+    assert result.correct_link_count == 3
+    (row,) = result.per_light
+    assert row["transactions"] == 1
+    assert row["correct_links"] == 1
+    assert row["claimed_links"] == 3
 
 
 def test_flat_record_shape():

@@ -178,65 +178,6 @@ def test_urts_deterministic_under_seed():
 
 
 # ---------------------------------------------------------------------------
-# weighted walk
-# ---------------------------------------------------------------------------
-
-def test_walk_on_genesis_only_returns_genesis_pair():
-    ledger = Ledger()
-    assert ledger.weighted_walk_select(random.Random(4), bias=0.7) == (
-        GENESIS_ID,
-        GENESIS_ID,
-    )
-
-
-def test_walk_unbiased_two_branch_split():
-    # two tips both approving genesis: an unbiased walk must end on each
-    # with probability 1/2 (symmetry); 10**5 walks, +/-0.01.
-    ledger = Ledger()
-    a = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-a")
-    ledger.attach((GENESIS_ID, GENESIS_ID), "addr-b")
-    rng = substream(7, 3)
-    walks = 100_000
-    hits_a = sum(1 for _ in range(walks) if ledger._walk(rng, 0.0) == a)
-    assert abs(hits_a / walks - 0.5) < 0.01
-
-
-def test_walk_bias_prefers_heavy_branch():
-    # branch via c1 carries cumulative weight 3 against the lone tip b;
-    # the heavy branch's selection frequency must climb toward 1 with bias.
-    ledger = Ledger()
-    b = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-b")
-    c1 = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-c1")
-    c2 = ledger.attach((c1, c1), "addr-c2")
-    c3 = ledger.attach((c2, c2), "addr-c3")
-    assert set(ledger.tips) == {b, c3}
-    assert ledger.cumulative_weight(c1) == 3
-    assert ledger.cumulative_weight(b) == 1
-
-    freqs = []
-    walks = 20_000
-    for bias in (0.0, 0.5, 2.0):
-        rng = substream(13, int(bias * 10))
-        heavy = sum(1 for _ in range(walks) if ledger._walk(rng, bias) == c3)
-        freqs.append(heavy / walks)
-    assert freqs[0] < freqs[1] < freqs[2]
-    assert abs(freqs[0] - 0.5) < 0.02
-    assert freqs[2] > 0.9
-
-
-def test_cumulative_weight_counts_distinct_approvers():
-    ledger = Ledger()
-    a = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-a")
-    b = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-b")
-    c = ledger.attach((a, b), "addr-c")
-    d = ledger.attach((c, a), "addr-d")
-    # a is approved by c and d (once each, distinct): weight 1 + {c, d} = 3
-    assert ledger.cumulative_weight(a) == 3
-    assert ledger.cumulative_weight(GENESIS_ID) == 5
-    assert ledger.cumulative_weight(d) == 1
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
