@@ -5,7 +5,8 @@ Each ``exp_*`` function runs one reproducible study and returns an
 the 2020 region-snapshot study, spatial heatmaps of adversary selection,
 the layout-variance trend, mixer chain identification, and a comparison of
 the candidate mitigations; ``exp_custom`` runs one free-form simulation.
-Every draw comes from a substream keyed on (seed, experiment, unit), so
+Every experiment-level draw comes from a substream keyed on (seed,
+experiment, unit), and each simulation from its own seed drawn there, so
 results are byte-identical for a fixed seed regardless of worker count.
 
 :data:`STUDIES` is the registry of ``tipleak run`` names.  The CLI, its
@@ -35,6 +36,7 @@ from .analytic import (
 )
 from .network import (
     GRID_DIM,
+    RNG_SCHEME,
     ConfigError,
     SimConfig,
     place_nodes,
@@ -399,8 +401,9 @@ def exp_variance(
     summary rows carry the Spearman rank correlation of variance against
     each, with the p-value in the dispersion column.
     """
-    if runs < 2:
-        raise ConfigError("variance study needs runs >= 2")
+    if runs < 3:
+        # with two layouts Spearman's p-value is undefined
+        raise ConfigError(f"variance study needs runs >= 3, got {runs}")
     adversary_count = int(round(adversary_ratio * node_count))
     if require_local_adversary is None:
         require_local_adversary = local_adversary_default(placement)
@@ -636,6 +639,7 @@ def exp_decentralized(
         "node_sweep": list(node_sweep),
         "fanout_sweep": list(fanout_sweep),
         "ratio_sweep": list(ratio_sweep),
+        "rng_scheme": RNG_SCHEME,
     }
     result = ExperimentResult("decentralized", params, seed)
     for row in rows:
@@ -776,6 +780,7 @@ def exp_mitigations(
         "scaling_rounds": scaling_rounds,
         "light_nodes": light_nodes,
         "proxy_light_nodes": proxy_light_nodes,
+        "rng_scheme": RNG_SCHEME,
     }
     result = ExperimentResult("mitigations", params, seed)
 
@@ -850,7 +855,9 @@ def exp_custom(*, seed: int = DEFAULT_SEED, **settings) -> ExperimentResult:
     the header) and the values it leaves unset.
     """
     sim = run_simulation(SimConfig(**settings, seed=seed))
-    result = ExperimentResult("custom", dict(settings), seed)
+    result = ExperimentResult(
+        "custom", {**settings, "rng_scheme": RNG_SCHEME}, seed
+    )
     for key, value in sim.to_flat().items():
         if key != "seed" and value is not None:
             result.add("simulation", key, value)

@@ -8,18 +8,26 @@ transaction under a fresh address.  Adversarial full nodes log every
 response they serve; after the round's attaches they compare new ledger
 entries against their logs and emit identity links.
 
-Determinism: all draws come from :func:`tipleak.rng.substream` keyed by
-(domain, round, entity), so results are a pure function of the config
-and seed -- scheduling and worker counts cannot reorder anything.
+A round is columnar: every light's queried set, every response and every
+follow choice are drawn as arrays from one Philox generator keyed by
+(seed, domain, round) (:func:`tipleak.rng.round_generator`), the round
+attaches as one ledger batch, and matching is an array join.  Placement
+and adversary choice come from :func:`tipleak.rng.substream`.  Results
+are a pure function of the config and seed -- scheduling and worker
+counts cannot reorder anything.  :data:`RNG_SCHEME` names this draw
+scheme; studies that simulate echo it among their parameters, so a
+change of scheme changes their ``config_hash``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, asdict
-from typing import Sequence
+
+import numpy as np
 
 from .analytic import AnonymityProfile, entropy_degree
 from .rng import (
@@ -27,10 +35,12 @@ from .rng import (
     DOMAIN_LAYOUT,
     DOMAIN_LOCAL,
     DOMAIN_REQUEST,
-    DOMAIN_RESPONSE,
+    round_generator,
     substream,
 )
-from .tangle import GENESIS_ID, Ledger, urts_pair
+from .tangle import GENESIS_ID, Ledger, round_address, urts_pairs
+
+RNG_SCHEME = "philox-round-v1"
 
 GRID_DIM = 3  # heatmap cells per plane axis
 
@@ -62,32 +72,44 @@ class NodeDescriptor:
 
 
 @dataclass(frozen=True)
-class AdversaryLogEntry:
-    nonce: tuple[int, int, int]
-    requester_id: int            # network identity visible to the responder
-    tips: tuple[int, int]
-    responder_id: int
-    round_logged: int
-
-
-@dataclass(frozen=True)
 class LinkRecord:
     address: str
     claimed_identity: int
     matched_response: tuple[int, int, int]
     round_observed: int
     correct: bool                # evaluation-only, judged from ground truth
+    origin_light: int            # evaluation-only: the light that attached
 
 
 @dataclass(frozen=True)
-class AttachRecord:
-    """Internal: one attach plus the ground truth needed to score links."""
+class ResponseLog:
+    """Responses adversaries served, one row each.
 
-    address: str
-    parents: tuple[int, int]
-    followed_nonce: tuple[int, int, int] | None
-    true_identity: int
-    origin_light: int
+    ``nonce`` rows are (round, responder, light), ``requester`` is the
+    identity the responder saw and ``tips`` the pair it served.
+    """
+
+    nonce: np.ndarray       # (n, 3)
+    requester: np.ndarray   # (n,)
+    tips: np.ndarray        # (n, 2)
+
+    def __len__(self) -> int:
+        return len(self.requester)
+
+
+@dataclass(frozen=True)
+class RoundAttaches:
+    """One round's attaches in ledger order, with the ground truth needed
+    to score links.  A light that followed no response has nonce -1s."""
+
+    round_issued: int
+    light: np.ndarray           # (n,) origin light; address label
+    identity: np.ndarray        # (n,) true issuer (the proxy, when proxied)
+    parents: np.ndarray         # (n, 2)
+    followed_nonce: np.ndarray  # (n, 3)
+
+    def __len__(self) -> int:
+        return len(self.light)
 
 
 _COUNT_FIELDS = (
@@ -350,10 +372,23 @@ def proxy_assign(population: Population) -> dict[int, int]:
 # matching
 # ---------------------------------------------------------------------------
 
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (left row, right row) index pair of equal rows, ordered by
+    right row and then by left row."""
+    rows = np.concatenate((left, right))
+    rows = rows - rows.min(axis=0, initial=0)
+    keys = np.ravel_multi_index(rows.T, rows.max(axis=0, initial=0) + 1)
+    left_keys, right_keys = keys[:len(left)], keys[len(left):]
+    order = np.argsort(left_keys, kind="stable")
+    lo = np.searchsorted(left_keys[order], right_keys, "left")
+    counts = np.searchsorted(left_keys[order], right_keys, "right") - lo
+    right_idx = np.repeat(np.arange(len(right)), counts)
+    within = np.arange(len(right_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return order[np.repeat(lo, counts) + within], right_idx
+
+
 def match_responses(
-    log_entries: Sequence[AdversaryLogEntry],
-    new_entries: Sequence[AttachRecord],
-    matching: str,
+    log: ResponseLog, new: RoundAttaches, matching: str
 ) -> list[LinkRecord]:
     """Link new ledger entries to logged requesters.
 
@@ -364,47 +399,65 @@ def match_responses(
     (logged response, matching entry) combination produces a link, and
     entries that merely share the pair become false positives.
     """
-    links: list[LinkRecord] = []
     if matching == MATCH_ASSUME_UNIQUE:
-        by_nonce = {e.nonce: e for e in log_entries}
-        for rec in new_entries:
-            entry = by_nonce.get(rec.followed_nonce)
-            if entry is None:
-                continue
-            links.append(
-                LinkRecord(
-                    address=rec.address,
-                    claimed_identity=entry.requester_id,
-                    matched_response=entry.nonce,
-                    round_observed=entry.round_logged,
-                    correct=entry.requester_id == rec.true_identity,
-                )
-            )
-        return links
-    if matching != MATCH_COLLISION_AWARE:
+        log_idx, new_idx = _join(log.nonce, new.followed_nonce)
+    elif matching == MATCH_COLLISION_AWARE:
+        log_idx, new_idx = _join(np.sort(log.tips, axis=1), np.sort(new.parents, axis=1))
+    else:
         raise ConfigError(f"unknown matching {matching!r}")
-    by_pair: dict[tuple[int, int], list[AdversaryLogEntry]] = {}
-    for e in log_entries:
-        key = (min(e.tips), max(e.tips))
-        by_pair.setdefault(key, []).append(e)
-    for rec in new_entries:
-        key = (min(rec.parents), max(rec.parents))
-        for entry in by_pair.get(key, ()):
-            links.append(
-                LinkRecord(
-                    address=rec.address,
-                    claimed_identity=entry.requester_id,
-                    matched_response=entry.nonce,
-                    round_observed=entry.round_logged,
-                    correct=entry.requester_id == rec.true_identity,
-                )
-            )
-    return links
+    return [
+        LinkRecord(
+            address=round_address(new.round_issued, light),
+            claimed_identity=requester,
+            matched_response=tuple(nonce),
+            round_observed=nonce[0],
+            correct=requester == identity,
+            origin_light=light,
+        )
+        for requester, nonce, light, identity in zip(
+            log.requester[log_idx].tolist(), log.nonce[log_idx].tolist(),
+            new.light[new_idx].tolist(), new.identity[new_idx].tolist(),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Requesters:
+    """The light nodes that reach at least one full node, ascending by id.
+
+    Row ``r`` is one light: the identity responders see (its proxy's, when
+    proxied) and its reachable full-node ids
+    ``full_ids[start[r]:start[r] + count[r]]``, ascending.
+    """
+
+    light: np.ndarray
+    visible: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    full_ids: np.ndarray
+
+
+def sample_positions(
+    gen: np.random.Generator, sizes: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """A uniform ``counts[r]``-subset of ``range(sizes[r])`` for every row
+    ``r``, each in draw order, rows concatenated."""
+    width = int(counts.max(initial=0))
+    picks = np.zeros((len(sizes), width), dtype=np.int64)
+    for t in range(width):
+        live = np.flatnonzero(counts > t)
+        pick = gen.integers(0, sizes[live] - t)
+        # the pick-th position not taken yet: step over the taken ones in
+        # ascending order
+        for taken in np.sort(picks[live, :t], axis=1).T:
+            pick += taken <= pick
+        picks[live, t] = pick
+    return picks[np.arange(width) < counts[:, None]]
+
 
 @dataclass
 class SimResult:
@@ -458,117 +511,101 @@ class Simulation:
                 (GENESIS_ID, GENESIS_ID), f"bootstrap-{i}", round_issued=0
             )
         self.links: list[LinkRecord] = []
-        self._adversaries = self.population.adversary_ids
+        self._is_adversary = np.zeros(config.full_node_count, dtype=bool)
+        self._is_adversary[sorted(self.population.adversary_ids)] = True
         self._proxy_for: dict[int, int] = {}
         if config.mode == MODE_PROXY:
             self._proxy_for = proxy_assign(self.population)
         # lights an adversary cannot tell apart behind each proxy it sees
         self._lights_per_proxy = Counter(self._proxy_for.values())
-        self._reachable = self._precompute_reachability()
-        self._unreachable_lights: set[int] = set()
-        self._tx_per_light: dict[int, int] = {
-            l.node_id: 0 for l in self.population.light_nodes
-        }
-        self._claimed_per_identity: dict[int, int] = {}
-        self._origin_of_address: dict[str, int] = {}
+        self._requesters = self._reachability()
+        self._tx_per_light = Counter()
+        self._claimed_per_identity = Counter()
 
-    def _precompute_reachability(self) -> dict[int, list[int]]:
-        """Per-light reachable full-node ids (positions never move)."""
+    def _reachability(self) -> Requesters:
+        """Reachable full-node ids per light (positions never move); a
+        proxied light reaches what its proxy reaches."""
         pop = self.population
-        out = {}
-        proxy_cache: dict[int, list[int]] = {}
+        senders = {p.node_id: p for p in pop.proxies}
+        reach: dict[int, list[int]] = {}  # by the identity that sends
+        lights, visible, full_ids = [], [], []
         for light in pop.light_nodes:
-            if self.config.mode == MODE_PROXY:
-                proxy_id = self._proxy_for[light.node_id]
-                if proxy_id not in proxy_cache:
-                    proxy = next(
-                        p for p in pop.proxies if p.node_id == proxy_id
-                    )
-                    proxy_cache[proxy_id] = pop.reachable_full_ids(
-                        proxy.position, proxy.region
-                    )
-                out[light.node_id] = proxy_cache[proxy_id]
-            else:
-                out[light.node_id] = pop.reachable_full_ids(
-                    light.position, light.region
-                )
-        return out
+            via = self._proxy_for.get(light.node_id, light.node_id)
+            if via not in reach:
+                sender = senders.get(via, light)
+                reach[via] = pop.reachable_full_ids(sender.position, sender.region)
+            if reach[via]:
+                lights.append(light.node_id)
+                visible.append(via)
+                full_ids.append(reach[via])
+        count = np.array([len(ids) for ids in full_ids], dtype=np.int64)
+        return Requesters(
+            light=np.array(lights, dtype=np.int64),
+            visible=np.array(visible, dtype=np.int64),
+            start=np.cumsum(count) - count,
+            count=count,
+            full_ids=np.fromiter(itertools.chain.from_iterable(full_ids), np.int64),
+        )
+
+    def _local_round(self, round_idx: int, tips: np.ndarray):
+        """Every light selects its own tips: no request, nothing logged."""
+        gen = round_generator(self.config.seed, DOMAIN_LOCAL, round_idx)
+        lights = np.array(
+            [l.node_id for l in self.population.light_nodes], dtype=np.int64
+        )
+        log = ResponseLog(
+            nonce=np.empty((0, 3), dtype=np.int64),
+            requester=np.empty(0, dtype=np.int64),
+            tips=np.empty((0, 2), dtype=np.int64),
+        )
+        return log, RoundAttaches(
+            round_issued=round_idx,
+            light=lights,
+            identity=lights,
+            parents=urts_pairs(tips, gen, len(lights)),
+            followed_nonce=np.full((len(lights), 3), -1, dtype=np.int64),
+        )
+
+    def _request_round(self, round_idx: int, tips: np.ndarray):
+        """Every reachable light queries a uniform subset of its reachable
+        full nodes, each answers with a URTS pair, and the light follows
+        one answer uniformly."""
+        req = self._requesters
+        gen = round_generator(self.config.seed, DOMAIN_REQUEST, round_idx)
+        fanout = np.minimum(req.count, self.config.request_fanout)
+        owner = np.repeat(np.arange(len(req.light)), fanout)
+        responder = req.full_ids[
+            req.start[owner] + sample_positions(gen, req.count, fanout)
+        ]
+        served = urts_pairs(tips, gen, len(responder))
+        nonce = np.stack(
+            (np.full(len(responder), round_idx), responder, req.light[owner]), axis=1
+        )
+        followed = np.cumsum(fanout) - fanout + gen.integers(0, fanout)
+        logged = self._is_adversary[responder]
+        log = ResponseLog(
+            nonce=nonce[logged], requester=req.visible[owner[logged]], tips=served[logged]
+        )
+        return log, RoundAttaches(
+            round_issued=round_idx,
+            light=req.light,
+            identity=req.visible,
+            parents=served[followed],
+            followed_nonce=nonce[followed],
+        )
 
     def run_round(self, round_idx: int) -> list[LinkRecord]:
         config = self.config
-        seed = config.seed
         ledger = self.ledger
         ledger.round = round_idx
-        snapshot = list(ledger.tips)
-        round_log: list[AdversaryLogEntry] = []
-        pending: list[AttachRecord] = []
-
-        for light in self.population.light_nodes:
-            lid = light.node_id
-            address = f"addr-{round_idx}-{lid}"
-            if config.mode == MODE_DIRECT:
-                rng = substream(seed, DOMAIN_LOCAL, round_idx, lid)
-                pending.append(
-                    AttachRecord(
-                        address=address,
-                        parents=urts_pair(snapshot, rng),
-                        followed_nonce=None,
-                        true_identity=lid,
-                        origin_light=lid,
-                    )
-                )
-                continue
-
-            reachable = self._reachable[lid]
-            if not reachable:
-                self._unreachable_lights.add(lid)
-                continue
-            visible_id = self._proxy_for.get(lid, lid)
-            rng = substream(seed, DOMAIN_REQUEST, round_idx, lid)
-            fanout = min(config.request_fanout, len(reachable))
-            queried = rng.sample(reachable, fanout)
-            responses = []  # (tips, nonce) per queried responder
-            for responder in queried:
-                resp_rng = substream(seed, DOMAIN_RESPONSE, round_idx, responder, lid)
-                tips = urts_pair(snapshot, resp_rng)
-                nonce = (round_idx, responder, lid)
-                responses.append((tips, nonce))
-                if responder in self._adversaries:
-                    round_log.append(
-                        AdversaryLogEntry(
-                            nonce=nonce,
-                            requester_id=visible_id,
-                            tips=tips,
-                            responder_id=responder,
-                            round_logged=round_idx,
-                        )
-                    )
-            tips, nonce = responses[rng.randrange(len(responses))]
-            pending.append(
-                AttachRecord(
-                    address=address,
-                    parents=tips,
-                    followed_nonce=nonce,
-                    true_identity=visible_id,
-                    origin_light=lid,
-                )
-            )
-
-        for rec in pending:  # already ascending light id
-            ledger.attach(
-                rec.parents,
-                rec.address,
-                round_issued=round_idx,
-                issuer_identity=rec.true_identity,
-            )
-            self._tx_per_light[rec.origin_light] += 1
-            self._origin_of_address[rec.address] = rec.origin_light
-
-        links = match_responses(round_log, pending, config.matching)
-        for link in links:
-            self._claimed_per_identity[link.claimed_identity] = (
-                self._claimed_per_identity.get(link.claimed_identity, 0) + 1
-            )
+        draw = self._local_round if config.mode == MODE_DIRECT else self._request_round
+        log, attaches = draw(round_idx, ledger.tip_ids)
+        ledger.attach_round(
+            attaches.parents, round_idx, attaches.identity, attaches.light
+        )
+        self._tx_per_light.update(attaches.light.tolist())
+        links = match_responses(log, attaches, config.matching)
+        self._claimed_per_identity.update(link.claimed_identity for link in links)
         self.links.extend(links)
         return links
 
@@ -595,34 +632,38 @@ class Simulation:
             claims_by_address.setdefault(link.address, set()).add(
                 link.claimed_identity
             )
+        degree_of: dict[int, float] = {}  # by candidate count
         degrees = {}
         for address, claims in sorted(claims_by_address.items()):
             candidates = self._candidate_count(claims)
-            if candidates >= 2:
-                degrees[address] = entropy_degree(
-                    AnonymityProfile.uniform(candidates)
+            if candidates not in degree_of:
+                degree_of[candidates] = (
+                    entropy_degree(AnonymityProfile.uniform(candidates))
+                    if candidates >= 2
+                    else 0.0  # pinned to a single light node
                 )
-            else:
-                degrees[address] = 0.0  # pinned to a single light node
+            degrees[address] = degree_of[candidates]
         return degrees
 
     def _result(self) -> SimResult:
         total = sum(self._tx_per_light.values())
         correct = sum(1 for l in self.links if l.correct)
         # a transaction counts once however many adversaries linked it
-        correct_addresses = {l.address for l in self.links if l.correct}
-        correct_per_light = Counter(
-            self._origin_of_address[address] for address in correct_addresses
-        )
+        correct_txs = {(l.address, l.origin_light) for l in self.links if l.correct}
+        correct_per_light = Counter(light for _, light in correct_txs)
         false_pos = len(self.links) - correct
+        unreachable = (
+            0 if self.config.mode == MODE_DIRECT
+            else len(self.population.light_nodes) - len(self._requesters.light)
+        )
         per_light = [
             {
-                "light_id": lid,
-                "transactions": self._tx_per_light[lid],
-                "correct_links": correct_per_light[lid],
-                "claimed_links": self._claimed_per_identity.get(lid, 0),
+                "light_id": light.node_id,
+                "transactions": self._tx_per_light[light.node_id],
+                "correct_links": correct_per_light[light.node_id],
+                "claimed_links": self._claimed_per_identity[light.node_id],
             }
-            for lid in sorted(self._tx_per_light)
+            for light in self.population.light_nodes
         ]
         return SimResult(
             params=asdict(self.config),
@@ -631,9 +672,9 @@ class Simulation:
             linked_count=len(self.links),
             correct_link_count=correct,
             false_positive_count=false_pos,
-            deanon_rate=len(correct_addresses) / total if total else 0.0,
+            deanon_rate=len(correct_txs) / total if total else 0.0,
             false_positive_rate=false_pos / total if total else 0.0,
-            unreachable_light_nodes=len(self._unreachable_lights),
+            unreachable_light_nodes=unreachable,
             address_degrees=self._address_degrees(),
             per_light=per_light,
             links=list(self.links),

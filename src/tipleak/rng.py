@@ -1,13 +1,19 @@
 """Deterministic random-stream derivation.
 
-All randomness in the simulator flows from a single root seed.  Every
-consumer (a node answering a request, a light node picking a response,
-an experiment drawing a layout) gets its own ``random.Random`` stream,
+All randomness flows from a single root seed.  Each consumer gets a key
 derived by hashing the root seed together with an integer key path that
-identifies the consumer and the round.  Because the derivation is a pure
-function of ``(root_seed, key path)``, results never depend on scheduling
-or worker count: two runs with the same seed produce bit-identical draws
-no matter how the work is split up.
+names the consumer, and draws from a stream keyed by it:
+
+* :func:`substream` seeds a ``random.Random`` (Mersenne Twister).  Node
+  placement, adversary choice and every experiment-level draw use it.
+* :func:`round_generator` keys a counter-based Philox generator (Salmon et
+  al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) for one
+  simulator round; every light node's request, response and follow draws
+  of that round come from it as arrays.
+
+Because a key is a pure function of ``(root_seed, key path)``, results
+never depend on scheduling or worker count: two runs with the same seed
+produce bit-identical draws no matter how the work is split up.
 """
 
 from __future__ import annotations
@@ -16,24 +22,36 @@ import hashlib
 import random
 import struct
 
+import numpy as np
+
 # Domain tags keep key paths from different subsystems disjoint.
 DOMAIN_LAYOUT = 1      # node placement
 DOMAIN_ADVERSARY = 2   # adversary subset draws
-DOMAIN_REQUEST = 3     # a light node's per-round request/follow choices
-DOMAIN_RESPONSE = 4    # a full node answering one request
-DOMAIN_LOCAL = 5       # local tip selection (no request issued)
+DOMAIN_REQUEST = 3     # one round of requests, responses and follow choices
+DOMAIN_LOCAL = 5       # one round of local tip selection (no request issued)
 DOMAIN_EXPERIMENT = 6  # experiment-level draws (samples, subsets, ...)
+
+
+def _stream_key(root_seed: int, *path: int) -> int:
+    """128-bit BLAKE2b key of the root seed and integer key path."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(struct.pack("<q", root_seed))
+    for part in path:
+        h.update(struct.pack("<q", part))
+    return int.from_bytes(h.digest(), "little")
 
 
 def substream(root_seed: int, *path: int) -> random.Random:
     """Return an independent RNG for the given integer key path.
 
-    The stream is seeded with a BLAKE2b hash of the root seed and path,
-    so distinct paths yield unrelated streams and the same path always
-    yields the same stream.
+    Distinct paths yield unrelated streams and the same path always yields
+    the same stream.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(struct.pack("<q", root_seed))
-    for part in path:
-        h.update(struct.pack("<q", part))
-    return random.Random(int.from_bytes(h.digest(), "little"))
+    return random.Random(_stream_key(root_seed, *path))
+
+
+def round_generator(root_seed: int, domain: int, round_idx: int) -> np.random.Generator:
+    """Philox generator keyed by ``(root_seed, domain, round_idx)``."""
+    return np.random.Generator(
+        np.random.Philox(key=_stream_key(root_seed, domain, round_idx))
+    )

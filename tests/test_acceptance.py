@@ -193,19 +193,30 @@ def test_c05_nulls_and_mitigations(report):
     if required != 1001:
         problems.append(f"required {required}")
 
-    # seed 17 pins a scaling draw whose measured rate sits clearly under
-    # the 1% target (the true rate 10/1001 is only 1e-5 below it)
+    # Scaling to the required population meets the 1% target in closed
+    # form; the simulated rate must agree with that closed form, C/N =
+    # 10/1001, within 4 standard errors.  The true rate sits 1e-5 under
+    # 0.01 and the standard error is 3e-4, so which side of 0.01 one
+    # measured rate lands on is noise, not a property of the mitigation.
+    true_rate = deanon_probability(required, 10, 3)
+    if not true_rate <= 0.01:
+        problems.append(f"closed-form scaled rate {true_rate}")
     mitigation_table = exp_mitigations(seed=17)
     scaled_rate = mitigation_table.lookup("scaling", "link_rate")
-    if not scaled_rate < 0.01:
-        problems.append(f"scaled rate {scaled_rate}")
+    scaled_tx = 100 * 1000  # exp_mitigations: light_nodes x scaling_rounds
+    scaled_z = (scaled_rate - true_rate) / math.sqrt(
+        true_rate * (1 - true_rate) / scaled_tx
+    )
+    if not abs(scaled_z) <= 4.0:
+        problems.append(f"scaled rate {scaled_rate} at z={scaled_z:.2f}")
 
     elapsed = time.perf_counter() - started
     ok = not problems and elapsed < 60.0
     report(
         5, "nulls-and-mitigations", ok,
         f"C=0/direct silent, proxy degree 1.0, required=1001, "
-        f"scaled rate {scaled_rate:.5f} < 0.01, {elapsed:.1f}s < 60s; "
+        f"closed-form scaled rate {true_rate:.5f} <= 0.01, measured "
+        f"{scaled_rate:.5f} at z={scaled_z:+.2f}, {elapsed:.1f}s < 60s; "
         f"problems={problems}",
     )
 

@@ -198,6 +198,7 @@ def _usage_error_line(capsys) -> str:
     ("mixer.p_values=", "mixer.p_values expects comma-separated values"),
     ("mixer.p_values=0.1,x", "mixer.p_values expects float"),
     ("heatmap.radius=-1", "radius must be positive"),
+    ("variance.runs=2", "variance study needs runs >= 3"),
     ("realworld.data=/nonexistent/regions.json", "cannot read region data"),
 ])
 def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message):

@@ -247,9 +247,9 @@ def test_variance_study_rows_and_summary():
 
 def test_variance_zero_variance_grid_min_equals_max_near_share():
     result = exp_variance(
-        runs=2, samples_per_cell=800, placement="uniform_grid", seed=23
+        runs=3, samples_per_cell=800, placement="uniform_grid", seed=23
     )
-    for label in ("layout-000", "layout-001"):
+    for label in ("layout-000", "layout-001", "layout-002"):
         assert result.lookup(label, "variance") < 0.2
         min_prob = result.lookup(label, "min_cell_prob")
         max_prob = result.lookup(label, "max_cell_prob")
@@ -257,9 +257,10 @@ def test_variance_zero_variance_grid_min_equals_max_near_share():
         assert max_prob == pytest.approx(0.1, abs=0.04)
 
 
-def test_variance_needs_two_runs():
-    with pytest.raises(ConfigError):
-        exp_variance(runs=1, samples_per_cell=10)
+def test_variance_needs_three_runs():
+    for runs in (1, 2):
+        with pytest.raises(ConfigError, match="runs >= 3"):
+            exp_variance(runs=runs, samples_per_cell=10)
 
 
 def test_variance_workers_do_not_change_results():

@@ -1,10 +1,12 @@
 """Golden bytes: every study's output is pinned by its sha256.
 
 Each case runs ``tipleak run <study> --seed 7 --workers 1`` at small
-settings and compares the CSV and the structured JSON against the digests
-recorded before the study registry replaced the per-study CLI code.  A
-refactor that keeps behaviour keeps these digests; a deliberate change of
-the output must update them and say why.
+settings and compares the CSV and the structured JSON against recorded
+digests.  A refactor that keeps behaviour keeps these digests; a deliberate
+change of the output must update them and say why.  The studies that
+simulate (decentralized, mitigations, custom) are recorded under the
+per-round Philox draws of ``network.RNG_SCHEME`` "philox-round-v1"; the
+others predate it and never changed.
 """
 
 import hashlib
@@ -20,8 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # (study, --set settings, csv sha256, json sha256)
 CASES = [
     ("decentralized", ("light_nodes=10", "rounds=10"),
-     "1e65c3f75e49c69963930cfa74912dcdf24aad7df9c8d8920131f624526fa57d",
-     "88e4c8bb91ab54e8e71f1afaf3c7063248b772066bb7b679e79409bf40e4918b"),
+     "7d8cf8b9ce4e1fe1b9327bdc4545de7359cd4e835b84592ae27b60840505b105",
+     "baf681a8719d9fcdbf27bcceee3f4aabf7e04f9a0bfc1803280e0dc9f69bd288"),
     ("realworld", ("samples=20", "max_adversaries=5"),
      "efb01041b64a84fc6f046ff19ff87817cd0bc4c4ac9bf78c3acdeb5bcc748205",
      "085c87e1dd51cf7e92be131386c3bd2764a6b9cd069d0a159e373365468232b4"),
@@ -38,22 +40,22 @@ CASES = [
      "8493447b9efa464c846bb4fc0e5d583b7206df64e231d166fb9da510d18fb1a5",
      "a7cdaf95eef77f4741cddcf2f0ca1f1950c751e9c0e1457c8e1777240ec2c452"),
     ("mitigations", ("baseline_rounds=20", "scaling_rounds=5", "light_nodes=10"),
-     "3d1405cd7faaf33ad06d15a4cd3c7ee5c2146729227bbe0d9b1e0d876b053ce7",
-     "169370c7c02bf1846663aa890091852dad8598512d16ba298a18830f8f971f92"),
+     "290118d98a2c6459cf5e16dd408a52f3d089007861dc367075672aba4d10d61f",
+     "d6f9b4047cc945b1d18e3b0bda1b5880f5cc11cb74a3fba84d737bf596d31532"),
     ("custom", ("light_node_count=40", "rounds=10", "mode=proxy", "proxy_count=3",
                 "matching=collision_aware", "adversary_count=20"),
-     "e8fb818ed44290fbae52a80a513052c4bc8b86b460085e8aa1bd09c812ddec46",
-     "60aa3a4af201b30f06b362c7033a3ab7deddbb94c6af6d47a69ea1cf3e3784b1"),
+     "bf59a343d80e6dfad5b21302a3d70bf4c9f73b8e761e3b22416f64cbef7316e9",
+     "10b1542871b67fdb47741133643f4470a47bceda227b3b17f1f699887c4696e6"),
     ("custom", ("light_node_count=20", "rounds=5", "request_radius=4",
                 "placement=clustered", "adversary_ratio=0.2"),
-     "f5d4b0dd2ac83011b20e0ee1d76b91275d852612e93ecdbb669598de2e2f9733",
-     "ee41abf6a73f8203348d3b8b205e19b6326966633a3ecd86ff2316a34e0c1e3b"),
+     "33656d0972d16fd275bbea30f1dafeb09082770b9b1933a90783d203175df5a0",
+     "3b54d53225f0cecfa9afe47433542aded0aa0cbafcc08cabb92c4a50c905cc3a"),
 ]
 
 # `run_all_experiments.py --fast --seed 42`, the files that are not heatmaps
 BATTERY = {
     "decentralized_42.csv":
-        "e16717388e4a0c1370ee07febaa997827f097301c0b585ae5cd1834d3f992f2c",
+        "da6e928d76f05a0e0d7fa4178ce63d797a467fde33baca26cde30f98e60c44e2",
     "realworld_42.csv":
         "04c9c14b8407f91db962f8525062ee42f2f7498db9f872a18fe8052234f442e2",
     "variance_42.csv":
@@ -61,7 +63,7 @@ BATTERY = {
     "mixer_42.csv":
         "943000c92d61577b5c71b9d80dfc5e65dcbf770d16760ce4031c825df9d76ae2",
     "mitigations_42.csv":
-        "be9c02c4b9cae6897dea4f2b18586adfa78788d6dd8262def1247532fa5c3e97",
+        "4c1914501806ea97f79fc477379aeae93627ae9138add6b1dc0a2749d293a8ed",
 }
 PLACEMENTS = ("uniform_grid", "uniform_random", "clustered")
 
@@ -86,6 +88,12 @@ def test_run_output_bytes_are_pinned(tmp_path, study, settings, csv_sha, json_sh
     _run(study, settings, tmp_path, "--format", "structured")
     assert _sha256(tmp_path / f"{study}_7.csv") == csv_sha
     assert _sha256(tmp_path / f"{study}_7.json") == json_sha
+
+
+def test_decentralized_bytes_do_not_depend_on_workers(tmp_path):
+    study, settings, csv_sha, _ = CASES[0]
+    _run(study, settings, tmp_path, "--workers", "2")  # the later flag wins
+    assert _sha256(tmp_path / f"{study}_7.csv") == csv_sha
 
 
 def _battery_script():

@@ -2,27 +2,33 @@
 
 import dataclasses
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from tipleak.analytic import AnonymityProfile, entropy_degree
 from tipleak.network import (
     GRID_DIM,
     KIND_ADVERSARY,
     KIND_FULL,
     KIND_LIGHT,
     KIND_PROXY,
-    AdversaryLogEntry,
-    AttachRecord,
     ConfigError,
     NodeDescriptor,
     Population,
+    ResponseLog,
+    RoundAttaches,
     SimConfig,
     Simulation,
     match_responses,
     place_nodes,
     proxy_assign,
     run_simulation,
+    sample_positions,
 )
+from tipleak.rng import round_generator
+from tipleak.tangle import round_address
 
 
 def _tiny_config(**kw) -> SimConfig:
@@ -179,39 +185,48 @@ def test_proxy_assignment_nearest_with_lowest_id_ties():
 # matching
 # ---------------------------------------------------------------------------
 
-def _log(nonce, requester, tips):
-    return AdversaryLogEntry(
-        nonce=nonce, requester_id=requester, tips=tips,
-        responder_id=0, round_logged=nonce[0],
+def _log(*entries):
+    """A response log with one row per (nonce, requester, tips) entry."""
+    return ResponseLog(
+        nonce=np.array([e[0] for e in entries], dtype=np.int64).reshape(-1, 3),
+        requester=np.array([e[1] for e in entries], dtype=np.int64),
+        tips=np.array([e[2] for e in entries], dtype=np.int64).reshape(-1, 2),
     )
 
 
-def _attach(address, parents, nonce, identity):
-    return AttachRecord(
-        address=address, parents=parents,
-        followed_nonce=nonce, true_identity=identity, origin_light=identity,
+def _attaches(*rows):
+    """Round-0 attaches, one per (light, parents, followed nonce) row; each
+    light issues under its own identity."""
+    light = np.array([r[0] for r in rows], dtype=np.int64)
+    return RoundAttaches(
+        round_issued=0,
+        light=light,
+        identity=light,
+        parents=np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, 2),
+        followed_nonce=np.array([r[2] for r in rows], dtype=np.int64).reshape(-1, 3),
     )
 
 
 def test_assume_unique_ignores_coincident_honest_pairs():
-    log = [_log((0, 0, 50), 50, (4, 9))]
-    entries = [
-        _attach("addr-a", (4, 9), (0, 0, 50), 50),   # followed the logged response
-        _attach("addr-b", (4, 9), (0, 1, 51), 51),   # same pair from an honest node
-    ]
+    log = _log(((0, 0, 50), 50, (4, 9)))
+    entries = _attaches(
+        (50, (4, 9), (0, 0, 50)),   # followed the logged response
+        (51, (4, 9), (0, 1, 51)),   # same pair from an honest node
+    )
     links = match_responses(log, entries, "assume_unique")
     assert len(links) == 1
-    assert links[0].address == "addr-a"
+    assert links[0].address == round_address(0, 50)
+    assert links[0].matched_response == (0, 0, 50)
     assert links[0].correct
 
 
 def test_collision_aware_links_all_pair_matches():
     # both entries carry the logged pair (order ignored): two links, one wrong
-    log = [_log((0, 0, 50), 50, (4, 9))]
-    entries = [
-        _attach("addr-a", (9, 4), (0, 0, 50), 50),
-        _attach("addr-b", (4, 9), (0, 1, 51), 51),
-    ]
+    log = _log(((0, 0, 50), 50, (4, 9)))
+    entries = _attaches(
+        (50, (9, 4), (0, 0, 50)),
+        (51, (4, 9), (0, 1, 51)),
+    )
     links = match_responses(log, entries, "collision_aware")
     assert len(links) == 2
     assert sum(l.correct for l in links) == 1
@@ -219,10 +234,44 @@ def test_collision_aware_links_all_pair_matches():
 
 
 def test_collision_aware_no_match_no_link():
-    log = [_log((0, 0, 50), 50, (4, 9))]
-    entries = [_attach("addr-a", (4, 8), (0, 9, 50), 50)]
+    log = _log(((0, 0, 50), 50, (4, 9)))
+    entries = _attaches((50, (4, 8), (0, 9, 50)))
     assert match_responses(log, entries, "collision_aware") == []
     assert match_responses(log, entries, "assume_unique") == []
+
+
+def test_matching_orders_links_by_attach_then_log_row():
+    log = _log(((0, 2, 61), 61, (1, 2)), ((0, 3, 60), 60, (2, 1)), ((0, 4, 62), 62, (7, 8)))
+    entries = _attaches((60, (1, 2), (0, 3, 60)), (61, (2, 1), (0, 5, 61)))
+    links = match_responses(log, entries, "collision_aware")
+    assert [(l.origin_light, l.claimed_identity) for l in links] == [
+        (60, 61), (60, 60), (61, 61), (61, 60),
+    ]
+    (unique,) = match_responses(log, entries, "assume_unique")
+    assert (unique.origin_light, unique.claimed_identity) == (60, 60)
+
+
+def test_matching_empty_inputs():
+    assert match_responses(_log(), _attaches(), "assume_unique") == []
+    assert match_responses(_log(), _attaches((5, (1, 1), (-1, -1, -1))),
+                           "collision_aware") == []
+
+
+def test_sample_positions_uniform_distinct_variable_sizes():
+    # rows of 1, 3 and 6 reachable nodes with fanouts 1, 3 and 2
+    sizes = np.array([1, 3, 6])
+    counts = np.array([1, 3, 2])
+    pair_counts = Counter()
+    for round_idx in range(3000):
+        picks = sample_positions(round_generator(5, 3, round_idx), sizes, counts)
+        first, whole, pair = picks[:1], picks[1:4], picks[4:]
+        assert first.tolist() == [0]
+        assert sorted(whole.tolist()) == [0, 1, 2]
+        assert len(set(pair.tolist())) == 2 and pair.max() < 6
+        pair_counts[tuple(sorted(pair.tolist()))] += 1
+    # all 15 unordered pairs of 6, each near 3000/15 = 200
+    assert len(pair_counts) == 15
+    assert all(abs(n - 200) < 4 * math.sqrt(200) for n in pair_counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +362,7 @@ def test_unreachable_light_is_counted_and_skipped():
         full_nodes=full, proxies=[], light_nodes=lights,
         plane_size=(10.0, 10.0), request_radius=2.0, region_scoped=False,
     )
-    sim._reachable = sim._precompute_reachability()
+    sim._requesters = sim._reachability()
     result = sim.run()
     assert result.unreachable_light_nodes == 1
     assert result.total_transactions == 6  # two lights, three rounds
@@ -339,6 +388,30 @@ def test_proxy_mode_claims_proxies_and_keeps_lights_anonymous():
     assert result.address_degrees
     for degree in result.address_degrees.values():
         assert degree == pytest.approx(1.0, abs=1e-9)
+
+
+def test_proxied_degrees_match_per_address_closed_form():
+    # degrees are memoized per candidate count; each must still equal the
+    # entropy degree of the lights behind the address's claimed proxies
+    config = _tiny_config(
+        rounds=10, mode="proxy", proxy_count=3, matching="collision_aware",
+        adversary_count=5,
+    )
+    result = run_simulation(config)
+    behind = Counter(proxy_assign(place_nodes(config)).values())
+    claims: dict[str, set[int]] = {}
+    for link in result.links:
+        claims.setdefault(link.address, set()).add(link.claimed_identity)
+    expected, counts = {}, set()
+    for address, proxies in claims.items():
+        candidates = sum(behind[p] for p in proxies)
+        counts.add(candidates)
+        expected[address] = (
+            entropy_degree(AnonymityProfile.uniform(candidates))
+            if candidates >= 2 else 0.0
+        )
+    assert result.address_degrees == expected
+    assert len(counts) > 1
 
 
 def test_direct_mode_produces_no_links():
@@ -390,3 +463,52 @@ def test_flat_record_shape():
     assert flat["linked_count"] == flat["correct_link_count"] + flat["false_positive_count"]
     assert 0.0 <= flat["deanon_rate"] <= 1.0
     assert isinstance(flat["seed"], int)
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracles
+# ---------------------------------------------------------------------------
+
+def test_spatial_link_rate_matches_reachable_adversary_share():
+    # With a finite radius each light queries a uniform subset of the full
+    # nodes it reaches and follows one answer uniformly, so under
+    # assume_unique its transactions link with probability C_reach/N_reach.
+    # The pooled rate is the mean of that over reachable lights.
+    config = SimConfig(
+        full_node_count=60, adversary_count=12, request_fanout=3,
+        light_node_count=80, rounds=100, request_radius=1.4, seed=404,
+    )
+    pop = place_nodes(config)
+    shares = []
+    sizes = set()
+    for light in pop.light_nodes:
+        reach = pop.reachable_full_ids(light.position)
+        if reach:
+            sizes.add(len(reach))
+            shares.append(len(pop.adversary_ids.intersection(reach)) / len(reach))
+    # the draw must see queried sets of several sizes, some below the
+    # fanout, and lights that reach no full node at all
+    assert min(sizes) < config.request_fanout < max(sizes)
+    assert 0 < len(shares) < config.light_node_count
+    result = run_simulation(config)
+    assert result.unreachable_light_nodes == config.light_node_count - len(shares)
+    assert result.total_transactions == config.rounds * len(shares)
+    expected = sum(shares) / len(shares)
+    se = math.sqrt(
+        sum(p * (1 - p) for p in shares) * config.rounds
+    ) / result.total_transactions
+    assert abs(result.deanon_rate - expected) <= 4 * se, (
+        result.deanon_rate, expected, se)
+
+
+def test_tip_count_settles_at_mean_field_fixed_point():
+    # L lights attach each round against the round-start tips.  The mean
+    # field k = L/x with 1 - exp(-2x) = x puts the tip count near 1.255 L.
+    config = SimConfig(full_node_count=100, light_node_count=100, rounds=200, seed=8)
+    sim = Simulation(config)
+    counts = []
+    for round_idx in range(config.rounds):
+        sim.run_round(round_idx)
+        counts.append(sim.ledger.tip_count)
+    mean = sum(counts[100:]) / len(counts[100:])
+    assert 1.15 * config.light_node_count <= mean <= 1.35 * config.light_node_count

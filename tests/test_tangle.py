@@ -10,19 +10,22 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tipleak.rng import substream
+from tipleak.rng import round_generator, substream
 from tipleak.tangle import (
     GENESIS_ID,
     AttachError,
     Ledger,
     Transaction,
     ledger_from_lines,
+    round_address,
     urts_pair,
+    urts_pairs,
 )
 
 
@@ -119,6 +122,25 @@ def test_growth_invariants_property(seed, n):
     assert len(ledger) == n + 1
 
 
+def test_attach_round_equals_the_same_attaches_one_by_one():
+    batch, single = Ledger(), Ledger()
+    for ledger in (batch, single):
+        for i in range(4):
+            ledger.attach((GENESIS_ID, GENESIS_ID), f"bootstrap-{i}")
+    parents = np.array([[1, 2], [2, 3], [1, 1]])
+    issuers, labels = [7, 8, 9], [17, 18, 19]
+    ids = batch.attach_round(parents, 3, np.array(issuers), np.array(labels))
+    for pair, issuer, label in zip(parents.tolist(), issuers, labels):
+        single.attach(tuple(pair), round_address(3, label), 3, issuer)
+    assert ids.tolist() == [5, 6, 7]
+    assert list(batch.transactions()) == list(single.transactions())
+    assert batch.tips == single.tips == (4, 5, 6, 7)
+    assert batch.approvers(1) == (5, 7)
+    with pytest.raises(AttachError):
+        batch.attach_round(np.array([[0, 8]]), 4, np.array([1]), np.array([1]))
+    assert len(batch) == 8
+
+
 # ---------------------------------------------------------------------------
 # uniform selection
 # ---------------------------------------------------------------------------
@@ -152,16 +174,11 @@ def _ten_tip_ledger() -> Ledger:
     return ledger
 
 
-def test_urts_unordered_pair_frequencies_uniform():
+def _assert_uniform_pairs(pairs):
     # 45 unordered pairs from 10 tips; each within 4 standard deviations
     # of its expectation, plus a chi-square check at the 1% level.
-    ledger = _ten_tip_ledger()
-    rng = substream(2024, 1)
-    draws = 30_000
-    counts = Counter()
-    for _ in range(draws):
-        a, b = ledger.urts_select(rng)
-        counts[frozenset((a, b))] += 1
+    draws = len(pairs)
+    counts = Counter(frozenset(pair) for pair in pairs)
     assert len(counts) == 45
     p_pair = 1 / 45
     sd = math.sqrt(draws * p_pair * (1 - p_pair))
@@ -169,6 +186,21 @@ def test_urts_unordered_pair_frequencies_uniform():
         assert abs(seen - draws * p_pair) < 4 * sd, f"pair {pair} at {seen}"
     chi2 = sum((c - draws * p_pair) ** 2 / (draws * p_pair) for c in counts.values())
     assert chi2 < stats.chi2.ppf(0.99, 44)
+
+
+def test_urts_unordered_pair_frequencies_uniform():
+    ledger = _ten_tip_ledger()
+    rng = substream(2024, 1)
+    _assert_uniform_pairs([ledger.urts_select(rng) for _ in range(30_000)])
+
+
+def test_batch_urts_pairs_uniform_and_distinct():
+    tips = _ten_tip_ledger().tip_ids
+    pairs = urts_pairs(tips, round_generator(2024, 1, 0), 30_000)
+    assert (pairs[:, 0] != pairs[:, 1]).all()
+    _assert_uniform_pairs(pairs.tolist())
+    lone = urts_pairs(Ledger().tip_ids, round_generator(2024, 1, 1), 3)
+    assert lone.tolist() == [[GENESIS_ID, GENESIS_ID]] * 3
 
 
 def test_urts_deterministic_under_seed():
