@@ -6,8 +6,9 @@ the 2020 region-snapshot study, spatial heatmaps of adversary selection,
 the layout-variance trend, mixer chain identification, and a comparison of
 the candidate mitigations; ``exp_custom`` runs one free-form simulation.
 Every experiment-level draw comes from a substream keyed on (seed,
-experiment, unit), and each simulation from its own seed drawn there, so
-results are byte-identical for a fixed seed regardless of worker count.
+experiment, unit), and each simulation or layout from its own seed drawn
+there, so results are byte-identical for a fixed seed regardless of worker
+count.  Only ``variance`` imports ``scipy``, for its Spearman test.
 
 :data:`STUDIES` is the registry of ``tipleak run`` names.  The CLI, its
 ``validate`` command and ``scripts/run_all_experiments.py`` all read it, and
@@ -16,6 +17,7 @@ every key's default comes from the study function's signature.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import json
@@ -26,8 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
-from scipy import stats as _scipy_stats
-
 from .analytic import (
     deanon_probability,
     mixer_chain_probability,
@@ -36,6 +36,7 @@ from .analytic import (
 )
 from .network import (
     GRID_DIM,
+    PLANE,
     RNG_SCHEME,
     ConfigError,
     SimConfig,
@@ -127,22 +128,24 @@ class GridHeatmap:
     def unreachable(self) -> list[int]:
         return [i for i, p in enumerate(self.probabilities) if p is None]
 
-    def cell_prob(self, row: int, col: int) -> float | None:
-        return self.probabilities[row * GRID_DIM + col]
+    def standard_error(self, cell: int) -> float:
+        """Binomial standard error of a reachable cell's probability."""
+        prob = self.probabilities[cell]
+        return math.sqrt(prob * (1.0 - prob) / self.sample_counts[cell])
 
     def to_result(self, params: dict, seed: int) -> ExperimentResult:
         result = ExperimentResult("heatmap", params, seed)
         for idx in range(GRID_CELLS):
             row, col = divmod(idx, GRID_DIM)
             label = f"cell-{row}-{col}"
-            prob, eff = self.probabilities[idx], self.sample_counts[idx]
+            prob = self.probabilities[idx]
             result.add(label, "node_count", self.node_counts[idx])
             if prob is None:
                 result.add(label, "unreachable", 1.0)
             else:
-                se = math.sqrt(prob * (1.0 - prob) / eff) if eff else 0.0
-                result.add(label, "adversary_selection_probability", prob, se)
-                result.add(label, "effective_samples", eff)
+                result.add(label, "adversary_selection_probability", prob,
+                           self.standard_error(idx))
+                result.add(label, "effective_samples", self.sample_counts[idx])
         return result
 
 
@@ -161,6 +164,11 @@ def cell_node_counts(positions, plane: tuple[float, float]) -> list[int]:
     for x, y in positions:
         counts[cell_index(x, y, plane)] += 1
     return counts
+
+
+def _sub_seed(seed: int, tag: int, index: int) -> int:
+    """Seed of unit ``index`` (a simulation or a layout) of study ``tag``."""
+    return substream(seed, DOMAIN_EXPERIMENT, tag, index).getrandbits(63)
 
 
 def layout_variance(node_counts) -> float:
@@ -186,19 +194,18 @@ def measure_cell_probability(
     cell: int,
     rng,
     *,
-    samples: int = 1000,
-    radius: float = 3.0,
-    fanout: int = 3,
-    plane: tuple[float, float] = (10.0, 10.0),
+    samples: int,
+    radius: float,
+    fanout: int,
     require_local_adversary: bool = False,
 ) -> tuple[float | None, int]:
     """Estimate how often a requester inside one grid cell follows an adversary.
 
-    Sample points are uniform within the cell.  Each sample draws a fresh
-    adversary assignment over the full-node population (rejection-sampled to
-    keep at least one adversary among the cell's own nodes when
-    ``require_local_adversary`` and the cell is populated), polls up to
-    ``fanout`` distinct reachable full nodes and follows one uniformly.
+    Sample points are uniform within the cell of the plane ``PLANE``.  Each
+    sample draws a fresh adversary assignment over the full-node population
+    (rejection-sampled to keep at least one adversary among the cell's own
+    nodes when ``require_local_adversary`` and the cell is populated), polls
+    up to ``fanout`` distinct reachable full nodes and follows one uniformly.
 
     Returns ``(probability, effective_samples)``; probability is None when
     no sample point could reach any full node.
@@ -210,9 +217,9 @@ def measure_cell_probability(
         )
     n = len(positions)
     row, col = divmod(cell, GRID_DIM)
-    cell_w, cell_h = plane[0] / GRID_DIM, plane[1] / GRID_DIM
+    cell_w, cell_h = PLANE[0] / GRID_DIM, PLANE[1] / GRID_DIM
     members = frozenset(
-        i for i, (x, y) in enumerate(positions) if cell_index(x, y, plane) == cell
+        i for i, (x, y) in enumerate(positions) if cell_index(x, y, PLANE) == cell
     )
     constrain = require_local_adversary and bool(members)
     ids = range(n)
@@ -239,37 +246,73 @@ def measure_cell_probability(
 
 
 def _layout_positions(
-    placement: str,
-    node_count: int,
-    layout_seed: int,
-    *,
-    plane: tuple[float, float],
-    cluster_count: int = 2,
-    cluster_spread: float = 0.8,
-    cluster_fraction: float = 0.8,
+    placement: str, node_count: int, layout_seed: int, **clusters
 ) -> list[tuple[float, float]]:
-    config = SimConfig(
-        full_node_count=node_count,
-        light_node_count=1,
-        placement=placement,
-        plane_size=plane,
-        cluster_count=cluster_count,
-        cluster_spread=cluster_spread,
-        cluster_fraction=cluster_fraction,
-        seed=layout_seed,
-    )
+    """Full-node positions of one layout; ``clusters`` are ``cluster_*`` keys."""
+    config = SimConfig(full_node_count=node_count, light_node_count=1,
+                       placement=placement, seed=layout_seed, **clusters)
     return [node.position for node in place_nodes(config).full_nodes]
 
 
-def _heatmap_cell_job(job) -> tuple[float | None, int]:
-    (seed, tag, layout_index, cell, positions, adversary_count, samples,
-     radius, fanout, plane, constrain) = job
-    rng = substream(seed, DOMAIN_EXPERIMENT, tag, layout_index, cell)
-    return measure_cell_probability(
-        positions, adversary_count, cell, rng,
-        samples=samples, radius=radius, fanout=fanout, plane=plane,
-        require_local_adversary=constrain,
+def _measure_cell(*, seed: int, key: tuple[int, ...], positions,
+                  adversary_count: int, cell: int, **sampling):
+    rng = substream(seed, DOMAIN_EXPERIMENT, *key)
+    return measure_cell_probability(positions, adversary_count, cell, rng, **sampling)
+
+
+def _call(job):
+    return job()
+
+
+def _measure_layouts(
+    tag: int, layout_indices, cell_key_base: int, *, placement: str,
+    node_count: int, adversary_ratio: float, samples_per_cell: int,
+    radius: float, fanout: int, require_local_adversary: bool | None,
+    seed: int, workers: int, **clusters,
+) -> list[GridHeatmap]:
+    """One heatmap per layout index: the cell measurements of ``heatmap``
+    and ``variance``.
+
+    Layout ``i`` is placed from the sub-seed keyed ``(tag, i)`` and its cell
+    ``c`` is sampled from the substream keyed ``(tag, i, cell_key_base + c)``.
+    Every (layout, cell) pair is one job for :func:`pmap`.
+    """
+    if samples_per_cell < 1:
+        raise ConfigError("samples_per_cell must be >= 1")
+    if not radius > 0:
+        raise ConfigError("radius must be positive")
+    if fanout < 1:
+        raise ConfigError("fanout must be >= 1")
+    if not 0.0 <= adversary_ratio <= 1.0:
+        raise ConfigError("adversary_ratio must be in [0, 1]")
+    if require_local_adversary is None:
+        require_local_adversary = local_adversary_default(placement)
+    measure = functools.partial(
+        _measure_cell, seed=seed,
+        adversary_count=int(round(adversary_ratio * node_count)),
+        samples=samples_per_cell, radius=radius, fanout=fanout,
+        require_local_adversary=require_local_adversary,
     )
+    layouts = [
+        _layout_positions(placement, node_count, _sub_seed(seed, tag, index),
+                          **clusters)
+        for index in layout_indices
+    ]
+    jobs = [
+        functools.partial(measure, key=(tag, index, cell_key_base + cell),
+                          positions=positions, cell=cell)
+        for index, positions in zip(layout_indices, layouts)
+        for cell in range(GRID_CELLS)
+    ]
+    measured = pmap(_call, jobs, workers)
+    return [
+        GridHeatmap(
+            placement,
+            *map(list, zip(*measured[n * GRID_CELLS:(n + 1) * GRID_CELLS])),
+            cell_node_counts(positions, PLANE), positions,
+        )
+        for n, positions in enumerate(layouts)
+    ]
 
 
 def pmap(func, jobs, workers: int = 1) -> list:
@@ -298,7 +341,6 @@ def exp_heatmap(
     samples_per_cell: int = 1000,
     radius: float = 3.0,
     fanout: int = 3,
-    plane: tuple[float, float] = (10.0, 10.0),
     require_local_adversary: bool | None = None,
     cluster_count: int = 2,
     cluster_spread: float = 0.8,
@@ -314,69 +356,20 @@ def exp_heatmap(
     sampling streams.  ``require_local_adversary=None`` applies the
     placement-dependent default from :func:`local_adversary_default`.
     """
-    if samples_per_cell < 1:
-        raise ConfigError("samples_per_cell must be >= 1")
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
-    adversary_count = int(round(adversary_ratio * node_count))
-    if require_local_adversary is None:
-        require_local_adversary = local_adversary_default(placement)
-    layout_seed = substream(
-        seed, DOMAIN_EXPERIMENT, _TAG_HEATMAP, layout_index
-    ).getrandbits(63)
-    positions = _layout_positions(
-        placement, node_count, layout_seed, plane=plane,
+    (heatmap,) = _measure_layouts(
+        _TAG_HEATMAP, [layout_index], 0, placement=placement,
+        node_count=node_count, adversary_ratio=adversary_ratio,
+        samples_per_cell=samples_per_cell, radius=radius, fanout=fanout,
+        require_local_adversary=require_local_adversary,
         cluster_count=cluster_count, cluster_spread=cluster_spread,
-        cluster_fraction=cluster_fraction,
+        cluster_fraction=cluster_fraction, seed=seed, workers=workers,
     )
-    jobs = [
-        (seed, _TAG_HEATMAP, layout_index, cell, positions, adversary_count,
-         samples_per_cell, radius, fanout, plane, require_local_adversary)
-        for cell in range(GRID_CELLS)
-    ]
-    measured = pmap(_heatmap_cell_job, jobs, workers)
-    return GridHeatmap(
-        placement=placement,
-        probabilities=[m[0] for m in measured],
-        sample_counts=[m[1] for m in measured],
-        node_counts=cell_node_counts(positions, plane),
-        positions=positions,
-    )
+    return heatmap
 
 
 # ---------------------------------------------------------------------------
 # variance experiment
 # ---------------------------------------------------------------------------
-
-def _variance_layout_job(job) -> tuple[float, float, float, float, float]:
-    (seed, run, node_count, adversary_count, samples, radius, fanout,
-     plane, placement, constrain) = job
-    layout_seed = substream(
-        seed, DOMAIN_EXPERIMENT, _TAG_VARIANCE, run
-    ).getrandbits(63)
-    positions = _layout_positions(placement, node_count, layout_seed, plane=plane)
-    counts = cell_node_counts(positions, plane)
-    variance = layout_variance(counts)
-
-    probs: list[float | None] = []
-    ses: list[float] = []
-    for cell in range(GRID_CELLS):
-        rng = substream(seed, DOMAIN_EXPERIMENT, _TAG_VARIANCE, run, 1 + cell)
-        prob, eff = measure_cell_probability(
-            positions, adversary_count, cell, rng,
-            samples=samples, radius=radius, fanout=fanout, plane=plane,
-            require_local_adversary=constrain,
-        )
-        probs.append(prob)
-        ses.append(math.sqrt(prob * (1 - prob) / eff) if prob is not None and eff else 0.0)
-
-    measured = [i for i in range(GRID_CELLS) if probs[i] is not None]
-    if not measured:
-        raise ConfigError(f"layout {run} left every grid cell unreachable")
-    sparse = min(measured, key=lambda i: (counts[i], i))
-    dense = max(measured, key=lambda i: (counts[i], -i))
-    return variance, probs[sparse], probs[dense], ses[sparse], ses[dense]
-
 
 def exp_variance(
     runs: int = 100,
@@ -386,7 +379,6 @@ def exp_variance(
     adversary_ratio: float = 0.1,
     radius: float = 3.0,
     fanout: int = 3,
-    plane: tuple[float, float] = (10.0, 10.0),
     placement: str = "uniform_random",
     require_local_adversary: bool | None = None,
     seed: int = DEFAULT_SEED,
@@ -404,7 +396,6 @@ def exp_variance(
     if runs < 3:
         # with two layouts Spearman's p-value is undefined
         raise ConfigError(f"variance study needs runs >= 3, got {runs}")
-    adversary_count = int(round(adversary_ratio * node_count))
     if require_local_adversary is None:
         require_local_adversary = local_adversary_default(placement)
     params = {
@@ -417,30 +408,38 @@ def exp_variance(
         "placement": placement,
         "require_local_adversary": require_local_adversary,
     }
-    jobs = [
-        (seed, run, node_count, adversary_count, samples_per_cell, radius,
-         fanout, plane, placement, require_local_adversary)
-        for run in range(runs)
-    ]
-    outcomes = pmap(_variance_layout_job, jobs, workers)
+    heatmaps = _measure_layouts(
+        _TAG_VARIANCE, range(runs), 1, placement=placement,
+        node_count=node_count, adversary_ratio=adversary_ratio,
+        samples_per_cell=samples_per_cell, radius=radius, fanout=fanout,
+        require_local_adversary=require_local_adversary,
+        seed=seed, workers=workers,
+    )
 
     result = ExperimentResult("variance", params, seed)
-    for run, (variance, min_prob, max_prob, min_se, max_se) in enumerate(outcomes):
+    for run, heatmap in enumerate(heatmaps):
+        counts, probs = heatmap.node_counts, heatmap.probabilities
+        measured = [i for i in range(GRID_CELLS) if probs[i] is not None]
+        if not measured:
+            raise ConfigError(f"layout {run} left every grid cell unreachable")
+        sparse = min(measured, key=lambda i: (counts[i], i))
+        dense = max(measured, key=lambda i: (counts[i], -i))
         label = f"layout-{run:03d}"
-        result.add(label, "variance", variance)
-        result.add(label, "min_cell_prob", min_prob, min_se)
-        result.add(label, "max_cell_prob", max_prob, max_se)
+        result.add(label, "variance", layout_variance(counts))
+        for metric, cell in (("min_cell_prob", sparse), ("max_cell_prob", dense)):
+            result.add(label, metric, probs[cell], heatmap.standard_error(cell))
 
-    variances = [o[0] for o in outcomes]
+    variances = result.values("variance")
     for metric, column in (
-        ("spearman_variance_min", [o[1] for o in outcomes]),
-        ("spearman_variance_max", [o[2] for o in outcomes]),
+        ("spearman_variance_min", result.values("min_cell_prob")),
+        ("spearman_variance_max", result.values("max_cell_prob")),
     ):
         if len(set(variances)) < 2 or len(set(column)) < 2:
             # a constant column carries no rank information
             result.add("summary", metric, 0.0, 1.0)
         else:
-            rho, p_value = _scipy_stats.spearmanr(variances, column)
+            from scipy.stats import spearmanr  # slow to import; only used here
+            rho, p_value = spearmanr(variances, column)
             result.add("summary", metric, rho, p_value)
     return result
 
@@ -625,12 +624,10 @@ def exp_decentralized(
     for ratio in ratio_sweep:
         specs.append((f"p-{ratio:g}", base_n, int(round(ratio * base_n)), base_m))
 
-    jobs = []
-    for idx, (label, n, c, m) in enumerate(specs):
-        sim_seed = substream(
-            seed, DOMAIN_EXPERIMENT, _TAG_DECENTRALIZED, idx
-        ).getrandbits(63)
-        jobs.append((label, n, c, m, light_nodes, rounds, sim_seed))
+    jobs = [
+        (label, n, c, m, light_nodes, rounds, _sub_seed(seed, _TAG_DECENTRALIZED, idx))
+        for idx, (label, n, c, m) in enumerate(specs)
+    ]
     rows = pmap(_decentralized_row, jobs, workers)
 
     params = {
@@ -767,11 +764,6 @@ def exp_mitigations(
     only name the proxy, leaving requester anonymity intact); and local tip
     selection, which produces no link material at all.
     """
-    def sub_seed(idx: int) -> int:
-        return substream(
-            seed, DOMAIN_EXPERIMENT, _TAG_MITIGATIONS, idx
-        ).getrandbits(63)
-
     params = {
         "baseline_nodes": baseline_nodes,
         "baseline_adversaries": baseline_adversaries,
@@ -790,7 +782,7 @@ def exp_mitigations(
         light_node_count=light_nodes,
         rounds=baseline_rounds,
         request_radius=None,
-        seed=sub_seed(0),
+        seed=_sub_seed(seed, _TAG_MITIGATIONS, 0),
     ))
     required = required_full_nodes(baseline_adversaries, scaling_target)
     scaled = _mitigation_sim(SimConfig(
@@ -799,7 +791,7 @@ def exp_mitigations(
         light_node_count=light_nodes,
         rounds=scaling_rounds,
         request_radius=None,
-        seed=sub_seed(1),
+        seed=_sub_seed(seed, _TAG_MITIGATIONS, 1),
     ))
     proxy_config = SimConfig(
         full_node_count=20,
@@ -809,7 +801,7 @@ def exp_mitigations(
         request_radius=None,
         mode="proxy",
         proxy_count=1,
-        seed=sub_seed(2),
+        seed=_sub_seed(seed, _TAG_MITIGATIONS, 2),
     )
     proxy = _mitigation_sim(proxy_config)
     direct = _mitigation_sim(SimConfig(
@@ -819,7 +811,7 @@ def exp_mitigations(
         rounds=50,
         request_radius=None,
         mode="direct_tip_selection",
-        seed=sub_seed(3),
+        seed=_sub_seed(seed, _TAG_MITIGATIONS, 3),
     ))
 
     for label, sub in (
@@ -922,8 +914,8 @@ STUDIES: dict[str, Study] = {
     "realworld": Study(
         "exp_realworld", fixed=("region_weights",), renamed={"data": "data_path"}
     ),
-    "heatmap": Study("exp_heatmap", fixed=("plane",)),
-    "variance": Study("exp_variance", fixed=("plane",)),
+    "heatmap": Study("exp_heatmap"),
+    "variance": Study("exp_variance"),
     "mixer": Study("exp_mixer"),
     "mitigations": Study("exp_mitigations"),
     "custom": Study(

@@ -42,6 +42,7 @@ from .tangle import GENESIS_ID, Ledger, round_address, urts_pairs
 
 RNG_SCHEME = "philox-round-v1"
 
+PLANE = (10.0, 10.0)  # width and height of the placement plane
 GRID_DIM = 3  # heatmap cells per plane axis
 
 KIND_FULL = "full"
@@ -126,7 +127,7 @@ class SimConfig:
     request_fanout: int = 3
     light_node_count: int = 100
     rounds: int = 100
-    plane_size: tuple[float, float] = (10.0, 10.0)
+    plane_size: tuple[float, float] = PLANE
     request_radius: float | None = None  # None: every full node reachable
     placement: str = "uniform_random"
     regions: dict[str, int] | None = None  # full nodes per region (explicit)
@@ -164,6 +165,12 @@ class SimConfig:
             raise ConfigError("plane_size must be positive")
         if self.request_radius is not None and self.request_radius <= 0:
             raise ConfigError("request_radius must be positive or None")
+        if self.cluster_count < 1:
+            raise ConfigError("cluster_count must be >= 1")
+        if not self.cluster_spread >= 0:  # NaN included
+            raise ConfigError("cluster_spread must be >= 0")
+        if not 0.0 <= self.cluster_fraction <= 1.0:
+            raise ConfigError("cluster_fraction must be in [0, 1]")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}")
         if self.placement == "explicit":
@@ -228,7 +235,7 @@ def _clustered_positions(
 ) -> list[tuple[float, float]]:
     centers = [
         (rng.uniform(0, plane[0]), rng.uniform(0, plane[1]))
-        for _ in range(max(1, cluster_count))
+        for _ in range(cluster_count)
     ]
     positions = []
     for i in range(n):
@@ -262,7 +269,6 @@ class Population:
     full_nodes: list[NodeDescriptor]
     proxies: list[NodeDescriptor]
     light_nodes: list[NodeDescriptor]
-    plane_size: tuple[float, float]
     request_radius: float | None
     region_scoped: bool
 
@@ -348,7 +354,6 @@ def place_nodes(config: SimConfig, seed: int | None = None) -> Population:
         full_nodes=full_nodes,
         proxies=proxies,
         light_nodes=light_nodes,
-        plane_size=config.plane_size,
         request_radius=config.request_radius,
         region_scoped=config.placement == "explicit",
     )

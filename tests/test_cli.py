@@ -1,6 +1,10 @@
 """CLI behavior: output formatting, exit codes, config plumbing, validate."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,7 +202,17 @@ def _usage_error_line(capsys) -> str:
     ("mixer.p_values=", "mixer.p_values expects comma-separated values"),
     ("mixer.p_values=0.1,x", "mixer.p_values expects float"),
     ("heatmap.radius=-1", "radius must be positive"),
+    ("heatmap.fanout=0", "fanout must be >= 1"),
+    ("heatmap.adversary_ratio=1.5", "adversary_ratio must be in [0, 1]"),
+    ("heatmap.cluster_count=-3", "cluster_count must be >= 1"),
+    ("heatmap.cluster_fraction=2", "cluster_fraction must be in [0, 1]"),
+    ("heatmap.cluster_spread=-1", "cluster_spread must be >= 0"),
+    ("custom.cluster_count=0", "cluster_count must be >= 1"),
     ("variance.runs=2", "variance study needs runs >= 3"),
+    ("variance.fanout=0", "fanout must be >= 1"),
+    ("variance.adversary_ratio=-0.1", "adversary_ratio must be in [0, 1]"),
+    ("variance.samples_per_cell=0", "samples_per_cell must be >= 1"),
+    ("variance.radius=0", "radius must be positive"),
     ("realworld.data=/nonexistent/regions.json", "cannot read region data"),
 ])
 def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message):
@@ -208,6 +222,17 @@ def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message)
     ) == EXIT_USAGE
     assert message in _usage_error_line(capsys)
     assert not any(tmp_path.iterdir())
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats costs about a second to import; only the variance study uses it
+    probe = "import sys, tipleak, tipleak.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_run_rejects_nonpositive_workers(tmp_path, capsys):

@@ -96,7 +96,7 @@ def test_local_adversary_default_by_placement():
 def test_cell_probability_matches_share_on_even_layout():
     positions = _grid_layout(45)
     prob, eff = measure_cell_probability(
-        positions, 9, 4, substream(3, 1), samples=4000
+        positions, 9, 4, substream(3, 1), samples=4000, radius=3.0, fanout=3
     )
     assert eff == 4000
     assert prob == pytest.approx(0.2, abs=0.03)  # 9 hostile of 45
@@ -105,7 +105,7 @@ def test_cell_probability_matches_share_on_even_layout():
 def test_cell_probability_zero_without_adversaries():
     positions = _grid_layout(45)
     prob, _ = measure_cell_probability(
-        positions, 0, 0, substream(3, 2), samples=300
+        positions, 0, 0, substream(3, 2), samples=300, radius=3.0, fanout=3
     )
     assert prob == 0.0
 
@@ -114,7 +114,7 @@ def test_cell_probability_unreachable_cell():
     # all nodes in the far corner; radius too small to reach cell 0
     positions = [(9.5, 9.5)] * 5
     prob, eff = measure_cell_probability(
-        positions, 1, 0, substream(3, 3), samples=100, radius=1.0
+        positions, 1, 0, substream(3, 3), samples=100, radius=1.0, fanout=3
     )
     assert prob is None and eff == 0
 
@@ -123,10 +123,12 @@ def test_cell_probability_conditioning_inflates_sparse_cell():
     # one lone node in cell 0, the rest clumped in cell 8
     positions = [(1.5, 1.5)] + [(8.5, 8.5)] * 19
     base, _ = measure_cell_probability(
-        positions, 2, 0, substream(3, 4), samples=2000, require_local_adversary=False
+        positions, 2, 0, substream(3, 4), samples=2000, radius=3.0, fanout=3,
+        require_local_adversary=False,
     )
     conditioned, _ = measure_cell_probability(
-        positions, 2, 0, substream(3, 5), samples=2000, require_local_adversary=True
+        positions, 2, 0, substream(3, 5), samples=2000, radius=3.0, fanout=3,
+        require_local_adversary=True,
     )
     # conditioned: the lone local node is always hostile, so every sample
     # that only reaches it must follow it
@@ -137,7 +139,7 @@ def test_cell_probability_conditioning_needs_adversaries():
     with pytest.raises(ConfigError):
         measure_cell_probability(
             _grid_layout(18), 0, 0, substream(3, 6),
-            samples=10, require_local_adversary=True,
+            samples=10, radius=3.0, fanout=3, require_local_adversary=True,
         )
 
 

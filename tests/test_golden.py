@@ -96,6 +96,13 @@ def test_decentralized_bytes_do_not_depend_on_workers(tmp_path):
     assert _sha256(tmp_path / f"{study}_7.csv") == csv_sha
 
 
+def test_variance_bytes_do_not_depend_on_workers(tmp_path):
+    study, settings, csv_sha, _ = CASES[4]
+    assert study == "variance"
+    _run(study, settings, tmp_path, "--workers", "2")
+    assert _sha256(tmp_path / f"{study}_7.csv") == csv_sha
+
+
 def _battery_script():
     path = ROOT / "scripts" / "run_all_experiments.py"
     spec = importlib.util.spec_from_file_location("run_all_experiments", path)

@@ -76,6 +76,25 @@ def test_config_rejects_non_integer_counts(field, value):
         SimConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("cluster_count", 0, "cluster_count must be >= 1"),
+    ("cluster_count", -3, "cluster_count must be >= 1"),
+    ("cluster_spread", -1.0, "cluster_spread must be >= 0"),
+    ("cluster_spread", math.nan, "cluster_spread must be >= 0"),
+    ("cluster_fraction", -0.1, r"cluster_fraction must be in \[0, 1\]"),
+    ("cluster_fraction", 2.0, r"cluster_fraction must be in \[0, 1\]"),
+])
+def test_config_rejects_meaningless_cluster_settings(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        SimConfig(placement="clustered", **{field: value})
+
+
+def test_config_accepts_cluster_settings_at_their_bounds():
+    for settings in ({"cluster_count": 1}, {"cluster_spread": 0.0},
+                     {"cluster_fraction": 0.0}, {"cluster_fraction": 1.0}):
+        place_nodes(SimConfig(placement="clustered", full_node_count=20, **settings))
+
+
 def test_config_explicit_regions_must_sum_to_n():
     SimConfig(full_node_count=5, placement="explicit", regions={"eu": 3, "na": 2})
     with pytest.raises(ConfigError):
@@ -152,7 +171,7 @@ def test_reachability_closed_ball_boundary():
     ]
     pop = Population(
         full_nodes=full, proxies=[], light_nodes=[],
-        plane_size=(10.0, 10.0), request_radius=3.0, region_scoped=False,
+        request_radius=3.0, region_scoped=False,
     )
     assert pop.reachable_full_ids((0.0, 0.0)) == [0, 1]  # 3.0 exactly included
     assert pop.reachable_full_ids((0.0, 6.0)) == [1, 2]
@@ -173,7 +192,7 @@ def test_proxy_assignment_nearest_with_lowest_id_ties():
     ]
     pop = Population(
         full_nodes=[], proxies=proxies, light_nodes=[light],
-        plane_size=(10.0, 10.0), request_radius=None, region_scoped=False,
+        request_radius=None, region_scoped=False,
     )
     assert proxy_assign(pop) == {200: 100}
     pop_no_proxy = dataclasses.replace(pop, proxies=[])
@@ -360,7 +379,7 @@ def test_unreachable_light_is_counted_and_skipped():
     ]
     sim.population = Population(
         full_nodes=full, proxies=[], light_nodes=lights,
-        plane_size=(10.0, 10.0), request_radius=2.0, region_scoped=False,
+        request_radius=2.0, region_scoped=False,
     )
     sim._requesters = sim._reachability()
     result = sim.run()
