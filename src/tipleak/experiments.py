@@ -28,6 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from .analytic import (
     deanon_probability,
     mixer_chain_probability,
@@ -41,6 +43,7 @@ from .network import (
     ConfigError,
     SimConfig,
     place_nodes,
+    reachable,
     run_simulation,
 )
 from .rng import DOMAIN_EXPERIMENT, substream
@@ -231,12 +234,10 @@ def measure_cell_probability(
             adversaries = frozenset(rng.sample(ids, adversary_count))
             if not constrain or not adversaries.isdisjoint(members):
                 break
-        reachable = [
-            i for i, pos in enumerate(positions) if math.dist((px, py), pos) <= radius
-        ]
-        if not reachable:
+        reach = reachable(((px, py),), positions, radius)[0].nonzero()[0].tolist()
+        if not reach:
             continue
-        polled = rng.sample(reachable, min(fanout, len(reachable)))
+        polled = rng.sample(reach, min(fanout, len(reach)))
         followed = polled[rng.randrange(len(polled))]
         effective += 1
         hits += followed in adversaries
@@ -251,7 +252,7 @@ def _layout_positions(
     """Full-node positions of one layout; ``clusters`` are ``cluster_*`` keys."""
     config = SimConfig(full_node_count=node_count, light_node_count=1,
                        placement=placement, seed=layout_seed, **clusters)
-    return [node.position for node in place_nodes(config).full_nodes]
+    return list(map(tuple, place_nodes(config).full_nodes.tolist()))
 
 
 def _measure_cell(*, seed: int, key: tuple[int, ...], positions,
@@ -918,7 +919,5 @@ STUDIES: dict[str, Study] = {
     "variance": Study("exp_variance"),
     "mixer": Study("exp_mixer"),
     "mitigations": Study("exp_mitigations"),
-    "custom": Study(
-        "exp_custom", fixed=("plane_size", "regions"), defaults_from="SimConfig"
-    ),
+    "custom": Study("exp_custom", defaults_from="SimConfig"),
 }

@@ -1,12 +1,15 @@
 """Network-level attack simulation.
 
 A population of full nodes (some of them logging adversaries), optional
-proxies, and light nodes lives on a bounded plane or in named regions.
-Each round every light node asks up to ``request_fanout`` reachable full
-nodes for a tip selection, follows exactly one answer, and attaches a
-transaction under a fresh address.  Adversarial full nodes log every
-response they serve; after the round's attaches they compare new ledger
-entries against their logs and emit identity links.
+proxies, and light nodes lives on the plane :data:`PLANE`.
+:func:`place_nodes` builds it once, as position arrays and an adversary
+mask; :func:`reachable` tells which full nodes a requester may query, and a
+proxied light queries through its nearest proxy.  Each round every light
+node asks up to ``request_fanout`` reachable full nodes for a tip
+selection, follows exactly one answer, and attaches a transaction under a
+fresh address.  Adversarial full nodes log every response they serve;
+after the round's attaches they compare new ledger entries against their
+logs and emit identity links.
 
 A round is columnar: every light's queried set, every response and every
 follow choice are drawn as arrays from one Philox generator keyed by
@@ -21,11 +24,11 @@ change of scheme changes their ``config_hash``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+from itertools import product, starmap
 
 import numpy as np
 
@@ -45,11 +48,6 @@ RNG_SCHEME = "philox-round-v1"
 PLANE = (10.0, 10.0)  # width and height of the placement plane
 GRID_DIM = 3  # heatmap cells per plane axis
 
-KIND_FULL = "full"
-KIND_ADVERSARY = "adversary_full"
-KIND_LIGHT = "light"
-KIND_PROXY = "proxy"
-
 MODE_BASELINE = "baseline"
 MODE_PROXY = "proxy"
 MODE_DIRECT = "direct_tip_selection"
@@ -57,19 +55,11 @@ MODE_DIRECT = "direct_tip_selection"
 MATCH_ASSUME_UNIQUE = "assume_unique"
 MATCH_COLLISION_AWARE = "collision_aware"
 
-PLACEMENTS = ("uniform_grid", "uniform_random", "clustered", "explicit")
+PLACEMENTS = ("uniform_grid", "uniform_random", "clustered")
 
 
 class ConfigError(ValueError):
     """Raised for simulation configs that cannot be run."""
-
-
-@dataclass(frozen=True)
-class NodeDescriptor:
-    node_id: int
-    kind: str
-    position: tuple[float, float]
-    region: str | None = None
 
 
 @dataclass(frozen=True)
@@ -127,10 +117,8 @@ class SimConfig:
     request_fanout: int = 3
     light_node_count: int = 100
     rounds: int = 100
-    plane_size: tuple[float, float] = PLANE
     request_radius: float | None = None  # None: every full node reachable
     placement: str = "uniform_random"
-    regions: dict[str, int] | None = None  # full nodes per region (explicit)
     cluster_count: int = 2
     cluster_spread: float = 0.8
     cluster_fraction: float = 0.8        # share of nodes pulled into clusters
@@ -161,9 +149,7 @@ class SimConfig:
             0 <= self.adversary_count <= self.full_node_count
         ):
             raise ConfigError("adversary_count must be in [0, full_node_count]")
-        if self.plane_size[0] <= 0 or self.plane_size[1] <= 0:
-            raise ConfigError("plane_size must be positive")
-        if self.request_radius is not None and self.request_radius <= 0:
+        if self.request_radius is not None and not self.request_radius > 0:
             raise ConfigError("request_radius must be positive or None")
         if self.cluster_count < 1:
             raise ConfigError("cluster_count must be >= 1")
@@ -173,18 +159,6 @@ class SimConfig:
             raise ConfigError("cluster_fraction must be in [0, 1]")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}")
-        if self.placement == "explicit":
-            if not self.regions:
-                raise ConfigError("explicit placement needs a regions mapping")
-            if any(v < 0 for v in self.regions.values()):
-                raise ConfigError("region counts must be >= 0")
-            if sum(self.regions.values()) != self.full_node_count:
-                raise ConfigError(
-                    f"region counts sum to {sum(self.regions.values())}, "
-                    f"expected full_node_count={self.full_node_count}"
-                )
-        elif self.regions is not None:
-            raise ConfigError("regions mapping requires placement='explicit'")
         if self.mode not in (MODE_BASELINE, MODE_PROXY, MODE_DIRECT):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.matching not in (MATCH_ASSUME_UNIQUE, MATCH_COLLISION_AWARE):
@@ -207,11 +181,11 @@ class SimConfig:
 # placement
 # ---------------------------------------------------------------------------
 
-def _grid_positions(n: int, plane: tuple[float, float]) -> list[tuple[float, float]]:
+def _grid_positions(n: int) -> list[tuple[float, float]]:
     """Spread n points evenly over the GRID_DIM x GRID_DIM cells: round-robin
     across cells, sub-lattice inside each cell."""
-    cell_w = plane[0] / GRID_DIM
-    cell_h = plane[1] / GRID_DIM
+    cell_w = PLANE[0] / GRID_DIM
+    cell_h = PLANE[1] / GRID_DIM
     per_cell: list[list[int]] = [[] for _ in range(GRID_DIM * GRID_DIM)]
     for i in range(n):
         per_cell[i % (GRID_DIM * GRID_DIM)].append(i)
@@ -230,147 +204,104 @@ def _grid_positions(n: int, plane: tuple[float, float]) -> list[tuple[float, flo
 
 
 def _clustered_positions(
-    n: int, plane: tuple[float, float], rng: random.Random,
-    cluster_count: int, spread: float, fraction: float,
+    n: int, rng: random.Random, cluster_count: int, spread: float, fraction: float,
 ) -> list[tuple[float, float]]:
     centers = [
-        (rng.uniform(0, plane[0]), rng.uniform(0, plane[1]))
+        (rng.uniform(0, PLANE[0]), rng.uniform(0, PLANE[1]))
         for _ in range(cluster_count)
     ]
     positions = []
     for i in range(n):
         if rng.random() < fraction:
             cx, cy = centers[rng.randrange(len(centers))]
-            x = min(max(rng.gauss(cx, spread), 0.0), plane[0])
-            y = min(max(rng.gauss(cy, spread), 0.0), plane[1])
+            x = min(max(rng.gauss(cx, spread), 0.0), PLANE[0])
+            y = min(max(rng.gauss(cy, spread), 0.0), PLANE[1])
         else:
-            x, y = rng.uniform(0, plane[0]), rng.uniform(0, plane[1])
+            x, y = rng.uniform(0, PLANE[0]), rng.uniform(0, PLANE[1])
         positions.append((x, y))
     return positions
 
 
-def _positions_for(
-    strategy: str, n: int, config: SimConfig, rng: random.Random
-) -> list[tuple[float, float]]:
-    plane = config.plane_size
-    if strategy == "uniform_grid":
-        return _grid_positions(n, plane)
-    if strategy == "clustered":
-        return _clustered_positions(
-            n, plane, rng, config.cluster_count,
-            config.cluster_spread, config.cluster_fraction,
+def _positions(n: int, config: SimConfig, rng: random.Random) -> np.ndarray:
+    """``(n, 2)`` positions by the config's placement."""
+    if config.placement == "uniform_grid":
+        positions = _grid_positions(n)
+    elif config.placement == "clustered":
+        positions = _clustered_positions(
+            n, rng, config.cluster_count, config.cluster_spread, config.cluster_fraction
         )
-    # uniform_random and explicit (regions carry the meaning there)
-    return [(rng.uniform(0, plane[0]), rng.uniform(0, plane[1])) for _ in range(n)]
+    else:
+        positions = [
+            (rng.uniform(0, PLANE[0]), rng.uniform(0, PLANE[1])) for _ in range(n)
+        ]
+    return np.array(positions, dtype=float).reshape(n, 2)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Population:
-    full_nodes: list[NodeDescriptor]
-    proxies: list[NodeDescriptor]
-    light_nodes: list[NodeDescriptor]
-    request_radius: float | None
-    region_scoped: bool
+    """Node positions by kind, each a ``(k, 2)`` array, and which full
+    nodes are adversaries.
+
+    Ids run over full nodes first, then proxies, then light nodes, so a
+    node's id is its row plus the counts of the kinds before it.
+    """
+
+    full_nodes: np.ndarray   # (N, 2)
+    adversary: np.ndarray    # (N,) bool
+    proxies: np.ndarray      # (P, 2)
+    light_nodes: np.ndarray  # (L, 2)
 
     @property
-    def adversary_ids(self) -> frozenset[int]:
-        return frozenset(
-            n.node_id for n in self.full_nodes if n.kind == KIND_ADVERSARY
-        )
-
-    def reachable_full_ids(
-        self, position: tuple[float, float] | None, region: str | None = None
-    ) -> list[int]:
-        """Ids of full nodes a requester at ``position`` (or in ``region``)
-        may query, ascending.  Reachability is a closed ball: distance
-        exactly equal to the radius still counts."""
-        if self.region_scoped:
-            return [n.node_id for n in self.full_nodes if n.region == region]
-        if self.request_radius is None or position is None:
-            return [n.node_id for n in self.full_nodes]
-        r = self.request_radius
-        return [
-            n.node_id
-            for n in self.full_nodes
-            if math.dist(position, n.position) <= r
-        ]
+    def light_ids(self) -> np.ndarray:
+        first = len(self.full_nodes) + len(self.proxies)
+        return np.arange(first, first + len(self.light_nodes))
 
 
-def place_nodes(config: SimConfig, seed: int | None = None) -> Population:
+def place_nodes(config: SimConfig) -> Population:
     """Build the positioned population for a config.
 
-    Ids are assigned full nodes first, then proxies, then light nodes, so
-    tie-breaking by lowest id is stable across runs.
+    The layout stream places the full nodes, then the proxies, then the
+    light nodes; the adversaries are drawn from their own stream.
     """
-    root = config.seed if seed is None else seed
-    rng = substream(root, DOMAIN_LAYOUT)
+    rng = substream(config.seed, DOMAIN_LAYOUT)
     n = config.full_node_count
-
-    regions: list[str | None]
-    if config.placement == "explicit":
-        assert config.regions is not None
-        regions = []
-        for name in sorted(config.regions):
-            regions.extend([name] * config.regions[name])
-    else:
-        regions = [None] * n
-
-    positions = _positions_for(config.placement, n, config, rng)
-    adversaries = set(
-        substream(root, DOMAIN_ADVERSARY).sample(range(n), config.effective_adversaries)
-    )
-    full_nodes = [
-        NodeDescriptor(
-            node_id=i,
-            kind=KIND_ADVERSARY if i in adversaries else KIND_FULL,
-            position=positions[i],
-            region=regions[i],
-        )
-        for i in range(n)
-    ]
-
-    proxy_positions = _positions_for(config.placement, config.proxy_count, config, rng)
-    proxies = [
-        NodeDescriptor(node_id=n + i, kind=KIND_PROXY, position=proxy_positions[i])
-        for i in range(config.proxy_count)
-    ]
-
-    light_positions = _positions_for(
-        config.placement, config.light_node_count, config, rng
-    )
-    region_names = sorted(config.regions) if config.regions else []
-    light_nodes = []
-    for i in range(config.light_node_count):
-        region = region_names[i % len(region_names)] if region_names else None
-        light_nodes.append(
-            NodeDescriptor(
-                node_id=n + config.proxy_count + i,
-                kind=KIND_LIGHT,
-                position=light_positions[i],
-                region=region,
-            )
-        )
+    full_nodes = _positions(n, config, rng)
+    adversary = np.zeros(n, dtype=bool)
+    adversary[substream(config.seed, DOMAIN_ADVERSARY).sample(
+        range(n), config.effective_adversaries)] = True
     return Population(
         full_nodes=full_nodes,
-        proxies=proxies,
-        light_nodes=light_nodes,
-        request_radius=config.request_radius,
-        region_scoped=config.placement == "explicit",
+        adversary=adversary,
+        proxies=_positions(config.proxy_count, config, rng),
+        light_nodes=_positions(config.light_node_count, config, rng),
     )
 
 
-def proxy_assign(population: Population) -> dict[int, int]:
-    """Map each light node to its nearest proxy (ties: lowest proxy id)."""
-    if not population.proxies:
+def _distances(points, nodes) -> np.ndarray:
+    """``(k, n)`` :func:`math.dist` from each point to each node; both are
+    sequences of ``(x, y)`` pairs, lists of tuples being the fastest."""
+    k, n = len(points), len(nodes)
+    return np.fromiter(
+        starmap(math.dist, product(points, nodes)), float, k * n
+    ).reshape(k, n)
+
+
+def reachable(points, nodes, radius: float | None) -> np.ndarray:
+    """``(k, n)`` bool: whether node ``j`` lies within ``radius`` of point
+    ``i``.  Reach is a closed ball (a distance exactly equal to the radius
+    counts); every node is reachable when ``radius`` is None."""
+    if radius is None:
+        return np.ones((len(points), len(nodes)), dtype=bool)
+    return _distances(points, nodes) <= radius
+
+
+def proxy_assign(population: Population) -> np.ndarray:
+    """The id of each light node's nearest proxy (ties: lowest proxy id)."""
+    if not len(population.proxies):
         raise ConfigError("proxy assignment requires at least one proxy")
-    assignment = {}
-    for light in population.light_nodes:
-        best = min(
-            population.proxies,
-            key=lambda p: (math.dist(light.position, p.position), p.node_id),
-        )
-        assignment[light.node_id] = best.node_id
-    return assignment
+    d = _distances(population.light_nodes.tolist(), population.proxies.tolist())
+    # argmin takes the first minimum, which is the lowest proxy id
+    return len(population.full_nodes) + np.argmin(d, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +397,6 @@ def sample_positions(
 
 @dataclass
 class SimResult:
-    params: dict
     seed: int
     total_transactions: int
     linked_count: int
@@ -516,13 +446,13 @@ class Simulation:
                 (GENESIS_ID, GENESIS_ID), f"bootstrap-{i}", round_issued=0
             )
         self.links: list[LinkRecord] = []
-        self._is_adversary = np.zeros(config.full_node_count, dtype=bool)
-        self._is_adversary[sorted(self.population.adversary_ids)] = True
-        self._proxy_for: dict[int, int] = {}
-        if config.mode == MODE_PROXY:
-            self._proxy_for = proxy_assign(self.population)
-        # lights an adversary cannot tell apart behind each proxy it sees
-        self._lights_per_proxy = Counter(self._proxy_for.values())
+        # the identity responders see: a proxied light's proxy, else its own
+        self._visible = (
+            proxy_assign(self.population) if config.mode == MODE_PROXY
+            else self.population.light_ids
+        )
+        # lights an adversary cannot tell apart behind each identity it sees
+        self._lights_behind = np.bincount(self._visible).tolist()
         self._requesters = self._reachability()
         self._tx_per_light = Counter()
         self._claimed_per_identity = Counter()
@@ -531,33 +461,29 @@ class Simulation:
         """Reachable full-node ids per light (positions never move); a
         proxied light reaches what its proxy reaches."""
         pop = self.population
-        senders = {p.node_id: p for p in pop.proxies}
-        reach: dict[int, list[int]] = {}  # by the identity that sends
-        lights, visible, full_ids = [], [], []
-        for light in pop.light_nodes:
-            via = self._proxy_for.get(light.node_id, light.node_id)
-            if via not in reach:
-                sender = senders.get(via, light)
-                reach[via] = pop.reachable_full_ids(sender.position, sender.region)
-            if reach[via]:
-                lights.append(light.node_id)
-                visible.append(via)
-                full_ids.append(reach[via])
-        count = np.array([len(ids) for ids in full_ids], dtype=np.int64)
+        positions = np.concatenate((pop.full_nodes, pop.proxies, pop.light_nodes))
+        # reach once per identity that sends: a proxy, or the light itself
+        senders, row = np.unique(self._visible, return_inverse=True)
+        reach = reachable(
+            positions[senders].tolist(), pop.full_nodes.tolist(),
+            self.config.request_radius,
+        )[row]
+        keep = reach.any(axis=1)
+        reach = reach[keep]
+        count = reach.sum(axis=1)
         return Requesters(
-            light=np.array(lights, dtype=np.int64),
-            visible=np.array(visible, dtype=np.int64),
+            light=pop.light_ids[keep],
+            visible=self._visible[keep],
             start=np.cumsum(count) - count,
             count=count,
-            full_ids=np.fromiter(itertools.chain.from_iterable(full_ids), np.int64),
+            # the column of every reachable entry, row by row
+            full_ids=np.broadcast_to(np.arange(reach.shape[1]), reach.shape)[reach],
         )
 
     def _local_round(self, round_idx: int, tips: np.ndarray):
         """Every light selects its own tips: no request, nothing logged."""
         gen = round_generator(self.config.seed, DOMAIN_LOCAL, round_idx)
-        lights = np.array(
-            [l.node_id for l in self.population.light_nodes], dtype=np.int64
-        )
+        lights = self.population.light_ids
         log = ResponseLog(
             nonce=np.empty((0, 3), dtype=np.int64),
             requester=np.empty(0, dtype=np.int64),
@@ -587,7 +513,7 @@ class Simulation:
             (np.full(len(responder), round_idx), responder, req.light[owner]), axis=1
         )
         followed = np.cumsum(fanout) - fanout + gen.integers(0, fanout)
-        logged = self._is_adversary[responder]
+        logged = self.population.adversary[responder]
         log = ResponseLog(
             nonce=nonce[logged], requester=req.visible[owner[logged]], tips=served[logged]
         )
@@ -625,11 +551,9 @@ class Simulation:
         """How many light nodes fit the identities claimed for one address.
 
         A proxy stands for every light assigned to it, and no light has two
-        proxies, so the candidates behind distinct proxies never overlap.
+        proxies, so the candidates behind distinct identities never overlap.
         """
-        if self.config.mode == MODE_PROXY:
-            return sum(self._lights_per_proxy[identity] for identity in claims)
-        return len(claims)
+        return sum(self._lights_behind[identity] for identity in claims)
 
     def _address_degrees(self) -> dict[str, float]:
         claims_by_address: dict[str, set[int]] = {}
@@ -663,15 +587,14 @@ class Simulation:
         )
         per_light = [
             {
-                "light_id": light.node_id,
-                "transactions": self._tx_per_light[light.node_id],
-                "correct_links": correct_per_light[light.node_id],
-                "claimed_links": self._claimed_per_identity[light.node_id],
+                "light_id": light,
+                "transactions": self._tx_per_light[light],
+                "correct_links": correct_per_light[light],
+                "claimed_links": self._claimed_per_identity[light],
             }
-            for light in self.population.light_nodes
+            for light in self.population.light_ids.tolist()
         ]
         return SimResult(
-            params=asdict(self.config),
             seed=self.config.seed,
             total_transactions=total,
             linked_count=len(self.links),

@@ -222,11 +222,6 @@ class Ledger:
         self._size = start + n
         return start
 
-    # -- selection --------------------------------------------------------
-
-    def urts_select(self, rng: random.Random) -> tuple[int, int]:
-        return urts_pair(self.tips, rng)
-
     # -- serialization ----------------------------------------------------
 
     def export_lines(self) -> list[str]:

@@ -208,6 +208,9 @@ def _usage_error_line(capsys) -> str:
     ("heatmap.cluster_fraction=2", "cluster_fraction must be in [0, 1]"),
     ("heatmap.cluster_spread=-1", "cluster_spread must be >= 0"),
     ("custom.cluster_count=0", "cluster_count must be >= 1"),
+    ("custom.request_radius=nan", "request_radius must be positive or None"),
+    ("custom.placement=explicit",
+     "placement must be one of ('uniform_grid', 'uniform_random', 'clustered')"),
     ("variance.runs=2", "variance study needs runs >= 3"),
     ("variance.fanout=0", "fanout must be >= 1"),
     ("variance.adversary_ratio=-0.1", "adversary_ratio must be in [0, 1]"),

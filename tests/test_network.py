@@ -10,12 +10,7 @@ import pytest
 from tipleak.analytic import AnonymityProfile, entropy_degree
 from tipleak.network import (
     GRID_DIM,
-    KIND_ADVERSARY,
-    KIND_FULL,
-    KIND_LIGHT,
-    KIND_PROXY,
     ConfigError,
-    NodeDescriptor,
     Population,
     ResponseLog,
     RoundAttaches,
@@ -24,6 +19,7 @@ from tipleak.network import (
     match_responses,
     place_nodes,
     proxy_assign,
+    reachable,
     run_simulation,
     sample_positions,
 )
@@ -64,6 +60,8 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         SimConfig(request_radius=-1.0)
     with pytest.raises(ConfigError):
+        SimConfig(request_radius=math.nan)
+    with pytest.raises(ConfigError):
         SimConfig(matching="fuzzy")
 
 
@@ -95,16 +93,6 @@ def test_config_accepts_cluster_settings_at_their_bounds():
         place_nodes(SimConfig(placement="clustered", full_node_count=20, **settings))
 
 
-def test_config_explicit_regions_must_sum_to_n():
-    SimConfig(full_node_count=5, placement="explicit", regions={"eu": 3, "na": 2})
-    with pytest.raises(ConfigError):
-        SimConfig(full_node_count=5, placement="explicit", regions={"eu": 3})
-    with pytest.raises(ConfigError):
-        SimConfig(full_node_count=5, placement="explicit", regions=None)
-    with pytest.raises(ConfigError):
-        SimConfig(full_node_count=5, regions={"eu": 5})
-
-
 def test_effective_adversaries_from_ratio_or_count():
     assert SimConfig(full_node_count=100, adversary_ratio=0.1).effective_adversaries == 10
     assert SimConfig(full_node_count=50, adversary_ratio=0.1).effective_adversaries == 5
@@ -124,7 +112,7 @@ def test_uniform_grid_nine_nodes_sit_at_cell_centers():
         for row in range(GRID_DIM)
         for col in range(GRID_DIM)
     }
-    got = {n.position for n in pop.full_nodes}
+    got = set(map(tuple, pop.full_nodes.tolist()))
     assert {
         (round(x, 9), round(y, 9)) for x, y in got
     } == {(round(x, 9), round(y, 9)) for x, y in expected}
@@ -135,67 +123,59 @@ def test_uniform_grid_spreads_counts_evenly():
     pop = place_nodes(config)
     cell = 10.0 / GRID_DIM
     counts = [0] * (GRID_DIM * GRID_DIM)
-    for n in pop.full_nodes:
-        col = min(int(n.position[0] / cell), GRID_DIM - 1)
-        row = min(int(n.position[1] / cell), GRID_DIM - 1)
+    for x, y in pop.full_nodes.tolist():
+        col = min(int(x / cell), GRID_DIM - 1)
+        row = min(int(y / cell), GRID_DIM - 1)
         counts[row * GRID_DIM + col] += 1
     assert max(counts) - min(counts) <= 1
 
 
 def test_placement_is_deterministic():
-    config = _tiny_config(placement="clustered")
-    assert place_nodes(config) == place_nodes(config)
-    other = dataclasses.replace(config, seed=config.seed + 1)
-    assert place_nodes(other) != place_nodes(config)
+    config = _tiny_config(placement="clustered", proxy_count=2)
+    first, again = place_nodes(config), place_nodes(config)
+    other = place_nodes(dataclasses.replace(config, seed=config.seed + 1))
+    for name in ("full_nodes", "adversary", "proxies", "light_nodes"):
+        assert np.array_equal(getattr(first, name), getattr(again, name))
+    assert not np.array_equal(first.full_nodes, other.full_nodes)
+    assert not np.array_equal(first.light_nodes, other.light_nodes)
 
 
-def test_explicit_regions_tag_nodes():
-    counts = {"af": 1, "asia": 6, "eu": 31, "na": 8, "sa": 1}
-    config = SimConfig(
-        full_node_count=47, adversary_count=0, placement="explicit", regions=counts
-    )
+def test_population_shapes_and_id_order():
+    config = _tiny_config(proxy_count=3)
     pop = place_nodes(config)
-    seen: dict[str, int] = {}
-    for n in pop.full_nodes:
-        seen[n.region] = seen.get(n.region, 0) + 1
-    assert seen == counts
-    eu_ids = {n.node_id for n in pop.full_nodes if n.region == "eu"}
-    assert pop.reachable_full_ids(None, "eu") == sorted(eu_ids)
+    assert pop.full_nodes.shape == (10, 2)
+    assert pop.adversary.shape == (10,) and pop.adversary.sum() == 2
+    assert pop.proxies.shape == (3, 2)
+    assert pop.light_nodes.shape == (8, 2)
+    # full nodes 0-9, proxies 10-12, lights 13-20
+    assert pop.light_ids.tolist() == list(range(13, 21))
+    assert [row["light_id"] for row in run_simulation(config).per_light] == list(range(13, 21))
 
 
 def test_reachability_closed_ball_boundary():
-    full = [
-        NodeDescriptor(0, KIND_FULL, (0.0, 2.9)),
-        NodeDescriptor(1, KIND_FULL, (0.0, 3.0)),
-        NodeDescriptor(2, KIND_FULL, (0.0, 3.1)),
+    full = [(0.0, 2.9), (0.0, 3.0), (0.0, 3.1)]
+    reach = reachable([(0.0, 0.0), (0.0, 6.0)], full, 3.0)
+    assert reach.tolist() == [
+        [True, True, False],  # 3.0 exactly included
+        [False, True, True],
     ]
-    pop = Population(
-        full_nodes=full, proxies=[], light_nodes=[],
-        request_radius=3.0, region_scoped=False,
-    )
-    assert pop.reachable_full_ids((0.0, 0.0)) == [0, 1]  # 3.0 exactly included
-    assert pop.reachable_full_ids((0.0, 6.0)) == [1, 2]
 
 
 def test_unbounded_radius_reaches_everyone():
-    config = _tiny_config(request_radius=None)
-    pop = place_nodes(config)
-    assert pop.reachable_full_ids((0.0, 0.0)) == list(range(10))
+    pop = place_nodes(_tiny_config(request_radius=None))
+    assert reachable([(0.0, 0.0)], pop.full_nodes, None).tolist() == [[True] * 10]
 
 
 def test_proxy_assignment_nearest_with_lowest_id_ties():
-    light = NodeDescriptor(200, KIND_LIGHT, (5.0, 5.0))
-    proxies = [
-        NodeDescriptor(101, KIND_PROXY, (6.0, 5.0)),
-        NodeDescriptor(100, KIND_PROXY, (4.0, 5.0)),  # same distance, lower id
-        NodeDescriptor(102, KIND_PROXY, (9.0, 9.0)),
-    ]
     pop = Population(
-        full_nodes=[], proxies=proxies, light_nodes=[light],
-        request_radius=None, region_scoped=False,
+        full_nodes=np.zeros((100, 2)),
+        adversary=np.zeros(100, dtype=bool),
+        proxies=np.array([(4.0, 5.0), (6.0, 5.0), (9.0, 9.0)]),  # ids 100-102
+        light_nodes=np.array([(5.0, 5.0), (5.5, 5.0), (9.0, 8.0)]),
     )
-    assert proxy_assign(pop) == {200: 100}
-    pop_no_proxy = dataclasses.replace(pop, proxies=[])
+    # the first light is as far from proxy 100 as from proxy 101
+    assert proxy_assign(pop).tolist() == [100, 101, 102]
+    pop_no_proxy = dataclasses.replace(pop, proxies=np.empty((0, 2)))
     with pytest.raises(ConfigError):
         proxy_assign(pop_no_proxy)
 
@@ -355,8 +335,9 @@ def test_collision_aware_two_tip_ledger_counts_false_positives():
 def test_links_never_claim_adversaries():
     result = run_simulation(_tiny_config(rounds=15, matching="collision_aware"))
     pop = place_nodes(_tiny_config(rounds=15, matching="collision_aware"))
+    adversaries = set(np.flatnonzero(pop.adversary).tolist())
     for link in result.links:
-        assert link.claimed_identity not in pop.adversary_ids
+        assert link.claimed_identity not in adversaries
 
 
 def test_unreachable_light_is_counted_and_skipped():
@@ -368,18 +349,10 @@ def test_unreachable_light_is_counted_and_skipped():
     )
     sim = Simulation(config)
     # rewrite positions by hand: lights 0/1 near the nodes, light 2 stranded
-    full = [
-        dataclasses.replace(n, position=(1.0 + 0.1 * i, 1.0))
-        for i, n in enumerate(sim.population.full_nodes)
-    ]
-    lights = [
-        dataclasses.replace(sim.population.light_nodes[0], position=(1.2, 1.1)),
-        dataclasses.replace(sim.population.light_nodes[1], position=(1.4, 0.8)),
-        dataclasses.replace(sim.population.light_nodes[2], position=(9.5, 9.5)),
-    ]
-    sim.population = Population(
-        full_nodes=full, proxies=[], light_nodes=lights,
-        request_radius=2.0, region_scoped=False,
+    sim.population = dataclasses.replace(
+        sim.population,
+        full_nodes=np.array([(1.0 + 0.1 * i, 1.0) for i in range(4)]),
+        light_nodes=np.array([(1.2, 1.1), (1.4, 0.8), (9.5, 9.5)]),
     )
     sim._requesters = sim._reachability()
     result = sim.run()
@@ -397,8 +370,8 @@ def test_proxy_mode_claims_proxies_and_keeps_lights_anonymous():
     )
     result = run_simulation(config)
     pop = place_nodes(config)
-    light_ids = {l.node_id for l in pop.light_nodes}
-    proxy_ids = {p.node_id for p in pop.proxies}
+    light_ids = set(pop.light_ids.tolist())
+    proxy_ids = {len(pop.full_nodes) + i for i in range(len(pop.proxies))}
     assert result.linked_count > 0
     for link in result.links:
         assert link.claimed_identity in proxy_ids
@@ -417,7 +390,7 @@ def test_proxied_degrees_match_per_address_closed_form():
         adversary_count=5,
     )
     result = run_simulation(config)
-    behind = Counter(proxy_assign(place_nodes(config)).values())
+    behind = Counter(proxy_assign(place_nodes(config)).tolist())
     claims: dict[str, set[int]] = {}
     for link in result.links:
         claims.setdefault(link.address, set()).add(link.claimed_identity)
@@ -500,11 +473,10 @@ def test_spatial_link_rate_matches_reachable_adversary_share():
     pop = place_nodes(config)
     shares = []
     sizes = set()
-    for light in pop.light_nodes:
-        reach = pop.reachable_full_ids(light.position)
-        if reach:
-            sizes.add(len(reach))
-            shares.append(len(pop.adversary_ids.intersection(reach)) / len(reach))
+    for reach in reachable(pop.light_nodes, pop.full_nodes, config.request_radius):
+        if reach.any():
+            sizes.add(int(reach.sum()))
+            shares.append(int(pop.adversary[reach].sum()) / int(reach.sum()))
     # the draw must see queried sets of several sizes, some below the
     # fanout, and lights that reach no full node at all
     assert min(sizes) < config.request_fanout < max(sizes)

@@ -62,7 +62,7 @@ def _grow_random(seed: int, n: int) -> Ledger:
     ledger = Ledger()
     rng = random.Random(seed)
     for i in range(n):
-        parents = ledger.urts_select(rng)
+        parents = urts_pair(ledger.tips, rng)
         ledger.attach(parents, f"addr-{i}")
     return ledger
 
@@ -147,9 +147,9 @@ def test_attach_round_equals_the_same_attaches_one_by_one():
 
 def test_urts_single_tip_duplicates():
     ledger = Ledger()
-    assert ledger.urts_select(random.Random(1)) == (GENESIS_ID, GENESIS_ID)
+    assert urts_pair(ledger.tips, random.Random(1)) == (GENESIS_ID, GENESIS_ID)
     a = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-a")
-    assert ledger.urts_select(random.Random(2)) == (a, a)
+    assert urts_pair(ledger.tips, random.Random(2)) == (a, a)
 
 
 def test_urts_empty_tip_list_rejected():
@@ -191,7 +191,7 @@ def _assert_uniform_pairs(pairs):
 def test_urts_unordered_pair_frequencies_uniform():
     ledger = _ten_tip_ledger()
     rng = substream(2024, 1)
-    _assert_uniform_pairs([ledger.urts_select(rng) for _ in range(30_000)])
+    _assert_uniform_pairs([urts_pair(ledger.tips, rng) for _ in range(30_000)])
 
 
 def test_batch_urts_pairs_uniform_and_distinct():
@@ -204,8 +204,8 @@ def test_batch_urts_pairs_uniform_and_distinct():
 
 
 def test_urts_deterministic_under_seed():
-    first = [_ten_tip_ledger().urts_select(substream(99, 5, i)) for i in range(50)]
-    second = [_ten_tip_ledger().urts_select(substream(99, 5, i)) for i in range(50)]
+    first = [urts_pair(_ten_tip_ledger().tips, substream(99, 5, i)) for i in range(50)]
+    second = [urts_pair(_ten_tip_ledger().tips, substream(99, 5, i)) for i in range(50)]
     assert first == second
 
 
