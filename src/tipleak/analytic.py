@@ -143,10 +143,10 @@ def required_full_nodes(compromised: int, target_rate: float | str | Fraction) -
     if compromised < 1:
         raise ParameterError(f"compromised must be >= 1, got {compromised}")
     if isinstance(target_rate, float):
-        target = Fraction(str(target_rate))
+        target = Fraction(str(target_rate)) if math.isfinite(target_rate) else None
     else:
         target = Fraction(target_rate)
-    if not 0 < target <= 1:
+    if target is None or not 0 < target <= 1:
         raise ParameterError(f"target_rate must be in (0, 1], got {target_rate}")
     # smallest integer N with N > C/target
     return math.floor(Fraction(compromised) / target) + 1

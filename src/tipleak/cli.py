@@ -328,7 +328,7 @@ def _check_tangle_integrity() -> tuple[bool, str]:
         if tx.txid != tangle.GENESIS_ID for parent in tx.parents
     }
     recomputed = {tx.txid for tx in ledger.transactions() if tx.txid not in approved}
-    if recomputed != set(ledger.tips):
+    if recomputed != set(ledger.tips.tolist()):
         return False, "maintained tip set diverged from recomputation"
     lines = ledger.export_lines()
     if tangle.ledger_from_lines(lines).export_lines() != lines:

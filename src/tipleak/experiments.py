@@ -288,6 +288,9 @@ def _measure_layouts(
         raise ConfigError("adversary_ratio must be in [0, 1]")
     if require_local_adversary is None:
         require_local_adversary = local_adversary_default(placement)
+    elif not isinstance(require_local_adversary, bool):
+        raise ConfigError("require_local_adversary must be none, true or false, "
+                          f"got {require_local_adversary!r}")
     measure = functools.partial(
         _measure_cell, seed=seed,
         adversary_count=int(round(adversary_ratio * node_count)),
@@ -701,6 +704,8 @@ def exp_mixer(
     }
     if max_chain < 1:
         raise ConfigError("max_chain must be >= 1")
+    if participants < 2:  # the chain-length spread needs two samples
+        raise ConfigError(f"participants must be >= 2, got {participants}")
     result = ExperimentResult("mixer", params, seed)
     for p_idx, p in enumerate(p_values):
         rng = substream(seed, DOMAIN_EXPERIMENT, _TAG_MIXER, p_idx)
@@ -776,6 +781,7 @@ def exp_mitigations(
         "rng_scheme": RNG_SCHEME,
     }
     result = ExperimentResult("mitigations", params, seed)
+    required = required_full_nodes(baseline_adversaries, scaling_target)
 
     baseline = _mitigation_sim(SimConfig(
         full_node_count=baseline_nodes,
@@ -785,7 +791,6 @@ def exp_mitigations(
         request_radius=None,
         seed=_sub_seed(seed, _TAG_MITIGATIONS, 0),
     ))
-    required = required_full_nodes(baseline_adversaries, scaling_target)
     scaled = _mitigation_sim(SimConfig(
         full_node_count=required,
         adversary_count=baseline_adversaries,

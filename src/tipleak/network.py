@@ -41,7 +41,7 @@ from .rng import (
     round_generator,
     substream,
 )
-from .tangle import GENESIS_ID, Ledger, round_address, urts_pairs
+from .tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
 
 RNG_SCHEME = "philox-round-v1"
 
@@ -153,8 +153,8 @@ class SimConfig:
             raise ConfigError("request_radius must be positive or None")
         if self.cluster_count < 1:
             raise ConfigError("cluster_count must be >= 1")
-        if not self.cluster_spread >= 0:  # NaN included
-            raise ConfigError("cluster_spread must be >= 0")
+        if not (self.cluster_spread >= 0 and math.isfinite(self.cluster_spread)):
+            raise ConfigError("cluster_spread must be >= 0 and finite")
         if not 0.0 <= self.cluster_fraction <= 1.0:
             raise ConfigError("cluster_fraction must be in [0, 1]")
         if self.placement not in PLACEMENTS:
@@ -441,10 +441,11 @@ class Simulation:
         self.config = config
         self.population = place_nodes(config)
         self.ledger = Ledger()
-        for i in range(config.bootstrap_tips):
-            self.ledger.attach(
-                (GENESIS_ID, GENESIS_ID), f"bootstrap-{i}", round_issued=0
-            )
+        self.ledger.attach_round(
+            np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
+            np.full(config.bootstrap_tips, NO_ISSUER),
+            addresses=[f"bootstrap-{i}" for i in range(config.bootstrap_tips)],
+        )
         self.links: list[LinkRecord] = []
         # the identity responders see: a proxied light's proxy, else its own
         self._visible = (
@@ -527,11 +528,9 @@ class Simulation:
 
     def run_round(self, round_idx: int) -> list[LinkRecord]:
         config = self.config
-        ledger = self.ledger
-        ledger.round = round_idx
         draw = self._local_round if config.mode == MODE_DIRECT else self._request_round
-        log, attaches = draw(round_idx, ledger.tip_ids)
-        ledger.attach_round(
+        log, attaches = draw(round_idx, self.ledger.tips)
+        self.ledger.attach_round(
             attaches.parents, round_idx, attaches.identity, attaches.light
         )
         self._tx_per_light.update(attaches.light.tolist())

@@ -7,15 +7,16 @@ is uniform: an ordered pair of distinct tips drawn uniformly (the pair
 repeats the lone tip when only one exists).
 
 The ledger is columnar: parents, round, issuer and address label are rows
-of one int array, and the tips are kept in ascending id order, so a whole
-round attaches as one array update.  Draws take an explicit generator so
-callers own determinism: :func:`urts_pair` a ``random.Random``,
-:func:`urts_pairs` a ``numpy.random.Generator``.
+of one int array, and the tips are one ascending id array.  One batch
+attach is the only writer of both, so a whole round, or the bootstrap
+tips, attach as one array update; a single attach is a one-row batch.
+Draws take an explicit generator so callers own determinism:
+:func:`urts_pair` a ``random.Random``, :func:`urts_pairs` a
+``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -85,15 +86,20 @@ def urts_pairs(tips: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray
     return np.stack((tips[i], tips[second_index(i, j)]), axis=1)
 
 
+def _frozen(ids: np.ndarray) -> np.ndarray:
+    ids.flags.writeable = False
+    return ids
+
+
 class Ledger:
     """DAG of transactions plus a live tip set.
 
     Transactions are rows of an int array that doubles its capacity when
-    full.  A transaction attached by :meth:`attach_round` stores a label
-    instead of an address; its address is :func:`round_address` of its
-    round and label.  The tips are kept in ascending id order; the array
-    :attr:`tip_ids` hands out is never modified afterwards, so a caller
-    may keep it as a snapshot.
+    full, and :meth:`attach_round` alone appends them and moves the tips.
+    A transaction attached without an explicit address stores a label
+    instead; its address is :func:`round_address` of its round and label.
+    The tips are one ascending id array; the array :attr:`tips` hands out
+    is never modified afterwards, so a caller may keep it as a snapshot.
     """
 
     def __init__(self) -> None:
@@ -101,9 +107,7 @@ class Ledger:
         self._rows[GENESIS_ID] = (GENESIS_ID, GENESIS_ID, 0, NO_ISSUER, NO_LABEL)
         self._size = 1
         self._addresses: dict[int, str] = {GENESIS_ID: GENESIS_ADDRESS}
-        self._tips = [GENESIS_ID]                   # ascending
-        self._tip_array: np.ndarray | None = None   # built on demand
-        self.round = 0
+        self._tips = _frozen(np.array([GENESIS_ID], dtype=np.int64))
 
     # -- introspection ----------------------------------------------------
 
@@ -128,21 +132,10 @@ class Ledger:
     def transactions(self) -> Iterator[Transaction]:
         return (self.get(txid) for txid in range(self._size))
 
-    def approvers(self, txid: int) -> tuple[int, ...]:
-        parents = self._rows[1:self._size, _P0:_P1 + 1]
-        return tuple((np.flatnonzero((parents == txid).any(axis=1)) + 1).tolist())
-
     @property
-    def tips(self) -> tuple[int, ...]:
-        return tuple(self._tips)
-
-    @property
-    def tip_ids(self) -> np.ndarray:
+    def tips(self) -> np.ndarray:
         """The tips as a read-only ascending array."""
-        if self._tip_array is None:
-            self._tip_array = np.array(self._tips, dtype=np.int64)
-            self._tip_array.flags.writeable = False
-        return self._tip_array
+        return self._tips
 
     @property
     def tip_count(self) -> int:
@@ -154,32 +147,15 @@ class Ledger:
         self,
         parents: tuple[int, int],
         issuer_address: str,
-        round_issued: int | None = None,
+        round_issued: int = 0,
         issuer_identity: int | None = None,
     ) -> int:
-        """Append a transaction approving ``parents``; returns its id.
-
-        Parents must already exist (they need not still be tips).  The new
-        transaction's id is always larger than its parents', so the DAG
-        stays acyclic by construction.
-        """
-        p0, p1 = parents
-        if not (0 <= p0 < self._size and 0 <= p1 < self._size):
-            raise AttachError(f"unknown parent in {parents!r}")
-        if any(ch in (" ", "\t", "\n") for ch in issuer_address) or not issuer_address:
-            raise AttachError(f"bad issuer address {issuer_address!r}")
-        txid = self._append(1)
-        self._rows[txid] = (
-            p0, p1, self.round if round_issued is None else round_issued,
-            NO_ISSUER if issuer_identity is None else issuer_identity, NO_LABEL,
-        )
-        self._addresses[txid] = issuer_address
-        for parent in {p0, p1}:
-            i = bisect.bisect_left(self._tips, parent)
-            if i < len(self._tips) and self._tips[i] == parent:
-                del self._tips[i]
-        self._tips.append(txid)
-        self._tip_array = None
+        """Append one transaction approving ``parents``; returns its id."""
+        (txid,) = self.attach_round(
+            np.array([parents], dtype=np.int64), round_issued,
+            np.array([NO_ISSUER if issuer_identity is None else issuer_identity]),
+            addresses=[issuer_address],
+        ).tolist()
         return txid
 
     def attach_round(
@@ -187,29 +163,36 @@ class Ledger:
         parents: np.ndarray,
         round_issued: int,
         issuers: np.ndarray,
-        labels: np.ndarray,
+        labels: np.ndarray | None = None,
+        addresses: Sequence[str] | None = None,
     ) -> np.ndarray:
         """Append one transaction per row of the ``(n, 2)`` ``parents``
         array, in row order; returns their ids.
 
-        Every parent must predate the batch.  Row ``r`` is issued by
-        ``issuers[r]`` under the address ``round_address(round_issued,
-        labels[r])``.
+        Every parent must predate the batch (it need not still be a tip),
+        so each new id is larger than its parents' and the DAG stays
+        acyclic by construction.  Row ``r`` is issued by ``issuers[r]``
+        under ``addresses[r]`` when addresses are given, else under
+        ``round_address(round_issued, labels[r])``.  A rejected batch
+        appends nothing.
         """
         n = len(parents)
         if n and (parents.min() < 0 or parents.max() >= self._size):
             raise AttachError("unknown parent in batch")
+        for address in addresses or ():
+            if not address or any(ch in address for ch in " \t\n"):
+                raise AttachError(f"bad issuer address {address!r}")
         start = self._append(n)
         rows = self._rows[start:start + n]
         rows[:, _P0:_P1 + 1] = parents
         rows[:, _ROUND] = round_issued
         rows[:, _ISSUER] = issuers
-        rows[:, _LABEL] = labels
+        rows[:, _LABEL] = NO_LABEL if labels is None else labels
+        if addresses is not None:
+            self._addresses.update(zip(range(start, start + n), addresses))
         ids = np.arange(start, start + n, dtype=np.int64)
-        tips = self.tip_ids
-        tips = np.concatenate((tips[~np.isin(tips, parents)], ids))
-        tips.flags.writeable = False
-        self._tips, self._tip_array = tips.tolist(), tips
+        tips = self._tips
+        self._tips = _frozen(np.concatenate((tips[~np.isin(tips, parents)], ids)))
         return ids
 
     def _append(self, n: int) -> int:

@@ -293,6 +293,9 @@ def test_required_full_nodes_validation():
         required_full_nodes(0, 0.5)
     with pytest.raises(ParameterError):
         required_full_nodes(10, 1.5)
+    for target in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="target_rate must be in"):
+            required_full_nodes(10, target)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,14 @@ def test_analytic_required_nodes(capsys):
     assert capsys.readouterr().out.strip() == "321"
 
 
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_analytic_required_nodes_rejects_non_finite_target(capsys, target):
+    assert run_cli(
+        "analytic", "required-nodes", "--c", "10", "--target", target
+    ) == EXIT_USAGE
+    assert f"target_rate must be in (0, 1], got {target}" in _usage_error_line(capsys)
+
+
 def test_analytic_entropy_and_hypergeom(capsys):
     assert run_cli("analytic", "entropy", "--probs", "0.25,0.25,0.25,0.25") == EXIT_OK
     assert capsys.readouterr().out.strip() == "1.000000"
@@ -207,6 +215,17 @@ def _usage_error_line(capsys) -> str:
     ("heatmap.cluster_count=-3", "cluster_count must be >= 1"),
     ("heatmap.cluster_fraction=2", "cluster_fraction must be in [0, 1]"),
     ("heatmap.cluster_spread=-1", "cluster_spread must be >= 0"),
+    ("heatmap.cluster_spread=inf", "cluster_spread must be >= 0 and finite"),
+    ("custom.cluster_spread=inf", "cluster_spread must be >= 0 and finite"),
+    ("heatmap.require_local_adversary=3",
+     "require_local_adversary must be none, true or false, got 3"),
+    ("variance.require_local_adversary=hello",
+     "require_local_adversary must be none, true or false, got 'hello'"),
+    ("mixer.participants=0", "participants must be >= 2"),
+    ("mixer.participants=-1", "participants must be >= 2"),
+    ("mixer.participants=1", "participants must be >= 2"),
+    ("mitigations.scaling_target=nan", "target_rate must be in (0, 1], got nan"),
+    ("mitigations.scaling_target=inf", "target_rate must be in (0, 1], got inf"),
     ("custom.cluster_count=0", "cluster_count must be >= 1"),
     ("custom.request_radius=nan", "request_radius must be positive or None"),
     ("custom.placement=explicit",

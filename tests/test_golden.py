@@ -61,6 +61,12 @@ CASES = [
     ("custom", ("light_node_count=10", "rounds=5", "mode=direct_tip_selection"),
      "e1cbfc3e1b7e3c725eba60340cb690128b7bde6ba52d801109cb33b3e512430a",
      "1cdde6b6751bf0589e888524ddd510ee1a5c5dda6e17ddb247366324849c3674"),
+    # every URTS draw and every collision-aware match reads the ids of the
+    # pre-attached bootstrap tips
+    ("custom", ("light_node_count=40", "rounds=5", "bootstrap_tips=60", "mode=proxy",
+                "proxy_count=2", "matching=collision_aware"),
+     "0867f4e7aac5e74f8724269c3fc0009da7c3cfe044db9b1ccaf3bfc1af6606e5",
+     "06706075eb83dcd20bc3a95ca2dcb67774c65ab9b797858fab0b8dd21e0c73e9"),
 ]
 
 # `run_all_experiments.py --fast --seed 42`, the files that are not heatmaps

@@ -79,6 +79,7 @@ def test_config_rejects_non_integer_counts(field, value):
     ("cluster_count", -3, "cluster_count must be >= 1"),
     ("cluster_spread", -1.0, "cluster_spread must be >= 0"),
     ("cluster_spread", math.nan, "cluster_spread must be >= 0"),
+    ("cluster_spread", math.inf, "cluster_spread must be >= 0 and finite"),
     ("cluster_fraction", -0.1, r"cluster_fraction must be in \[0, 1\]"),
     ("cluster_fraction", 2.0, r"cluster_fraction must be in \[0, 1\]"),
 ])
@@ -490,6 +491,15 @@ def test_spatial_link_rate_matches_reachable_adversary_share():
     ) / result.total_transactions
     assert abs(result.deanon_rate - expected) <= 4 * se, (
         result.deanon_rate, expected, se)
+
+
+def test_bootstrap_tips_attach_to_genesis_before_round_zero():
+    sim = Simulation(_tiny_config(bootstrap_tips=3))
+    assert sim.ledger.tips.tolist() == [1, 2, 3]
+    first = sim.ledger.get(1)
+    assert first.issuer_address == "bootstrap-0"
+    assert (first.parents, first.round_issued, first.issuer_identity) == ((0, 0), 0, None)
+    assert sim.ledger.get(3).issuer_address == "bootstrap-2"
 
 
 def test_tip_count_settles_at_mean_field_fixed_point():

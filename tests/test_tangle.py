@@ -42,17 +42,19 @@ def _recomputed_tips(ledger: Ledger) -> set[int]:
 def _kahn_topological(ledger: Ledger) -> list[int]:
     """Independent topological sort; raises KeyError on a broken DAG."""
     indeg: dict[int, int] = {tx.txid: 0 for tx in ledger.transactions()}
+    children: dict[int, list[int]] = {txid: [] for txid in indeg}
     for tx in ledger.transactions():
         if tx.txid == GENESIS_ID:
             continue
         for p in set(tx.parents):
             indeg[tx.txid] += 1
+            children[p].append(tx.txid)
     order, frontier = [], [t for t, d in indeg.items() if d == 0]
     while frontier:
         node = frontier.pop()
         order.append(node)
-        for child in ledger.approvers(node):
-            indeg[child] -= len(set(ledger.get(child).parents) & {node})
+        for child in children[node]:
+            indeg[child] -= 1
             if indeg[child] == 0:
                 frontier.append(child)
     return order
@@ -74,7 +76,7 @@ def _grow_random(seed: int, n: int) -> Ledger:
 def test_fresh_ledger_is_genesis_only():
     ledger = Ledger()
     assert len(ledger) == 1
-    assert ledger.tips == (GENESIS_ID,)
+    assert ledger.tips.tolist() == [GENESIS_ID]
     genesis = ledger.get(GENESIS_ID)
     assert genesis.parents == (GENESIS_ID, GENESIS_ID)
 
@@ -82,11 +84,11 @@ def test_fresh_ledger_is_genesis_only():
 def test_attach_moves_tip_set():
     ledger = Ledger()
     a = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-a")
-    assert ledger.tips == (a,)
+    assert ledger.tips.tolist() == [a]
     b = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-b")
-    assert set(ledger.tips) == {a, b}
+    assert ledger.tips.tolist() == [a, b]
     c = ledger.attach((a, b), "addr-c")
-    assert ledger.tips == (c,)
+    assert ledger.tips.tolist() == [c]
 
 
 def test_attach_rejects_unknown_parents_and_bad_addresses():
@@ -134,11 +136,16 @@ def test_attach_round_equals_the_same_attaches_one_by_one():
         single.attach(tuple(pair), round_address(3, label), 3, issuer)
     assert ids.tolist() == [5, 6, 7]
     assert list(batch.transactions()) == list(single.transactions())
-    assert batch.tips == single.tips == (4, 5, 6, 7)
-    assert batch.approvers(1) == (5, 7)
+    assert batch.tips.tolist() == single.tips.tolist() == [4, 5, 6, 7]
+    # tip 1 is approved by rows 5 and 7 alone
+    assert [tx.txid for tx in batch.transactions() if 1 in tx.parents] == [5, 7]
     with pytest.raises(AttachError):
         batch.attach_round(np.array([[0, 8]]), 4, np.array([1]), np.array([1]))
+    with pytest.raises(AttachError):  # checked before the good first row lands
+        batch.attach_round(np.array([[4, 5], [6, 7]]), 4, np.array([1, 2]),
+                           addresses=["addr-ok", "bad address"])
     assert len(batch) == 8
+    assert batch.tips.tolist() == [4, 5, 6, 7]
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +202,11 @@ def test_urts_unordered_pair_frequencies_uniform():
 
 
 def test_batch_urts_pairs_uniform_and_distinct():
-    tips = _ten_tip_ledger().tip_ids
+    tips = _ten_tip_ledger().tips
     pairs = urts_pairs(tips, round_generator(2024, 1, 0), 30_000)
     assert (pairs[:, 0] != pairs[:, 1]).all()
     _assert_uniform_pairs(pairs.tolist())
-    lone = urts_pairs(Ledger().tip_ids, round_generator(2024, 1, 1), 3)
+    lone = urts_pairs(Ledger().tips, round_generator(2024, 1, 1), 3)
     assert lone.tolist() == [[GENESIS_ID, GENESIS_ID]] * 3
 
 
