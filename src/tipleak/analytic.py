@@ -133,6 +133,35 @@ def deanon_probability(full_nodes: int, compromised: int, requests: int) -> floa
     return float(total)
 
 
+def cell_adversary_odds(
+    full_nodes: int, compromised: int, members: int
+) -> tuple[Fraction, Fraction]:
+    """Chance that one full node is compromised, given that at least one
+    of ``members`` fixed nodes is: ``(q_in, q_out)`` for a node among them
+    and for any other node.
+
+    The C compromised nodes are a uniform C-subset of the N.  With
+    P0 = C(N-s,C)/C(N,C) the chance that none of the s members is hit,
+    q_in = (C/N)/(1-P0) and q_out = (C/N)(1 - C(N-1-s,C-1)/C(N-1,C-1))/(1-P0).
+    Both are C/N when the condition is void, because no C-subset hits a
+    member (C = 0 or s = 0), and when there is no other node (s = N).
+    """
+    n, c, s = full_nodes, compromised, members
+    if n < 1:
+        raise ParameterError(f"full_nodes must be >= 1, got {n}")
+    if not 0 <= c <= n:
+        raise ParameterError(f"compromised must be in [0, {n}], got {c}")
+    if not 0 <= s <= n:
+        raise ParameterError(f"members must be in [0, {n}], got {s}")
+    share = Fraction(c, n)
+    hit = 1 - Fraction(math.comb(n - s, c), math.comb(n, c))
+    if hit == 0 or s == n:
+        return share, share
+    # a non-member is hostile, and the other C-1 hostile nodes hit a member
+    joint = share * (1 - Fraction(math.comb(n - 1 - s, c - 1), math.comb(n - 1, c - 1)))
+    return share / hit, joint / hit
+
+
 def required_full_nodes(compromised: int, target_rate: float | str | Fraction) -> int:
     """Smallest honest-network size N with C/N strictly below target_rate.
 

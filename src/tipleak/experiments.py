@@ -7,8 +7,9 @@ the layout-variance trend, mixer chain identification, and a comparison of
 the candidate mitigations; ``exp_custom`` runs one free-form simulation.
 Every experiment-level draw comes from a substream keyed on (seed,
 experiment, unit), and each simulation or layout from its own seed drawn
-there, so results are byte-identical for a fixed seed regardless of worker
-count.  Only ``variance`` imports ``scipy``, for its Spearman test.
+there; a heatmap cell keys its Philox generator from its substream.  So
+results are byte-identical for a fixed seed regardless of worker count.
+Only ``variance`` imports ``scipy``, for its Spearman test.
 
 :data:`STUDIES` is the registry of ``tipleak run`` names.  The CLI, its
 ``validate`` command and ``scripts/run_all_experiments.py`` all read it, and
@@ -31,6 +32,7 @@ from importlib import resources
 import numpy as np
 
 from .analytic import (
+    cell_adversary_odds,
     deanon_probability,
     mixer_chain_probability,
     mixer_expected_identified,
@@ -50,6 +52,8 @@ from .rng import DOMAIN_EXPERIMENT, substream
 
 DEFAULT_SEED = 42
 GRID_CELLS = GRID_DIM * GRID_DIM
+CELL_RNG_SCHEME = "philox-cell-v1"  # echoed by the heatmap and variance studies
+_CELL_BLOCK_ELEMENTS = 1 << 17  # (point, node) pairs the cell sampler holds at once
 REGION_DATA_FILE = "fullnode_regions_2020.json"
 
 # substream tags, one per experiment family
@@ -132,12 +136,16 @@ class GridHeatmap:
         return [i for i, p in enumerate(self.probabilities) if p is None]
 
     def standard_error(self, cell: int) -> float:
-        """Binomial standard error of a reachable cell's probability."""
+        """Binomial standard error of a reachable cell's probability: an
+        upper bound on the error of an estimate that averages exact hit
+        chances instead of drawing hits."""
         prob = self.probabilities[cell]
         return math.sqrt(prob * (1.0 - prob) / self.sample_counts[cell])
 
     def to_result(self, params: dict, seed: int) -> ExperimentResult:
-        result = ExperimentResult("heatmap", params, seed)
+        result = ExperimentResult(
+            "heatmap", {**params, "rng_scheme": CELL_RNG_SCHEME}, seed
+        )
         for idx in range(GRID_CELLS):
             row, col = divmod(idx, GRID_DIM)
             label = f"cell-{row}-{col}"
@@ -156,17 +164,13 @@ class GridHeatmap:
 # shared spatial machinery
 # ---------------------------------------------------------------------------
 
-def cell_index(x: float, y: float, plane: tuple[float, float]) -> int:
-    col = min(int(x / (plane[0] / GRID_DIM)), GRID_DIM - 1)
-    row = min(int(y / (plane[1] / GRID_DIM)), GRID_DIM - 1)
+def cell_index(points) -> np.ndarray:
+    """The grid cell of each ``(x, y)`` row of ``points`` on ``PLANE``;
+    points on the plane's far edges belong to the last row or column."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    col_row = (points / (np.array(PLANE) / GRID_DIM)).astype(np.int64)
+    col, row = np.minimum(col_row, GRID_DIM - 1).T
     return row * GRID_DIM + col
-
-
-def cell_node_counts(positions, plane: tuple[float, float]) -> list[int]:
-    counts = [0] * GRID_CELLS
-    for x, y in positions:
-        counts[cell_index(x, y, plane)] += 1
-    return counts
 
 
 def _sub_seed(seed: int, tag: int, index: int) -> int:
@@ -199,51 +203,57 @@ def measure_cell_probability(
     *,
     samples: int,
     radius: float,
-    fanout: int,
     require_local_adversary: bool = False,
 ) -> tuple[float | None, int]:
     """Estimate how often a requester inside one grid cell follows an adversary.
 
-    Sample points are uniform within the cell of the plane ``PLANE``.  Each
-    sample draws a fresh adversary assignment over the full-node population
-    (rejection-sampled to keep at least one adversary among the cell's own
-    nodes when ``require_local_adversary`` and the cell is populated), polls
-    up to ``fanout`` distinct reachable full nodes and follows one uniformly.
+    ``samples`` points are uniform within the cell of the plane ``PLANE``,
+    drawn from a Philox generator keyed by ``rng``.  The adversaries are a
+    uniform ``adversary_count``-subset of the full nodes, holding at least
+    one of the cell's own nodes when ``require_local_adversary`` and the
+    cell is populated.  A requester follows a node uniform over its reach
+    (whatever it polls), so its hit chance is the mean adversary chance of
+    the nodes in reach (:func:`tipleak.analytic.cell_adversary_odds`); the
+    estimate is the mean of that chance over the points that reach any
+    node.  No adversary set is drawn.
 
-    Returns ``(probability, effective_samples)``; probability is None when
-    no sample point could reach any full node.
+    Returns ``(probability, effective_samples)``, the latter the number of
+    those points; probability is None when no sample point could reach any
+    full node.
     """
     if require_local_adversary and adversary_count < 1:
         raise ConfigError(
             "local-adversary conditioning needs at least one adversary; "
             "disable it for adversary-free measurements"
         )
-    n = len(positions)
+    nodes = np.asarray(positions, dtype=float).reshape(-1, 2)
+    n = len(nodes)
+    members = cell_index(nodes) == cell
+    if require_local_adversary:
+        q_in, q_out = map(float, cell_adversary_odds(
+            n, adversary_count, int(members.sum())))
+    else:
+        q_in = q_out = adversary_count / n
+    gen = np.random.Generator(np.random.Philox(key=rng.getrandbits(128)))
     row, col = divmod(cell, GRID_DIM)
-    cell_w, cell_h = PLANE[0] / GRID_DIM, PLANE[1] / GRID_DIM
-    members = frozenset(
-        i for i, (x, y) in enumerate(positions) if cell_index(x, y, PLANE) == cell
-    )
-    constrain = require_local_adversary and bool(members)
-    ids = range(n)
-    hits = effective = 0
-    for _ in range(samples):
-        px = (col + rng.random()) * cell_w
-        py = (row + rng.random()) * cell_h
-        while True:
-            adversaries = frozenset(rng.sample(ids, adversary_count))
-            if not constrain or not adversaries.isdisjoint(members):
-                break
-        reach = reachable(((px, py),), positions, radius)[0].nonzero()[0].tolist()
-        if not reach:
-            continue
-        polled = rng.sample(reach, min(fanout, len(reach)))
-        followed = polled[rng.randrange(len(polled))]
-        effective += 1
-        hits += followed in adversaries
+    corner = np.array((col, row), dtype=float)
+    size = np.array(PLANE) / GRID_DIM
+    block = -(-_CELL_BLOCK_ELEMENTS // n)  # points per block: bounded memory
+    chance = 0.0
+    effective = 0
+    for start in range(0, samples, block):
+        points = (corner + gen.random((min(block, samples - start), 2))) * size
+        reach = reachable(points, nodes, radius)
+        count = np.count_nonzero(reach, axis=1)
+        local = np.count_nonzero(reach & members, axis=1)
+        seen = count > 0
+        chance += float(np.sum(
+            (q_in * local[seen] + q_out * (count[seen] - local[seen])) / count[seen]
+        ))
+        effective += int(np.count_nonzero(seen))
     if effective == 0:
         return None, 0
-    return hits / effective, effective
+    return chance / effective, effective
 
 
 def _layout_positions(
@@ -268,7 +278,7 @@ def _call(job):
 def _measure_layouts(
     tag: int, layout_indices, cell_key_base: int, *, placement: str,
     node_count: int, adversary_ratio: float, samples_per_cell: int,
-    radius: float, fanout: int, require_local_adversary: bool | None,
+    radius: float, require_local_adversary: bool | None,
     seed: int, workers: int, **clusters,
 ) -> list[GridHeatmap]:
     """One heatmap per layout index: the cell measurements of ``heatmap``
@@ -278,12 +288,12 @@ def _measure_layouts(
     ``c`` is sampled from the substream keyed ``(tag, i, cell_key_base + c)``.
     Every (layout, cell) pair is one job for :func:`pmap`.
     """
+    if node_count < 1:
+        raise ConfigError("node_count must be >= 1")
     if samples_per_cell < 1:
         raise ConfigError("samples_per_cell must be >= 1")
     if not radius > 0:
         raise ConfigError("radius must be positive")
-    if fanout < 1:
-        raise ConfigError("fanout must be >= 1")
     if not 0.0 <= adversary_ratio <= 1.0:
         raise ConfigError("adversary_ratio must be in [0, 1]")
     if require_local_adversary is None:
@@ -294,7 +304,7 @@ def _measure_layouts(
     measure = functools.partial(
         _measure_cell, seed=seed,
         adversary_count=int(round(adversary_ratio * node_count)),
-        samples=samples_per_cell, radius=radius, fanout=fanout,
+        samples=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
     )
     layouts = [
@@ -313,7 +323,8 @@ def _measure_layouts(
         GridHeatmap(
             placement,
             *map(list, zip(*measured[n * GRID_CELLS:(n + 1) * GRID_CELLS])),
-            cell_node_counts(positions, PLANE), positions,
+            np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist(),
+            positions,
         )
         for n, positions in enumerate(layouts)
     ]
@@ -344,7 +355,6 @@ def exp_heatmap(
     adversary_ratio: float = 0.1,
     samples_per_cell: int = 1000,
     radius: float = 3.0,
-    fanout: int = 3,
     require_local_adversary: bool | None = None,
     cluster_count: int = 2,
     cluster_spread: float = 0.8,
@@ -363,7 +373,7 @@ def exp_heatmap(
     (heatmap,) = _measure_layouts(
         _TAG_HEATMAP, [layout_index], 0, placement=placement,
         node_count=node_count, adversary_ratio=adversary_ratio,
-        samples_per_cell=samples_per_cell, radius=radius, fanout=fanout,
+        samples_per_cell=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
         cluster_count=cluster_count, cluster_spread=cluster_spread,
         cluster_fraction=cluster_fraction, seed=seed, workers=workers,
@@ -382,7 +392,6 @@ def exp_variance(
     samples_per_cell: int = 1000,
     adversary_ratio: float = 0.1,
     radius: float = 3.0,
-    fanout: int = 3,
     placement: str = "uniform_random",
     require_local_adversary: bool | None = None,
     seed: int = DEFAULT_SEED,
@@ -408,14 +417,14 @@ def exp_variance(
         "samples_per_cell": samples_per_cell,
         "adversary_ratio": adversary_ratio,
         "radius": radius,
-        "fanout": fanout,
         "placement": placement,
         "require_local_adversary": require_local_adversary,
+        "rng_scheme": CELL_RNG_SCHEME,
     }
     heatmaps = _measure_layouts(
         _TAG_VARIANCE, range(runs), 1, placement=placement,
         node_count=node_count, adversary_ratio=adversary_ratio,
-        samples_per_cell=samples_per_cell, radius=radius, fanout=fanout,
+        samples_per_cell=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
         seed=seed, workers=workers,
     )

@@ -28,7 +28,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product, starmap
 
 import numpy as np
 
@@ -278,12 +277,12 @@ def place_nodes(config: SimConfig) -> Population:
 
 
 def _distances(points, nodes) -> np.ndarray:
-    """``(k, n)`` :func:`math.dist` from each point to each node; both are
-    sequences of ``(x, y)`` pairs, lists of tuples being the fastest."""
-    k, n = len(points), len(nodes)
-    return np.fromiter(
-        starmap(math.dist, product(points, nodes)), float, k * n
-    ).reshape(k, n)
+    """``(k, n)`` Euclidean distance from each of ``k`` points to each of
+    ``n`` nodes, both ``(x, y)`` rows."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
+    return np.hypot(points[:, None, 0] - nodes[None, :, 0],
+                    points[:, None, 1] - nodes[None, :, 1])
 
 
 def reachable(points, nodes, radius: float | None) -> np.ndarray:
@@ -299,7 +298,7 @@ def proxy_assign(population: Population) -> np.ndarray:
     """The id of each light node's nearest proxy (ties: lowest proxy id)."""
     if not len(population.proxies):
         raise ConfigError("proxy assignment requires at least one proxy")
-    d = _distances(population.light_nodes.tolist(), population.proxies.tolist())
+    d = _distances(population.light_nodes, population.proxies)
     # argmin takes the first minimum, which is the lowest proxy id
     return len(population.full_nodes) + np.argmin(d, axis=1)
 
@@ -466,8 +465,7 @@ class Simulation:
         # reach once per identity that sends: a proxy, or the light itself
         senders, row = np.unique(self._visible, return_inverse=True)
         reach = reachable(
-            positions[senders].tolist(), pop.full_nodes.tolist(),
-            self.config.request_radius,
+            positions[senders], pop.full_nodes, self.config.request_radius
         )[row]
         keep = reach.any(axis=1)
         reach = reach[keep]

@@ -19,6 +19,7 @@ from tipleak.analytic import (
     AttackParams,
     MixerParams,
     ParameterError,
+    cell_adversary_odds,
     continental_takeover_rate,
     deanon_probability,
     entropy_degree,
@@ -132,6 +133,43 @@ def test_deanon_independent_of_request_count(m):
 def test_deanon_extremes():
     assert deanon_probability(50, 0, 3) == 0.0
     assert deanon_probability(50, 50, 3) == 1.0
+
+
+def _conditioned_odds(n: int, c: int, s: int) -> list[Fraction]:
+    """Per node, the share of the C-subsets holding one of nodes ``0..s-1``
+    that hold the node, by enumerating every subset; all subsets count when
+    none holds a member."""
+    subsets = list(combinations(range(n), c))
+    hitting = [sub for sub in subsets if any(j < s for j in sub)] or subsets
+    return [Fraction(sum(j in sub for sub in hitting), len(hitting))
+            for j in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cell_adversary_odds_match_subset_enumeration(n):
+    for c in range(n + 1):
+        for s in range(n + 1):
+            odds = _conditioned_odds(n, c, s)
+            q_in, q_out = cell_adversary_odds(n, c, s)
+            assert all(q == q_in for q in odds[:s]), (n, c, s)
+            assert all(q == q_out for q in odds[s:]), (n, c, s)
+
+
+def test_cell_adversary_odds_edges():
+    assert cell_adversary_odds(7, 0, 3) == (0, 0)          # C = 0: void
+    assert cell_adversary_odds(7, 7, 3) == (1, 1)          # C = N
+    assert cell_adversary_odds(7, 2, 0) == (Fraction(2, 7),) * 2   # s = 0: void
+    assert cell_adversary_odds(7, 2, 7) == (Fraction(2, 7),) * 2   # s = N
+    # N - s < C: every subset holds a member, so the condition is certain
+    assert cell_adversary_odds(7, 4, 4) == (Fraction(4, 7),) * 2
+    # a lone member is always hostile; the other adversary is any of 19
+    assert cell_adversary_odds(20, 2, 1) == (1, Fraction(1, 19))
+
+
+def test_cell_adversary_odds_validation():
+    for args in ((0, 0, 0), (5, 6, 1), (5, -1, 1), (5, 1, 6), (5, 1, -1)):
+        with pytest.raises(ParameterError):
+            cell_adversary_odds(*args)
 
 
 def test_attack_params_validation():

@@ -1,12 +1,17 @@
 """CLI behavior: output formatting, exit codes, config plumbing, validate."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tipleak.cli import (
     EXIT_OK,
@@ -17,6 +22,7 @@ from tipleak.cli import (
     parse_config_line,
     resolve_overrides,
 )
+from tipleak.experiments import STUDIES
 
 
 def run_cli(*argv):
@@ -210,7 +216,7 @@ def _usage_error_line(capsys) -> str:
     ("mixer.p_values=", "mixer.p_values expects comma-separated values"),
     ("mixer.p_values=0.1,x", "mixer.p_values expects float"),
     ("heatmap.radius=-1", "radius must be positive"),
-    ("heatmap.fanout=0", "fanout must be >= 1"),
+    ("heatmap.fanout=0", "unknown config key heatmap.fanout"),
     ("heatmap.adversary_ratio=1.5", "adversary_ratio must be in [0, 1]"),
     ("heatmap.cluster_count=-3", "cluster_count must be >= 1"),
     ("heatmap.cluster_fraction=2", "cluster_fraction must be in [0, 1]"),
@@ -230,8 +236,10 @@ def _usage_error_line(capsys) -> str:
     ("custom.request_radius=nan", "request_radius must be positive or None"),
     ("custom.placement=explicit",
      "placement must be one of ('uniform_grid', 'uniform_random', 'clustered')"),
+    ("heatmap.node_count=0", "error: node_count must be >= 1"),
+    ("variance.node_count=-1", "error: node_count must be >= 1"),
     ("variance.runs=2", "variance study needs runs >= 3"),
-    ("variance.fanout=0", "fanout must be >= 1"),
+    ("variance.fanout=0", "unknown config key variance.fanout"),
     ("variance.adversary_ratio=-0.1", "adversary_ratio must be in [0, 1]"),
     ("variance.samples_per_cell=0", "samples_per_cell must be >= 1"),
     ("variance.radius=0", "radius must be positive"),
@@ -244,6 +252,46 @@ def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message)
     ) == EXIT_USAGE
     assert message in _usage_error_line(capsys)
     assert not any(tmp_path.iterdir())
+
+
+BOUNDARY_VALUES = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "", "none", "true")
+# small enough that every case runs in well under a second
+SPATIAL_SIZES = {
+    "heatmap": {"samples_per_cell": 20},
+    "variance": {"runs": 3, "node_count": 20, "samples_per_cell": 20},
+}
+SIZE_CAPS = {"runs": 5, "node_count": 60, "samples_per_cell": 50}
+
+
+def _capped(key: str, value: str) -> str:
+    try:
+        too_big = float(value) > SIZE_CAPS[key]
+    except (KeyError, ValueError):
+        return value
+    return str(SIZE_CAPS[key]) if too_big else value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(SPATIAL_SIZES)).flatmap(lambda study: st.tuples(
+    st.just(study), st.sampled_from(sorted(STUDIES[study].defaults())),
+    st.sampled_from(BOUNDARY_VALUES),
+)))
+def test_spatial_keys_run_or_fail_with_one_line(case):
+    study, key, value = case
+    sets = [f"{study}.{name}={size}" for name, size in SPATIAL_SIZES[study].items()]
+    sets.append(f"{study}.{key}={_capped(key, value)}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out_dir, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", study, "--workers", "1", "--out", out_dir]
+                    + [arg for setting in sets for arg in ("--set", setting)])
+    err = err.getvalue()
+    assert "Traceback" not in err, (case, err)
+    if code == EXIT_OK:
+        assert err == "", (case, err)
+    else:
+        assert code == EXIT_USAGE, (case, code)
+        assert err.startswith("tipleak: error: ") and err.count("\n") == 1, (case, err)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -3,7 +3,9 @@
 import json
 import math
 import statistics
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from tipleak.experiments import (
@@ -12,7 +14,6 @@ from tipleak.experiments import (
     GridHeatmap,
     ResultRow,
     cell_index,
-    cell_node_counts,
     exp_decentralized,
     exp_heatmap,
     exp_mitigations,
@@ -29,7 +30,7 @@ from tipleak.experiments import (
     simulate_mixer_chains,
 )
 from tipleak import experiments
-from tipleak.network import ConfigError
+from tipleak.network import ConfigError, SimConfig, place_nodes
 from tipleak.results import (
     config_hash,
     format_value,
@@ -38,8 +39,6 @@ from tipleak.results import (
     write_result,
 )
 from tipleak.rng import substream
-
-PLANE = (10.0, 10.0)
 
 
 def _grid_layout(n: int = 45) -> list:
@@ -56,17 +55,15 @@ def _grid_layout(n: int = 45) -> list:
 # ---------------------------------------------------------------------------
 
 def test_cell_index_covers_grid_and_edges():
-    assert cell_index(0.0, 0.0, PLANE) == 0
-    assert cell_index(9.99, 0.0, PLANE) == 2
-    assert cell_index(0.0, 9.99, PLANE) == 6
-    assert cell_index(10.0, 10.0, PLANE) == 8  # boundary clamps inward
-    assert cell_index(5.0, 5.0, PLANE) == 4
+    points = [(0.0, 0.0), (9.99, 0.0), (0.0, 9.99), (10.0, 10.0), (5.0, 5.0)]
+    # the far boundary clamps inward
+    assert cell_index(points).tolist() == [0, 2, 6, 8, 4]
 
 
 def test_cell_node_counts_against_scratch_binning():
     rng = substream(7, 1)
     positions = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(200)]
-    counts = cell_node_counts(positions, PLANE)
+    counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
     manual = [0] * GRID_CELLS
     for x, y in positions:
         manual[min(int(y / (10 / 3)), 2) * 3 + min(int(x / (10 / 3)), 2)] += 1
@@ -96,7 +93,7 @@ def test_local_adversary_default_by_placement():
 def test_cell_probability_matches_share_on_even_layout():
     positions = _grid_layout(45)
     prob, eff = measure_cell_probability(
-        positions, 9, 4, substream(3, 1), samples=4000, radius=3.0, fanout=3
+        positions, 9, 4, substream(3, 1), samples=4000, radius=3.0
     )
     assert eff == 4000
     assert prob == pytest.approx(0.2, abs=0.03)  # 9 hostile of 45
@@ -105,7 +102,7 @@ def test_cell_probability_matches_share_on_even_layout():
 def test_cell_probability_zero_without_adversaries():
     positions = _grid_layout(45)
     prob, _ = measure_cell_probability(
-        positions, 0, 0, substream(3, 2), samples=300, radius=3.0, fanout=3
+        positions, 0, 0, substream(3, 2), samples=300, radius=3.0
     )
     assert prob == 0.0
 
@@ -114,7 +111,7 @@ def test_cell_probability_unreachable_cell():
     # all nodes in the far corner; radius too small to reach cell 0
     positions = [(9.5, 9.5)] * 5
     prob, eff = measure_cell_probability(
-        positions, 1, 0, substream(3, 3), samples=100, radius=1.0, fanout=3
+        positions, 1, 0, substream(3, 3), samples=100, radius=1.0
     )
     assert prob is None and eff == 0
 
@@ -123,11 +120,11 @@ def test_cell_probability_conditioning_inflates_sparse_cell():
     # one lone node in cell 0, the rest clumped in cell 8
     positions = [(1.5, 1.5)] + [(8.5, 8.5)] * 19
     base, _ = measure_cell_probability(
-        positions, 2, 0, substream(3, 4), samples=2000, radius=3.0, fanout=3,
+        positions, 2, 0, substream(3, 4), samples=2000, radius=3.0,
         require_local_adversary=False,
     )
     conditioned, _ = measure_cell_probability(
-        positions, 2, 0, substream(3, 5), samples=2000, radius=3.0, fanout=3,
+        positions, 2, 0, substream(3, 5), samples=2000, radius=3.0,
         require_local_adversary=True,
     )
     # conditioned: the lone local node is always hostile, so every sample
@@ -139,8 +136,83 @@ def test_cell_probability_conditioning_needs_adversaries():
     with pytest.raises(ConfigError):
         measure_cell_probability(
             _grid_layout(18), 0, 0, substream(3, 6),
-            samples=10, radius=3.0, fanout=3, require_local_adversary=True,
+            samples=10, radius=3.0, require_local_adversary=True,
         )
+
+
+def _reference_cell_probability(positions, adversary_count, cell, rng, *,
+                                samples, radius, fanout, require_local_adversary):
+    """The explicit cell sampler, one sample at a time: draw an adversary
+    set (redrawn until it holds a cell member, when conditioning on a
+    populated cell), poll up to ``fanout`` reachable nodes, follow one."""
+    width = 10 / 3
+    row, col = divmod(cell, 3)
+    members = {
+        i for i, (x, y) in enumerate(positions)
+        if min(int(y / width), 2) * 3 + min(int(x / width), 2) == cell
+    }
+    constrain = require_local_adversary and members
+    hits = effective = 0
+    for _ in range(samples):
+        point = ((col + rng.random()) * width, (row + rng.random()) * width)
+        while True:
+            adversaries = set(rng.sample(range(len(positions)), adversary_count))
+            if not constrain or adversaries & members:
+                break
+        reach = [j for j, node in enumerate(positions)
+                 if math.dist(point, node) <= radius]
+        if not reach:
+            continue
+        polled = rng.sample(reach, min(fanout, len(reach)))
+        effective += 1
+        hits += polled[rng.randrange(len(polled))] in adversaries
+    return (hits / effective if effective else None), effective
+
+
+@pytest.mark.parametrize("placement, fanout", [
+    ("uniform_grid", 1), ("uniform_random", 2), ("clustered", 3),
+])
+def test_cell_probability_matches_explicit_reference(placement, fanout):
+    # the explicit sampler polls ``fanout`` nodes; the estimate has no
+    # fanout, and must agree with it in every cell
+    positions = [tuple(p) for p in place_nodes(SimConfig(
+        full_node_count=12, light_node_count=1, placement=placement, seed=5,
+    )).full_nodes.tolist()]
+    ref_samples, samples = 800, 20_000
+    for radius in (3.0, 1.5):
+        for conditioned in (False, True):
+            for cell in range(GRID_CELLS):
+                key = (int(radius * 10), conditioned, cell)
+                prob, eff = measure_cell_probability(
+                    positions, 3, cell, substream(8, 1, *key), samples=samples,
+                    radius=radius, require_local_adversary=conditioned,
+                )
+                ref, ref_eff = _reference_cell_probability(
+                    positions, 3, cell, substream(8, 2, *key), samples=ref_samples,
+                    radius=radius, fanout=fanout, require_local_adversary=conditioned,
+                )
+                if ref is None or prob is None:
+                    # a sliver of reach can escape the smaller sample
+                    assert max(eff / samples, ref_eff / ref_samples) < 0.01
+                    continue
+                var = prob * (1 - prob)
+                se = math.sqrt(var / ref_eff + var / eff)
+                assert abs(prob - ref) <= 4 * se + 1e-12, (radius, conditioned, cell)
+
+
+def test_cell_probability_memory_is_bounded_by_blocks():
+    positions = _grid_layout(45)
+    tracemalloc.start()
+    try:
+        prob, eff = measure_cell_probability(
+            positions, 9, 4, substream(3, 7), samples=1_000_000, radius=3.0,
+            require_local_adversary=True,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eff == 1_000_000 and 0.0 < prob < 1.0
+    assert peak < 50 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +615,12 @@ def test_registry_keys_are_the_cli_surface():
         "realworld": {"samples", "max_adversaries", "data"},
         "heatmap": {
             "placement", "node_count", "adversary_ratio", "samples_per_cell",
-            "radius", "fanout", "require_local_adversary", "cluster_count",
+            "radius", "require_local_adversary", "cluster_count",
             "cluster_spread", "cluster_fraction", "layout_index",
         },
         "variance": {
             "runs", "node_count", "samples_per_cell", "adversary_ratio",
-            "radius", "fanout", "placement", "require_local_adversary",
+            "radius", "placement", "require_local_adversary",
         },
         "mixer": {"p_values", "max_chain", "participants"},
         "mitigations": {

@@ -5,8 +5,9 @@ settings and compares the CSV and the structured JSON against recorded
 digests.  A refactor that keeps behaviour keeps these digests; a deliberate
 change of the output must update them and say why.  The studies that
 simulate (decentralized, mitigations, custom) are recorded under the
-per-round Philox draws of ``network.RNG_SCHEME`` "philox-round-v1"; the
-others predate it and never changed.  The battery script's files and the
+per-round Philox draws of ``network.RNG_SCHEME`` "philox-round-v1", and the
+cell studies (heatmap, variance) under the per-cell Philox draws of
+``experiments.CELL_RNG_SCHEME`` "philox-cell-v1"; the others never changed.  The battery script's files and the
 attack demo's printed table are pinned as well.
 """
 
@@ -29,14 +30,14 @@ CASES = [
      "efb01041b64a84fc6f046ff19ff87817cd0bc4c4ac9bf78c3acdeb5bcc748205",
      "085c87e1dd51cf7e92be131386c3bd2764a6b9cd069d0a159e373365468232b4"),
     ("heatmap", ("placement=clustered", "samples_per_cell=100"),
-     "5ed43b980741efa665d1066488420e07c2f270528901e1e9925d7ee225a88144",
-     "9f7882edabcc72cdd34811e7f6ce88df549c252ae935ccda406302cd556eb4dd"),
+     "ded367986aa1e03aeeecb69b11b9fc5fba586db30eb854eb91a07975fdb6310c",
+     "6314d7fc0bad1136a23756935842574e5af1dfd4df90c305a8c152c4d3b547ab"),
     ("heatmap", ("samples_per_cell=50", "radius=2.5"),
-     "4c90250cb9212c4754a4fbc6cc6ccae4f5d4c81b349768e11b4f758a6f67f79b",
-     "e2fef013e84dc7f3116a447b3df2c908a565e4846808450ac08986d231d78962"),
+     "22d00362afbc031ba933a7418a3ab078d8a45f75d5273a6dbe1456b56a3dc350",
+     "ceae0de7ca1b7a01348ad0c4969eebefb9b65613877cbb76a7dfbcf2a3ae5332"),
     ("variance", ("runs=4", "node_count=50", "samples_per_cell=50"),
-     "e5db75fafee6c5c056ef693a54330f5c310b28938f9a9639e24dc12554d6ebb8",
-     "b0a9791d74782dc2848c627c79fccd8d0a82d77291edae89b03216e94ca0b148"),
+     "e935bebfcde376d7c5c114a9f083db551a48776454215c5a9fdfe34eada6143d",
+     "fdbaf095a49fca02aa209c8326e2b9637b3e8be7e5b27155140eece80b85a566"),
     ("mixer", ("participants=2000", "p_values=0.1,0.2"),
      "8493447b9efa464c846bb4fc0e5d583b7206df64e231d166fb9da510d18fb1a5",
      "a7cdaf95eef77f4741cddcf2f0ca1f1950c751e9c0e1457c8e1777240ec2c452"),
@@ -76,7 +77,7 @@ BATTERY = {
     "realworld_42.csv":
         "04c9c14b8407f91db962f8525062ee42f2f7498db9f872a18fe8052234f442e2",
     "variance_42.csv":
-        "9395b7650d5e3a4a882261f21a2022bbfd2c759da9ee18baea8e0b9d734fbce8",
+        "b637ef24ae38877f384e288dc6dca650d40c1c49289e443e14825e94c49ee3a6",
     "mixer_42.csv":
         "943000c92d61577b5c71b9d80dfc5e65dcbf770d16760ce4031c825df9d76ae2",
     "mitigations_42.csv":
