@@ -265,14 +265,18 @@ def _layout_positions(
     return list(map(tuple, place_nodes(config).full_nodes.tolist()))
 
 
-def _measure_cell(*, seed: int, key: tuple[int, ...], positions,
-                  adversary_count: int, cell: int, **sampling):
-    rng = substream(seed, DOMAIN_EXPERIMENT, *key)
-    return measure_cell_probability(positions, adversary_count, cell, rng, **sampling)
-
-
-def _call(job):
-    return job()
+def _measure_layout(job, *, seed: int, tag: int, cell_key_base: int,
+                    adversary_count: int, **sampling) -> list:
+    """Every cell of one ``(index, positions)`` layout, in cell order."""
+    index, positions = job
+    return [
+        measure_cell_probability(
+            positions, adversary_count, cell,
+            substream(seed, DOMAIN_EXPERIMENT, tag, index, cell_key_base + cell),
+            **sampling,
+        )
+        for cell in range(GRID_CELLS)
+    ]
 
 
 def _measure_layouts(
@@ -286,7 +290,7 @@ def _measure_layouts(
 
     Layout ``i`` is placed from the sub-seed keyed ``(tag, i)`` and its cell
     ``c`` is sampled from the substream keyed ``(tag, i, cell_key_base + c)``.
-    Every (layout, cell) pair is one job for :func:`pmap`.
+    Each layout, with its nine cells, is one job for :func:`pmap`.
     """
     if node_count < 1:
         raise ConfigError("node_count must be >= 1")
@@ -302,7 +306,7 @@ def _measure_layouts(
         raise ConfigError("require_local_adversary must be none, true or false, "
                           f"got {require_local_adversary!r}")
     measure = functools.partial(
-        _measure_cell, seed=seed,
+        _measure_layout, seed=seed, tag=tag, cell_key_base=cell_key_base,
         adversary_count=int(round(adversary_ratio * node_count)),
         samples=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
@@ -312,21 +316,15 @@ def _measure_layouts(
                           **clusters)
         for index in layout_indices
     ]
-    jobs = [
-        functools.partial(measure, key=(tag, index, cell_key_base + cell),
-                          positions=positions, cell=cell)
-        for index, positions in zip(layout_indices, layouts)
-        for cell in range(GRID_CELLS)
-    ]
-    measured = pmap(_call, jobs, workers)
+    measured = pmap(measure, zip(layout_indices, layouts), workers)
     return [
         GridHeatmap(
             placement,
-            *map(list, zip(*measured[n * GRID_CELLS:(n + 1) * GRID_CELLS])),
+            *map(list, zip(*cells)),
             np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist(),
             positions,
         )
-        for n, positions in enumerate(layouts)
+        for cells, positions in zip(measured, layouts)
     ]
 
 
@@ -463,6 +461,9 @@ def exp_variance(
 
 def load_region_counts(path=None) -> dict[str, int]:
     """Full-node counts per region from the bundled (or a replacement) file."""
+    if path is not None and not isinstance(path, (str, os.PathLike)):
+        # open() would take an int for a file descriptor
+        raise ConfigError(f"data must be a file path, got {path!r}")
     try:
         if path is None:
             raw = (
@@ -743,24 +744,6 @@ def exp_mixer(
 # mitigation comparison experiment
 # ---------------------------------------------------------------------------
 
-def _mitigation_sim(config: SimConfig) -> dict:
-    sim = run_simulation(config)
-    degrees = list(sim.address_degrees.values())
-    return {
-        "link_rate": sim.deanon_rate,
-        "correct_link_rate": (
-            sim.correct_link_count / sim.total_transactions
-            if sim.total_transactions else 0.0
-        ),
-        "false_positive_count": sim.false_positive_count,
-        "anonymity_degree": (
-            statistics.fmean(degrees) if degrees else 1.0
-        ),
-        "total_transactions": sim.total_transactions,
-        "result": sim,
-    }
-
-
 def exp_mitigations(
     *,
     baseline_nodes: int = 100,
@@ -792,7 +775,7 @@ def exp_mitigations(
     result = ExperimentResult("mitigations", params, seed)
     required = required_full_nodes(baseline_adversaries, scaling_target)
 
-    baseline = _mitigation_sim(SimConfig(
+    baseline = run_simulation(SimConfig(
         full_node_count=baseline_nodes,
         adversary_count=baseline_adversaries,
         light_node_count=light_nodes,
@@ -800,7 +783,7 @@ def exp_mitigations(
         request_radius=None,
         seed=_sub_seed(seed, _TAG_MITIGATIONS, 0),
     ))
-    scaled = _mitigation_sim(SimConfig(
+    scaled = run_simulation(SimConfig(
         full_node_count=required,
         adversary_count=baseline_adversaries,
         light_node_count=light_nodes,
@@ -818,8 +801,8 @@ def exp_mitigations(
         proxy_count=1,
         seed=_sub_seed(seed, _TAG_MITIGATIONS, 2),
     )
-    proxy = _mitigation_sim(proxy_config)
-    direct = _mitigation_sim(SimConfig(
+    proxy = run_simulation(proxy_config)
+    direct = run_simulation(SimConfig(
         full_node_count=20,
         adversary_count=2,
         light_node_count=20,
@@ -829,17 +812,20 @@ def exp_mitigations(
         seed=_sub_seed(seed, _TAG_MITIGATIONS, 3),
     ))
 
-    for label, sub in (
+    for label, sim in (
         ("baseline", baseline), ("scaling", scaled),
         ("proxy", proxy), ("direct", direct),
     ):
-        rate = sub["link_rate"]
-        se = math.sqrt(rate * (1 - rate) / sub["total_transactions"])
-        result.add(label, "link_rate", rate, se)
-        result.add(label, "correct_link_rate", sub["correct_link_rate"])
-        result.add(label, "anonymity_degree", sub["anonymity_degree"])
+        total = sim.total_transactions
+        rate = sim.deanon_rate
+        degrees = list(sim.address_degrees.values())
+        result.add(label, "link_rate", rate, math.sqrt(rate * (1 - rate) / total))
+        result.add(label, "correct_link_rate", sim.correct_link_count / total)
+        # no attacked address leaves every light fully anonymous
+        result.add(label, "anonymity_degree",
+                   statistics.fmean(degrees) if degrees else 1.0)
     result.add("scaling", "required_full_nodes", required)
-    proxy_claims = {link.claimed_identity for link in proxy["result"].links}
+    proxy_claims = {link.claimed_identity for link in proxy.links}
     proxy_node_ids = set(range(
         proxy_config.full_node_count,
         proxy_config.full_node_count + proxy_config.proxy_count,

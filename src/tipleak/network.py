@@ -11,6 +11,13 @@ fresh address.  Adversarial full nodes log every response they serve;
 after the round's attaches they compare new ledger entries against their
 logs and emit identity links.
 
+A finished run is scored once, from its links: every light that reaches a
+full node (every light, under direct tip selection) attaches once per
+round, so the transaction counts follow from who issues.  The lights
+behind an address's claimed identities are equally likely senders, so its
+anonymity degree is 1.0 when there are two or more of them and 0.0 when
+the address is pinned to one light.
+
 A round is columnar: every light's queried set, every response and every
 follow choice are drawn as arrays from one Philox generator keyed by
 (seed, domain, round) (:func:`tipleak.rng.round_generator`), the round
@@ -31,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import AnonymityProfile, entropy_degree
 from .rng import (
     DOMAIN_ADVERSARY,
     DOMAIN_LAYOUT,
@@ -66,7 +72,6 @@ class LinkRecord:
     address: str
     claimed_identity: int
     matched_response: tuple[int, int, int]
-    round_observed: int
     correct: bool                # evaluation-only, judged from ground truth
     origin_light: int            # evaluation-only: the light that attached
 
@@ -345,7 +350,6 @@ def match_responses(
             address=round_address(new.round_issued, light),
             claimed_identity=requester,
             matched_response=tuple(nonce),
-            round_observed=nonce[0],
             correct=requester == identity,
             origin_light=light,
         )
@@ -451,11 +455,7 @@ class Simulation:
             proxy_assign(self.population) if config.mode == MODE_PROXY
             else self.population.light_ids
         )
-        # lights an adversary cannot tell apart behind each identity it sees
-        self._lights_behind = np.bincount(self._visible).tolist()
         self._requesters = self._reachability()
-        self._tx_per_light = Counter()
-        self._claimed_per_identity = Counter()
 
     def _reachability(self) -> Requesters:
         """Reachable full-node ids per light (positions never move); a
@@ -531,9 +531,7 @@ class Simulation:
         self.ledger.attach_round(
             attaches.parents, round_idx, attaches.identity, attaches.light
         )
-        self._tx_per_light.update(attaches.light.tolist())
         links = match_responses(log, attaches, config.matching)
-        self._claimed_per_identity.update(link.claimed_identity for link in links)
         self.links.extend(links)
         return links
 
@@ -544,52 +542,46 @@ class Simulation:
 
     # -- scoring ----------------------------------------------------------
 
-    def _candidate_count(self, claims: set[int]) -> int:
-        """How many light nodes fit the identities claimed for one address.
-
-        A proxy stands for every light assigned to it, and no light has two
-        proxies, so the candidates behind distinct identities never overlap.
-        """
-        return sum(self._lights_behind[identity] for identity in claims)
-
     def _address_degrees(self) -> dict[str, float]:
+        """Anonymity degree of each linked address: 1.0 when two or more
+        lights stand behind its claimed identities, else 0.0.  A proxy
+        stands for every light assigned to it and no light has two proxies,
+        so the candidates never overlap and are equally likely."""
+        lights_behind = np.bincount(self._visible).tolist()
         claims_by_address: dict[str, set[int]] = {}
         for link in self.links:
             claims_by_address.setdefault(link.address, set()).add(
                 link.claimed_identity
             )
-        degree_of: dict[int, float] = {}  # by candidate count
-        degrees = {}
-        for address, claims in sorted(claims_by_address.items()):
-            candidates = self._candidate_count(claims)
-            if candidates not in degree_of:
-                degree_of[candidates] = (
-                    entropy_degree(AnonymityProfile.uniform(candidates))
-                    if candidates >= 2
-                    else 0.0  # pinned to a single light node
-                )
-            degrees[address] = degree_of[candidates]
-        return degrees
+        return {
+            address: 1.0 if sum(lights_behind[c] for c in claims) >= 2 else 0.0
+            for address, claims in sorted(claims_by_address.items())
+        }
 
     def _result(self) -> SimResult:
-        total = sum(self._tx_per_light.values())
+        """Score the run from its links.  Every issuing light -- each light
+        in direct mode, each light that reaches a full node otherwise --
+        attaches once per round."""
+        lights = self.population.light_ids
+        issuing = lights if self.config.mode == MODE_DIRECT else self._requesters.light
+        total = self.config.rounds * len(issuing)
         correct = sum(1 for l in self.links if l.correct)
         # a transaction counts once however many adversaries linked it
-        correct_txs = {(l.address, l.origin_light) for l in self.links if l.correct}
+        correct_txs = {
+            (l.matched_response[0], l.origin_light) for l in self.links if l.correct
+        }
         correct_per_light = Counter(light for _, light in correct_txs)
+        claimed = Counter(l.claimed_identity for l in self.links)
+        issued = set(issuing.tolist())
         false_pos = len(self.links) - correct
-        unreachable = (
-            0 if self.config.mode == MODE_DIRECT
-            else len(self.population.light_nodes) - len(self._requesters.light)
-        )
         per_light = [
             {
                 "light_id": light,
-                "transactions": self._tx_per_light[light],
+                "transactions": self.config.rounds if light in issued else 0,
                 "correct_links": correct_per_light[light],
-                "claimed_links": self._claimed_per_identity[light],
+                "claimed_links": claimed[light],
             }
-            for light in self.population.light_ids.tolist()
+            for light in lights.tolist()
         ]
         return SimResult(
             seed=self.config.seed,
@@ -599,7 +591,7 @@ class Simulation:
             false_positive_count=false_pos,
             deanon_rate=len(correct_txs) / total if total else 0.0,
             false_positive_rate=false_pos / total if total else 0.0,
-            unreachable_light_nodes=unreachable,
+            unreachable_light_nodes=len(lights) - len(issuing),
             address_degrees=self._address_degrees(),
             per_light=per_light,
             links=list(self.links),

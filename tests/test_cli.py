@@ -244,6 +244,9 @@ def _usage_error_line(capsys) -> str:
     ("variance.samples_per_cell=0", "samples_per_cell must be >= 1"),
     ("variance.radius=0", "radius must be positive"),
     ("realworld.data=/nonexistent/regions.json", "cannot read region data"),
+    ("realworld.data=nan", "data must be a file path, got nan"),
+    ("realworld.data=-1", "data must be a file path, got -1"),
+    ("realworld.data=1", "data must be a file path, got 1"),
 ])
 def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message):
     study = setting.split(".", 1)[0]
@@ -373,3 +376,11 @@ def test_validate_tampered_data_fails(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     out = capsys.readouterr().out
     assert "FAIL realworld-data" in out
+
+
+def test_validate_numeric_data_fails_without_touching_descriptors(capsys):
+    # data=1 would otherwise be opened, and closed, as file descriptor 1
+    code = run_cli("validate", "--only", "realworld", "--set", "realworld.data=1")
+    assert code == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert out == "FAIL realworld-data: ConfigError: data must be a file path, got 1\n"

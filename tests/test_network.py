@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -384,8 +385,9 @@ def test_proxy_mode_claims_proxies_and_keeps_lights_anonymous():
 
 
 def test_proxied_degrees_match_per_address_closed_form():
-    # degrees are memoized per candidate count; each must still equal the
-    # entropy degree of the lights behind the address's claimed proxies
+    # the simulator scores degrees in closed form (1.0 with two or more
+    # candidates, else 0.0); each must equal the entropy degree of the
+    # lights behind the address's claimed proxies
     config = _tiny_config(
         rounds=10, mode="proxy", proxy_count=3, matching="collision_aware",
         adversary_count=5,
@@ -435,6 +437,39 @@ def test_per_light_table_consistent_with_totals():
         sum(r["correct_links"] for r in result.per_light)
         == result.correct_link_count
     )
+
+
+@pytest.mark.parametrize("settings, stranded", [
+    (dict(full_node_count=60, adversary_count=12, light_node_count=80,
+          request_radius=1.4, seed=404), True),
+    (dict(mode="proxy", proxy_count=3, matching="collision_aware"), False),
+    # lights out of reach still select their own tips
+    (dict(full_node_count=60, light_node_count=80, request_radius=1.4, seed=404,
+          mode="direct_tip_selection"), False),
+    (dict(bootstrap_tips=4), False),
+], ids=["stranded-light", "proxy", "direct", "bootstrap"])
+def test_transaction_counts_agree_with_ledger(settings, stranded):
+    # the counts are derived from who issues, so hold them to the ledger,
+    # which records each transaction once under addr-<round>-<light>
+    sim = Simulation(_tiny_config(rounds=6, **settings))
+    result = sim.run()
+    assert (
+        result.total_transactions
+        == len(sim.ledger) - 1 - sim.config.bootstrap_tips
+    )
+    on_ledger = Counter()
+    for tx in sim.ledger.transactions():
+        issued = re.fullmatch(r"addr-(\d+)-(\d+)", tx.issuer_address)
+        if issued:
+            assert int(issued[1]) == tx.round_issued
+            on_ledger[int(issued[2])] += 1
+    per_light = {row["light_id"]: row["transactions"] for row in result.per_light}
+    assert per_light == {
+        light: on_ledger[light] for light in sim.population.light_ids.tolist()
+    }
+    assert sum(on_ledger.values()) == result.total_transactions
+    assert result.unreachable_light_nodes == list(per_light.values()).count(0)
+    assert (result.unreachable_light_nodes > 0) == stranded
 
 
 def test_collision_aware_counts_each_transaction_once_per_light():
