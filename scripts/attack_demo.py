@@ -29,7 +29,6 @@ def main(argv=None) -> int:
         adversary_count=args.adversaries,
         light_node_count=args.wallets,
         rounds=args.rounds,
-        request_radius=None,
         seed=args.seed,
     )
     result = run_simulation(config)

@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from tipleak.experiments import STUDIES
+from tipleak.experiments import DEFAULT_SEED, STUDIES
 from tipleak.results import write_result
 
 # Runs per study, each a settings map written to its own file: the heatmap
@@ -37,7 +37,7 @@ FAST = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=Path, default=Path("results"))
     parser.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1,

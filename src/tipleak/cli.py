@@ -347,7 +347,7 @@ def _check_determinism() -> tuple[bool, str]:
 def _check_null_adversary() -> tuple[bool, str]:
     sim = run_simulation(SimConfig(
         full_node_count=10, adversary_count=0, light_node_count=5,
-        rounds=20, request_radius=None, seed=3,
+        rounds=20, seed=3,
     ))
     if sim.linked_count or sim.correct_link_count:
         return False, f"{sim.linked_count} links with zero hostile nodes"
@@ -357,7 +357,7 @@ def _check_null_adversary() -> tuple[bool, str]:
 def _check_null_direct() -> tuple[bool, str]:
     sim = run_simulation(SimConfig(
         full_node_count=10, adversary_count=5, light_node_count=5,
-        rounds=20, request_radius=None, mode="direct_tip_selection", seed=3,
+        rounds=20, mode="direct_tip_selection", seed=3,
     ))
     if sim.linked_count:
         return False, f"direct mode linked {sim.linked_count}"
@@ -367,7 +367,7 @@ def _check_null_direct() -> tuple[bool, str]:
 def _check_proxy_claims() -> tuple[bool, str]:
     sim = run_simulation(SimConfig(
         full_node_count=10, adversary_count=5, light_node_count=4,
-        rounds=20, request_radius=None, mode="proxy", proxy_count=1, seed=3,
+        rounds=20, mode="proxy", proxy_count=1, seed=3,
     ))
     claims = {link.claimed_identity for link in sim.links}
     if not claims or not claims.issubset({10}):

@@ -26,7 +26,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -44,6 +44,7 @@ from .network import (
     RNG_SCHEME,
     ConfigError,
     SimConfig,
+    SimResult,
     place_nodes,
     reachable,
     run_simulation,
@@ -114,13 +115,14 @@ class GridHeatmap:
 
     ``probabilities[cell]`` is None when no sample point in that cell could
     reach any full node, in which case the cell is listed in ``unreachable``.
+    ``positions`` is the layout's ``(N, 2)`` array of full-node positions.
     """
 
     placement: str
     probabilities: list[float | None]
     sample_counts: list[int]
     node_counts: list[int]
-    positions: list[tuple[float, float]]
+    positions: np.ndarray
 
     def __post_init__(self) -> None:
         for prob, eff in zip(self.probabilities, self.sample_counts):
@@ -256,20 +258,14 @@ def measure_cell_probability(
     return chance / effective, effective
 
 
-def _layout_positions(
-    placement: str, node_count: int, layout_seed: int, **clusters
-) -> list[tuple[float, float]]:
-    """Full-node positions of one layout; ``clusters`` are ``cluster_*`` keys."""
-    config = SimConfig(full_node_count=node_count, light_node_count=1,
-                       placement=placement, seed=layout_seed, **clusters)
-    return list(map(tuple, place_nodes(config).full_nodes.tolist()))
-
-
-def _measure_layout(job, *, seed: int, tag: int, cell_key_base: int,
-                    adversary_count: int, **sampling) -> list:
-    """Every cell of one ``(index, positions)`` layout, in cell order."""
-    index, positions = job
-    return [
+def _measure_layout(index: int, *, layout: SimConfig, seed: int, tag: int,
+                    cell_key_base: int, adversary_count: int,
+                    **sampling) -> GridHeatmap:
+    """Place layout ``index`` of ``layout`` from the sub-seed keyed ``(tag,
+    index)`` and sample its cell ``c`` from the substream keyed ``(tag,
+    index, cell_key_base + c)``."""
+    positions = place_nodes(replace(layout, seed=_sub_seed(seed, tag, index))).full_nodes
+    cells = [
         measure_cell_probability(
             positions, adversary_count, cell,
             substream(seed, DOMAIN_EXPERIMENT, tag, index, cell_key_base + cell),
@@ -277,6 +273,12 @@ def _measure_layout(job, *, seed: int, tag: int, cell_key_base: int,
         )
         for cell in range(GRID_CELLS)
     ]
+    return GridHeatmap(
+        layout.placement,
+        *map(list, zip(*cells)),
+        np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist(),
+        positions,
+    )
 
 
 def _measure_layouts(
@@ -285,17 +287,10 @@ def _measure_layouts(
     radius: float, require_local_adversary: bool | None,
     seed: int, workers: int, **clusters,
 ) -> list[GridHeatmap]:
-    """One heatmap per layout index: the cell measurements of ``heatmap``
-    and ``variance``.
-
-    Layout ``i`` is placed from the sub-seed keyed ``(tag, i)`` and its cell
-    ``c`` is sampled from the substream keyed ``(tag, i, cell_key_base + c)``.
-    Each layout, with its nine cells, is one job for :func:`pmap`.
-    """
-    if node_count < 1:
-        raise ConfigError("node_count must be >= 1")
-    if samples_per_cell < 1:
-        raise ConfigError("samples_per_cell must be >= 1")
+    """One heatmap per layout index, each one :func:`pmap` job of
+    :func:`_measure_layout`: the cell measurements of ``heatmap`` and
+    ``variance``."""
+    _check_counts(node_count=node_count, samples_per_cell=samples_per_cell)
     if not radius > 0:
         raise ConfigError("radius must be positive")
     if not 0.0 <= adversary_ratio <= 1.0:
@@ -306,30 +301,42 @@ def _measure_layouts(
         raise ConfigError("require_local_adversary must be none, true or false, "
                           f"got {require_local_adversary!r}")
     measure = functools.partial(
-        _measure_layout, seed=seed, tag=tag, cell_key_base=cell_key_base,
+        _measure_layout,
+        layout=SimConfig(full_node_count=node_count, light_node_count=1,
+                         placement=placement, **clusters),
+        seed=seed, tag=tag, cell_key_base=cell_key_base,
         adversary_count=int(round(adversary_ratio * node_count)),
         samples=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
     )
-    layouts = [
-        _layout_positions(placement, node_count, _sub_seed(seed, tag, index),
-                          **clusters)
-        for index in layout_indices
-    ]
-    measured = pmap(measure, zip(layout_indices, layouts), workers)
-    return [
-        GridHeatmap(
-            placement,
-            *map(list, zip(*cells)),
-            np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist(),
-            positions,
-        )
-        for cells, positions in zip(measured, layouts)
-    ]
+    return pmap(measure, layout_indices, workers)
 
 
-def pmap(func, jobs, workers: int = 1) -> list:
-    """Order-preserving map, fanned out across processes when workers > 1.
+def _simulate(configs, seed: int, tag: int, workers: int):
+    """Yield the result of each config, in order, run under the sub-seed
+    keyed ``(tag, index)``: one :func:`imap` job per simulation."""
+    return imap(run_simulation, [
+        replace(config, seed=_sub_seed(seed, tag, index))
+        for index, config in enumerate(configs)
+    ], workers)
+
+
+def _link_rate(sim: SimResult) -> tuple[float, float]:
+    """A simulation's link rate and its binomial standard error."""
+    rate = sim.deanon_rate
+    return rate, math.sqrt(rate * (1 - rate) / sim.total_transactions)
+
+
+def _check_counts(**counts: int) -> None:
+    """Reject any count below 1, naming its key."""
+    for key, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1")
+
+
+def imap(func, jobs, workers: int = 1):
+    """Order-preserving lazy map, fanned out across processes when
+    workers > 1; with one worker each job runs as its result is taken.
 
     The pool never outnumbers the jobs or the CPUs: under fork every
     ``max_workers`` process starts at once.
@@ -337,9 +344,15 @@ def pmap(func, jobs, workers: int = 1) -> list:
     jobs = list(jobs)
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
-        return [func(job) for job in jobs]
+        yield from map(func, jobs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, jobs))
+        yield from pool.map(func, jobs)
+
+
+def pmap(func, jobs, workers: int = 1) -> list:
+    """:func:`imap`, collected into a list."""
+    return list(imap(func, jobs, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +532,7 @@ def exp_realworld(
     samples: int = 100,
     max_adversaries: int = 16,
     *,
-    data_path=None,
+    data=None,
     region_weights: dict[str, float] | None = None,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
@@ -531,12 +544,11 @@ def exp_realworld(
     requesters poll only their own region; regions weigh equally unless
     ``region_weights`` is given -- and reports min/q1/median/q3/max.
     """
-    region_counts = load_region_counts(data_path)
+    region_counts = load_region_counts(data)
     total = sum(region_counts.values())
     if not 1 <= max_adversaries <= total:
         raise ConfigError(f"max_adversaries must be in [1, {total}]")
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
+    _check_counts(samples=samples)
     if region_weights is None:
         weights = {name: 1.0 / len(region_counts) for name in region_counts}
     else:
@@ -590,27 +602,6 @@ def exp_realworld(
 # link-rate sweep experiment
 # ---------------------------------------------------------------------------
 
-def _decentralized_row(job) -> dict:
-    label, n, c, m, lights, rounds, sim_seed = job
-    config = SimConfig(
-        full_node_count=n,
-        adversary_count=c,
-        request_fanout=m,
-        light_node_count=lights,
-        rounds=rounds,
-        request_radius=None,
-        seed=sim_seed,
-    )
-    sim = run_simulation(config)
-    rate = sim.deanon_rate
-    return {
-        "label": label,
-        "analytic": deanon_probability(n, c, m),
-        "empirical": rate,
-        "se": math.sqrt(rate * (1 - rate) / sim.total_transactions),
-    }
-
-
 def exp_decentralized(
     *,
     light_nodes: int = 100,
@@ -629,21 +620,17 @@ def exp_decentralized(
     the base; summary rows report the empirical spread inside the node and
     fanout sweeps, which the rate should not depend on.
     """
+    _check_counts(light_nodes=light_nodes, rounds=rounds)
     base_n, base_m, base_ratio = 100, 3, 0.1
-    specs: list[tuple[str, int, int, int]] = []
-    for n in node_sweep:
-        specs.append((f"N-{n}", n, int(round(base_ratio * n)), base_m))
-    for m in fanout_sweep:
-        specs.append((f"M-{m}", base_n, int(round(base_ratio * base_n)), m))
-    for ratio in ratio_sweep:
-        specs.append((f"p-{ratio:g}", base_n, int(round(ratio * base_n)), base_m))
-
-    jobs = [
-        (label, n, c, m, light_nodes, rounds, _sub_seed(seed, _TAG_DECENTRALIZED, idx))
-        for idx, (label, n, c, m) in enumerate(specs)
+    specs = [(f"N-{n}", n, base_ratio, base_m) for n in node_sweep]
+    specs += [(f"M-{m}", base_n, base_ratio, m) for m in fanout_sweep]
+    specs += [(f"p-{ratio:g}", base_n, ratio, base_m) for ratio in ratio_sweep]
+    labels = [spec[0] for spec in specs]
+    configs = [
+        SimConfig(full_node_count=n, adversary_count=int(round(ratio * n)),
+                  request_fanout=m, light_node_count=light_nodes, rounds=rounds)
+        for _, n, ratio, m in specs
     ]
-    rows = pmap(_decentralized_row, jobs, workers)
-
     params = {
         "light_nodes": light_nodes,
         "rounds": rounds,
@@ -653,14 +640,16 @@ def exp_decentralized(
         "rng_scheme": RNG_SCHEME,
     }
     result = ExperimentResult("decentralized", params, seed)
-    for row in rows:
-        result.add(row["label"], "analytic", row["analytic"])
-        result.add(row["label"], "empirical", row["empirical"], row["se"])
+    # each simulation is scored as it finishes, so one result is held at a time
+    scored = map(_link_rate, _simulate(configs, seed, _TAG_DECENTRALIZED, workers))
+    for label, config, (rate, se) in zip(labels, configs, scored):
+        result.add(label, "analytic", deanon_probability(
+            config.full_node_count, config.adversary_count, config.request_fanout))
+        result.add(label, "empirical", rate, se)
     for prefix, sweep in (("N", node_sweep), ("M", fanout_sweep)):
-        rates = [
-            row["empirical"] for row in rows
-            if row["label"] in {f"{prefix}-{v}" for v in sweep}
-        ]
+        swept = {f"{prefix}-{v}" for v in sweep}
+        rates = [rate for label, rate in zip(labels, result.values("empirical"))
+                 if label in swept]
         result.add(f"{prefix}-sweep", "empirical_spread", max(rates) - min(rates))
     return result
 
@@ -712,14 +701,16 @@ def exp_mixer(
         "max_chain": max_chain,
         "participants": participants,
     }
-    if max_chain < 1:
-        raise ConfigError("max_chain must be >= 1")
+    _check_counts(max_chain=max_chain)
     if participants < 2:  # the chain-length spread needs two samples
         raise ConfigError(f"participants must be >= 2, got {participants}")
     result = ExperimentResult("mixer", params, seed)
     for p_idx, p in enumerate(p_values):
         rng = substream(seed, DOMAIN_EXPERIMENT, _TAG_MIXER, p_idx)
         lengths = simulate_mixer_chains(p, participants, rng)
+        # at_least[x]: chains of length >= x, for every x up to max_chain
+        at_least = np.cumsum(
+            np.bincount(lengths, minlength=max_chain + 1)[::-1])[::-1]
         mean_len = statistics.fmean(lengths)
         label = f"p-{p:g}"
         result.add(label, "expected_raw", mixer_expected_identified(p, mode="raw"))
@@ -733,7 +724,7 @@ def exp_mixer(
         )
         for x in range(1, max_chain + 1):
             analytic = mixer_chain_probability(p, x)
-            observed = sum(1 for length in lengths if length >= x) / participants
+            observed = int(at_least[x]) / participants
             se = math.sqrt(observed * (1 - observed) / participants)
             result.add(f"{label}-x-{x}", "chain_prob_analytic", analytic)
             result.add(f"{label}-x-{x}", "chain_prob_empirical", observed, se)
@@ -754,6 +745,7 @@ def exp_mitigations(
     light_nodes: int = 100,
     proxy_light_nodes: int = 6,
     seed: int = DEFAULT_SEED,
+    workers: int = 1,
 ) -> ExperimentResult:
     """Compare the unprotected baseline against each mitigation mode.
 
@@ -762,6 +754,13 @@ def exp_mitigations(
     only name the proxy, leaving requester anonymity intact); and local tip
     selection, which produces no link material at all.
     """
+    _check_counts(
+        baseline_nodes=baseline_nodes, baseline_adversaries=baseline_adversaries,
+        baseline_rounds=baseline_rounds, scaling_rounds=scaling_rounds,
+        light_nodes=light_nodes, proxy_light_nodes=proxy_light_nodes,
+    )
+    if baseline_adversaries > baseline_nodes:
+        raise ConfigError("baseline_adversaries must be <= baseline_nodes")
     params = {
         "baseline_nodes": baseline_nodes,
         "baseline_adversaries": baseline_adversaries,
@@ -774,66 +773,34 @@ def exp_mitigations(
     }
     result = ExperimentResult("mitigations", params, seed)
     required = required_full_nodes(baseline_adversaries, scaling_target)
-
-    baseline = run_simulation(SimConfig(
-        full_node_count=baseline_nodes,
-        adversary_count=baseline_adversaries,
-        light_node_count=light_nodes,
-        rounds=baseline_rounds,
-        request_radius=None,
-        seed=_sub_seed(seed, _TAG_MITIGATIONS, 0),
-    ))
-    scaled = run_simulation(SimConfig(
-        full_node_count=required,
-        adversary_count=baseline_adversaries,
-        light_node_count=light_nodes,
-        rounds=scaling_rounds,
-        request_radius=None,
-        seed=_sub_seed(seed, _TAG_MITIGATIONS, 1),
-    ))
-    proxy_config = SimConfig(
-        full_node_count=20,
-        adversary_count=2,
-        light_node_count=proxy_light_nodes,
-        rounds=100,
-        request_radius=None,
-        mode="proxy",
-        proxy_count=1,
-        seed=_sub_seed(seed, _TAG_MITIGATIONS, 2),
-    )
-    proxy = run_simulation(proxy_config)
-    direct = run_simulation(SimConfig(
-        full_node_count=20,
-        adversary_count=2,
-        light_node_count=20,
-        rounds=50,
-        request_radius=None,
-        mode="direct_tip_selection",
-        seed=_sub_seed(seed, _TAG_MITIGATIONS, 3),
-    ))
-
-    for label, sim in (
-        ("baseline", baseline), ("scaling", scaled),
-        ("proxy", proxy), ("direct", direct),
-    ):
-        total = sim.total_transactions
-        rate = sim.deanon_rate
+    attacked = dict(adversary_count=baseline_adversaries, light_node_count=light_nodes)
+    small = dict(full_node_count=20, adversary_count=2)
+    configs = {
+        "baseline": SimConfig(full_node_count=baseline_nodes, rounds=baseline_rounds,
+                              **attacked),
+        "scaling": SimConfig(full_node_count=required, rounds=scaling_rounds,
+                             **attacked),
+        "proxy": SimConfig(light_node_count=proxy_light_nodes, rounds=100,
+                           mode="proxy", proxy_count=1, **small),
+        "direct": SimConfig(light_node_count=20, rounds=50,
+                            mode="direct_tip_selection", **small),
+    }
+    sims = dict(zip(configs, _simulate(
+        configs.values(), seed, _TAG_MITIGATIONS, workers)))
+    for label, sim in sims.items():
         degrees = list(sim.address_degrees.values())
-        result.add(label, "link_rate", rate, math.sqrt(rate * (1 - rate) / total))
-        result.add(label, "correct_link_rate", sim.correct_link_count / total)
+        result.add(label, "link_rate", *_link_rate(sim))
+        result.add(label, "correct_link_rate",
+                   sim.correct_link_count / sim.total_transactions)
         # no attacked address leaves every light fully anonymous
         result.add(label, "anonymity_degree",
                    statistics.fmean(degrees) if degrees else 1.0)
     result.add("scaling", "required_full_nodes", required)
-    proxy_claims = {link.claimed_identity for link in proxy.links}
-    proxy_node_ids = set(range(
-        proxy_config.full_node_count,
-        proxy_config.full_node_count + proxy_config.proxy_count,
-    ))
-    result.add(
-        "proxy", "links_to_proxies_only",
-        1.0 if proxy_claims and proxy_claims <= proxy_node_ids else 0.0,
-    )
+    proxy = configs["proxy"]
+    claims = {link.claimed_identity for link in sims["proxy"].links}
+    proxy_ids = range(proxy.full_node_count, proxy.full_node_count + proxy.proxy_count)
+    result.add("proxy", "links_to_proxies_only",
+               1.0 if claims and claims <= set(proxy_ids) else 0.0)
     return result
 
 
@@ -869,24 +836,22 @@ class Study:
     """One ``tipleak run`` name: the function it calls and the keys it takes.
 
     Every parameter of ``defaults_from`` (the study function unless named)
-    is a key, under its own name or the one ``renamed`` gives it, except the
-    ``fixed`` ones and the seed and worker count.  A key's default is the
-    parameter's default; it also tells a text parser which type to expect.
-    Functions are looked up in this module on each use, so a study function
-    patched or replaced at run time is the one that runs.
+    is a key, except the ``fixed`` ones and the seed and worker count.  A
+    key's default is the parameter's default; it also tells a text parser
+    which type to expect.  Functions are looked up in this module on each
+    use, so a study function patched or replaced at run time is the one
+    that runs.
     """
 
     function: str
     fixed: tuple[str, ...] = ()
-    renamed: dict[str, str] = field(default_factory=dict)  # key -> parameter
     defaults_from: str | None = None
 
     def defaults(self) -> dict:
         """Each key with its default, in signature order."""
-        keys = {param: key for key, param in self.renamed.items()}
         source = globals()[self.defaults_from or self.function]
         return {
-            keys.get(name, name): param.default
+            name: param.default
             for name, param in inspect.signature(source).parameters.items()
             if name not in self.fixed + _RUN_ARGUMENTS
         }
@@ -899,10 +864,10 @@ class Study:
         """
         function = globals()[self.function]
         resolved = {**self.defaults(), **settings}
-        kwargs = {self.renamed.get(key, key): value for key, value in resolved.items()}
         if "workers" in inspect.signature(function).parameters:
-            kwargs["workers"] = workers
-        outcome = function(**kwargs, seed=seed)
+            outcome = function(**resolved, seed=seed, workers=workers)
+        else:
+            outcome = function(**resolved, seed=seed)
         if isinstance(outcome, GridHeatmap):
             return outcome.to_result(resolved, seed)
         return outcome
@@ -913,7 +878,7 @@ STUDIES: dict[str, Study] = {
         "exp_decentralized", fixed=("node_sweep", "fanout_sweep", "ratio_sweep")
     ),
     "realworld": Study(
-        "exp_realworld", fixed=("region_weights",), renamed={"data": "data_path"}
+        "exp_realworld", fixed=("region_weights",)
     ),
     "heatmap": Study("exp_heatmap"),
     "variance": Study("exp_variance"),

@@ -232,6 +232,15 @@ def _usage_error_line(capsys) -> str:
     ("mixer.participants=1", "participants must be >= 2"),
     ("mitigations.scaling_target=nan", "target_rate must be in (0, 1], got nan"),
     ("mitigations.scaling_target=inf", "target_rate must be in (0, 1], got inf"),
+    ("mitigations.baseline_nodes=0", "error: baseline_nodes must be >= 1"),
+    ("mitigations.baseline_adversaries=0", "error: baseline_adversaries must be >= 1"),
+    ("mitigations.baseline_adversaries=101",
+     "error: baseline_adversaries must be <= baseline_nodes"),
+    ("mitigations.light_nodes=0", "error: light_nodes must be >= 1"),
+    ("mitigations.proxy_light_nodes=0", "error: proxy_light_nodes must be >= 1"),
+    ("mitigations.baseline_rounds=0", "error: baseline_rounds must be >= 1"),
+    ("mitigations.scaling_rounds=0", "error: scaling_rounds must be >= 1"),
+    ("decentralized.light_nodes=0", "error: light_nodes must be >= 1"),
     ("custom.cluster_count=0", "cluster_count must be >= 1"),
     ("custom.request_radius=nan", "request_radius must be positive or None"),
     ("custom.placement=explicit",

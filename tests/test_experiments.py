@@ -3,6 +3,7 @@
 import json
 import math
 import statistics
+import time
 import tracemalloc
 
 import numpy as np
@@ -277,7 +278,7 @@ def test_heatmap_sample_doubling_consistent():
 def test_heatmap_layout_index_changes_layout_not_streams():
     a = exp_heatmap("uniform_random", samples_per_cell=100, seed=17, layout_index=0)
     b = exp_heatmap("uniform_random", samples_per_cell=100, seed=17, layout_index=1)
-    assert a.positions != b.positions
+    assert not np.array_equal(a.positions, b.positions)
 
 
 def test_heatmap_workers_do_not_change_results():
@@ -409,10 +410,10 @@ def test_realworld_rejects_bad_inputs(tmp_path):
     bad = tmp_path / "regions.json"
     bad.write_text(json.dumps({"regions": {}}))
     with pytest.raises(ConfigError):
-        exp_realworld(data_path=bad)
+        exp_realworld(data=bad)
     bad.write_text(json.dumps({"regions": {"europe": -3}}))
     with pytest.raises(ConfigError):
-        exp_realworld(data_path=bad)
+        exp_realworld(data=bad)
 
 
 def test_realworld_equivalence_of_regional_shares():
@@ -476,6 +477,19 @@ def test_mixer_experiment_table():
     assert result.lookup("p-0.1-x-2", "chain_prob_analytic") == pytest.approx(0.01)
     mean_len = result.lookup("p-0.1", "mean_chain_length")
     assert mean_len == pytest.approx(1 / (1 - 0.01), abs=0.005)
+
+
+def test_mixer_long_table_is_quick_and_never_rises():
+    # chain lengths are counted once, not rescanned for each x: rescanning
+    # 20,000 chains for each of 100,000 lengths takes tens of seconds
+    started = time.perf_counter()
+    result = exp_mixer(p_values=(0.5,), max_chain=100_000, participants=20_000,
+                       seed=41)
+    assert time.perf_counter() - started < 5.0
+    empirical = result.values("chain_prob_empirical")
+    assert len(empirical) == 100_000 and empirical[0] == 1.0
+    assert all(later <= earlier for earlier, later in zip(empirical, empirical[1:]))
+    assert empirical[-1] == 0.0
 
 
 def test_mixer_rejects_bad_probability():

@@ -114,6 +114,13 @@ def test_decentralized_bytes_do_not_depend_on_workers(tmp_path):
     assert _sha256(tmp_path / f"{study}_7.csv") == csv_sha
 
 
+def test_mitigations_bytes_do_not_depend_on_workers(tmp_path):
+    study, settings, csv_sha, _ = CASES[6]
+    assert study == "mitigations"
+    _run(study, settings, tmp_path, "--workers", "2")
+    assert _sha256(tmp_path / f"{study}_7.csv") == csv_sha
+
+
 def test_variance_bytes_do_not_depend_on_workers(tmp_path):
     study, settings, csv_sha, _ = CASES[4]
     assert study == "variance"
