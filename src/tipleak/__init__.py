@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .network import (
     ConfigError,
-    LinkRecord,
+    Links,
     SimConfig,
     SimResult,
     Simulation,
@@ -55,7 +55,7 @@ __all__ = [
     "ExperimentResult",
     "GridHeatmap",
     "Ledger",
-    "LinkRecord",
+    "Links",
     "MixerParams",
     "ParameterError",
     "SimConfig",

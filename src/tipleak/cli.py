@@ -369,7 +369,7 @@ def _check_proxy_claims() -> tuple[bool, str]:
         full_node_count=10, adversary_count=5, light_node_count=4,
         rounds=20, mode="proxy", proxy_count=1, seed=3,
     ))
-    claims = {link.claimed_identity for link in sim.links}
+    claims = set(sim.links.claimed.tolist())
     if not claims or not claims.issubset({10}):
         return False, f"claims {claims} reach past the proxy"
     degrees = set(sim.address_degrees.values())

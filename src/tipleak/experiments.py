@@ -141,8 +141,7 @@ class GridHeatmap:
         """Binomial standard error of a reachable cell's probability: an
         upper bound on the error of an estimate that averages exact hit
         chances instead of drawing hits."""
-        prob = self.probabilities[cell]
-        return math.sqrt(prob * (1.0 - prob) / self.sample_counts[cell])
+        return _binomial_se(self.probabilities[cell], self.sample_counts[cell])
 
     def to_result(self, params: dict, seed: int) -> ExperimentResult:
         result = ExperimentResult(
@@ -173,6 +172,11 @@ def cell_index(points) -> np.ndarray:
     col_row = (points / (np.array(PLANE) / GRID_DIM)).astype(np.int64)
     col, row = np.minimum(col_row, GRID_DIM - 1).T
     return row * GRID_DIM + col
+
+
+def _binomial_se(rate: float, trials: int) -> float:
+    """Binomial standard error of a rate measured over ``trials``."""
+    return math.sqrt(rate * (1 - rate) / trials)
 
 
 def _sub_seed(seed: int, tag: int, index: int) -> int:
@@ -259,15 +263,14 @@ def measure_cell_probability(
 
 
 def _measure_layout(index: int, *, layout: SimConfig, seed: int, tag: int,
-                    cell_key_base: int, adversary_count: int,
-                    **sampling) -> GridHeatmap:
+                    cell_key_base: int, **sampling) -> GridHeatmap:
     """Place layout ``index`` of ``layout`` from the sub-seed keyed ``(tag,
     index)`` and sample its cell ``c`` from the substream keyed ``(tag,
     index, cell_key_base + c)``."""
     positions = place_nodes(replace(layout, seed=_sub_seed(seed, tag, index))).full_nodes
     cells = [
         measure_cell_probability(
-            positions, adversary_count, cell,
+            positions, layout.effective_adversaries, cell,
             substream(seed, DOMAIN_EXPERIMENT, tag, index, cell_key_base + cell),
             **sampling,
         )
@@ -285,7 +288,7 @@ def _measure_layouts(
     tag: int, layout_indices, cell_key_base: int, *, placement: str,
     node_count: int, adversary_ratio: float, samples_per_cell: int,
     radius: float, require_local_adversary: bool | None,
-    seed: int, workers: int, **clusters,
+    seed: int, workers: int = 1, **clusters,
 ) -> list[GridHeatmap]:
     """One heatmap per layout index, each one :func:`pmap` job of
     :func:`_measure_layout`: the cell measurements of ``heatmap`` and
@@ -293,19 +296,18 @@ def _measure_layouts(
     _check_counts(node_count=node_count, samples_per_cell=samples_per_cell)
     if not radius > 0:
         raise ConfigError("radius must be positive")
-    if not 0.0 <= adversary_ratio <= 1.0:
-        raise ConfigError("adversary_ratio must be in [0, 1]")
+    layout = SimConfig(full_node_count=node_count, adversary_ratio=adversary_ratio,
+                       light_node_count=1, placement=placement, **clusters)
     if require_local_adversary is None:
         require_local_adversary = local_adversary_default(placement)
     elif not isinstance(require_local_adversary, bool):
         raise ConfigError("require_local_adversary must be none, true or false, "
                           f"got {require_local_adversary!r}")
+    if require_local_adversary and layout.effective_adversaries < 1:
+        raise ConfigError("require_local_adversary needs adversary_ratio * node_count "
+                          "to round to 1 or more; set it false for no adversaries")
     measure = functools.partial(
-        _measure_layout,
-        layout=SimConfig(full_node_count=node_count, light_node_count=1,
-                         placement=placement, **clusters),
-        seed=seed, tag=tag, cell_key_base=cell_key_base,
-        adversary_count=int(round(adversary_ratio * node_count)),
+        _measure_layout, layout=layout, seed=seed, tag=tag, cell_key_base=cell_key_base,
         samples=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
     )
@@ -323,8 +325,7 @@ def _simulate(configs, seed: int, tag: int, workers: int):
 
 def _link_rate(sim: SimResult) -> tuple[float, float]:
     """A simulation's link rate and its binomial standard error."""
-    rate = sim.deanon_rate
-    return rate, math.sqrt(rate * (1 - rate) / sim.total_transactions)
+    return sim.deanon_rate, _binomial_se(sim.deanon_rate, sim.total_transactions)
 
 
 def _check_counts(**counts: int) -> None:
@@ -372,7 +373,6 @@ def exp_heatmap(
     cluster_fraction: float = 0.8,
     layout_index: int = 0,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> GridHeatmap:
     """Per-cell adversary-selection probabilities for one node layout.
 
@@ -387,7 +387,7 @@ def exp_heatmap(
         samples_per_cell=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
         cluster_count=cluster_count, cluster_spread=cluster_spread,
-        cluster_fraction=cluster_fraction, seed=seed, workers=workers,
+        cluster_fraction=cluster_fraction, seed=seed,
     )
     return heatmap
 
@@ -627,7 +627,7 @@ def exp_decentralized(
     specs += [(f"p-{ratio:g}", base_n, ratio, base_m) for ratio in ratio_sweep]
     labels = [spec[0] for spec in specs]
     configs = [
-        SimConfig(full_node_count=n, adversary_count=int(round(ratio * n)),
+        SimConfig(full_node_count=n, adversary_ratio=ratio,
                   request_fanout=m, light_node_count=light_nodes, rounds=rounds)
         for _, n, ratio, m in specs
     ]
@@ -644,7 +644,7 @@ def exp_decentralized(
     scored = map(_link_rate, _simulate(configs, seed, _TAG_DECENTRALIZED, workers))
     for label, config, (rate, se) in zip(labels, configs, scored):
         result.add(label, "analytic", deanon_probability(
-            config.full_node_count, config.adversary_count, config.request_fanout))
+            config.full_node_count, config.effective_adversaries, config.request_fanout))
         result.add(label, "empirical", rate, se)
     for prefix, sweep in (("N", node_sweep), ("M", fanout_sweep)):
         swept = {f"{prefix}-{v}" for v in sweep}
@@ -704,6 +704,8 @@ def exp_mixer(
     _check_counts(max_chain=max_chain)
     if participants < 2:  # the chain-length spread needs two samples
         raise ConfigError(f"participants must be >= 2, got {participants}")
+    if not all(0.0 <= p < 1.0 for p in p_values):
+        raise ConfigError(f"p_values must each be in [0, 1), got {params['p_values']}")
     result = ExperimentResult("mixer", params, seed)
     for p_idx, p in enumerate(p_values):
         rng = substream(seed, DOMAIN_EXPERIMENT, _TAG_MIXER, p_idx)
@@ -725,9 +727,9 @@ def exp_mixer(
         for x in range(1, max_chain + 1):
             analytic = mixer_chain_probability(p, x)
             observed = int(at_least[x]) / participants
-            se = math.sqrt(observed * (1 - observed) / participants)
             result.add(f"{label}-x-{x}", "chain_prob_analytic", analytic)
-            result.add(f"{label}-x-{x}", "chain_prob_empirical", observed, se)
+            result.add(f"{label}-x-{x}", "chain_prob_empirical", observed,
+                       _binomial_se(observed, participants))
     return result
 
 
@@ -761,6 +763,8 @@ def exp_mitigations(
     )
     if baseline_adversaries > baseline_nodes:
         raise ConfigError("baseline_adversaries must be <= baseline_nodes")
+    if not 0.0 < scaling_target <= 1.0:
+        raise ConfigError(f"scaling_target must be in (0, 1], got {scaling_target}")
     params = {
         "baseline_nodes": baseline_nodes,
         "baseline_adversaries": baseline_adversaries,
@@ -797,7 +801,7 @@ def exp_mitigations(
                    statistics.fmean(degrees) if degrees else 1.0)
     result.add("scaling", "required_full_nodes", required)
     proxy = configs["proxy"]
-    claims = {link.claimed_identity for link in sims["proxy"].links}
+    claims = set(sims["proxy"].links.claimed.tolist())
     proxy_ids = range(proxy.full_node_count, proxy.full_node_count + proxy.proxy_count)
     result.add("proxy", "links_to_proxies_only",
                1.0 if claims and claims <= set(proxy_ids) else 0.0)

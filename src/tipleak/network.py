@@ -9,7 +9,7 @@ node asks up to ``request_fanout`` reachable full nodes for a tip
 selection, follows exactly one answer, and attaches a transaction under a
 fresh address.  Adversarial full nodes log every response they serve;
 after the round's attaches they compare new ledger entries against their
-logs and emit identity links.
+logs and emit identity links, the rows of one columnar :class:`Links`.
 
 A finished run is scored once, from its links: every light that reaches a
 full node (every light, under direct tip selection) attaches once per
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,13 +66,20 @@ class ConfigError(ValueError):
     """Raised for simulation configs that cannot be run."""
 
 
-@dataclass(frozen=True)
-class LinkRecord:
-    address: str
-    claimed_identity: int
-    matched_response: tuple[int, int, int]
-    correct: bool                # evaluation-only, judged from ground truth
-    origin_light: int            # evaluation-only: the light that attached
+@dataclass(frozen=True, eq=False)
+class Links:
+    """Identity links in match order: the matched response's nonce
+    (round, responder, light), the identity it claims, the light that
+    attached (the address is ``round_address(round, light)``) and, for
+    evaluation only, whether the claim names the true issuer."""
+
+    nonce: np.ndarray    # (n, 3)
+    claimed: np.ndarray  # (n,)
+    light: np.ndarray    # (n,)
+    correct: np.ndarray  # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.claimed)
 
 
 @dataclass(frozen=True)
@@ -327,9 +333,7 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[np.repeat(lo, counts) + within], right_idx
 
 
-def match_responses(
-    log: ResponseLog, new: RoundAttaches, matching: str
-) -> list[LinkRecord]:
+def match_responses(log: ResponseLog, new: RoundAttaches, matching: str) -> Links:
     """Link new ledger entries to logged requesters.
 
     assume_unique: responses are nonce-tagged, so a parent pair identifies
@@ -345,19 +349,9 @@ def match_responses(
         log_idx, new_idx = _join(np.sort(log.tips, axis=1), np.sort(new.parents, axis=1))
     else:
         raise ConfigError(f"unknown matching {matching!r}")
-    return [
-        LinkRecord(
-            address=round_address(new.round_issued, light),
-            claimed_identity=requester,
-            matched_response=tuple(nonce),
-            correct=requester == identity,
-            origin_light=light,
-        )
-        for requester, nonce, light, identity in zip(
-            log.requester[log_idx].tolist(), log.nonce[log_idx].tolist(),
-            new.light[new_idx].tolist(), new.identity[new_idx].tolist(),
-        )
-    ]
+    claimed = log.requester[log_idx]
+    return Links(nonce=log.nonce[log_idx], claimed=claimed, light=new.light[new_idx],
+                 correct=claimed == new.identity[new_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +404,7 @@ class SimResult:
     unreachable_light_nodes: int
     address_degrees: dict[str, float]
     per_light: list[dict]
-    links: list[LinkRecord] = field(repr=False, default_factory=list)
+    links: Links = field(repr=False)
 
     def to_flat(self) -> dict:
         """Scalar summary used by the CSV/structured writers."""
@@ -449,7 +443,7 @@ class Simulation:
             np.full(config.bootstrap_tips, NO_ISSUER),
             addresses=[f"bootstrap-{i}" for i in range(config.bootstrap_tips)],
         )
-        self.links: list[LinkRecord] = []
+        self._links: list[Links] = []  # one table per round
         # the identity responders see: a proxied light's proxy, else its own
         self._visible = (
             proxy_assign(self.population) if config.mode == MODE_PROXY
@@ -524,7 +518,7 @@ class Simulation:
             followed_nonce=nonce[followed],
         )
 
-    def run_round(self, round_idx: int) -> list[LinkRecord]:
+    def run_round(self, round_idx: int) -> Links:
         config = self.config
         draw = self._local_round if config.mode == MODE_DIRECT else self._request_round
         log, attaches = draw(round_idx, self.ledger.tips)
@@ -532,7 +526,7 @@ class Simulation:
             attaches.parents, round_idx, attaches.identity, attaches.light
         )
         links = match_responses(log, attaches, config.matching)
-        self.links.extend(links)
+        self._links.append(links)
         return links
 
     def run(self) -> SimResult:
@@ -542,59 +536,56 @@ class Simulation:
 
     # -- scoring ----------------------------------------------------------
 
-    def _address_degrees(self) -> dict[str, float]:
-        """Anonymity degree of each linked address: 1.0 when two or more
-        lights stand behind its claimed identities, else 0.0.  A proxy
-        stands for every light assigned to it and no light has two proxies,
-        so the candidates never overlap and are equally likely."""
-        lights_behind = np.bincount(self._visible).tolist()
-        claims_by_address: dict[str, set[int]] = {}
-        for link in self.links:
-            claims_by_address.setdefault(link.address, set()).add(
-                link.claimed_identity
-            )
-        return {
-            address: 1.0 if sum(lights_behind[c] for c in claims) >= 2 else 0.0
-            for address, claims in sorted(claims_by_address.items())
-        }
-
     def _result(self) -> SimResult:
         """Score the run from its links.  Every issuing light -- each light
         in direct mode, each light that reaches a full node otherwise --
-        attaches once per round."""
+        attaches once per round.  A proxy stands for every light assigned
+        to it and no light has two proxies, so the lights behind an
+        address's claims never overlap."""
         lights = self.population.light_ids
         issuing = lights if self.config.mode == MODE_DIRECT else self._requesters.light
         total = self.config.rounds * len(issuing)
-        correct = sum(1 for l in self.links if l.correct)
+        links = Links(*(
+            np.concatenate([getattr(part, column.name) for part in self._links])
+            for column in fields(Links)
+        ))
+        span = int(lights[-1]) + 1  # every id is below it
+        # an address -- a transaction -- is keyed round * span + light
+        tx = links.nonce[:, 0] * span + links.light
         # a transaction counts once however many adversaries linked it
-        correct_txs = {
-            (l.matched_response[0], l.origin_light) for l in self.links if l.correct
-        }
-        correct_per_light = Counter(light for _, light in correct_txs)
-        claimed = Counter(l.claimed_identity for l in self.links)
-        issued = set(issuing.tolist())
-        false_pos = len(self.links) - correct
+        correct_txs = np.unique(tx[links.correct])
+        correct = int(np.count_nonzero(links.correct))
+        false_pos = len(links) - correct
         per_light = [
-            {
-                "light_id": light,
-                "transactions": self.config.rounds if light in issued else 0,
-                "correct_links": correct_per_light[light],
-                "claimed_links": claimed[light],
-            }
-            for light in lights.tolist()
+            {"light_id": light, "transactions": transactions,
+             "correct_links": correct_links, "claimed_links": claimed_links}
+            for light, transactions, correct_links, claimed_links in zip(
+                lights.tolist(),
+                np.where(np.isin(lights, issuing), self.config.rounds, 0).tolist(),
+                np.bincount(correct_txs % span, minlength=span)[lights].tolist(),
+                np.bincount(links.claimed, minlength=span)[lights].tolist(),
+            )
         ]
+        claims = np.unique(tx * span + links.claimed)
+        addresses, inverse = np.unique(claims // span, return_inverse=True)
+        lights_behind = np.bincount(
+            inverse, np.bincount(self._visible, minlength=span)[claims % span]
+        )
         return SimResult(
             seed=self.config.seed,
             total_transactions=total,
-            linked_count=len(self.links),
+            linked_count=len(links),
             correct_link_count=correct,
             false_positive_count=false_pos,
             deanon_rate=len(correct_txs) / total if total else 0.0,
             false_positive_rate=false_pos / total if total else 0.0,
             unreachable_light_nodes=len(lights) - len(issuing),
-            address_degrees=self._address_degrees(),
+            address_degrees=dict(sorted(
+                (round_address(key // span, key % span), degree) for key, degree
+                in zip(addresses.tolist(), (lights_behind >= 2).astype(float).tolist())
+            )),
             per_light=per_light,
-            links=list(self.links),
+            links=links,
         )
 
 

@@ -10,8 +10,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tipleak.cli import (
     EXIT_OK,
@@ -230,8 +228,8 @@ def _usage_error_line(capsys) -> str:
     ("mixer.participants=0", "participants must be >= 2"),
     ("mixer.participants=-1", "participants must be >= 2"),
     ("mixer.participants=1", "participants must be >= 2"),
-    ("mitigations.scaling_target=nan", "target_rate must be in (0, 1], got nan"),
-    ("mitigations.scaling_target=inf", "target_rate must be in (0, 1], got inf"),
+    ("mitigations.scaling_target=nan", "scaling_target must be in (0, 1], got nan"),
+    ("mitigations.scaling_target=inf", "scaling_target must be in (0, 1], got inf"),
     ("mitigations.baseline_nodes=0", "error: baseline_nodes must be >= 1"),
     ("mitigations.baseline_adversaries=0", "error: baseline_adversaries must be >= 1"),
     ("mitigations.baseline_adversaries=101",
@@ -268,11 +266,22 @@ def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message)
 
 BOUNDARY_VALUES = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "", "none", "true")
 # small enough that every case runs in well under a second
-SPATIAL_SIZES = {
+STUDY_SIZES = {
     "heatmap": {"samples_per_cell": 20},
     "variance": {"runs": 3, "node_count": 20, "samples_per_cell": 20},
+    "decentralized": {"light_nodes": 5, "rounds": 3},
+    "realworld": {"samples": 5, "max_adversaries": 3},
+    "mixer": {"participants": 200, "max_chain": 3},
+    "mitigations": {"baseline_rounds": 2, "scaling_rounds": 2, "light_nodes": 5},
+    "custom": {"light_node_count": 5, "rounds": 3},
 }
-SIZE_CAPS = {"runs": 5, "node_count": 60, "samples_per_cell": 50}
+SIZE_CAPS = {
+    "runs": 5, "node_count": 60, "samples_per_cell": 50, "light_nodes": 10,
+    "rounds": 5, "samples": 10, "participants": 500, "max_chain": 10,
+    "baseline_nodes": 100, "baseline_rounds": 5, "scaling_rounds": 5,
+    "proxy_light_nodes": 10, "full_node_count": 50, "light_node_count": 10,
+    "bootstrap_tips": 20, "proxy_count": 5, "cluster_count": 5,
+}
 
 
 def _capped(key: str, value: str) -> str:
@@ -283,27 +292,28 @@ def _capped(key: str, value: str) -> str:
     return str(SIZE_CAPS[key]) if too_big else value
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(SPATIAL_SIZES)).flatmap(lambda study: st.tuples(
-    st.just(study), st.sampled_from(sorted(STUDIES[study].defaults())),
-    st.sampled_from(BOUNDARY_VALUES),
-)))
-def test_spatial_keys_run_or_fail_with_one_line(case):
-    study, key, value = case
-    sets = [f"{study}.{name}={size}" for name, size in SPATIAL_SIZES[study].items()]
-    sets.append(f"{study}.{key}={_capped(key, value)}")
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as out_dir, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", study, "--workers", "1", "--out", out_dir]
-                    + [arg for setting in sets for arg in ("--set", setting)])
-    err = err.getvalue()
-    assert "Traceback" not in err, (case, err)
-    if code == EXIT_OK:
-        assert err == "", (case, err)
-    else:
-        assert code == EXIT_USAGE, (case, code)
-        assert err.startswith("tipleak: error: ") and err.count("\n") == 1, (case, err)
+def test_spatial_keys_run_or_fail_with_one_line():
+    """Every key of every study, at every boundary value, either runs
+    silently or exits 1 with one error line that names the key."""
+    for study, sizes in STUDY_SIZES.items():
+        for key in sorted(STUDIES[study].defaults()):
+            for value in BOUNDARY_VALUES:
+                sets = [f"{study}.{name}={size}" for name, size in sizes.items()]
+                sets.append(f"{study}.{key}={_capped(key, value)}")
+                case = (study, key, value)
+                out, err = io.StringIO(), io.StringIO()
+                with tempfile.TemporaryDirectory() as out_dir, \
+                        contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["run", study, "--workers", "1", "--out", out_dir]
+                                + [arg for setting in sets for arg in ("--set", setting)])
+                err = err.getvalue()
+                assert "Traceback" not in err, (case, err)
+                if code == EXIT_OK:
+                    assert err == "", (case, err)
+                else:
+                    assert code == EXIT_USAGE, (case, code)
+                    assert err.startswith("tipleak: error: "), (case, err)
+                    assert err.count("\n") == 1 and key in err, (case, err)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -281,13 +281,6 @@ def test_heatmap_layout_index_changes_layout_not_streams():
     assert not np.array_equal(a.positions, b.positions)
 
 
-def test_heatmap_workers_do_not_change_results():
-    serial = exp_heatmap("clustered", samples_per_cell=200, seed=19, workers=1)
-    parallel = exp_heatmap("clustered", samples_per_cell=200, seed=19, workers=4)
-    assert serial.probabilities == parallel.probabilities
-    assert serial.sample_counts == parallel.sample_counts
-
-
 def test_heatmap_to_result_rows_are_finite_and_complete():
     heatmap = exp_heatmap("uniform_grid", samples_per_cell=100, seed=11)
     result = heatmap.to_result({"placement": "uniform_grid"}, 11)

@@ -13,11 +13,13 @@ attack demo's printed table are pinned as well.
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from tipleak.cli import EXIT_OK, main
+from tipleak.cli import EXIT_OK, main, resolve_overrides
+from tipleak.network import SimConfig, run_simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -126,6 +128,42 @@ def test_variance_bytes_do_not_depend_on_workers(tmp_path):
     assert study == "variance"
     _run(study, settings, tmp_path, "--workers", "2")
     assert _sha256(tmp_path / f"{study}_7.csv") == csv_sha
+
+
+# sha256 of the canonical JSON of `_scoring` over every `custom` case above
+# and two runs whose addresses mix degrees 0.0 and 1.0: outputs that no
+# result file carries
+SCORING_MIXED = [
+    ("light_node_count=30", "rounds=5", "matching=collision_aware", "adversary_count=50"),
+    ("light_node_count=30", "rounds=5", "matching=collision_aware", "adversary_count=50",
+     "mode=proxy", "proxy_count=40", "request_radius=2"),
+]
+SCORING_SHA256 = "ce83685d254e268fa89bc836a13b21035954d81aae1c46a960d78b46f07a6ca7"
+
+
+def _scoring(sim):
+    """``per_light``, ``address_degrees`` (in its order) and the link rows
+    (round, responder, nonce light, claimed, light, correct), in match order."""
+    links = [
+        [*nonce, claimed, light, correct]
+        for nonce, claimed, light, correct in zip(
+            sim.links.nonce.tolist(), sim.links.claimed.tolist(),
+            sim.links.light.tolist(), sim.links.correct.tolist())
+    ]
+    return {"per_light": sim.per_light,
+            "address_degrees": list(sim.address_degrees.items()), "links": links}
+
+
+def test_scoring_outputs_are_pinned():
+    runs = [settings for study, settings, _, _ in CASES if study == "custom"]
+    assert len(runs) == 5
+    scored = [
+        _scoring(run_simulation(SimConfig(
+            **resolve_overrides("custom", None, list(settings))["custom"], seed=7)))
+        for settings in runs + SCORING_MIXED
+    ]
+    text = json.dumps(scored, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCORING_SHA256
 
 
 def _script(name):

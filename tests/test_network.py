@@ -216,9 +216,9 @@ def test_assume_unique_ignores_coincident_honest_pairs():
     )
     links = match_responses(log, entries, "assume_unique")
     assert len(links) == 1
-    assert links[0].address == round_address(0, 50)
-    assert links[0].matched_response == (0, 0, 50)
-    assert links[0].correct
+    assert round_address(links.nonce[0, 0], links.light[0]) == round_address(0, 50)
+    assert links.nonce[0].tolist() == [0, 0, 50]
+    assert links.correct[0]
 
 
 def test_collision_aware_links_all_pair_matches():
@@ -230,32 +230,32 @@ def test_collision_aware_links_all_pair_matches():
     )
     links = match_responses(log, entries, "collision_aware")
     assert len(links) == 2
-    assert sum(l.correct for l in links) == 1
-    assert {l.claimed_identity for l in links} == {50}
+    assert links.correct.sum() == 1
+    assert set(links.claimed.tolist()) == {50}
 
 
 def test_collision_aware_no_match_no_link():
     log = _log(((0, 0, 50), 50, (4, 9)))
     entries = _attaches((50, (4, 8), (0, 9, 50)))
-    assert match_responses(log, entries, "collision_aware") == []
-    assert match_responses(log, entries, "assume_unique") == []
+    assert len(match_responses(log, entries, "collision_aware")) == 0
+    assert len(match_responses(log, entries, "assume_unique")) == 0
 
 
 def test_matching_orders_links_by_attach_then_log_row():
     log = _log(((0, 2, 61), 61, (1, 2)), ((0, 3, 60), 60, (2, 1)), ((0, 4, 62), 62, (7, 8)))
     entries = _attaches((60, (1, 2), (0, 3, 60)), (61, (2, 1), (0, 5, 61)))
     links = match_responses(log, entries, "collision_aware")
-    assert [(l.origin_light, l.claimed_identity) for l in links] == [
+    assert list(zip(links.light.tolist(), links.claimed.tolist())) == [
         (60, 61), (60, 60), (61, 61), (61, 60),
     ]
-    (unique,) = match_responses(log, entries, "assume_unique")
-    assert (unique.origin_light, unique.claimed_identity) == (60, 60)
+    unique = match_responses(log, entries, "assume_unique")
+    assert list(zip(unique.light.tolist(), unique.claimed.tolist())) == [(60, 60)]
 
 
 def test_matching_empty_inputs():
-    assert match_responses(_log(), _attaches(), "assume_unique") == []
-    assert match_responses(_log(), _attaches((5, (1, 1), (-1, -1, -1))),
-                           "collision_aware") == []
+    assert len(match_responses(_log(), _attaches(), "assume_unique")) == 0
+    assert len(match_responses(_log(), _attaches((5, (1, 1), (-1, -1, -1))),
+                               "collision_aware")) == 0
 
 
 def test_sample_positions_uniform_distinct_variable_sizes():
@@ -303,7 +303,7 @@ def test_assume_unique_links_are_all_correct():
     result = run_simulation(_tiny_config(rounds=20))
     assert result.linked_count == result.correct_link_count
     assert result.false_positive_count == 0
-    assert all(l.correct for l in result.links)
+    assert result.links.correct.all()
     # each linked address is pinned to one light node: degree collapses to 0
     assert all(d == 0.0 for d in result.address_degrees.values())
 
@@ -338,8 +338,7 @@ def test_links_never_claim_adversaries():
     result = run_simulation(_tiny_config(rounds=15, matching="collision_aware"))
     pop = place_nodes(_tiny_config(rounds=15, matching="collision_aware"))
     adversaries = set(np.flatnonzero(pop.adversary).tolist())
-    for link in result.links:
-        assert link.claimed_identity not in adversaries
+    assert not adversaries & set(result.links.claimed.tolist())
 
 
 def test_unreachable_light_is_counted_and_skipped():
@@ -375,9 +374,9 @@ def test_proxy_mode_claims_proxies_and_keeps_lights_anonymous():
     light_ids = set(pop.light_ids.tolist())
     proxy_ids = {len(pop.full_nodes) + i for i in range(len(pop.proxies))}
     assert result.linked_count > 0
-    for link in result.links:
-        assert link.claimed_identity in proxy_ids
-        assert link.claimed_identity not in light_ids
+    for claimed in result.links.claimed.tolist():
+        assert claimed in proxy_ids
+        assert claimed not in light_ids
     # all six lights hide behind one proxy: full anonymity per address
     assert result.address_degrees
     for degree in result.address_degrees.values():
@@ -395,8 +394,11 @@ def test_proxied_degrees_match_per_address_closed_form():
     result = run_simulation(config)
     behind = Counter(proxy_assign(place_nodes(config)).tolist())
     claims: dict[str, set[int]] = {}
-    for link in result.links:
-        claims.setdefault(link.address, set()).add(link.claimed_identity)
+    for (round_idx, _, _), light, claimed in zip(
+        result.links.nonce.tolist(), result.links.light.tolist(),
+        result.links.claimed.tolist(),
+    ):
+        claims.setdefault(round_address(round_idx, light), set()).add(claimed)
     expected, counts = {}, set()
     for address, proxies in claims.items():
         candidates = sum(behind[p] for p in proxies)
@@ -425,7 +427,8 @@ def test_rerun_is_bit_identical():
     a = run_simulation(config)
     b = run_simulation(config)
     assert a.to_flat() == b.to_flat()
-    assert a.links == b.links
+    for column in ("nonce", "claimed", "light", "correct"):
+        assert np.array_equal(getattr(a.links, column), getattr(b.links, column))
     assert a.per_light == b.per_light
     assert a.address_degrees == b.address_degrees
 
