@@ -42,9 +42,9 @@ class AttackParams:
         if n < 1:
             raise ParameterError(f"full_nodes must be >= 1, got {n}")
         if not 0 <= c <= n:
-            raise ParameterError(f"compromised must be in [0, {n}], got {c}")
+            raise ParameterError(f"compromised must be in [0, full_nodes={n}], got {c}")
         if not 1 <= m <= n:
-            raise ParameterError(f"requests must be in [1, {n}], got {m}")
+            raise ParameterError(f"requests must be in [1, full_nodes={n}], got {m}")
 
 
 @dataclass
@@ -256,9 +256,8 @@ def continental_takeover_rate(region_nodes: int, mode: str, count: int = 1) -> f
         raise ParameterError(f"count must be >= 0, got {count}")
     if mode in ("takeover", "collude"):
         if count > region_nodes:
-            raise ParameterError(
-                f"{mode} of {count} nodes impossible in a region of {region_nodes}"
-            )
+            raise ParameterError(f"{mode} needs count <= region_nodes={region_nodes}, "
+                                 f"got {count}")
         return float(Fraction(count, region_nodes))
     if mode == "add":
         return float(Fraction(count, region_nodes + count))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import textwrap
 from fractions import Fraction
@@ -40,8 +41,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage by default; the contract wants 1."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see --help)\n")
 
 
 def _fmt(value: float) -> str:
@@ -186,16 +186,27 @@ def _add_analytic_parser(subparsers) -> None:
     takeover.add_argument("--count", type=int, default=1, help="hostile nodes")
 
 
-def cmd_analytic(args) -> int:
+# the flag that sets each analytic parameter, named in its error lines
+_ANALYTIC_FLAGS = {
+    "full_nodes": "--n", "compromised": "--c", "requests": "--m",
+    "link_prob": "--p", "chain_length": "--x", "target_rate": "--target",
+    "region_nodes": "--nodes", "count": "--count",
+}
+
+
+def _print_analytic(args) -> None:
     op = args.operation
     if op == "deanon":
         print(_fmt(analytic.deanon_probability(args.n, args.c, args.m)))
     elif op == "hypergeom":
         print(_fmt(analytic.hypergeom_pmf(args.n, args.c, args.m, args.k)))
     elif op == "entropy":
-        probs = tuple(float(tok) for tok in args.probs.split(",") if tok.strip())
-        profile = analytic.AnonymityProfile(probs)
-        print(_fmt(analytic.entropy_degree(profile)))
+        try:
+            probs = tuple(float(tok) for tok in args.probs.split(",") if tok.strip())
+            profile = analytic.AnonymityProfile(probs)
+            print(_fmt(analytic.entropy_degree(profile)))
+        except ValueError as exc:
+            raise UsageError(f"bad --probs {args.probs!r}: {exc}") from exc
     elif op == "mixer-chain":
         print(_fmt(analytic.mixer_chain_probability(args.p, args.x)))
     elif op == "mixer-expected":
@@ -213,6 +224,16 @@ def cmd_analytic(args) -> int:
         )))
     else:  # pragma: no cover - argparse enforces the choices
         raise UsageError(f"unknown operation {op!r}")
+
+
+def cmd_analytic(args) -> int:
+    try:
+        _print_analytic(args)
+    except ParameterError as exc:
+        # the message names parameters; the user typed their flags
+        flags = [flag for name, flag in _ANALYTIC_FLAGS.items()
+                 if re.search(rf"\b{name}\b", str(exc))]
+        raise UsageError(f"{exc} ({', '.join(flags)})") from exc
     return EXIT_OK
 
 
@@ -245,6 +266,8 @@ def cmd_run(args) -> int:
         )
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if not -2**63 <= args.seed < 2**63:  # stream keys pack the seed in 64 bits
+        raise UsageError(f"--seed must be a signed 64-bit integer, got {args.seed}")
     overrides = resolve_overrides(args.experiment, args.config, args.set or [])
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
     try:

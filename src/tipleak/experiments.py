@@ -54,7 +54,10 @@ from .rng import DOMAIN_EXPERIMENT, substream
 DEFAULT_SEED = 42
 GRID_CELLS = GRID_DIM * GRID_DIM
 CELL_RNG_SCHEME = "philox-cell-v1"  # echoed by the heatmap and variance studies
-_CELL_BLOCK_ELEMENTS = 1 << 17  # (point, node) pairs the cell sampler holds at once
+# (point, node) pairs the cell sampler holds at once.  The block size also
+# fixes how a cell's chance sum is grouped into float additions, and so the
+# bytes of every cell estimate: changing it changes results.
+_CELL_BLOCK_ELEMENTS = 1 << 17
 REGION_DATA_FILE = "fullnode_regions_2020.json"
 
 # substream tags, one per experiment family
@@ -262,37 +265,66 @@ def measure_cell_probability(
     return chance / effective, effective
 
 
-def _measure_layout(index: int, *, layout: SimConfig, seed: int, tag: int,
-                    cell_key_base: int, **sampling) -> GridHeatmap:
+def _layout_cells(index: int, layout: SimConfig, seed: int, tag: int,
+                  cell_key_base: int, sampling: dict):
     """Place layout ``index`` of ``layout`` from the sub-seed keyed ``(tag,
-    index)`` and sample its cell ``c`` from the substream keyed ``(tag,
-    index, cell_key_base + c)``."""
+    index)``.  Returns its full-node positions and a function measuring its
+    cell ``c`` from the substream keyed ``(tag, index, cell_key_base + c)``,
+    so a cell's estimate does not depend on which other cells are measured."""
     positions = place_nodes(replace(layout, seed=_sub_seed(seed, tag, index))).full_nodes
-    cells = [
-        measure_cell_probability(
+
+    def measure(cell: int) -> tuple[float | None, int]:
+        return measure_cell_probability(
             positions, layout.effective_adversaries, cell,
             substream(seed, DOMAIN_EXPERIMENT, tag, index, cell_key_base + cell),
             **sampling,
         )
-        for cell in range(GRID_CELLS)
-    ]
+    return positions, measure
+
+
+def _measure_layout(index: int, *, layout: SimConfig, seed: int, tag: int,
+                    cell_key_base: int, **sampling) -> GridHeatmap:
+    """Every cell of layout ``index`` (:func:`_layout_cells`), as a heatmap."""
+    positions, measure = _layout_cells(index, layout, seed, tag, cell_key_base, sampling)
     return GridHeatmap(
         layout.placement,
-        *map(list, zip(*cells)),
+        *map(list, zip(*map(measure, range(GRID_CELLS)))),
         np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist(),
         positions,
     )
 
 
+def _measure_extremes(index: int, *, layout: SimConfig, seed: int, tag: int,
+                      cell_key_base: int, **sampling):
+    """The node count of each cell of layout ``index`` (:func:`_layout_cells`)
+    and the ``(probability, standard error)`` of its sparsest and of its
+    densest reachable cell (ties: lower cell index), None when no cell is
+    reachable.  Cells are measured in count order until one is reachable,
+    so most are never measured."""
+    positions, measure = _layout_cells(index, layout, seed, tag, cell_key_base, sampling)
+    measure = functools.cache(measure)
+    counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
+
+    def first_reachable(key):
+        for cell in sorted(range(GRID_CELLS), key=key):
+            prob, effective = measure(cell)
+            if prob is not None:
+                return prob, _binomial_se(prob, effective)
+        return None
+    return (counts, first_reachable(lambda i: (counts[i], i)),
+            first_reachable(lambda i: (-counts[i], i)))
+
+
 def _measure_layouts(
-    tag: int, layout_indices, cell_key_base: int, *, placement: str,
+    job, tag: int, layout_indices, cell_key_base: int, *, placement: str,
     node_count: int, adversary_ratio: float, samples_per_cell: int,
     radius: float, require_local_adversary: bool | None,
     seed: int, workers: int = 1, **clusters,
-) -> list[GridHeatmap]:
-    """One heatmap per layout index, each one :func:`pmap` job of
-    :func:`_measure_layout`: the cell measurements of ``heatmap`` and
-    ``variance``."""
+) -> list:
+    """The cell measurements of ``heatmap`` and ``variance``: one
+    :func:`pmap` job of ``job`` (:func:`_measure_layout` or
+    :func:`_measure_extremes`) per layout index, after checking the
+    settings they share."""
     _check_counts(node_count=node_count, samples_per_cell=samples_per_cell)
     if not radius > 0:
         raise ConfigError("radius must be positive")
@@ -307,7 +339,7 @@ def _measure_layouts(
         raise ConfigError("require_local_adversary needs adversary_ratio * node_count "
                           "to round to 1 or more; set it false for no adversaries")
     measure = functools.partial(
-        _measure_layout, layout=layout, seed=seed, tag=tag, cell_key_base=cell_key_base,
+        job, layout=layout, seed=seed, tag=tag, cell_key_base=cell_key_base,
         samples=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
     )
@@ -382,7 +414,7 @@ def exp_heatmap(
     placement-dependent default from :func:`local_adversary_default`.
     """
     (heatmap,) = _measure_layouts(
-        _TAG_HEATMAP, [layout_index], 0, placement=placement,
+        _measure_layout, _TAG_HEATMAP, [layout_index], 0, placement=placement,
         node_count=node_count, adversary_ratio=adversary_ratio,
         samples_per_cell=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
@@ -410,12 +442,15 @@ def exp_variance(
 ) -> ExperimentResult:
     """Layout variance versus the sparsest/densest cells' selection rates.
 
-    For each generated layout this measures the grid heatmap and reports the
-    layout variance together with ``min_cell_prob`` / ``max_cell_prob`` --
-    the adversary-selection probabilities of the cells holding the fewest
-    and the most full nodes (ties break toward the lower cell index).  The
-    summary rows carry the Spearman rank correlation of variance against
-    each, with the p-value in the dispersion column.
+    For each generated layout this reports the layout variance together
+    with ``min_cell_prob`` / ``max_cell_prob`` -- the adversary-selection
+    probabilities of the reachable cells holding the fewest and the most
+    full nodes (ties break toward the lower cell index).  Only those two
+    cells are measured (:func:`_measure_extremes`): cells are tried in
+    count order until one is reachable, each from its own substream, so
+    the rows equal those picked from a full heatmap.  The summary rows
+    carry the Spearman rank correlation of variance against each, with the
+    p-value in the dispersion column.
     """
     if runs < 3:
         # with two layouts Spearman's p-value is undefined
@@ -432,8 +467,8 @@ def exp_variance(
         "require_local_adversary": require_local_adversary,
         "rng_scheme": CELL_RNG_SCHEME,
     }
-    heatmaps = _measure_layouts(
-        _TAG_VARIANCE, range(runs), 1, placement=placement,
+    layouts = _measure_layouts(
+        _measure_extremes, _TAG_VARIANCE, range(runs), 1, placement=placement,
         node_count=node_count, adversary_ratio=adversary_ratio,
         samples_per_cell=samples_per_cell, radius=radius,
         require_local_adversary=require_local_adversary,
@@ -441,17 +476,13 @@ def exp_variance(
     )
 
     result = ExperimentResult("variance", params, seed)
-    for run, heatmap in enumerate(heatmaps):
-        counts, probs = heatmap.node_counts, heatmap.probabilities
-        measured = [i for i in range(GRID_CELLS) if probs[i] is not None]
-        if not measured:
+    for run, (counts, sparse, dense) in enumerate(layouts):
+        if sparse is None:
             raise ConfigError(f"layout {run} left every grid cell unreachable")
-        sparse = min(measured, key=lambda i: (counts[i], i))
-        dense = max(measured, key=lambda i: (counts[i], -i))
         label = f"layout-{run:03d}"
         result.add(label, "variance", layout_variance(counts))
-        for metric, cell in (("min_cell_prob", sparse), ("max_cell_prob", dense)):
-            result.add(label, metric, probs[cell], heatmap.standard_error(cell))
+        result.add(label, "min_cell_prob", *sparse)
+        result.add(label, "max_cell_prob", *dense)
 
     variances = result.values("variance")
     for metric, column in (

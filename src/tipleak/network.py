@@ -287,6 +287,13 @@ def place_nodes(config: SimConfig) -> Population:
     )
 
 
+# Squared distances carry a few ulps of rounding, hypot under one: outside
+# this relative band around radius**2 both give the same side of the ball.
+_REACH_BAND = 1e-12
+_REACH_RADII = (1e-150, 1e150)  # squares stay normal, band bounds finite
+_REACH_CHUNK = 1 << 15  # (point, node) pairs per pass: temporaries stay in cache
+
+
 def _distances(points, nodes) -> np.ndarray:
     """``(k, n)`` Euclidean distance from each of ``k`` points to each of
     ``n`` nodes, both ``(x, y)`` rows."""
@@ -296,13 +303,46 @@ def _distances(points, nodes) -> np.ndarray:
                     points[:, None, 1] - nodes[None, :, 1])
 
 
+def _within(points, nodes, radius: float) -> np.ndarray:
+    """:func:`reachable` for one chunk of points, by squared distance."""
+    d2 = np.subtract.outer(points[:, 0], nodes[:, 0])
+    d2 *= d2
+    dy = np.subtract.outer(points[:, 1], nodes[:, 1])
+    dy *= dy
+    d2 += dy
+    r2 = radius * radius
+    reach = d2 <= r2 * (1 - _REACH_BAND)
+    band = d2 <= r2 * (1 + _REACH_BAND)
+    if np.count_nonzero(band) != np.count_nonzero(reach):
+        i, j = np.nonzero(band ^ reach)
+        reach[i, j] = np.hypot(points[i, 0] - nodes[j, 0],
+                               points[i, 1] - nodes[j, 1]) <= radius
+    return reach
+
+
 def reachable(points, nodes, radius: float | None) -> np.ndarray:
     """``(k, n)`` bool: whether node ``j`` lies within ``radius`` of point
     ``i``.  Reach is a closed ball (a distance exactly equal to the radius
-    counts); every node is reachable when ``radius`` is None."""
+    counts); every node is reachable when ``radius`` is None.
+
+    The result equals ``np.hypot(dx, dy) <= radius`` element for element,
+    but is computed on squared distances: a pair whose ``dx*dx + dy*dy``
+    lies more than ``_REACH_BAND`` (relative) from ``radius * radius``
+    cannot round to the other side of the ball, so only the few-ulp band
+    around the boundary -- almost always empty -- is decided by ``hypot``.
+    Radii whose square leaves the normal float range use ``hypot`` alone.
+    """
     if radius is None:
         return np.ones((len(points), len(nodes)), dtype=bool)
-    return _distances(points, nodes) <= radius
+    if not _REACH_RADII[0] < radius < _REACH_RADII[1]:
+        return _distances(points, nodes) <= radius
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
+    reach = np.empty((len(points), len(nodes)), dtype=bool)
+    step = max(1, _REACH_CHUNK // max(len(nodes), 1))
+    for start in range(0, len(points), step):
+        reach[start:start + step] = _within(points[start:start + step], nodes, radius)
+    return reach
 
 
 def proxy_assign(population: Population) -> np.ndarray:

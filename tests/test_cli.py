@@ -89,6 +89,66 @@ def test_unknown_flag_exits_one(capsys):
     assert info.value.code == EXIT_USAGE
 
 
+# a valid value of every flag of every analytic operation
+ANALYTIC_FLAGS = {
+    "deanon": {"--n": "100", "--c": "10", "--m": "3"},
+    "hypergeom": {"--n": "10", "--c": "4", "--m": "3", "--k": "1"},
+    "entropy": {"--probs": "0.25,0.25,0.25,0.25"},
+    "mixer-chain": {"--p": "0.1", "--x": "2"},
+    "mixer-expected": {"--p": "0.1", "--mode": "normalized"},
+    "required-nodes": {"--c": "10", "--target": "0.01"},
+    "takeover": {"--nodes": "8", "--mode": "takeover", "--count": "1"},
+}
+
+
+def _exit_and_stderr(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as info:  # argparse rejections
+            code = info.code
+    return code, err.getvalue()
+
+
+def test_analytic_flags_run_or_fail_with_one_line():
+    """Every flag of every analytic operation, at every boundary value and
+    at a bogus flag, either prints a value or exits 1 with one error line
+    that names the flag."""
+    for op, flags in ANALYTIC_FLAGS.items():
+        base = [arg for flag_value in flags.items() for arg in flag_value]
+        cases = [(["--bogus"], "--bogus")] + [
+            ([flag, value], flag) for flag in flags
+            for value in BOUNDARY_VALUES + ("2", "1e9", "x")
+        ]
+        for extra, flag in cases:
+            argv = ["analytic", op] + base + extra  # the last value wins
+            code, err = _exit_and_stderr(argv)
+            assert "Traceback" not in err, (argv, err)
+            if code == EXIT_OK:
+                assert err == "", (argv, err)
+            else:
+                assert code == EXIT_USAGE, (argv, code)
+                assert err.startswith("tipleak") and err.count("\n") == 1, (argv, err)
+                assert flag in err, (argv, err)
+
+
+def test_run_flags_run_or_fail_with_one_line(tmp_path):
+    """``run``'s own flags, at every boundary value: a run or one line."""
+    for flag in ("--seed", "--workers", "--format"):
+        for value in BOUNDARY_VALUES + ("2", "1e9", "x", str(2**70), str(-2**70)):
+            argv = ["run", "mixer", "--out", str(tmp_path), "--workers", "1",
+                    "--set", "participants=200", "--set", "max_chain=3", flag, value]
+            code, err = _exit_and_stderr(argv)
+            assert "Traceback" not in err, (argv, err)
+            if code == EXIT_OK:
+                assert err == "", (argv, err)
+            else:
+                assert code == EXIT_USAGE, (argv, code)
+                assert err.startswith("tipleak") and err.count("\n") == 1, (argv, err)
+                assert flag in err, (argv, err)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------

@@ -331,6 +331,70 @@ def test_variance_needs_three_runs():
             exp_variance(runs=runs, samples_per_cell=10)
 
 
+def _variance_rows_from_full_heatmaps(runs, node_count, samples_per_cell, radius,
+                                      placement, require_local_adversary, seed):
+    """The variance rows as first defined: measure all nine cells of each
+    layout, then take the fewest-node and most-node reachable cells (ties:
+    lower index).  Also counts layouts whose fewest-node cell is unreachable."""
+    layout = SimConfig(full_node_count=node_count, adversary_ratio=0.1,
+                       light_node_count=1, placement=placement)
+    rows, skipped = {}, 0
+    for run in range(runs):
+        heatmap = experiments._measure_layout(
+            run, layout=layout, seed=seed, tag=experiments._TAG_VARIANCE,
+            cell_key_base=1, samples=samples_per_cell, radius=radius,
+            require_local_adversary=require_local_adversary,
+        )
+        counts, probs = heatmap.node_counts, heatmap.probabilities
+        measured = [i for i in range(GRID_CELLS) if probs[i] is not None]
+        sparse = min(measured, key=lambda i: (counts[i], i))
+        dense = max(measured, key=lambda i: (counts[i], -i))
+        skipped += sparse != min(range(GRID_CELLS), key=lambda i: (counts[i], i))
+        label = f"layout-{run:03d}"
+        rows[label, "variance"] = (layout_variance(counts), None)
+        for metric, cell in (("min_cell_prob", sparse), ("max_cell_prob", dense)):
+            rows[label, metric] = (probs[cell], heatmap.standard_error(cell))
+    return rows, skipped
+
+
+@pytest.mark.parametrize("placement, node_count, radius, conditioned", [
+    ("uniform_random", 100, 3.0, True),
+    ("uniform_random", 100, 3.0, False),
+    ("clustered", 60, 1.5, True),
+    ("clustered", 60, 3.0, False),
+    ("uniform_grid", 50, 3.0, True),
+    ("uniform_grid", 50, 3.0, False),
+    ("uniform_random", 10, 0.5, True),
+    ("uniform_random", 10, 0.5, False),
+])
+def test_variance_measures_the_cells_a_full_heatmap_would_pick(
+        placement, node_count, radius, conditioned):
+    # variance measures cells in count order until one is reachable; its
+    # rows must equal, float for float, those picked from all nine cells
+    runs, samples = 8, 200
+    result = exp_variance(runs=runs, node_count=node_count, samples_per_cell=samples,
+                          radius=radius, placement=placement,
+                          require_local_adversary=conditioned, seed=31)
+    want, skipped = _variance_rows_from_full_heatmaps(
+        runs, node_count, samples, radius, placement, conditioned, seed=31)
+    got = {(row.label, row.metric): (row.value, row.dispersion)
+           for row in result.rows if row.label != "summary"}
+    assert got == want
+    # radius 0.5 among 10 nodes leaves cells unreachable, empty ones first
+    assert (skipped > 0) == (radius == 0.5)
+
+
+def test_variance_layout_with_no_reachable_cell_exits_one(tmp_path, capsys):
+    from tipleak.cli import main
+    settings = ("node_count=1", "radius=0.001", "adversary_ratio=1", "runs=3")
+    code = main(["run", "variance", "--out", str(tmp_path), "--workers", "1"]
+                + [arg for setting in settings for arg in ("--set", f"variance.{setting}")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "tipleak: error: layout 0 left every grid cell unreachable\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_variance_workers_do_not_change_results():
     serial = exp_variance(runs=6, samples_per_cell=100, seed=29, workers=1)
     parallel = exp_variance(runs=6, samples_per_cell=100, seed=29, workers=3)

@@ -17,6 +17,7 @@ from tipleak.network import (
     RoundAttaches,
     SimConfig,
     Simulation,
+    _grid_positions,
     match_responses,
     place_nodes,
     proxy_assign,
@@ -161,6 +162,45 @@ def test_reachability_closed_ball_boundary():
         [True, True, False],  # 3.0 exactly included
         [False, True, True],
     ]
+
+
+def _hypot_distances(points, nodes):
+    return np.hypot(np.subtract.outer(points[:, 0], nodes[:, 0]),
+                    np.subtract.outer(points[:, 1], nodes[:, 1]))
+
+
+def test_reachability_equals_hypot_at_every_lattice_distance():
+    # Squared distances and hypot round differently: with the radius equal
+    # to a lattice distance, d2 <= r*r alone misjudges tens of thousands of
+    # these pairs.  Every grid position of 1-200 nodes serves as light and
+    # as node; each distance is a radius, tried from every light at it.
+    lattice = np.unique(np.concatenate(
+        [_grid_positions(n) for n in range(1, 201)]), axis=0)
+    dist = _hypot_distances(lattice, lattice)
+    radii, inverse, counts = np.unique(dist, return_inverse=True, return_counts=True)
+    holders = np.split(np.argsort(inverse, axis=None, kind="stable") // len(lattice),
+                       np.cumsum(counts)[:-1])
+    assert len(radii) > 6000
+    for radius, rows in zip(radii, holders):
+        rows = np.unique(rows)
+        reach = reachable(lattice[rows], lattice, radius)
+        assert np.array_equal(reach, dist[rows] <= radius), radius
+
+
+def test_reachability_equals_hypot_on_random_blocks():
+    gen = np.random.default_rng(11)
+    for _ in range(10):
+        points = gen.random((400, 2)) * 10
+        nodes = gen.random((250, 2)) * 10
+        dist = _hypot_distances(points, nodes)
+        # plain decimals, and distances the block holds
+        radii = np.concatenate((np.round(gen.uniform(0.01, 14.2, 10), 2),
+                                gen.choice(dist.ravel(), 10)))
+        for radius in radii:
+            assert np.array_equal(reachable(points, nodes, radius), dist <= radius)
+    # radii that reach nothing or whose square is not a normal float
+    for radius in (-3.0, 0.0, 1e-200, 1e200, math.inf, math.nan):
+        assert np.array_equal(reachable(points, nodes, radius), dist <= radius)
 
 
 def test_unbounded_radius_reaches_everyone():
