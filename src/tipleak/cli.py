@@ -15,10 +15,12 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import analytic, experiments, results, tangle
 from .analytic import ParameterError
 from .network import ConfigError, SimConfig, run_simulation
-from .rng import substream
+from .rng import round_generator, substream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -342,10 +344,10 @@ def _check_analytic_required() -> tuple[bool, str]:
 
 def _check_tangle_integrity() -> tuple[bool, str]:
     ledger = tangle.Ledger()
-    rng = substream(2024, 98)
-    for i in range(2000):
-        parents = tangle.urts_pair(ledger.tips, rng)
-        ledger.attach(parents, f"addr-{i}")
+    labels = np.arange(10)
+    for r in range(200):  # grown round by round, as a simulation grows it
+        parents = tangle.urts_pairs(ledger.tips, round_generator(2024, 98, r), len(labels))
+        ledger.attach_round(parents, r, np.full_like(labels, tangle.NO_ISSUER), labels)
     approved = {
         parent for tx in ledger.transactions()
         if tx.txid != tangle.GENESIS_ID for parent in tx.parents
@@ -356,7 +358,7 @@ def _check_tangle_integrity() -> tuple[bool, str]:
     lines = ledger.export_lines()
     if tangle.ledger_from_lines(lines).export_lines() != lines:
         return False, "export/import roundtrip changed the ledger"
-    return True, "2000 attaches, tips + roundtrip"
+    return True, "200 rounds x 10 attaches, tips + roundtrip"
 
 
 def _check_determinism() -> tuple[bool, str]:

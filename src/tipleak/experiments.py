@@ -9,6 +9,9 @@ Every experiment-level draw comes from a substream keyed on (seed,
 experiment, unit), and each simulation or layout from its own seed drawn
 there; a heatmap cell keys its Philox generator from its substream.  So
 results are byte-identical for a fixed seed regardless of worker count.
+Only ``decentralized`` (its simulations) and ``variance`` (its layouts)
+fan out, through :func:`pmap`, whose jobs send back numbers; every other
+study runs in one process.
 Only ``variance`` imports ``scipy``, for its Spearman test.
 
 :data:`STUDIES` is the registry of ``tipleak run`` names.  The CLI, its
@@ -346,18 +349,20 @@ def _measure_layouts(
     return pmap(measure, layout_indices, workers)
 
 
-def _simulate(configs, seed: int, tag: int, workers: int):
-    """Yield the result of each config, in order, run under the sub-seed
-    keyed ``(tag, index)``: one :func:`imap` job per simulation."""
-    return imap(run_simulation, [
-        replace(config, seed=_sub_seed(seed, tag, index))
-        for index, config in enumerate(configs)
-    ], workers)
+def _seeded(configs, seed: int, tag: int) -> list[SimConfig]:
+    """Each config under the sub-seed keyed ``(tag, index)``, in order."""
+    return [replace(config, seed=_sub_seed(seed, tag, index))
+            for index, config in enumerate(configs)]
 
 
 def _link_rate(sim: SimResult) -> tuple[float, float]:
     """A simulation's link rate and its binomial standard error."""
     return sim.deanon_rate, _binomial_se(sim.deanon_rate, sim.total_transactions)
+
+
+def _simulated_rate(config: SimConfig) -> tuple[float, float]:
+    """:func:`_link_rate` of one simulation: a :func:`pmap` job."""
+    return _link_rate(run_simulation(config))
 
 
 def _check_counts(**counts: int) -> None:
@@ -367,25 +372,19 @@ def _check_counts(**counts: int) -> None:
             raise ConfigError(f"{key} must be >= 1")
 
 
-def imap(func, jobs, workers: int = 1):
-    """Order-preserving lazy map, fanned out across processes when
-    workers > 1; with one worker each job runs as its result is taken.
+def pmap(func, jobs, workers: int = 1) -> list:
+    """Order-preserving map, fanned out across processes when workers > 1.
 
-    The pool never outnumbers the jobs or the CPUs: under fork every
-    ``max_workers`` process starts at once.
+    A job's result is all that outlives it, pickled back from a worker, so
+    a job returns numbers, not a simulation.  The pool never outnumbers the
+    jobs or the CPUs: under fork every ``max_workers`` process starts at once.
     """
     jobs = list(jobs)
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
-        yield from map(func, jobs)
-        return
+        return list(map(func, jobs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(func, jobs)
-
-
-def pmap(func, jobs, workers: int = 1) -> list:
-    """:func:`imap`, collected into a list."""
-    return list(imap(func, jobs, workers))
+        return list(pool.map(func, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +670,7 @@ def exp_decentralized(
         "rng_scheme": RNG_SCHEME,
     }
     result = ExperimentResult("decentralized", params, seed)
-    # each simulation is scored as it finishes, so one result is held at a time
-    scored = map(_link_rate, _simulate(configs, seed, _TAG_DECENTRALIZED, workers))
+    scored = pmap(_simulated_rate, _seeded(configs, seed, _TAG_DECENTRALIZED), workers)
     for label, config, (rate, se) in zip(labels, configs, scored):
         result.add(label, "analytic", deanon_probability(
             config.full_node_count, config.effective_adversaries, config.request_fanout))
@@ -778,7 +776,6 @@ def exp_mitigations(
     light_nodes: int = 100,
     proxy_light_nodes: int = 6,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Compare the unprotected baseline against each mitigation mode.
 
@@ -820,8 +817,8 @@ def exp_mitigations(
         "direct": SimConfig(light_node_count=20, rounds=50,
                             mode="direct_tip_selection", **small),
     }
-    sims = dict(zip(configs, _simulate(
-        configs.values(), seed, _TAG_MITIGATIONS, workers)))
+    sims = {label: run_simulation(config) for label, config in
+            zip(configs, _seeded(configs.values(), seed, _TAG_MITIGATIONS))}
     for label, sim in sims.items():
         degrees = list(sim.address_degrees.values())
         result.add(label, "link_rate", *_link_rate(sim))

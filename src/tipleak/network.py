@@ -103,7 +103,6 @@ class RoundAttaches:
     """One round's attaches in ledger order, with the ground truth needed
     to score links.  A light that followed no response has nonce -1s."""
 
-    round_issued: int
     light: np.ndarray           # (n,) origin light; address label
     identity: np.ndarray        # (n,) true issuer (the proxy, when proxied)
     parents: np.ndarray         # (n, 2)
@@ -523,7 +522,6 @@ class Simulation:
             tips=np.empty((0, 2), dtype=np.int64),
         )
         return log, RoundAttaches(
-            round_issued=round_idx,
             light=lights,
             identity=lights,
             parents=urts_pairs(tips, gen, len(lights)),
@@ -551,7 +549,6 @@ class Simulation:
             nonce=nonce[logged], requester=req.visible[owner[logged]], tips=served[logged]
         )
         return log, RoundAttaches(
-            round_issued=round_idx,
             light=req.light,
             identity=req.visible,
             parents=served[followed],

@@ -463,3 +463,27 @@ def test_validate_numeric_data_fails_without_touching_descriptors(capsys):
     assert code == EXIT_VALIDATION
     out = capsys.readouterr().out
     assert out == "FAIL realworld-data: ConfigError: data must be a file path, got 1\n"
+
+
+@pytest.mark.parametrize("case", [
+    "missing", "empty", "not-json", "json-list", "negative-count", "not-utf8", "directory",
+])
+def test_validate_bad_data_file_fails_with_one_line(tmp_path, capsys, case):
+    path = tmp_path / "regions.json"
+    contents = {
+        "empty": b"",
+        "not-json": b"{not json",
+        "json-list": b"[1, 2]",
+        "negative-count": b'{"regions": {"eu": -3, "na": 3}}',
+        "not-utf8": b"\xff\xfe not utf-8",
+    }
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing":
+        path.write_bytes(contents[case])
+    code = run_cli("validate", "--only", "realworld", "--set", f"realworld.data={path}")
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out.startswith("FAIL realworld-data: ConfigError: ")
+    assert captured.out.count("\n") == 1, captured.out
+    assert "Traceback" not in captured.err, captured.err

@@ -1,7 +1,9 @@
 """Experiment-scenario tests: spatial machinery, presets, serialization."""
 
+import inspect
 import json
 import math
+import pickle
 import statistics
 import time
 import tracemalloc
@@ -31,7 +33,7 @@ from tipleak.experiments import (
     simulate_mixer_chains,
 )
 from tipleak import experiments
-from tipleak.network import ConfigError, SimConfig, place_nodes
+from tipleak.network import ConfigError, SimConfig, place_nodes, run_simulation
 from tipleak.results import (
     config_hash,
     format_value,
@@ -674,6 +676,21 @@ def test_pmap_caps_pool_at_jobs_and_cpus(monkeypatch, workers, jobs, cpus, size)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     assert pmap(_square, range(jobs), workers=workers) == [j * j for j in range(jobs)]
     assert sizes == ([] if size is None else [size])
+
+
+def test_only_decentralized_and_variance_fan_out():
+    fans_out = {
+        name for name, study in STUDIES.items()
+        if "workers" in inspect.signature(getattr(experiments, study.function)).parameters
+    }
+    assert fans_out == {"decentralized", "variance"}
+
+
+def test_simulated_rate_sends_back_two_numbers():
+    (config,) = experiments._seeded([SimConfig()], 5, experiments._TAG_DECENTRALIZED)
+    rate = experiments._simulated_rate(config)
+    assert rate == experiments._link_rate(run_simulation(config))
+    assert len(pickle.dumps(rate)) < 100
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,6 @@ def _attaches(*rows):
     light issues under its own identity."""
     light = np.array([r[0] for r in rows], dtype=np.int64)
     return RoundAttaches(
-        round_issued=0,
         light=light,
         identity=light,
         parents=np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, 2),
