@@ -21,7 +21,10 @@ the address is pinned to one light.
 A round is columnar: every light's queried set, every response and every
 follow choice are drawn as arrays from one Philox generator keyed by
 (seed, domain, round) (:func:`tipleak.rng.round_generator`), the round
-attaches as one ledger batch, and matching is an array join.  Placement
+attaches as one ledger batch, and matching is an array join.  Reach never
+changes during a run, so the request plan -- which lights send how many
+requests, under which identity -- is built once, with the reach, in
+:class:`Requesters`; a round draws only what changes.  Placement
 and adversary choice come from :func:`tipleak.rng.substream`.  Results
 are a pure function of the config and seed -- scheduling and worker
 counts cannot reorder anything.  :data:`RNG_SCHEME` names this draw
@@ -365,8 +368,12 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = np.ravel_multi_index(rows.T, rows.max(axis=0, initial=0) + 1)
     left_keys, right_keys = keys[:len(left)], keys[len(left):]
     order = np.argsort(left_keys, kind="stable")
-    lo = np.searchsorted(left_keys[order], right_keys, "left")
-    counts = np.searchsorted(left_keys[order], right_keys, "right") - lo
+    sorted_keys = left_keys[order]
+    lo = np.searchsorted(sorted_keys, right_keys, "left")
+    counts = np.searchsorted(sorted_keys, right_keys, "right") - lo
+    if counts.max(initial=0) <= 1:  # unique matches, as nonces always are
+        hit = np.flatnonzero(counts)
+        return order[lo[hit]], hit
     right_idx = np.repeat(np.arange(len(right)), counts)
     within = np.arange(len(right_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
     return order[np.repeat(lo, counts) + within], right_idx
@@ -399,36 +406,54 @@ def match_responses(log: ResponseLog, new: RoundAttaches, matching: str) -> Link
 
 @dataclass(frozen=True)
 class Requesters:
-    """The light nodes that reach at least one full node, ascending by id.
+    """The light nodes that reach at least one full node, ascending by id,
+    and the request plan every round of a run shares.
 
     Row ``r`` is one light: the identity responders see (its proxy's, when
-    proxied) and its reachable full-node ids
-    ``full_ids[start[r]:start[r] + count[r]]``, ascending.
+    proxied), its ``count[r]`` reachable full-node ids, ascending, in
+    ``full_ids`` row after row, and the ``fanout[r]`` requests it sends
+    each round, which are rows ``first[r]:first[r] + fanout[r]`` of a
+    round's requests.  The request columns give each request's owner's
+    first row in ``full_ids``, its nonce light and its visible identity.
+    Reach never changes during a run, so only the queried nodes, the
+    responses and the follow choices are drawn per round.
     """
 
     light: np.ndarray
     visible: np.ndarray
-    start: np.ndarray
     count: np.ndarray
     full_ids: np.ndarray
+    fanout: np.ndarray
+    first: np.ndarray
+    request_start: np.ndarray
+    request_light: np.ndarray
+    request_visible: np.ndarray
 
 
 def sample_positions(
     gen: np.random.Generator, sizes: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """A uniform ``counts[r]``-subset of ``range(sizes[r])`` for every row
-    ``r``, each in draw order, rows concatenated."""
+    ``r``, each in draw order, rows concatenated.
+
+    One draw call covers the round, in step-major order: every row's first
+    pick in row order, then every second pick of the rows that make one,
+    and so on.  Step ``t`` of a row draws below ``sizes[r] - t``.
+    """
     width = int(counts.max(initial=0))
-    picks = np.zeros((len(sizes), width), dtype=np.int64)
-    for t in range(width):
-        live = np.flatnonzero(counts > t)
-        pick = gen.integers(0, sizes[live] - t)
+    if width == 0:
+        return np.zeros(0, dtype=np.int64)
+    steps = np.arange(width)[:, None]
+    drawing = steps < counts  # (width, rows): which rows pick at each step
+    picks = np.zeros(drawing.shape, dtype=np.int64)
+    picks[drawing] = gen.integers(0, (sizes - steps)[drawing])
+    for t in range(1, width):
         # the pick-th position not taken yet: step over the taken ones in
-        # ascending order
-        for taken in np.sort(picks[live, :t], axis=1).T:
+        # ascending order (rows past their count pick garbage, never read)
+        pick = picks[t]
+        for taken in np.sort(picks[:t], axis=0):
             pick += taken <= pick
-        picks[live, t] = pick
-    return picks[np.arange(width) < counts[:, None]]
+    return picks.T[drawing.T]
 
 
 @dataclass
@@ -502,14 +527,22 @@ class Simulation:
         )[row]
         keep = reach.any(axis=1)
         reach = reach[keep]
+        light, visible = pop.light_ids[keep], self._visible[keep]
         count = reach.sum(axis=1)
+        start = np.cumsum(count) - count
+        fanout = np.minimum(count, self.config.request_fanout)
+        owner = np.repeat(np.arange(len(light)), fanout)
         return Requesters(
-            light=pop.light_ids[keep],
-            visible=self._visible[keep],
-            start=np.cumsum(count) - count,
+            light=light,
+            visible=visible,
             count=count,
             # the column of every reachable entry, row by row
             full_ids=np.broadcast_to(np.arange(reach.shape[1]), reach.shape)[reach],
+            fanout=fanout,
+            first=np.cumsum(fanout) - fanout,
+            request_start=start[owner],
+            request_light=light[owner],
+            request_visible=visible[owner],
         )
 
     def _local_round(self, round_idx: int, tips: np.ndarray):
@@ -534,19 +567,18 @@ class Simulation:
         one answer uniformly."""
         req = self._requesters
         gen = round_generator(self.config.seed, DOMAIN_REQUEST, round_idx)
-        fanout = np.minimum(req.count, self.config.request_fanout)
-        owner = np.repeat(np.arange(len(req.light)), fanout)
         responder = req.full_ids[
-            req.start[owner] + sample_positions(gen, req.count, fanout)
+            req.request_start + sample_positions(gen, req.count, req.fanout)
         ]
         served = urts_pairs(tips, gen, len(responder))
-        nonce = np.stack(
-            (np.full(len(responder), round_idx), responder, req.light[owner]), axis=1
-        )
-        followed = np.cumsum(fanout) - fanout + gen.integers(0, fanout)
+        nonce = np.empty((len(responder), 3), dtype=np.int64)
+        nonce[:, 0] = round_idx
+        nonce[:, 1] = responder
+        nonce[:, 2] = req.request_light
+        followed = req.first + gen.integers(0, req.fanout)
         logged = self.population.adversary[responder]
         log = ResponseLog(
-            nonce=nonce[logged], requester=req.visible[owner[logged]], tips=served[logged]
+            nonce=nonce[logged], requester=req.request_visible[logged], tips=served[logged]
         )
         return log, RoundAttaches(
             light=req.light,

@@ -10,6 +10,9 @@ The ledger is columnar: parents, round, issuer and address label are rows
 of one int array, and the tips are one ascending id array.  One batch
 attach is the only writer of both, so a whole round, or the bootstrap
 tips, attach as one array update; a single attach is a one-row batch.
+The tip update marks the batch's parents in a mask over the earlier ids
+(every parent predates its batch), drops the marked tips and appends the
+new ids, which keeps the array ascending.
 Draws take an explicit generator so callers own determinism:
 :func:`urts_pair` a ``random.Random``, :func:`urts_pairs` a
 ``numpy.random.Generator``.
@@ -81,9 +84,11 @@ def urts_pairs(tips: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray
         raise AttachError("tip selection on a ledger with no tips")
     if k == 1:
         return np.full((n, 2), tips[0], dtype=np.int64)
+    pairs = np.empty((n, 2), dtype=np.int64)
     i = gen.integers(0, k, n)
-    j = gen.integers(0, k - 1, n)
-    return np.stack((tips[i], tips[second_index(i, j)]), axis=1)
+    pairs[:, 0] = tips[i]
+    pairs[:, 1] = tips[second_index(i, gen.integers(0, k - 1, n))]
+    return pairs
 
 
 def _frozen(ids: np.ndarray) -> np.ndarray:
@@ -191,8 +196,12 @@ class Ledger:
         if addresses is not None:
             self._addresses.update(zip(range(start, start + n), addresses))
         ids = np.arange(start, start + n, dtype=np.int64)
+        # every parent predates the batch: a mask over the old ids marks
+        # the tips the batch approves
+        approved = np.zeros(start, dtype=bool)
+        approved[parents] = True
         tips = self._tips
-        self._tips = _frozen(np.concatenate((tips[~np.isin(tips, parents)], ids)))
+        self._tips = _frozen(np.concatenate((tips[~approved[tips]], ids)))
         return ids
 
     def _append(self, n: int) -> int:

@@ -9,6 +9,7 @@ the seeds are recorded alongside the tolerances they satisfy.
 import math
 import time
 
+import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
@@ -27,9 +28,9 @@ from tipleak.experiments import (
     exp_variance,
 )
 from tipleak.network import SimConfig, run_simulation
-from tipleak.rng import substream
+from tipleak.rng import round_generator, substream
 from tipleak.results import write_result
-from tipleak.tangle import GENESIS_ID, Ledger, urts_pair
+from tipleak.tangle import GENESIS_ID, NO_ISSUER, Ledger, urts_pairs
 
 
 @pytest.fixture
@@ -329,9 +330,10 @@ def test_c08_determinism(report, tmp_path):
 def test_c09_dag_integrity(report):
     started = time.perf_counter()
     ledger = Ledger()
-    rng = substream(2026, 9)
-    for i in range(10_000):
-        ledger.attach(urts_pair(ledger.tips, rng), f"addr-{i}")
+    labels = np.arange(100)
+    for r in range(100):  # 10,000 attaches, grown round by round as a simulation grows
+        parents = urts_pairs(ledger.tips, round_generator(2026, 9, r), len(labels))
+        ledger.attach_round(parents, r, np.full_like(labels, NO_ISSUER), labels)
 
     approved = {
         parent for tx in ledger.transactions()
@@ -364,13 +366,11 @@ def test_c09_dag_integrity(report):
     for i in range(10):
         fixed.attach((GENESIS_ID, GENESIS_ID), f"tip-{i}")
     assert fixed.tip_count == 10
-    draw_rng = substream(2026, 10)
     observed: dict[tuple[int, int], int] = {}
     draws = 100_000
-    for _ in range(draws):
-        a, b = urts_pair(fixed.tips, draw_rng)
-        pair = (a, b) if a < b else (b, a)
-        observed[pair] = observed.get(pair, 0) + 1
+    pairs = urts_pairs(fixed.tips, round_generator(2026, 10, 0), draws)
+    for a, b in np.sort(pairs, axis=1).tolist():
+        observed[a, b] = observed.get((a, b), 0) + 1
     pair_count = math.comb(10, 2)
     expected = draws / pair_count
     chi2 = sum(

@@ -166,6 +166,26 @@ def test_scoring_outputs_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SCORING_SHA256
 
 
+# 37 of 40 lights reach a full node, 28 of them fewer than the fan-out of 5
+# (reach counts 1 to 8): rows leave the request draws partway through
+SHORT_REACH = ("full_node_count=30", "light_node_count=40", "rounds=5",
+               "request_radius=2", "request_fanout=5", "adversary_ratio=0.2")
+SHORT_REACH_CSV = "c1dcb84c9f97b38ee9ce29fd3c42e07b9fb78572d918a431404c9cbb59ba7867"
+SHORT_REACH_JSON = "dcc138623fc4ef2f0a0367358496d1839898294a461b19229d1951f159269204"
+SHORT_REACH_SCORING = "e480c1e3fe279dd8289cd267584eea9e54c345e0b57aaafb1d17b1405c95d65e"
+
+
+def test_short_reach_requests_are_pinned(tmp_path):
+    _run("custom", SHORT_REACH, tmp_path)
+    _run("custom", SHORT_REACH, tmp_path, "--format", "structured")
+    assert _sha256(tmp_path / "custom_7.csv") == SHORT_REACH_CSV
+    assert _sha256(tmp_path / "custom_7.json") == SHORT_REACH_JSON
+    sim = run_simulation(SimConfig(
+        **resolve_overrides("custom", None, list(SHORT_REACH))["custom"], seed=7))
+    text = json.dumps([_scoring(sim)], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SHORT_REACH_SCORING
+
+
 def _script(name):
     path = ROOT / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)

@@ -18,6 +18,7 @@ from tipleak.network import (
     SimConfig,
     Simulation,
     _grid_positions,
+    _join,
     match_responses,
     place_nodes,
     proxy_assign,
@@ -312,6 +313,58 @@ def test_sample_positions_uniform_distinct_variable_sizes():
     # all 15 unordered pairs of 6, each near 3000/15 = 200
     assert len(pair_counts) == 15
     assert all(abs(n - 200) < 4 * math.sqrt(200) for n in pair_counts.values())
+
+
+def _sample_positions_per_step(gen, sizes, counts):
+    """The reference sampler: one draw call per fan-out step over the rows
+    still drawing, each pick stepped over that row's taken positions."""
+    width = int(counts.max(initial=0))
+    picks = np.zeros((len(sizes), width), dtype=np.int64)
+    for t in range(width):
+        live = np.flatnonzero(counts > t)
+        pick = gen.integers(0, sizes[live] - t)
+        for taken in np.sort(picks[live, :t], axis=1).T:
+            pick += taken <= pick
+        picks[live, t] = pick
+    return picks[np.arange(width) < counts[:, None]]
+
+
+def test_sample_positions_equals_the_per_step_reference():
+    cases = np.random.default_rng(12)
+    for case in range(400):
+        rows = int(cases.integers(0, 12))
+        width = int(cases.integers(0, 7))  # 0: no row draws
+        counts = cases.integers(0, width + 1, rows)
+        sizes = counts + cases.integers(0, 5, rows)
+        got_gen, want_gen = round_generator(9, 3, case), round_generator(9, 3, case)
+        got = sample_positions(got_gen, sizes, counts)
+        want = _sample_positions_per_step(want_gen, sizes, counts)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        # both used the same share of the stream
+        assert got_gen.integers(0, 2**62) == want_gen.integers(0, 2**62)
+
+
+def _join_reference(left, right):
+    """Every (left row, right row) pair of equal rows, by right then left row."""
+    pairs = [(i, j) for j, b in enumerate(right.tolist())
+             for i, a in enumerate(left.tolist()) if a == b]
+    left_idx, right_idx = zip(*pairs) if pairs else ((), ())
+    return list(left_idx), list(right_idx)
+
+
+@pytest.mark.parametrize("unique_left", [True, False])
+def test_join_equals_the_pairwise_reference(unique_left):
+    gen = np.random.default_rng(13)
+    for _ in range(200):
+        columns = int(gen.integers(1, 4))
+        pool = gen.integers(-2, 3, (12, columns))
+        if unique_left:
+            pool = np.unique(pool, axis=0)
+        left = pool[gen.choice(len(pool), int(gen.integers(0, len(pool) + 1)),
+                               replace=not unique_left)]
+        right = gen.integers(-2, 3, (int(gen.integers(0, 10)), columns))
+        left_idx, right_idx = _join(left, right)
+        assert (left_idx.tolist(), right_idx.tolist()) == _join_reference(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,22 @@ def test_attach_round_equals_the_same_attaches_one_by_one():
     assert batch.tips.tolist() == [4, 5, 6, 7]
 
 
+def test_attach_round_tips_equal_the_isin_reference():
+    gen = np.random.default_rng(14)
+    ledger, tips = Ledger(), np.array([GENESIS_ID])
+    for r in range(300):
+        n = int(gen.integers(0, 8))
+        # any earlier row, tip or not, and duplicates within and across rows
+        parents = gen.integers(0, len(ledger), (n, 2))
+        if n and gen.random() < 0.3:
+            parents[gen.integers(0, n)] = parents[0, ::-1]
+        ids = ledger.attach_round(parents, r, np.full(n, 0), np.arange(n))
+        tips = np.concatenate((tips[~np.isin(tips, parents)], ids))
+        assert ledger.tips.dtype == tips.dtype
+        assert ledger.tips.tolist() == tips.tolist()
+    assert set(ledger.tips.tolist()) == _recomputed_tips(ledger)
+
+
 # ---------------------------------------------------------------------------
 # uniform selection
 # ---------------------------------------------------------------------------
