@@ -7,9 +7,9 @@ mask; :func:`reachable` tells which full nodes a requester may query, and a
 proxied light queries through its nearest proxy.  Each round every light
 node asks up to ``request_fanout`` reachable full nodes for a tip
 selection, follows exactly one answer, and attaches a transaction under a
-fresh address.  Adversarial full nodes log every response they serve;
-after the round's attaches they compare new ledger entries against their
-logs and emit identity links, the rows of one columnar :class:`Links`.
+fresh address.  Adversarial full nodes log every response they serve,
+compare the new ledger entries of each round against their log of that
+round and emit identity links, the rows of one columnar :class:`Links`.
 
 A finished run is scored once, from its links: every light that reaches a
 full node (every light, under direct tip selection) attaches once per
@@ -19,17 +19,29 @@ anonymity degree is 1.0 when there are two or more of them and 0.0 when
 the address is pinned to one light.
 
 A round is columnar: every light's queried set, every response and every
-follow choice are drawn as arrays from one Philox generator keyed by
+follow choice are drawn as arrays from one Philox stream keyed by
 (seed, domain, round) (:func:`tipleak.rng.round_generator`), the round
 attaches as one ledger batch, and matching is an array join.  Reach never
 changes during a run, so the request plan -- which lights send how many
 requests, under which identity -- is built once, with the reach, in
-:class:`Requesters`; a round draws only what changes.  Placement
-and adversary choice come from :func:`tipleak.rng.substream`.  Results
-are a pure function of the config and seed -- scheduling and worker
-counts cannot reorder anything.  :data:`RNG_SCHEME` names this draw
-scheme; studies that simulate echo it among their parameters, so a
-change of scheme changes their ``config_hash``.
+:class:`Requesters`.
+
+Only the tips pass from one round to the next, and neither the queried
+nodes nor the matching depend on them, so a run goes in blocks of rounds
+bounded by ``_BLOCK`` requests.  Before a block, the simulation re-keys
+its one generator (:func:`tipleak.rng.rekey`) to each round's stream,
+makes that round's first draw -- the queried positions -- and keeps the
+generator state after it; :func:`sample_positions` turns the whole
+block's draws into its :class:`Schedule`.  A round restores its state and
+draws only what reads the tips: the responses and the follow choices.
+After the block, adversaries match its log in one join keyed by round,
+so links come out in (round, attach, log row) order for any block size.
+
+Placement and adversary choice come from :func:`tipleak.rng.substream`.
+Results are a pure function of the config and seed -- scheduling, block
+size and worker counts cannot reorder anything.  :data:`RNG_SCHEME` names
+this draw scheme; studies that simulate echo it among their parameters, so
+a change of scheme changes their ``config_hash``.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from .rng import (
     DOMAIN_LAYOUT,
     DOMAIN_LOCAL,
     DOMAIN_REQUEST,
-    round_generator,
+    rekey,
     substream,
 )
 from .tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
@@ -103,13 +115,15 @@ class ResponseLog:
 
 @dataclass(frozen=True)
 class RoundAttaches:
-    """One round's attaches in ledger order, with the ground truth needed
-    to score links.  A light that followed no response has nonce -1s."""
+    """Attaches in ledger order, with the ground truth needed to score
+    links: each attach's issue round and the nonce of the response it
+    followed."""
 
     light: np.ndarray           # (n,) origin light; address label
     identity: np.ndarray        # (n,) true issuer (the proxy, when proxied)
     parents: np.ndarray         # (n, 2)
     followed_nonce: np.ndarray  # (n, 3)
+    round: np.ndarray           # (n,)
 
     def __len__(self) -> int:
         return len(self.light)
@@ -385,14 +399,18 @@ def match_responses(log: ResponseLog, new: RoundAttaches, matching: str) -> Link
     assume_unique: responses are nonce-tagged, so a parent pair identifies
     exactly one served response -- no false positives by construction.
 
-    collision_aware: matching is on the raw unordered tip pair; every
-    (logged response, matching entry) combination produces a link, and
-    entries that merely share the pair become false positives.
+    collision_aware: matching is on the raw unordered tip pair, within the
+    round it was served in; every (logged response, matching entry)
+    combination produces a link, and entries that merely share the pair
+    become false positives.
     """
     if matching == MATCH_ASSUME_UNIQUE:
         log_idx, new_idx = _join(log.nonce, new.followed_nonce)
     elif matching == MATCH_COLLISION_AWARE:
-        log_idx, new_idx = _join(np.sort(log.tips, axis=1), np.sort(new.parents, axis=1))
+        log_idx, new_idx = _join(
+            np.column_stack((log.nonce[:, 0], np.sort(log.tips, axis=1))),
+            np.column_stack((new.round, np.sort(new.parents, axis=1))),
+        )
     else:
         raise ConfigError(f"unknown matching {matching!r}")
     claimed = log.requester[log_idx]
@@ -415,6 +433,9 @@ class Requesters:
     each round, which are rows ``first[r]:first[r] + fanout[r]`` of a
     round's requests.  The request columns give each request's owner's
     first row in ``full_ids``, its nonce light and its visible identity.
+    The ``(width, rows)`` mask ``drawing`` tells which rows make a pick at
+    each fan-out step, and ``bounds`` holds the bound of every pick in
+    step-major order: step ``t`` of row ``r`` draws below ``count[r] - t``.
     Reach never changes during a run, so only the queried nodes, the
     responses and the follow choices are drawn per round.
     """
@@ -428,32 +449,47 @@ class Requesters:
     request_start: np.ndarray
     request_light: np.ndarray
     request_visible: np.ndarray
+    drawing: np.ndarray
+    bounds: np.ndarray
 
 
-def sample_positions(
-    gen: np.random.Generator, sizes: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """A uniform ``counts[r]``-subset of ``range(sizes[r])`` for every row
-    ``r``, each in draw order, rows concatenated.
+def sample_positions(draws: np.ndarray, drawing: np.ndarray) -> np.ndarray:
+    """Each round's uniform ``counts[r]``-subset of ``range(sizes[r])`` for
+    every row ``r``, from the round's raw draws.
 
-    One draw call covers the round, in step-major order: every row's first
-    pick in row order, then every second pick of the rows that make one,
-    and so on.  Step ``t`` of a row draws below ``sizes[r] - t``.
+    Row ``r`` picks at the steps where the ``(width, rows)`` mask
+    ``drawing`` is true.  Row ``i`` of ``draws`` holds round ``i``'s picks
+    in step-major order -- every row's first pick, then every second pick
+    of the rows that make one, and so on -- and step ``t`` of a row drew
+    below ``sizes[r] - t``.  Returns ``(rounds, drawing.sum())``: each
+    round's subsets in draw order, rows concatenated.
     """
-    width = int(counts.max(initial=0))
-    if width == 0:
-        return np.zeros(0, dtype=np.int64)
-    steps = np.arange(width)[:, None]
-    drawing = steps < counts  # (width, rows): which rows pick at each step
-    picks = np.zeros(drawing.shape, dtype=np.int64)
-    picks[drawing] = gen.integers(0, (sizes - steps)[drawing])
-    for t in range(1, width):
+    picks = np.zeros((len(draws), *drawing.shape), dtype=np.int64)
+    picks[:, drawing] = draws
+    for t in range(1, drawing.shape[0]):
         # the pick-th position not taken yet: step over the taken ones in
         # ascending order (rows past their count pick garbage, never read)
-        pick = picks[t]
-        for taken in np.sort(picks[:t], axis=0):
+        pick = picks[:, t]
+        for taken in np.sort(picks[:, :t], axis=1).swapaxes(0, 1):
             pick += taken <= pick
-    return picks.T[drawing.T]
+    return picks.swapaxes(1, 2)[:, drawing.T]
+
+
+_BLOCK = 1 << 14  # requests drawn per block of rounds: bounds its arrays
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """The queried full nodes of a block of consecutive rounds, drawn
+    before its first round.  Row ``i`` is round ``rounds[i]``: who answers
+    each of its requests, whether that node logs, and the round's
+    generator state right after the draw, from which the round goes on to
+    draw its responses."""
+
+    rounds: range
+    responder: np.ndarray  # (rounds, n)
+    logged: np.ndarray     # (rounds, n) bool
+    states: list[dict]
 
 
 @dataclass
@@ -494,8 +530,9 @@ class Simulation:
 
     Within a round every response is computed against the round-start tip
     snapshot, attaches land in ascending light-node order, and adversaries
-    match afterwards -- so light nodes are independent inside a round and
-    the ledger view only advances between rounds.
+    match afterwards, once per block of rounds -- so light nodes are
+    independent inside a round and the ledger view only advances between
+    rounds.
     """
 
     def __init__(self, config: SimConfig):
@@ -507,7 +544,14 @@ class Simulation:
             np.full(config.bootstrap_tips, NO_ISSUER),
             addresses=[f"bootstrap-{i}" for i in range(config.bootstrap_tips)],
         )
-        self._links: list[Links] = []  # one table per round
+        # one table per matched block, after an empty one
+        self._links = [Links(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64),
+                             np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
+        self._gen = np.random.Generator(np.random.Philox(key=0))  # re-keyed per round
+        self._schedule: Schedule | None = None
+        # per round run and not yet matched: (schedule row, logged tips,
+        # followed request rows, parents)
+        self._unmatched: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         # the identity responders see: a proxied light's proxy, else its own
         self._visible = (
             proxy_assign(self.population) if config.mode == MODE_PROXY
@@ -532,6 +576,8 @@ class Simulation:
         start = np.cumsum(count) - count
         fanout = np.minimum(count, self.config.request_fanout)
         owner = np.repeat(np.arange(len(light)), fanout)
+        steps = np.arange(fanout.max(initial=0))[:, None]
+        drawing = steps < fanout  # (width, rows): which rows pick at each step
         return Requesters(
             light=light,
             visible=visible,
@@ -543,60 +589,87 @@ class Simulation:
             request_start=start[owner],
             request_light=light[owner],
             request_visible=visible[owner],
+            drawing=drawing,
+            bounds=(count - steps)[drawing],
         )
 
-    def _local_round(self, round_idx: int, tips: np.ndarray):
-        """Every light selects its own tips: no request, nothing logged."""
-        gen = round_generator(self.config.seed, DOMAIN_LOCAL, round_idx)
-        lights = self.population.light_ids
-        log = ResponseLog(
-            nonce=np.empty((0, 3), dtype=np.int64),
-            requester=np.empty(0, dtype=np.int64),
-            tips=np.empty((0, 2), dtype=np.int64),
-        )
-        return log, RoundAttaches(
-            light=lights,
-            identity=lights,
-            parents=urts_pairs(tips, gen, len(lights)),
-            followed_nonce=np.full((len(lights), 3), -1, dtype=np.int64),
-        )
-
-    def _request_round(self, round_idx: int, tips: np.ndarray):
-        """Every reachable light queries a uniform subset of its reachable
-        full nodes, each answers with a URTS pair, and the light follows
-        one answer uniformly."""
+    def _draw_schedule(self, start: int) -> Schedule:
+        """Draw the queried nodes of the block of rounds from ``start``:
+        as many rounds as fit in ``_BLOCK`` requests, none past the run's
+        last round (a round past it makes a block of its own)."""
         req = self._requesters
-        gen = round_generator(self.config.seed, DOMAIN_REQUEST, round_idx)
-        responder = req.full_ids[
-            req.request_start + sample_positions(gen, req.count, req.fanout)
-        ]
-        served = urts_pairs(tips, gen, len(responder))
-        nonce = np.empty((len(responder), 3), dtype=np.int64)
-        nonce[:, 0] = round_idx
-        nonce[:, 1] = responder
-        nonce[:, 2] = req.request_light
-        followed = req.first + gen.integers(0, req.fanout)
-        logged = self.population.adversary[responder]
-        log = ResponseLog(
-            nonce=nonce[logged], requester=req.request_visible[logged], tips=served[logged]
-        )
-        return log, RoundAttaches(
-            light=req.light,
-            identity=req.visible,
-            parents=served[followed],
-            followed_nonce=nonce[followed],
-        )
+        per_block = max(1, _BLOCK // max(len(req.request_light), 1))
+        rounds = range(start, max(start + 1, min(start + per_block, self.config.rounds)))
+        draws = np.empty((len(rounds), len(req.bounds)), dtype=np.int64)
+        states = []
+        for i, round_idx in enumerate(rounds):
+            # the queried positions are each round's first draw
+            gen = rekey(self._gen, self.config.seed, DOMAIN_REQUEST, round_idx)
+            draws[i] = gen.integers(0, req.bounds)
+            states.append(gen.bit_generator.state)
+        responder = req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
+        return Schedule(rounds, responder, self.population.adversary[responder], states)
 
-    def run_round(self, round_idx: int) -> Links:
-        config = self.config
-        draw = self._local_round if config.mode == MODE_DIRECT else self._request_round
-        log, attaches = draw(round_idx, self.ledger.tips)
-        self.ledger.attach_round(
-            attaches.parents, round_idx, attaches.identity, attaches.light
+    def run_round(self, round_idx: int) -> None:
+        """Every reachable light queries a uniform subset of its reachable
+        full nodes, each answers with a URTS pair against the round-start
+        tips, and the light follows one answer uniformly and attaches.
+        Under direct tip selection every light selects its own tips: no
+        request, nothing logged."""
+        config, tips = self.config, self.ledger.tips
+        if config.mode == MODE_DIRECT:
+            gen = rekey(self._gen, config.seed, DOMAIN_LOCAL, round_idx)
+            lights = self.population.light_ids
+            self.ledger.attach_round(
+                urts_pairs(tips, gen, len(lights)), round_idx, lights, lights
+            )
+            return
+        if self._schedule is None or round_idx not in self._schedule.rounds:
+            self._match()
+            self._schedule = self._draw_schedule(round_idx)
+        schedule, req, gen = self._schedule, self._requesters, self._gen
+        i = round_idx - schedule.rounds.start
+        gen.bit_generator.state = schedule.states[i]
+        served = urts_pairs(tips, gen, schedule.responder.shape[1])
+        followed = req.first + gen.integers(0, req.fanout)
+        parents = served[followed]
+        self.ledger.attach_round(parents, round_idx, req.visible, req.light)
+        self._unmatched.append((i, served[schedule.logged[i]], followed, parents))
+        if round_idx == schedule.rounds[-1]:
+            self._match()
+            self._schedule = None  # the block is done; scoring need not hold it
+
+    def _match(self) -> None:
+        """Match the log of every round run since the last match against
+        those rounds' attaches, in one join."""
+        if not self._unmatched:
+            return
+        rows, tips, followed, parents = zip(*self._unmatched)
+        self._unmatched = []
+        schedule, req = self._schedule, self._requesters
+        rows = np.array(rows)
+        rounds = schedule.rounds.start + rows
+        responder = schedule.responder[rows]
+        at, request = np.nonzero(schedule.logged[rows])
+        log = ResponseLog(
+            nonce=np.column_stack((rounds[at], responder[at, request],
+                                   req.request_light[request])),
+            requester=req.request_visible[request],
+            tips=np.concatenate(tips),
         )
-        links = match_responses(log, attaches, config.matching)
-        self._links.append(links)
-        return links
+        followed = np.stack(followed)
+        issued = np.repeat(rounds, len(req.light))  # each attach's round
+        light = np.tile(req.light, len(rows))
+        attaches = RoundAttaches(
+            light=light,
+            identity=np.tile(req.visible, len(rows)),
+            parents=np.concatenate(parents),
+            followed_nonce=np.column_stack((
+                issued, np.take_along_axis(responder, followed, 1).ravel(), light,
+            )),
+            round=issued,
+        )
+        self._links.append(match_responses(log, attaches, self.config.matching))
 
     def run(self) -> SimResult:
         for round_idx in range(self.config.rounds):
@@ -611,6 +684,7 @@ class Simulation:
         attaches once per round.  A proxy stands for every light assigned
         to it and no light has two proxies, so the lights behind an
         address's claims never overlap."""
+        self._match()
         lights = self.population.light_ids
         issuing = lights if self.config.mode == MODE_DIRECT else self._requesters.light
         total = self.config.rounds * len(issuing)

@@ -9,7 +9,12 @@ names the consumer, and draws from a stream keyed by it:
 * :func:`round_generator` keys a counter-based Philox generator (Salmon et
   al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) for one
   simulator round; every light node's request, response and follow draws
-  of that round come from it as arrays.
+  of that round come from it as arrays.  :func:`rekey` moves an existing
+  Philox generator to the start of such a stream, which is several times
+  cheaper than building one, so a simulation keeps one generator and
+  re-keys it each round.  A generator's ``bit_generator.state`` is a full
+  snapshot -- counter, key, buffered words and a buffered 32-bit half --
+  so a stream set aside after a draw resumes exactly where it stopped.
 
 Because a key is a pure function of ``(root_seed, key path)``, results
 never depend on scheduling or worker count: two runs with the same seed
@@ -55,3 +60,25 @@ def round_generator(root_seed: int, domain: int, round_idx: int) -> np.random.Ge
     return np.random.Generator(
         np.random.Philox(key=_stream_key(root_seed, domain, round_idx))
     )
+
+
+_WORD = (1 << 64) - 1
+
+
+def rekey(
+    gen: np.random.Generator, root_seed: int, domain: int, round_idx: int
+) -> np.random.Generator:
+    """Reset the Philox generator ``gen`` to the first draw of
+    ``round_generator(root_seed, domain, round_idx)``; returns ``gen``."""
+    key = _stream_key(root_seed, domain, round_idx)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        # Philox(key=k) stores k as little-endian 64-bit words, counter 0
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([key & _WORD, key >> 64], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # empty: the next draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen

@@ -57,6 +57,12 @@ def round_address(round_issued: int, label: int) -> str:
     return f"addr-{round_issued}-{label}"
 
 
+def _bad_address(address: str) -> bool:
+    """An address the line format cannot hold: empty, or with a space, tab
+    or newline in it."""
+    return not address or any(ch in address for ch in " \t\n")
+
+
 def second_index(i, j):
     """The URTS index rule.  With ``i`` uniform on [0, k) and ``j`` uniform
     on [0, k - 1), ``(i, second_index(i, j))`` is a uniform ordered pair of
@@ -184,9 +190,14 @@ class Ledger:
         n = len(parents)
         if n and (parents.min() < 0 or parents.max() >= self._size):
             raise AttachError("unknown parent in batch")
-        for address in addresses or ():
-            if not address or any(ch in address for ch in " \t\n"):
-                raise AttachError(f"bad issuer address {address!r}")
+        # one scan of all addresses joined (an empty one vanishes from the
+        # join, so ``all`` looks for it); the loop names the first bad one
+        if addresses is not None and (
+            not all(addresses) or _bad_address("".join(addresses))
+        ):
+            for address in addresses:
+                if _bad_address(address):
+                    raise AttachError(f"bad issuer address {address!r}")
         start = self._append(n)
         rows = self._rows[start:start + n]
         rows[:, _P0:_P1 + 1] = parents

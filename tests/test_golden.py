@@ -186,6 +186,29 @@ def test_short_reach_requests_are_pinned(tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == SHORT_REACH_SCORING
 
 
+# one light queries four adversaries for 30 rounds over a few tips, so a
+# pair it is served in one round is often attached again in a later round:
+# collision-aware matching must join on the round as well as the pair
+# (76 links at seed 2; a join across rounds finds 77)
+CROSS_ROUND = ("matching=collision_aware", "light_node_count=1", "full_node_count=4",
+               "adversary_count=4", "rounds=30", "bootstrap_tips=10")
+CROSS_ROUND_CSV = "bce7cf7839a381802a030ff6f54797449e527d95a81843d54f2e87067ce28c64"
+CROSS_ROUND_JSON = "67b5f744bd3d20c551ca760d524aeef6488d224ccccab6025d0a8e6883bd6626"
+CROSS_ROUND_SCORING = "f6d054b19aaa70e46ef65d35ff2dd3485dfc028cdc9d042d2f1d04d16ca56087"
+
+
+def test_collision_aware_matches_within_a_round_only(tmp_path):
+    _run("custom", CROSS_ROUND, tmp_path, "--seed", "2")
+    _run("custom", CROSS_ROUND, tmp_path, "--seed", "2", "--format", "structured")
+    assert _sha256(tmp_path / "custom_2.csv") == CROSS_ROUND_CSV
+    assert _sha256(tmp_path / "custom_2.json") == CROSS_ROUND_JSON
+    sim = run_simulation(SimConfig(
+        **resolve_overrides("custom", None, list(CROSS_ROUND))["custom"], seed=2))
+    assert len(sim.links) == 76
+    text = json.dumps([_scoring(sim)], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CROSS_ROUND_SCORING
+
+
 def _script(name):
     path = ROOT / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from tipleak import network
 from tipleak.analytic import AnonymityProfile, entropy_degree
 from tipleak.network import (
     GRID_DIM,
@@ -26,7 +27,7 @@ from tipleak.network import (
     run_simulation,
     sample_positions,
 )
-from tipleak.rng import round_generator
+from tipleak.rng import rekey, round_generator
 from tipleak.tangle import round_address
 
 
@@ -245,6 +246,7 @@ def _attaches(*rows):
         identity=light,
         parents=np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, 2),
         followed_nonce=np.array([r[2] for r in rows], dtype=np.int64).reshape(-1, 3),
+        round=np.zeros(len(light), dtype=np.int64),
     )
 
 
@@ -298,13 +300,22 @@ def test_matching_empty_inputs():
                                "collision_aware")) == 0
 
 
+def _step_plan(sizes, counts):
+    """The step-major pick mask and pick bounds, as ``Requesters`` holds them."""
+    steps = np.arange(counts.max(initial=0))[:, None]
+    drawing = steps < counts
+    return drawing, (sizes - steps)[drawing]
+
+
 def test_sample_positions_uniform_distinct_variable_sizes():
     # rows of 1, 3 and 6 reachable nodes with fanouts 1, 3 and 2
     sizes = np.array([1, 3, 6])
     counts = np.array([1, 3, 2])
+    drawing, bounds = _step_plan(sizes, counts)
+    draws = np.array([round_generator(5, 3, round_idx).integers(0, bounds)
+                      for round_idx in range(3000)])
     pair_counts = Counter()
-    for round_idx in range(3000):
-        picks = sample_positions(round_generator(5, 3, round_idx), sizes, counts)
+    for picks in sample_positions(draws, drawing):
         first, whole, pair = picks[:1], picks[1:4], picks[4:]
         assert first.tolist() == [0]
         assert sorted(whole.tolist()) == [0, 1, 2]
@@ -330,18 +341,30 @@ def _sample_positions_per_step(gen, sizes, counts):
 
 
 def test_sample_positions_equals_the_per_step_reference():
+    # as a simulation does: re-key one generator per round, make the round's
+    # first draw, keep its state, sample the block, then restore each state
     cases = np.random.default_rng(12)
+    gen = round_generator(0, 0, 0)
     for case in range(400):
         rows = int(cases.integers(0, 12))
         width = int(cases.integers(0, 7))  # 0: no row draws
         counts = cases.integers(0, width + 1, rows)
         sizes = counts + cases.integers(0, 5, rows)
-        got_gen, want_gen = round_generator(9, 3, case), round_generator(9, 3, case)
-        got = sample_positions(got_gen, sizes, counts)
-        want = _sample_positions_per_step(want_gen, sizes, counts)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        # both used the same share of the stream
-        assert got_gen.integers(0, 2**62) == want_gen.integers(0, 2**62)
+        drawing, bounds = _step_plan(sizes, counts)
+        rounds = range(4 * case, 4 * case + int(cases.integers(1, 4)))
+        draws, states = [], []
+        for round_idx in rounds:
+            draws.append(rekey(gen, 9, 3, round_idx).integers(0, bounds))
+            states.append(gen.bit_generator.state)
+        got = sample_positions(np.array(draws, dtype=np.int64), drawing)
+        assert got.shape == (len(rounds), counts.sum())
+        for picks, state, round_idx in zip(got, states, rounds):
+            want_gen = round_generator(9, 3, round_idx)
+            want = _sample_positions_per_step(want_gen, sizes, counts)
+            assert picks.dtype == want.dtype and picks.tolist() == want.tolist()
+            # the round's next draw continues the same stream
+            gen.bit_generator.state = state
+            assert gen.integers(0, 2**62) == want_gen.integers(0, 2**62)
 
 
 def _join_reference(left, right):
@@ -523,6 +546,55 @@ def test_rerun_is_bit_identical():
         assert np.array_equal(getattr(a.links, column), getattr(b.links, column))
     assert a.per_light == b.per_light
     assert a.address_degrees == b.address_degrees
+
+
+BLOCK_CASES = {
+    "assume-unique": _tiny_config(rounds=13),
+    # one light served the same few tips by four adversaries, round after
+    # round: a collision-aware join across rounds would add links
+    "collision-aware": SimConfig(full_node_count=4, adversary_count=4, light_node_count=1,
+                                 rounds=30, bootstrap_tips=10,
+                                 matching="collision_aware", seed=2),
+    "proxy": _tiny_config(rounds=9, mode="proxy", proxy_count=3,
+                          matching="collision_aware"),
+    # reach of 1 to 8 full nodes against a fan-out of 5
+    "short-reach": SimConfig(full_node_count=30, light_node_count=40, rounds=5,
+                             request_radius=2, request_fanout=5, adversary_ratio=0.2,
+                             seed=7),
+    "direct": _tiny_config(rounds=7, mode="direct_tip_selection"),
+}
+
+
+def _link_rows(links, below=None):
+    rows = [[*nonce, claimed, light, correct] for nonce, claimed, light, correct in zip(
+        links.nonce.tolist(), links.claimed.tolist(), links.light.tolist(),
+        links.correct.tolist())]
+    return [row for row in rows if below is None or row[0] < below]
+
+
+def _scored(result):
+    return result.per_light, list(result.address_degrees.items()), _link_rows(result.links)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
+    config = BLOCK_CASES[name]
+    want = run_simulation(config)
+    requests = len(Simulation(config)._requesters.request_light)
+    assert config.rounds % 4  # four rounds a block leave a partial last block
+    for block in (1, 4 * requests, network._BLOCK):
+        monkeypatch.setattr(network, "_BLOCK", block)
+        assert _scored(Simulation(config).run()) == _scored(want)
+        sim = Simulation(config)
+        for round_idx in range(config.rounds):
+            sim.run_round(round_idx)
+        assert _scored(sim._result()) == _scored(want)
+        # stopped two rounds short (inside a block, when blocks are long),
+        # scoring matches the rounds run so far
+        sim = Simulation(config)
+        for round_idx in range(config.rounds - 2):
+            sim.run_round(round_idx)
+        assert _link_rows(sim._result().links) == _link_rows(want.links, config.rounds - 2)
 
 
 def test_per_light_table_consistent_with_totals():

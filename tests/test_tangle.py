@@ -102,6 +102,21 @@ def test_attach_rejects_unknown_parents_and_bad_addresses():
     assert len(ledger) == 1  # nothing was appended
 
 
+@pytest.mark.parametrize("addresses, bad", [
+    (["ok-0", "ok-1", "tab\there", "", "new\nline"], "tab\there"),
+    (["ok-0", "", "two words"], ""),
+    (["ok-0", "ok-1", "ok-2", "trailing "], "trailing "),
+])
+def test_attach_round_names_the_first_bad_address(addresses, bad):
+    ledger = Ledger()
+    n = len(addresses)
+    with pytest.raises(AttachError) as info:
+        ledger.attach_round(np.zeros((n, 2), dtype=np.int64), 0, np.full(n, 1),
+                            addresses=addresses)
+    assert str(info.value) == f"bad issuer address {bad!r}"
+    assert len(ledger) == 1
+
+
 def test_tip_set_matches_scratch_recount_after_random_growth():
     ledger = _grow_random(seed=7, n=500)
     assert set(ledger.tips) == _recomputed_tips(ledger)
