@@ -711,6 +711,29 @@ def simulate_mixer_chains(
     return lengths
 
 
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """``sqrt(num / den)`` correctly rounded, for ints ``num >= 0`` and
+    ``den > 0``.  The integer root is taken to at least 55 bits and rounded
+    to odd (its last bit set when inexact); rounding that to a float's 53
+    bits then rounds the true root."""
+    shift = max(0, (111 - num.bit_length() + den.bit_length()) // 2)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    return (root | (root * root * den != scaled)) / (1 << shift)
+
+
+def _mean_and_stdev(counts: np.ndarray) -> tuple[float, float]:
+    """``statistics.fmean`` and ``statistics.stdev``, bit for bit, of the
+    sample that holds ``counts[k]`` copies of ``k``: from its size n, sum
+    S and sum of squares Q, the mean is S / n and the variance exactly
+    (n Q - S**2) / (n (n - 1))."""
+    n = s = q = 0
+    lengths = np.flatnonzero(counts)
+    for k, c in zip(lengths.tolist(), counts[lengths].tolist()):
+        n, s, q = n + c, s + k * c, q + k * k * c
+    return float(s) / n, _sqrt_of_ratio(n * q - s * s, n * (n - 1))
+
+
 def exp_mixer(
     p_values=(0.05, 0.1, 0.2),
     max_chain: int = 5,
@@ -739,10 +762,10 @@ def exp_mixer(
     for p_idx, p in enumerate(p_values):
         rng = substream(seed, DOMAIN_EXPERIMENT, _TAG_MIXER, p_idx)
         lengths = simulate_mixer_chains(p, participants, rng)
+        counts = np.bincount(lengths, minlength=max_chain + 1)
         # at_least[x]: chains of length >= x, for every x up to max_chain
-        at_least = np.cumsum(
-            np.bincount(lengths, minlength=max_chain + 1)[::-1])[::-1]
-        mean_len = statistics.fmean(lengths)
+        at_least = np.cumsum(counts[::-1])[::-1]
+        mean_len, spread = _mean_and_stdev(counts)
         label = f"p-{p:g}"
         result.add(label, "expected_raw", mixer_expected_identified(p, mode="raw"))
         result.add(
@@ -751,7 +774,7 @@ def exp_mixer(
         )
         result.add(
             label, "mean_chain_length", mean_len,
-            statistics.stdev(lengths) / math.sqrt(participants),
+            spread / math.sqrt(participants),
         )
         for x in range(1, max_chain + 1):
             analytic = mixer_chain_probability(p, x)

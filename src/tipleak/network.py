@@ -46,6 +46,7 @@ a change of scheme changes their ``config_hash``.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field, fields
@@ -116,14 +117,14 @@ class ResponseLog:
 @dataclass(frozen=True)
 class RoundAttaches:
     """Attaches in ledger order, with the ground truth needed to score
-    links: each attach's issue round and the nonce of the response it
-    followed."""
+    links: each attach's issue round and, for assume_unique matching, the
+    nonce of the response it followed."""
 
     light: np.ndarray           # (n,) origin light; address label
     identity: np.ndarray        # (n,) true issuer (the proxy, when proxied)
     parents: np.ndarray         # (n, 2)
-    followed_nonce: np.ndarray  # (n, 3)
     round: np.ndarray           # (n,)
+    followed_nonce: np.ndarray | None = None  # (n, 3)
 
     def __len__(self) -> int:
         return len(self.light)
@@ -494,6 +495,10 @@ class Schedule:
 
 @dataclass
 class SimResult:
+    """A scored run.  ``per_light`` and ``address_degrees`` are scored from
+    the links on first read, from the lights, the issuing lights and the
+    identities they show responders."""
+
     seed: int
     total_transactions: int
     linked_count: int
@@ -502,9 +507,51 @@ class SimResult:
     deanon_rate: float
     false_positive_rate: float
     unreachable_light_nodes: int
-    address_degrees: dict[str, float]
-    per_light: list[dict]
     links: Links = field(repr=False)
+    rounds: int = field(repr=False)
+    light_ids: np.ndarray = field(repr=False, compare=False)  # every light, ascending
+    issuing: np.ndarray = field(repr=False, compare=False)    # lights that attach each round
+    visible: np.ndarray = field(repr=False, compare=False)    # each light's visible identity
+
+    def _transactions(self) -> tuple[int, np.ndarray]:
+        """A bound above every id, and each link's transaction (its address)
+        keyed round * span + light."""
+        span = int(self.light_ids[-1]) + 1
+        return span, self.links.nonce[:, 0] * span + self.links.light
+
+    @functools.cached_property
+    def per_light(self) -> list[dict]:
+        """Each light's transactions, correctly linked transactions and
+        links claiming its identity."""
+        lights, links = self.light_ids, self.links
+        span, tx = self._transactions()
+        correct_txs = np.unique(tx[links.correct])
+        return [
+            {"light_id": light, "transactions": transactions,
+             "correct_links": correct_links, "claimed_links": claimed_links}
+            for light, transactions, correct_links, claimed_links in zip(
+                lights.tolist(),
+                np.where(np.isin(lights, self.issuing), self.rounds, 0).tolist(),
+                np.bincount(correct_txs % span, minlength=span)[lights].tolist(),
+                np.bincount(links.claimed, minlength=span)[lights].tolist(),
+            )
+        ]
+
+    @functools.cached_property
+    def address_degrees(self) -> dict[str, float]:
+        """Each linked address's anonymity degree.  A proxy stands for every
+        light assigned to it and no light has two proxies, so the lights
+        behind an address's claims never overlap."""
+        span, tx = self._transactions()
+        claims = np.unique(tx * span + self.links.claimed)
+        addresses, inverse = np.unique(claims // span, return_inverse=True)
+        lights_behind = np.bincount(
+            inverse, np.bincount(self.visible, minlength=span)[claims % span]
+        )
+        return dict(sorted(
+            (round_address(key // span, key % span), degree) for key, degree
+            in zip(addresses.tolist(), (lights_behind >= 2).astype(float).tolist())
+        ))
 
     def to_flat(self) -> dict:
         """Scalar summary used by the CSV/structured writers."""
@@ -549,9 +596,9 @@ class Simulation:
                              np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
         self._gen = np.random.Generator(np.random.Philox(key=0))  # re-keyed per round
         self._schedule: Schedule | None = None
-        # per round run and not yet matched: (schedule row, logged tips,
-        # followed request rows, parents)
-        self._unmatched: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # per round run and not yet matched: (schedule row, followed request
+        # rows, logged tips or None, parents)
+        self._unmatched: list[tuple[int, np.ndarray, np.ndarray | None, np.ndarray]] = []
         # the identity responders see: a proxied light's proxy, else its own
         self._visible = (
             proxy_assign(self.population) if config.mode == MODE_PROXY
@@ -634,22 +681,37 @@ class Simulation:
         followed = req.first + gen.integers(0, req.fanout)
         parents = served[followed]
         self.ledger.attach_round(parents, round_idx, req.visible, req.light)
-        self._unmatched.append((i, served[schedule.logged[i]], followed, parents))
+        # collision-aware matching compares tip pairs; a nonce needs none
+        pairs = config.matching == MATCH_COLLISION_AWARE
+        self._unmatched.append(
+            (i, followed, served[schedule.logged[i]] if pairs else None, parents))
         if round_idx == schedule.rounds[-1]:
             self._match()
             self._schedule = None  # the block is done; scoring need not hold it
 
     def _match(self) -> None:
         """Match the log of every round run since the last match against
-        those rounds' attaches, in one join."""
+        those rounds' attaches, in one pass over the block."""
         if not self._unmatched:
             return
-        rows, tips, followed, parents = zip(*self._unmatched)
+        rows, followed, tips, parents = zip(*self._unmatched)
         self._unmatched = []
         schedule, req = self._schedule, self._requesters
         rows = np.array(rows)
         rounds = schedule.rounds.start + rows
         responder = schedule.responder[rows]
+        if self.config.matching == MATCH_ASSUME_UNIQUE:
+            # a nonce names one response, and only the light that followed
+            # it attaches under it: a link wherever a light's followed
+            # request was logged, in attach order
+            followed = np.stack(followed)
+            at, row = np.nonzero(np.take_along_axis(schedule.logged[rows], followed, 1))
+            light = req.light[row]
+            self._links.append(Links(
+                nonce=np.column_stack((rounds[at], responder[at, followed[at, row]], light)),
+                claimed=req.visible[row], light=light, correct=np.ones(len(row), dtype=bool),
+            ))
+            return
         at, request = np.nonzero(schedule.logged[rows])
         log = ResponseLog(
             nonce=np.column_stack((rounds[at], responder[at, request],
@@ -657,19 +719,13 @@ class Simulation:
             requester=req.request_visible[request],
             tips=np.concatenate(tips),
         )
-        followed = np.stack(followed)
-        issued = np.repeat(rounds, len(req.light))  # each attach's round
-        light = np.tile(req.light, len(rows))
         attaches = RoundAttaches(
-            light=light,
+            light=np.tile(req.light, len(rows)),
             identity=np.tile(req.visible, len(rows)),
             parents=np.concatenate(parents),
-            followed_nonce=np.column_stack((
-                issued, np.take_along_axis(responder, followed, 1).ravel(), light,
-            )),
-            round=issued,
+            round=np.repeat(rounds, len(req.light)),  # each attach's round
         )
-        self._links.append(match_responses(log, attaches, self.config.matching))
+        self._links.append(match_responses(log, attaches, MATCH_COLLISION_AWARE))
 
     def run(self) -> SimResult:
         for round_idx in range(self.config.rounds):
@@ -681,9 +737,7 @@ class Simulation:
     def _result(self) -> SimResult:
         """Score the run from its links.  Every issuing light -- each light
         in direct mode, each light that reaches a full node otherwise --
-        attaches once per round.  A proxy stands for every light assigned
-        to it and no light has two proxies, so the lights behind an
-        address's claims never overlap."""
+        attaches once per round."""
         self._match()
         lights = self.population.light_ids
         issuing = lights if self.config.mode == MODE_DIRECT else self._requesters.light
@@ -693,27 +747,11 @@ class Simulation:
             for column in fields(Links)
         ))
         span = int(lights[-1]) + 1  # every id is below it
-        # an address -- a transaction -- is keyed round * span + light
-        tx = links.nonce[:, 0] * span + links.light
-        # a transaction counts once however many adversaries linked it
-        correct_txs = np.unique(tx[links.correct])
+        # a transaction is keyed round * span + light, and counts once
+        # however many adversaries linked it
+        correct_txs = np.unique((links.nonce[:, 0] * span + links.light)[links.correct])
         correct = int(np.count_nonzero(links.correct))
         false_pos = len(links) - correct
-        per_light = [
-            {"light_id": light, "transactions": transactions,
-             "correct_links": correct_links, "claimed_links": claimed_links}
-            for light, transactions, correct_links, claimed_links in zip(
-                lights.tolist(),
-                np.where(np.isin(lights, issuing), self.config.rounds, 0).tolist(),
-                np.bincount(correct_txs % span, minlength=span)[lights].tolist(),
-                np.bincount(links.claimed, minlength=span)[lights].tolist(),
-            )
-        ]
-        claims = np.unique(tx * span + links.claimed)
-        addresses, inverse = np.unique(claims // span, return_inverse=True)
-        lights_behind = np.bincount(
-            inverse, np.bincount(self._visible, minlength=span)[claims % span]
-        )
         return SimResult(
             seed=self.config.seed,
             total_transactions=total,
@@ -723,12 +761,11 @@ class Simulation:
             deanon_rate=len(correct_txs) / total if total else 0.0,
             false_positive_rate=false_pos / total if total else 0.0,
             unreachable_light_nodes=len(lights) - len(issuing),
-            address_degrees=dict(sorted(
-                (round_address(key // span, key % span), degree) for key, degree
-                in zip(addresses.tolist(), (lights_behind >= 2).astype(float).tolist())
-            )),
-            per_light=per_light,
             links=links,
+            rounds=self.config.rounds,
+            light_ids=lights,
+            issuing=issuing,
+            visible=self._visible,
         )
 
 

@@ -551,6 +551,16 @@ def test_mixer_long_table_is_quick_and_never_rises():
     assert empirical[-1] == 0.0
 
 
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+def test_mixer_spread_from_counts_is_statistics_bit_for_bit(p):
+    gen = np.random.default_rng(int(p * 100))
+    for n in (2, 3, 10, 999, 20_000, 100_000):
+        lengths = gen.geometric(1 - p * p, n).tolist()  # a chain's length law
+        mean, stdev = experiments._mean_and_stdev(np.bincount(lengths))
+        assert mean.hex() == statistics.fmean(lengths).hex()
+        assert stdev.hex() == statistics.stdev(lengths).hex()
+
+
 def test_mixer_rejects_bad_probability():
     with pytest.raises(ConfigError):
         simulate_mixer_chains(1.0, 10, substream(41, 3))
