@@ -20,7 +20,7 @@ import numpy as np
 from . import analytic, experiments, results, tangle
 from .analytic import ParameterError
 from .network import ConfigError, SimConfig, run_simulation
-from .rng import round_generator, substream
+from .rng import substream, uniforms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -345,8 +345,9 @@ def _check_analytic_required() -> tuple[bool, str]:
 def _check_tangle_integrity() -> tuple[bool, str]:
     ledger = tangle.Ledger()
     labels = np.arange(10)
+    draws = uniforms(2024, 98, range(200), 2 * len(labels))
     for r in range(200):  # grown round by round, as a simulation grows it
-        parents = tangle.urts_pairs(ledger.tips, round_generator(2024, 98, r), len(labels))
+        parents = tangle.urts_pairs(ledger.tips, draws[r].reshape(2, -1))
         ledger.attach_round(parents, r, np.full_like(labels, tangle.NO_ISSUER), labels)
     approved = {
         parent for tx in ledger.transactions()

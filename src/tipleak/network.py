@@ -19,23 +19,25 @@ anonymity degree is 1.0 when there are two or more of them and 0.0 when
 the address is pinned to one light.
 
 A round is columnar: every light's queried set, every response and every
-follow choice are drawn as arrays from one Philox stream keyed by
-(seed, domain, round) (:func:`tipleak.rng.round_generator`), the round
-attaches as one ledger batch, and matching is an array join.  Reach never
-changes during a run, so the request plan -- which lights send how many
-requests, under which identity -- is built once, with the reach, in
+follow choice come from the run's one counter-indexed Philox stream
+(:func:`tipleak.rng.uniforms`), in which each round owns a fixed range of
+words; the round attaches as one ledger batch.  Reach never changes
+during a run, so the request plan -- which lights send how many requests,
+under which identity -- is built once, with the reach, in
 :class:`Requesters`.
 
 Only the tips pass from one round to the next, and neither the queried
-nodes nor the matching depend on them, so a run goes in blocks of rounds
-bounded by ``_BLOCK`` requests.  Before a block, the simulation re-keys
-its one generator (:func:`tipleak.rng.rekey`) to each round's stream,
-makes that round's first draw -- the queried positions -- and keeps the
-generator state after it; :func:`sample_positions` turns the whole
-block's draws into its :class:`Schedule`.  A round restores its state and
-draws only what reads the tips: the responses and the follow choices.
-After the block, adversaries match its log in one join keyed by round,
-so links come out in (round, attach, log row) order for any block size.
+nodes, the follow choices nor the matching depend on them, so a run goes
+in blocks of rounds bounded by ``_BLOCK`` requests.  Before a block, one
+call draws all its rounds' uniforms, and the queried positions
+(:func:`sample_positions`) and follow choices are mapped from them into
+its :class:`Schedule`.  A round maps only what reads the tips, its two
+URTS columns, once the tip count is known.  After the block, adversaries
+match its log: a nonce-tagged response names the one attach that
+followed it, so assume_unique links are a gather of the logged mask at
+the followed requests, and collision-aware matching is a join keyed by
+round and tip pair.  Either way links come out in (round, attach, log
+row) order for any block size.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -58,12 +60,12 @@ from .rng import (
     DOMAIN_LAYOUT,
     DOMAIN_LOCAL,
     DOMAIN_REQUEST,
-    rekey,
     substream,
+    uniforms,
 )
 from .tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
 
-RNG_SCHEME = "philox-round-v1"
+RNG_SCHEME = "philox-run-v2"
 
 PLANE = (10.0, 10.0)  # width and height of the placement plane
 GRID_DIM = 3  # heatmap cells per plane axis
@@ -481,16 +483,17 @@ _BLOCK = 1 << 14  # requests drawn per block of rounds: bounds its arrays
 
 @dataclass(frozen=True)
 class Schedule:
-    """The queried full nodes of a block of consecutive rounds, drawn
-    before its first round.  Row ``i`` is round ``rounds[i]``: who answers
-    each of its requests, whether that node logs, and the round's
-    generator state right after the draw, from which the round goes on to
-    draw its responses."""
+    """The draws of a block of consecutive rounds, made before its first
+    round.  Row ``i`` is round ``rounds[i]``: who answers each of its
+    requests, whether that node logs, which request each light follows,
+    and the uniforms of its URTS draws, which map to tips once the round's
+    tip count is known."""
 
     rounds: range
     responder: np.ndarray  # (rounds, n)
     logged: np.ndarray     # (rounds, n) bool
-    states: list[dict]
+    followed: np.ndarray   # (rounds, lights) request rows
+    urts: np.ndarray       # (rounds, 2 * n) uniforms
 
 
 @dataclass
@@ -594,11 +597,10 @@ class Simulation:
         # one table per matched block, after an empty one
         self._links = [Links(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
-        self._gen = np.random.Generator(np.random.Philox(key=0))  # re-keyed per round
         self._schedule: Schedule | None = None
-        # per round run and not yet matched: (schedule row, followed request
-        # rows, logged tips or None, parents)
-        self._unmatched: list[tuple[int, np.ndarray, np.ndarray | None, np.ndarray]] = []
+        # per round run and not yet matched: (schedule row, logged tips and
+        # parents, or None when nonces match)
+        self._unmatched: list[tuple[int, np.ndarray | None, np.ndarray | None]] = []
         # the identity responders see: a proxied light's proxy, else its own
         self._visible = (
             proxy_assign(self.population) if config.mode == MODE_PROXY
@@ -641,21 +643,22 @@ class Simulation:
         )
 
     def _draw_schedule(self, start: int) -> Schedule:
-        """Draw the queried nodes of the block of rounds from ``start``:
-        as many rounds as fit in ``_BLOCK`` requests, none past the run's
-        last round (a round past it makes a block of its own)."""
+        """Draw the block of rounds from ``start``: as many rounds as fit in
+        ``_BLOCK`` requests, none past the run's last round (a round past
+        it makes a block of its own).  A round's uniforms are its queried
+        positions, its two URTS columns and its follow choices, in order."""
         req = self._requesters
-        per_block = max(1, _BLOCK // max(len(req.request_light), 1))
+        picks, n = len(req.bounds), len(req.request_light)
+        per_block = max(1, _BLOCK // max(n, 1))
         rounds = range(start, max(start + 1, min(start + per_block, self.config.rounds)))
-        draws = np.empty((len(rounds), len(req.bounds)), dtype=np.int64)
-        states = []
-        for i, round_idx in enumerate(rounds):
-            # the queried positions are each round's first draw
-            gen = rekey(self._gen, self.config.seed, DOMAIN_REQUEST, round_idx)
-            draws[i] = gen.integers(0, req.bounds)
-            states.append(gen.bit_generator.state)
+        u = uniforms(self.config.seed, DOMAIN_REQUEST, rounds, picks + 2 * n + len(req.light))
+        draws = (u[:, :picks] * req.bounds).astype(np.int64)
         responder = req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
-        return Schedule(rounds, responder, self.population.adversary[responder], states)
+        return Schedule(
+            rounds, responder, self.population.adversary[responder],
+            followed=req.first + (u[:, picks + 2 * n:] * req.fanout).astype(np.int64),
+            urts=u[:, picks:picks + 2 * n],
+        )
 
     def run_round(self, round_idx: int) -> None:
         """Every reachable light queries a uniform subset of its reachable
@@ -665,26 +668,25 @@ class Simulation:
         request, nothing logged."""
         config, tips = self.config, self.ledger.tips
         if config.mode == MODE_DIRECT:
-            gen = rekey(self._gen, config.seed, DOMAIN_LOCAL, round_idx)
             lights = self.population.light_ids
+            u = uniforms(config.seed, DOMAIN_LOCAL, range(round_idx, round_idx + 1),
+                         2 * len(lights))
             self.ledger.attach_round(
-                urts_pairs(tips, gen, len(lights)), round_idx, lights, lights
+                urts_pairs(tips, u.reshape(2, -1)), round_idx, lights, lights
             )
             return
         if self._schedule is None or round_idx not in self._schedule.rounds:
             self._match()
             self._schedule = self._draw_schedule(round_idx)
-        schedule, req, gen = self._schedule, self._requesters, self._gen
+        schedule, req = self._schedule, self._requesters
         i = round_idx - schedule.rounds.start
-        gen.bit_generator.state = schedule.states[i]
-        served = urts_pairs(tips, gen, schedule.responder.shape[1])
-        followed = req.first + gen.integers(0, req.fanout)
-        parents = served[followed]
+        served = urts_pairs(tips, schedule.urts[i].reshape(2, -1))
+        parents = served[schedule.followed[i]]
         self.ledger.attach_round(parents, round_idx, req.visible, req.light)
         # collision-aware matching compares tip pairs; a nonce needs none
-        pairs = config.matching == MATCH_COLLISION_AWARE
         self._unmatched.append(
-            (i, followed, served[schedule.logged[i]] if pairs else None, parents))
+            (i, served[schedule.logged[i]], parents)
+            if config.matching == MATCH_COLLISION_AWARE else (i, None, None))
         if round_idx == schedule.rounds[-1]:
             self._match()
             self._schedule = None  # the block is done; scoring need not hold it
@@ -694,7 +696,7 @@ class Simulation:
         those rounds' attaches, in one pass over the block."""
         if not self._unmatched:
             return
-        rows, followed, tips, parents = zip(*self._unmatched)
+        rows, tips, parents = zip(*self._unmatched)
         self._unmatched = []
         schedule, req = self._schedule, self._requesters
         rows = np.array(rows)
@@ -704,7 +706,7 @@ class Simulation:
             # a nonce names one response, and only the light that followed
             # it attaches under it: a link wherever a light's followed
             # request was logged, in attach order
-            followed = np.stack(followed)
+            followed = schedule.followed[rows]
             at, row = np.nonzero(np.take_along_axis(schedule.logged[rows], followed, 1))
             light = req.light[row]
             self._links.append(Links(

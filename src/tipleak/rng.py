@@ -6,15 +6,13 @@ names the consumer, and draws from a stream keyed by it:
 
 * :func:`substream` seeds a ``random.Random`` (Mersenne Twister).  Node
   placement, adversary choice and every experiment-level draw use it.
-* :func:`round_generator` keys a counter-based Philox generator (Salmon et
-  al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) for one
-  simulator round; every light node's request, response and follow draws
-  of that round come from it as arrays.  :func:`rekey` moves an existing
-  Philox generator to the start of such a stream, which is several times
-  cheaper than building one, so a simulation keeps one generator and
-  re-keys it each round.  A generator's ``bit_generator.state`` is a full
-  snapshot -- counter, key, buffered words and a buffered 32-bit half --
-  so a stream set aside after a draw resumes exactly where it stopped.
+* :func:`uniforms` reads a counter-based Philox stream (Salmon et al.,
+  "Parallel random numbers: as easy as 1, 2, 3", SC'11) keyed by
+  ``(root_seed, domain)``, one per simulation run.  Philox's word ``n``
+  under key ``k`` is a pure function of ``(k, n)``, so every round owns a
+  fixed range of counters: a block of rounds is one call, and a round's
+  uniforms are the same whichever block it falls in.  Every light node's
+  request, response and follow draws come from them.
 
 Because a key is a pure function of ``(root_seed, key path)``, results
 never depend on scheduling or worker count: two runs with the same seed
@@ -32,8 +30,8 @@ import numpy as np
 # Domain tags keep key paths from different subsystems disjoint.
 DOMAIN_LAYOUT = 1      # node placement
 DOMAIN_ADVERSARY = 2   # adversary subset draws
-DOMAIN_REQUEST = 3     # one round of requests, responses and follow choices
-DOMAIN_LOCAL = 5       # one round of local tip selection (no request issued)
+DOMAIN_REQUEST = 3     # a run's requests, responses and follow choices
+DOMAIN_LOCAL = 5       # a run's local tip selection (no request issued)
 DOMAIN_EXPERIMENT = 6  # experiment-level draws (samples, subsets, ...)
 
 
@@ -55,30 +53,25 @@ def substream(root_seed: int, *path: int) -> random.Random:
     return random.Random(_stream_key(root_seed, *path))
 
 
-def round_generator(root_seed: int, domain: int, round_idx: int) -> np.random.Generator:
-    """Philox generator keyed by ``(root_seed, domain, round_idx)``."""
-    return np.random.Generator(
-        np.random.Philox(key=_stream_key(root_seed, domain, round_idx))
-    )
+def uniforms(root_seed: int, domain: int, rounds: range, width: int) -> np.ndarray:
+    """``width`` uniforms on [0, 1) for each of the consecutive ``rounds``,
+    as a ``(len(rounds), width)`` array, from the Philox stream keyed by
+    ``(root_seed, domain)``.
 
-
-_WORD = (1 << 64) - 1
-
-
-def rekey(
-    gen: np.random.Generator, root_seed: int, domain: int, round_idx: int
-) -> np.random.Generator:
-    """Reset the Philox generator ``gen`` to the first draw of
-    ``round_generator(root_seed, domain, round_idx)``; returns ``gen``."""
-    key = _stream_key(root_seed, domain, round_idx)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        # Philox(key=k) stores k as little-endian 64-bit words, counter 0
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([key & _WORD, key >> 64], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # empty: the next draw runs the counter
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+    A counter block gives four 64-bit words, and round ``r`` owns the
+    ``S = ceil(width / 4)`` blocks from counter ``r * S`` on, so a round's
+    row is the same whatever block of rounds it is drawn in.  A uniform
+    is its word's top 53 bits times 2**-53.  ``floor(u * k)`` maps it to an
+    index in [0, k): below k for every k < 2**53, because the product's
+    rounding cannot reach k; and that rounding moves each cut point by
+    less than one of the 2**53 steps, so every index is within 2**-52 of
+    probability 1/k, a total-variation bias below k * 2**-53.
+    """
+    per_round = -(-width // 4)
+    words = np.random.Philox(
+        key=_stream_key(root_seed, domain), counter=rounds.start * per_round,
+    ).random_raw(len(rounds) * per_round * 4)
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u *= 2.0 ** -53
+    return u.reshape(len(rounds), 4 * per_round)[:, :width]

@@ -13,9 +13,9 @@ tips, attach as one array update; a single attach is a one-row batch.
 The tip update marks the batch's parents in a mask over the earlier ids
 (every parent predates its batch), drops the marked tips and appends the
 new ids, which keeps the array ascending.
-Draws take an explicit generator so callers own determinism:
-:func:`urts_pair` a ``random.Random``, :func:`urts_pairs` a
-``numpy.random.Generator``.
+Draws take their randomness from the caller, who owns determinism:
+:func:`urts_pair` a ``random.Random``, :func:`urts_pairs` an array of
+uniforms.
 """
 
 from __future__ import annotations
@@ -82,19 +82,19 @@ def urts_pair(tips: Sequence[int], rng: random.Random) -> tuple[int, int]:
     return (tips[i], tips[second_index(i, rng.randrange(k - 1))])
 
 
-def urts_pairs(tips: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` independent :func:`urts_pair` draws from ``tips``, as an
-    ``(n, 2)`` array."""
-    k = len(tips)
+def urts_pairs(tips: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One uniform ordered pair of distinct entries of ``tips`` (the lone
+    tip twice if only one exists) per column of the ``(2, n)`` uniforms
+    ``u``, as an ``(n, 2)`` array: ``u[0]`` picks the first of k tips as
+    ``floor(u[0] * k)``, and ``u[1]`` the second among the other k - 1."""
+    k, n = len(tips), u.shape[1]
     if k == 0:
         raise AttachError("tip selection on a ledger with no tips")
     if k == 1:
         return np.full((n, 2), tips[0], dtype=np.int64)
-    pairs = np.empty((n, 2), dtype=np.int64)
-    i = gen.integers(0, k, n)
-    pairs[:, 0] = tips[i]
-    pairs[:, 1] = tips[second_index(i, gen.integers(0, k - 1, n))]
-    return pairs
+    index = (u * np.array([[k], [k - 1]])).astype(np.intp)
+    index[1] = second_index(index[0], index[1])
+    return tips[index.T]
 
 
 def _frozen(ids: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from tipleak.experiments import (
     exp_variance,
 )
 from tipleak.network import SimConfig, run_simulation
-from tipleak.rng import round_generator, substream
+from tipleak.rng import substream, uniforms
 from tipleak.results import write_result
 from tipleak.tangle import GENESIS_ID, NO_ISSUER, Ledger, urts_pairs
 
@@ -331,8 +331,9 @@ def test_c09_dag_integrity(report):
     started = time.perf_counter()
     ledger = Ledger()
     labels = np.arange(100)
+    u = uniforms(2026, 9, range(100), 2 * len(labels))
     for r in range(100):  # 10,000 attaches, grown round by round as a simulation grows
-        parents = urts_pairs(ledger.tips, round_generator(2026, 9, r), len(labels))
+        parents = urts_pairs(ledger.tips, u[r].reshape(2, -1))
         ledger.attach_round(parents, r, np.full_like(labels, NO_ISSUER), labels)
 
     approved = {
@@ -368,7 +369,7 @@ def test_c09_dag_integrity(report):
     assert fixed.tip_count == 10
     observed: dict[tuple[int, int], int] = {}
     draws = 100_000
-    pairs = urts_pairs(fixed.tips, round_generator(2026, 10, 0), draws)
+    pairs = urts_pairs(fixed.tips, uniforms(2026, 10, range(1), 2 * draws).reshape(2, -1))
     for a, b in np.sort(pairs, axis=1).tolist():
         observed[a, b] = observed.get((a, b), 0) + 1
     pair_count = math.comb(10, 2)

@@ -27,7 +27,7 @@ from tipleak.network import (
     run_simulation,
     sample_positions,
 )
-from tipleak.rng import rekey, round_generator
+from tipleak.rng import uniforms
 from tipleak.tangle import round_address
 
 
@@ -312,8 +312,7 @@ def test_sample_positions_uniform_distinct_variable_sizes():
     sizes = np.array([1, 3, 6])
     counts = np.array([1, 3, 2])
     drawing, bounds = _step_plan(sizes, counts)
-    draws = np.array([round_generator(5, 3, round_idx).integers(0, bounds)
-                      for round_idx in range(3000)])
+    draws = (uniforms(5, 3, range(3000), len(bounds)) * bounds).astype(np.int64)
     pair_counts = Counter()
     for picks in sample_positions(draws, drawing):
         first, whole, pair = picks[:1], picks[1:4], picks[4:]
@@ -326,14 +325,19 @@ def test_sample_positions_uniform_distinct_variable_sizes():
     assert all(abs(n - 200) < 4 * math.sqrt(200) for n in pair_counts.values())
 
 
-def _sample_positions_per_step(gen, sizes, counts):
-    """The reference sampler: one draw call per fan-out step over the rows
-    still drawing, each pick stepped over that row's taken positions."""
+def _sample_positions_per_step(u, sizes, counts):
+    """The reference sampler: one pick per fan-out step for each row still
+    drawing, from the round's uniforms in step-major order, each pick
+    stepped over that row's taken positions."""
     width = int(counts.max(initial=0))
     picks = np.zeros((len(sizes), width), dtype=np.int64)
+    used = 0
     for t in range(width):
         live = np.flatnonzero(counts > t)
-        pick = gen.integers(0, sizes[live] - t)
+        pick = np.array([int(x * (size - t)) for x, size
+                         in zip(u[used:used + len(live)].tolist(), sizes[live].tolist())],
+                        dtype=np.int64)
+        used += len(live)
         for taken in np.sort(picks[live, :t], axis=1).T:
             pick += taken <= pick
         picks[live, t] = pick
@@ -341,10 +345,9 @@ def _sample_positions_per_step(gen, sizes, counts):
 
 
 def test_sample_positions_equals_the_per_step_reference():
-    # as a simulation does: re-key one generator per round, make the round's
-    # first draw, keep its state, sample the block, then restore each state
+    # as a simulation does: a block of rounds' uniforms in one call, mapped
+    # to picks and sampled at once; each round against its own call
     cases = np.random.default_rng(12)
-    gen = round_generator(0, 0, 0)
     for case in range(400):
         rows = int(cases.integers(0, 12))
         width = int(cases.integers(0, 7))  # 0: no row draws
@@ -352,19 +355,13 @@ def test_sample_positions_equals_the_per_step_reference():
         sizes = counts + cases.integers(0, 5, rows)
         drawing, bounds = _step_plan(sizes, counts)
         rounds = range(4 * case, 4 * case + int(cases.integers(1, 4)))
-        draws, states = [], []
-        for round_idx in rounds:
-            draws.append(rekey(gen, 9, 3, round_idx).integers(0, bounds))
-            states.append(gen.bit_generator.state)
-        got = sample_positions(np.array(draws, dtype=np.int64), drawing)
+        draws = (uniforms(9, 3, rounds, len(bounds)) * bounds).astype(np.int64)
+        got = sample_positions(draws, drawing)
         assert got.shape == (len(rounds), counts.sum())
-        for picks, state, round_idx in zip(got, states, rounds):
-            want_gen = round_generator(9, 3, round_idx)
-            want = _sample_positions_per_step(want_gen, sizes, counts)
+        for picks, round_idx in zip(got, rounds):
+            (own,) = uniforms(9, 3, range(round_idx, round_idx + 1), len(bounds))
+            want = _sample_positions_per_step(own, sizes, counts)
             assert picks.dtype == want.dtype and picks.tolist() == want.tolist()
-            # the round's next draw continues the same stream
-            gen.bit_generator.state = state
-            assert gen.integers(0, 2**62) == want_gen.integers(0, 2**62)
 
 
 def _join_reference(left, right):
@@ -595,6 +592,59 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
         for round_idx in range(config.rounds - 2):
             sim.run_round(round_idx)
         assert _link_rows(sim._result().links) == _link_rows(want.links, config.rounds - 2)
+
+
+def _nonce_join(sim):
+    """``match_responses(..., assume_unique)`` over the rounds ``sim`` has
+    run since its last match: the log of every logged request and every
+    attach with the nonce of the request it followed."""
+    schedule, req = sim._schedule, sim._requesters
+    rows = np.array([row for row, _, _ in sim._unmatched])
+    rounds = schedule.rounds.start + rows
+    responder = schedule.responder[rows]
+    at, request = np.nonzero(schedule.logged[rows])
+    log = ResponseLog(
+        nonce=np.column_stack((rounds[at], responder[at, request], req.request_light[request])),
+        requester=req.request_visible[request], tips=np.zeros((len(at), 2), dtype=np.int64))
+    issued = np.repeat(rounds, len(req.light))
+    light = np.tile(req.light, len(rows))
+    followed = np.take_along_axis(responder, schedule.followed[rows], 1).ravel()
+    attaches = RoundAttaches(
+        light=light, identity=np.tile(req.visible, len(rows)),
+        parents=np.zeros((len(light), 2), dtype=np.int64), round=issued,
+        followed_nonce=np.column_stack((issued, followed, light)))
+    return match_responses(log, attaches, "assume_unique")
+
+
+GATHER_CASES = [
+    _tiny_config(rounds=13),
+    _tiny_config(rounds=9, mode="proxy", proxy_count=3),
+    SimConfig(full_node_count=30, light_node_count=40, rounds=5, request_radius=2,
+              request_fanout=5, adversary_ratio=0.2, seed=7),
+    SimConfig(full_node_count=20, adversary_count=8, light_node_count=30, rounds=11,
+              mode="proxy", proxy_count=4, request_radius=4, seed=3),
+]
+
+
+@pytest.mark.parametrize("case", range(len(GATHER_CASES)))
+def test_gathered_links_equal_the_nonce_join(monkeypatch, case):
+    config = GATHER_CASES[case]
+    requests = len(Simulation(config)._requesters.request_light)
+    match, matched = Simulation._match, []
+
+    def checked(sim):
+        want = _nonce_join(sim) if sim._unmatched else None
+        match(sim)
+        if want is not None:
+            assert _link_rows(sim._links[-1]) == _link_rows(want)
+            matched.append(len(want))
+
+    monkeypatch.setattr(Simulation, "_match", checked)
+    for block in (1, 3 * requests, network._BLOCK):  # one, several and all rounds a block
+        monkeypatch.setattr(network, "_BLOCK", block)
+        matched.clear()
+        Simulation(config).run()
+        assert sum(matched) > 0
 
 
 def test_per_light_table_consistent_with_totals():

@@ -1,43 +1,44 @@
-"""Random-stream tests: re-keyed generators and state snapshots."""
+"""Random-stream tests: counter-indexed uniforms per run."""
 
 import numpy as np
 import pytest
 
-from tipleak.rng import DOMAIN_LOCAL, DOMAIN_REQUEST, rekey, round_generator
+from tipleak.rng import DOMAIN_LOCAL, DOMAIN_REQUEST, _stream_key, uniforms
+
+LARGEST = float((2**64 - 1) >> 11) * 2.0**-53  # the uniform of the largest word
 
 
-def _draws(gen):
-    """A mix of the draws a simulator round makes, and a few others."""
-    return [
-        gen.integers(0, np.array([7, 6, 5])).tolist(),
-        gen.integers(0, 1000, 5).tolist(),
-        gen.integers(0, 2**62),
-        gen.random(3).tolist(),
-    ]
+def test_uniforms_are_top_53_bits_of_the_rounds_philox_words():
+    # numpy's Generator.random is the same top-53-bits map of the same words
+    for seed, domain, round_idx, width in [(1, DOMAIN_REQUEST, 0, 7), (-5, DOMAIN_LOCAL, 2**40, 4),
+                                           (2**63 - 1, DOMAIN_REQUEST, 999, 410)]:
+        per_round = -(-width // 4)
+        gen = np.random.Generator(np.random.Philox(
+            key=_stream_key(seed, domain), counter=round_idx * per_round))
+        (row,) = uniforms(seed, domain, range(round_idx, round_idx + 1), width)
+        assert row.tolist() == gen.random(width).tolist()
 
 
-def test_rekey_draws_the_round_generator_stream():
-    gen = round_generator(0, 0, 0)
-    gen.integers(0, np.array([3, 4, 5]))  # leave a buffered half word behind
-    assert gen.bit_generator.state["has_uint32"] == 1
-    for key in [(1, DOMAIN_REQUEST, 0), (1, DOMAIN_REQUEST, 1), (2**63 - 1, DOMAIN_LOCAL, 999),
-                (-5, DOMAIN_REQUEST, 2**40), (42, DOMAIN_REQUEST, 7)]:
-        assert rekey(gen, *key) is gen
-        assert _draws(gen) == _draws(round_generator(*key))
+@pytest.mark.parametrize("width", [1, 4, 5, 300, 301])
+def test_block_rows_equal_each_rounds_own_call(width):
+    for start in (0, 1, 6, 2**40):
+        block = uniforms(3, DOMAIN_REQUEST, range(start, start + 9), width)
+        assert block.shape == (9, width)
+        for i, row in enumerate(block):
+            own = uniforms(3, DOMAIN_REQUEST, range(start + i, start + i + 1), width)
+            assert row.tolist() == own[0].tolist()
+        assert (0 <= block).all() and (block < 1).all()
+        assert (block * 2.0**53 == np.floor(block * 2.0**53)).all()
+    # domains and seeds key unrelated streams
+    assert uniforms(3, DOMAIN_LOCAL, range(1), width).tolist() != block[:1].tolist()
+    assert uniforms(4, DOMAIN_REQUEST, range(1), width).tolist() != block[:1].tolist()
 
 
-@pytest.mark.parametrize("length", [1, 4, 5, 300, 301])
-def test_restored_snapshot_continues_the_stream_on_another_generator(length):
-    bounds = np.arange(2, length + 2)
-    gen = round_generator(3, DOMAIN_REQUEST, length)
-    gen.integers(0, bounds)
-    snapshot = gen.bit_generator.state
-    # each bound fits 32 bits, so an odd count leaves half a word buffered
-    assert snapshot["has_uint32"] == length % 2
-    want = _draws(gen)
-    other = np.random.Generator(np.random.Philox(key=0))
-    other.bit_generator.state = snapshot
-    assert _draws(other) == want
-    # the snapshot is a copy: later draws left it alone
-    other.bit_generator.state = snapshot
-    assert _draws(other) == want
+def test_rounds_without_words_are_empty():
+    assert uniforms(3, DOMAIN_REQUEST, range(5, 9), 0).shape == (4, 0)
+
+
+def test_largest_word_maps_below_k():
+    ks = sorted({k for e in range(41) for k in (2**e - 1, 2**e, 2**e + 1) if k >= 1})
+    mapped = (LARGEST * np.array(ks, dtype=float)).astype(np.int64)
+    assert mapped.tolist() == [k - 1 for k in ks]

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tipleak.rng import round_generator, substream
+from tipleak.rng import substream, uniforms
 from tipleak.tangle import (
     GENESIS_ID,
     AttachError,
@@ -234,11 +234,22 @@ def test_urts_unordered_pair_frequencies_uniform():
 
 def test_batch_urts_pairs_uniform_and_distinct():
     tips = _ten_tip_ledger().tips
-    pairs = urts_pairs(tips, round_generator(2024, 1, 0), 30_000)
+    pairs = urts_pairs(tips, uniforms(2024, 1, range(1), 60_000).reshape(2, -1))
+    assert pairs.shape == (30_000, 2)
     assert (pairs[:, 0] != pairs[:, 1]).all()
     _assert_uniform_pairs(pairs.tolist())
-    lone = urts_pairs(Ledger().tips, round_generator(2024, 1, 1), 3)
+    lone = urts_pairs(Ledger().tips, uniforms(2024, 1, range(1, 2), 6).reshape(2, -1))
     assert lone.tolist() == [[GENESIS_ID, GENESIS_ID]] * 3
+    with pytest.raises(AttachError):
+        urts_pairs(np.empty(0, dtype=np.int64), np.zeros((2, 1)))
+
+
+def test_batch_urts_pairs_maps_the_ends_of_the_unit_interval():
+    # the smallest uniform picks the first tip and then the first other
+    # one; the largest picks the last tip and then the last other one
+    tips = np.array([3, 5, 8, 13])
+    ends = np.array([[0.0, 1 - 2.0**-53], [0.0, 1 - 2.0**-53]])
+    assert urts_pairs(tips, ends).tolist() == [[3, 5], [13, 8]]
 
 
 def test_urts_deterministic_under_seed():
