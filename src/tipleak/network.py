@@ -496,6 +496,13 @@ class Schedule:
     urts: np.ndarray       # (rounds, 2 * n) uniforms
 
 
+def _transactions(links: Links, lights: np.ndarray) -> tuple[int, np.ndarray]:
+    """A bound above every light id, and each link's transaction -- its
+    address -- keyed round * span + light."""
+    span = int(lights[-1]) + 1
+    return span, links.nonce[:, 0] * span + links.light
+
+
 @dataclass
 class SimResult:
     """A scored run.  ``per_light`` and ``address_degrees`` are scored from
@@ -516,18 +523,12 @@ class SimResult:
     issuing: np.ndarray = field(repr=False, compare=False)    # lights that attach each round
     visible: np.ndarray = field(repr=False, compare=False)    # each light's visible identity
 
-    def _transactions(self) -> tuple[int, np.ndarray]:
-        """A bound above every id, and each link's transaction (its address)
-        keyed round * span + light."""
-        span = int(self.light_ids[-1]) + 1
-        return span, self.links.nonce[:, 0] * span + self.links.light
-
     @functools.cached_property
     def per_light(self) -> list[dict]:
         """Each light's transactions, correctly linked transactions and
         links claiming its identity."""
         lights, links = self.light_ids, self.links
-        span, tx = self._transactions()
+        span, tx = _transactions(links, lights)
         correct_txs = np.unique(tx[links.correct])
         return [
             {"light_id": light, "transactions": transactions,
@@ -545,7 +546,7 @@ class SimResult:
         """Each linked address's anonymity degree.  A proxy stands for every
         light assigned to it and no light has two proxies, so the lights
         behind an address's claims never overlap."""
-        span, tx = self._transactions()
+        span, tx = _transactions(self.links, self.light_ids)
         claims = np.unique(tx * span + self.links.claimed)
         addresses, inverse = np.unique(claims // span, return_inverse=True)
         lights_behind = np.bincount(
@@ -748,10 +749,8 @@ class Simulation:
             np.concatenate([getattr(part, column.name) for part in self._links])
             for column in fields(Links)
         ))
-        span = int(lights[-1]) + 1  # every id is below it
-        # a transaction is keyed round * span + light, and counts once
-        # however many adversaries linked it
-        correct_txs = np.unique((links.nonce[:, 0] * span + links.light)[links.correct])
+        # a transaction counts once however many adversaries linked it
+        correct_txs = np.unique(_transactions(links, lights)[1][links.correct])
         correct = int(np.count_nonzero(links.correct))
         false_pos = len(links) - correct
         return SimResult(
