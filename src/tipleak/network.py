@@ -20,24 +20,29 @@ the address is pinned to one light.
 
 A round is columnar: every light's queried set, every response and every
 follow choice come from the run's one counter-indexed Philox stream
-(:func:`tipleak.rng.uniforms`), in which each round owns a fixed range of
-words; the round attaches as one ledger batch.  Reach never changes
-during a run, so the request plan -- which lights send how many requests,
-under which identity -- is built once, with the reach, in
-:class:`Requesters`.
+(:func:`tipleak.rng.words`), in which each round owns a fixed range of
+words.  Reach never changes during a run, so the request plan -- which
+lights send how many requests, under which identity -- is built once,
+with the reach, in :class:`Requesters`.
 
 Only the tips pass from one round to the next, and neither the queried
 nodes, the follow choices nor the matching depend on them, so a run goes
 in blocks of rounds bounded by ``_BLOCK`` requests.  Before a block, one
-call draws all its rounds' uniforms, and the queried positions
+call draws all its rounds' words, and the queried positions
 (:func:`sample_positions`) and follow choices are mapped from them into
-its :class:`Schedule`.  A round maps only what reads the tips, its two
-URTS columns, once the tip count is known.  After the block, adversaries
-match its log: a nonce-tagged response names the one attach that
-followed it, so assume_unique links are a gather of the logged mask at
-the followed requests, and collision-aware matching is a join keyed by
-round and tip pair.  Either way links come out in (round, attach, log
-row) order for any block size.
+its :class:`Schedule`; the URTS columns, which read the tips, stay words.
+After the block, adversaries match its log: a nonce-tagged response names
+the one attach that followed it, so assume_unique links are a gather of
+the logged mask at the followed requests, and collision-aware matching is
+a join keyed by round and tip pair.  Either way links come out in (round,
+attach, log row) order for any block size.
+
+A round attaches as one ledger batch, its URTS words mapped against the
+tips it starts from.  Only collision-aware matching reads the served
+pairs, so only its rounds attach as they run; otherwise, and under direct
+tip selection, which logs nothing, the ledger is grown on read:
+:attr:`Simulation.ledger` attaches every round run so far from the same
+words, drawn again, a block at a time.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -61,7 +66,8 @@ from .rng import (
     DOMAIN_LOCAL,
     DOMAIN_REQUEST,
     substream,
-    uniforms,
+    to_uniforms,
+    words,
 )
 from .tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
 
@@ -483,17 +489,18 @@ _BLOCK = 1 << 14  # requests drawn per block of rounds: bounds its arrays
 
 @dataclass(frozen=True)
 class Schedule:
-    """The draws of a block of consecutive rounds, made before its first
-    round.  Row ``i`` is round ``rounds[i]``: who answers each of its
-    requests, whether that node logs, which request each light follows,
-    and the uniforms of its URTS draws, which map to tips once the round's
-    tip count is known."""
+    """The draws of a block of consecutive rounds.  Row ``i`` is round
+    ``rounds[i]``: the words of its URTS draws, which map to tips once the
+    round's tip count is known, and which of the served pairs each light
+    attaches on (None under direct tip selection: a light's own pair).  A
+    block drawn to be matched also holds who answers each request and
+    whether that node logs."""
 
     rounds: range
-    responder: np.ndarray  # (rounds, n)
-    logged: np.ndarray     # (rounds, n) bool
-    followed: np.ndarray   # (rounds, lights) request rows
-    urts: np.ndarray       # (rounds, 2 * n) uniforms
+    urts: np.ndarray                # (rounds, 2 * n) words
+    followed: np.ndarray | None     # (rounds, lights) request rows
+    responder: np.ndarray | None = None  # (rounds, n)
+    logged: np.ndarray | None = None     # (rounds, n) bool
 
 
 def _transactions(links: Links, lights: np.ndarray) -> tuple[int, np.ndarray]:
@@ -579,26 +586,33 @@ class SimResult:
 class Simulation:
     """One configured attack run against a shared ledger.
 
-    Within a round every response is computed against the round-start tip
-    snapshot, attaches land in ascending light-node order, and adversaries
-    match afterwards, once per block of rounds -- so light nodes are
-    independent inside a round and the ledger view only advances between
-    rounds.
+    Rounds run once each, in order.  Within a round every response is
+    computed against the round-start tip snapshot, attaches land in
+    ascending light-node order, and adversaries match afterwards, once per
+    block of rounds -- so light nodes are independent inside a round and
+    the ledger view only advances between rounds.
+
+    Which tips were served reaches a link only under collision_aware
+    matching, so only those rounds attach as they run.  Otherwise the
+    ledger past its bootstrap tips is grown on read: :attr:`ledger`
+    attaches every round run so far from the same words, drawn again.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.population = place_nodes(config)
-        self.ledger = Ledger()
-        self.ledger.attach_round(
+        self._ledger = Ledger()
+        self._ledger.attach_round(
             np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
             np.full(config.bootstrap_tips, NO_ISSUER),
             addresses=[f"bootstrap-{i}" for i in range(config.bootstrap_tips)],
         )
+        self._ran = 0    # rounds run
+        self._grown = 0  # rounds attached to the ledger
         # one table per matched block, after an empty one
         self._links = [Links(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
-        self._schedule: Schedule | None = None
+        self._schedule: Schedule | None = None  # the block being run
         # per round run and not yet matched: (schedule row, logged tips and
         # parents, or None when nonces match)
         self._unmatched: list[tuple[int, np.ndarray | None, np.ndarray | None]] = []
@@ -643,51 +657,83 @@ class Simulation:
             bounds=(count - steps)[drawing],
         )
 
-    def _draw_schedule(self, start: int) -> Schedule:
+    @property
+    def ledger(self) -> Ledger:
+        """The ledger through every round run so far, grown on read."""
+        self._grow(self._ran)
+        return self._ledger
+
+    def _draw_schedule(self, start: int, stop: int, match: bool = False) -> Schedule:
         """Draw the block of rounds from ``start``: as many rounds as fit in
-        ``_BLOCK`` requests, none past the run's last round (a round past
-        it makes a block of its own).  A round's uniforms are its queried
-        positions, its two URTS columns and its follow choices, in order."""
+        ``_BLOCK`` requests, none from ``stop`` on.  A request round's words
+        are its queried positions, its two URTS columns and its follow
+        choices, in order, and only the columns the block reads become
+        uniforms: the queried positions only when it is to be matched.  A
+        direct round's words are its lights' URTS columns."""
+        seed = self.config.seed
+        if self.config.mode == MODE_DIRECT:
+            n = len(self.population.light_ids)
+            rounds = range(start, min(start + max(1, _BLOCK // n), stop))
+            return Schedule(rounds, words(seed, DOMAIN_LOCAL, rounds, 2 * n), None)
         req = self._requesters
         picks, n = len(req.bounds), len(req.request_light)
-        per_block = max(1, _BLOCK // max(n, 1))
-        rounds = range(start, max(start + 1, min(start + per_block, self.config.rounds)))
-        u = uniforms(self.config.seed, DOMAIN_REQUEST, rounds, picks + 2 * n + len(req.light))
-        draws = (u[:, :picks] * req.bounds).astype(np.int64)
+        rounds = range(start, min(start + max(1, _BLOCK // max(n, 1)), stop))
+        w = words(seed, DOMAIN_REQUEST, rounds, picks + 2 * n + len(req.light))
+        urts = w[:, picks:picks + 2 * n]
+        followed = req.first + (to_uniforms(w[:, picks + 2 * n:]) * req.fanout).astype(np.int64)
+        if not match:
+            return Schedule(rounds, urts, followed)
+        draws = (to_uniforms(w[:, :picks]) * req.bounds).astype(np.int64)
         responder = req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
-        return Schedule(
-            rounds, responder, self.population.adversary[responder],
-            followed=req.first + (u[:, picks + 2 * n:] * req.fanout).astype(np.int64),
-            urts=u[:, picks:picks + 2 * n],
-        )
+        return Schedule(rounds, urts, followed, responder, self.population.adversary[responder])
+
+    def _grow(self, stop: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Attach every round from the ledger's next one up to ``stop``, a
+        block of rounds at a time: the block being run when it holds the
+        round, else one drawn again.  Returns the last round's served pairs
+        and the pairs it attached on."""
+        if self.config.mode == MODE_DIRECT:
+            issuers = labels = self.population.light_ids
+        else:
+            issuers, labels = self._requesters.visible, self._requesters.light
+        served = parents = None
+        while self._grown < stop:
+            block = self._schedule
+            if block is None or self._grown not in block.rounds:
+                block = self._draw_schedule(self._grown, stop)
+            for round_idx in range(self._grown, min(block.rounds.stop, stop)):
+                i = round_idx - block.rounds.start
+                served = urts_pairs(self._ledger.tips, to_uniforms(block.urts[i]).reshape(2, -1))
+                parents = served if block.followed is None else served[block.followed[i]]
+                self._ledger.attach_round(parents, round_idx, issuers, labels)
+                self._grown = round_idx + 1
+        return served, parents
 
     def run_round(self, round_idx: int) -> None:
-        """Every reachable light queries a uniform subset of its reachable
-        full nodes, each answers with a URTS pair against the round-start
-        tips, and the light follows one answer uniformly and attaches.
-        Under direct tip selection every light selects its own tips: no
-        request, nothing logged."""
-        config, tips = self.config, self.ledger.tips
+        """Run the next round: every reachable light queries a uniform
+        subset of its reachable full nodes, each answers with a URTS pair
+        against the round-start tips, and the light follows one answer
+        uniformly and attaches.  Under direct tip selection every light
+        selects its own tips: no request, nothing logged, so the round only
+        counts.  Only collision_aware matching attaches the round now."""
+        config = self.config
+        if round_idx != self._ran or round_idx >= config.rounds:
+            raise ValueError(
+                f"round {round_idx} cannot run: rounds run once, in order, "
+                f"and {self._ran} of {config.rounds} have run")
+        self._ran += 1
         if config.mode == MODE_DIRECT:
-            lights = self.population.light_ids
-            u = uniforms(config.seed, DOMAIN_LOCAL, range(round_idx, round_idx + 1),
-                         2 * len(lights))
-            self.ledger.attach_round(
-                urts_pairs(tips, u.reshape(2, -1)), round_idx, lights, lights
-            )
             return
-        if self._schedule is None or round_idx not in self._schedule.rounds:
-            self._match()
-            self._schedule = self._draw_schedule(round_idx)
-        schedule, req = self._schedule, self._requesters
+        if self._schedule is None:
+            self._schedule = self._draw_schedule(round_idx, config.rounds, match=True)
+        schedule = self._schedule
         i = round_idx - schedule.rounds.start
-        served = urts_pairs(tips, schedule.urts[i].reshape(2, -1))
-        parents = served[schedule.followed[i]]
-        self.ledger.attach_round(parents, round_idx, req.visible, req.light)
-        # collision-aware matching compares tip pairs; a nonce needs none
-        self._unmatched.append(
-            (i, served[schedule.logged[i]], parents)
-            if config.matching == MATCH_COLLISION_AWARE else (i, None, None))
+        if config.matching == MATCH_COLLISION_AWARE:
+            # collision-aware matching compares tip pairs; a nonce needs none
+            served, parents = self._grow(round_idx + 1)
+            self._unmatched.append((i, served[schedule.logged[i]], parents))
+        else:
+            self._unmatched.append((i, None, None))
         if round_idx == schedule.rounds[-1]:
             self._match()
             self._schedule = None  # the block is done; scoring need not hold it

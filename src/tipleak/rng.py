@@ -6,13 +6,16 @@ names the consumer, and draws from a stream keyed by it:
 
 * :func:`substream` seeds a ``random.Random`` (Mersenne Twister).  Node
   placement, adversary choice and every experiment-level draw use it.
-* :func:`uniforms` reads a counter-based Philox stream (Salmon et al.,
+* :func:`words` reads a counter-based Philox stream (Salmon et al.,
   "Parallel random numbers: as easy as 1, 2, 3", SC'11) keyed by
   ``(root_seed, domain)``, one per simulation run.  Philox's word ``n``
   under key ``k`` is a pure function of ``(k, n)``, so every round owns a
   fixed range of counters: a block of rounds is one call, and a round's
-  uniforms are the same whichever block it falls in.  Every light node's
-  request, response and follow draws come from them.
+  words are the same whichever block it falls in, or however late they
+  are drawn again.  :func:`to_uniforms` converts words to uniforms, so a
+  caller converts only the columns it reads; :func:`uniforms` is the two
+  in one.  Every light node's request, response, follow and tip draws
+  come from them.
 
 Because a key is a pure function of ``(root_seed, key path)``, results
 never depend on scheduling or worker count: two runs with the same seed
@@ -53,25 +56,40 @@ def substream(root_seed: int, *path: int) -> random.Random:
     return random.Random(_stream_key(root_seed, *path))
 
 
-def uniforms(root_seed: int, domain: int, rounds: range, width: int) -> np.ndarray:
-    """``width`` uniforms on [0, 1) for each of the consecutive ``rounds``,
-    as a ``(len(rounds), width)`` array, from the Philox stream keyed by
+def words(root_seed: int, domain: int, rounds: range, width: int) -> np.ndarray:
+    """``width`` 64-bit words for each of the consecutive ``rounds``, as a
+    ``(len(rounds), width)`` uint64 array, from the Philox stream keyed by
     ``(root_seed, domain)``.
 
-    A counter block gives four 64-bit words, and round ``r`` owns the
+    A counter block gives four words, and round ``r`` owns the
     ``S = ceil(width / 4)`` blocks from counter ``r * S`` on, so a round's
-    row is the same whatever block of rounds it is drawn in.  A uniform
-    is its word's top 53 bits times 2**-53.  ``floor(u * k)`` maps it to an
-    index in [0, k): below k for every k < 2**53, because the product's
-    rounding cannot reach k; and that rounding moves each cut point by
-    less than one of the 2**53 steps, so every index is within 2**-52 of
-    probability 1/k, a total-variation bias below k * 2**-53.
+    row is the same whatever block of rounds it is drawn in.
     """
     per_round = -(-width // 4)
-    words = np.random.Philox(
+    raw = np.random.Philox(
         key=_stream_key(root_seed, domain), counter=rounds.start * per_round,
     ).random_raw(len(rounds) * per_round * 4)
-    words >>= np.uint64(11)
-    u = words.astype(np.float64)
+    return raw.reshape(len(rounds), 4 * per_round)[:, :width]
+
+
+def to_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Each word's uniform on [0, 1): its top 53 bits times 2**-53.
+
+    ``floor(u * k)`` maps a uniform to an index in [0, k): below k for
+    every k < 2**53, because the product's rounding cannot reach k; and
+    that rounding moves each cut point by less than one of the 2**53
+    steps, so every index is within 2**-52 of probability 1/k, a
+    total-variation bias below k * 2**-53.
+    """
+    u = np.empty(raw.shape)
+    # shifted in buffered chunks straight into the floats, which hold
+    # every 53-bit value exactly
+    np.right_shift(raw, np.uint64(11), out=u, casting="unsafe")
     u *= 2.0 ** -53
-    return u.reshape(len(rounds), 4 * per_round)[:, :width]
+    return u
+
+
+def uniforms(root_seed: int, domain: int, rounds: range, width: int) -> np.ndarray:
+    """``to_uniforms(words(root_seed, domain, rounds, width))``: ``width``
+    uniforms on [0, 1) for each of the consecutive ``rounds``."""
+    return to_uniforms(words(root_seed, domain, rounds, width))

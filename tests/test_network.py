@@ -27,8 +27,8 @@ from tipleak.network import (
     run_simulation,
     sample_positions,
 )
-from tipleak.rng import uniforms
-from tipleak.tangle import round_address
+from tipleak.rng import DOMAIN_LOCAL, DOMAIN_REQUEST, uniforms
+from tipleak.tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
 
 
 def _tiny_config(**kw) -> SimConfig:
@@ -645,6 +645,128 @@ def test_gathered_links_equal_the_nonce_join(monkeypatch, case):
         matched.clear()
         Simulation(config).run()
         assert sum(matched) > 0
+
+
+def test_rounds_run_once_in_order():
+    config = _tiny_config(rounds=3)
+    sim = Simulation(config)
+    sim.run_round(0)
+    for refused in (0, 2, -1):  # repeated, skipped, before the first
+        with pytest.raises(ValueError, match=f"round {refused} cannot run") as exc:
+            sim.run_round(refused)
+        assert "\n" not in str(exc.value)
+    sim.run_round(1)
+    sim.run_round(2)
+    with pytest.raises(ValueError, match="3 of 3 have run"):  # past the end
+        sim.run_round(3)
+    with pytest.raises(ValueError, match="round 0 cannot run"):  # a second run()
+        sim.run()
+    # the refused calls changed nothing
+    assert _scored(sim._result()) == _scored(run_simulation(config))
+    assert sim._result().total_transactions == 3 * config.light_node_count
+    assert len(sim.ledger) == 1 + 3 * config.light_node_count
+
+
+def _eager_ledger(sim, rounds):
+    """The ledger of ``sim``'s first ``rounds`` rounds, grown by hand the
+    way validate's tangle-integrity check grows its own: each round's own
+    uniforms, its URTS pairs against the tips it starts from, and one
+    attach of the pairs its lights follow."""
+    config, req = sim.config, sim._requesters
+    ledger = Ledger()
+    ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
+                        np.full(config.bootstrap_tips, NO_ISSUER),
+                        addresses=[f"bootstrap-{i}" for i in range(config.bootstrap_tips)])
+    for r in range(rounds):
+        if config.mode == "direct_tip_selection":
+            lights = sim.population.light_ids
+            (u,) = uniforms(config.seed, DOMAIN_LOCAL, range(r, r + 1), 2 * len(lights))
+            ledger.attach_round(urts_pairs(ledger.tips, u.reshape(2, -1)), r, lights, lights)
+            continue
+        picks, n = len(req.bounds), len(req.request_light)
+        (u,) = uniforms(config.seed, DOMAIN_REQUEST, range(r, r + 1),
+                        picks + 2 * n + len(req.light))
+        served = urts_pairs(ledger.tips, u[picks:picks + 2 * n].reshape(2, -1))
+        followed = req.first + (u[picks + 2 * n:] * req.fanout).astype(np.int64)
+        ledger.attach_round(served[followed], r, req.visible, req.light)
+    return ledger
+
+
+LEDGER_CASES = {
+    "baseline": _tiny_config(rounds=13),
+    "proxy": _tiny_config(rounds=9, mode="proxy", proxy_count=3),
+    # some lights reach no full node and never attach
+    "stranded": SimConfig(full_node_count=60, adversary_count=12, light_node_count=80,
+                          rounds=7, request_radius=1.4, seed=404),
+    # the same lights out of reach still select their own tips
+    "direct": SimConfig(full_node_count=60, light_node_count=80, rounds=7,
+                        request_radius=1.4, mode="direct_tip_selection", seed=404),
+    "bootstrap": _tiny_config(rounds=6, bootstrap_tips=4),
+    "collision-aware": _tiny_config(rounds=9, matching="collision_aware"),
+}
+
+
+def _same_ledger(got, want):
+    assert got.export_lines() == want.export_lines()
+    assert got.tips.tolist() == want.tips.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_CASES))
+def test_ledger_grown_on_read_equals_the_eager_reference(monkeypatch, name):
+    config = LEDGER_CASES[name]
+    sim = Simulation(config)
+    want = _eager_ledger(sim, config.rounds)
+    draws = len(sim.population.light_ids if config.mode == "direct_tip_selection"
+                else sim._requesters.request_light)
+    read_at = config.rounds // 2
+    for block in (1, 3 * draws, network._BLOCK):  # one, a few and all rounds a block
+        monkeypatch.setattr(network, "_BLOCK", block)
+        sim = Simulation(config)
+        sim.run()
+        _same_ledger(sim.ledger, want)
+        # read after round read_at - 1 (inside a block, when blocks are
+        # long), run on, and read again
+        sim = Simulation(config)
+        for round_idx in range(read_at):
+            sim.run_round(round_idx)
+        _same_ledger(sim.ledger, _eager_ledger(sim, read_at))
+        for round_idx in range(read_at, config.rounds):
+            sim.run_round(round_idx)
+        _same_ledger(sim.ledger, want)
+
+
+@pytest.mark.parametrize("settings", [
+    {}, dict(mode="proxy", proxy_count=3), dict(mode="direct_tip_selection"),
+    dict(matching="collision_aware"),
+], ids=["assume-unique", "proxy", "direct", "collision-aware"])
+def test_only_collision_aware_rounds_attach_as_they_run(monkeypatch, settings):
+    # each attach_round call is one round attached (the bootstrap tips are
+    # the one call in __init__)
+    config = _tiny_config(rounds=7, **settings)
+    attached, attach = [], Ledger.attach_round
+
+    def counted(ledger, parents, round_issued, *args, **kwargs):
+        attached.append(round_issued)
+        return attach(ledger, parents, round_issued, *args, **kwargs)
+
+    monkeypatch.setattr(Ledger, "attach_round", counted)
+    eager = config.matching == "collision_aware"
+    run_simulation(config)
+    assert attached == [0] + (list(range(7)) if eager else [])
+    attached.clear()
+    sim = Simulation(config)
+    for round_idx in range(3):
+        sim.run_round(round_idx)
+    assert attached == [0] + ([0, 1, 2] if eager else [])
+    attached.clear()
+    sim.ledger
+    assert attached == ([] if eager else [0, 1, 2])  # one per round run
+    attached.clear()
+    for round_idx in range(3, 7):
+        sim.run_round(round_idx)
+    sim.ledger
+    sim.ledger
+    assert attached == [3, 4, 5, 6]
 
 
 def test_per_light_table_consistent_with_totals():

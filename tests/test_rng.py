@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tipleak.rng import DOMAIN_LOCAL, DOMAIN_REQUEST, _stream_key, uniforms
+from tipleak.rng import DOMAIN_LOCAL, DOMAIN_REQUEST, _stream_key, to_uniforms, uniforms, words
 
 LARGEST = float((2**64 - 1) >> 11) * 2.0**-53  # the uniform of the largest word
 
@@ -33,6 +33,16 @@ def test_block_rows_equal_each_rounds_own_call(width):
     first = uniforms(3, DOMAIN_REQUEST, range(1), width).tolist()
     assert uniforms(3, DOMAIN_LOCAL, range(1), width).tolist() != first
     assert uniforms(4, DOMAIN_REQUEST, range(1), width).tolist() != first
+
+
+def test_any_columns_convert_as_in_the_whole_block():
+    # a caller converts only the columns it reads, to the same floats
+    raw = words(3, DOMAIN_REQUEST, range(4, 11), 301)
+    assert raw.dtype == np.uint64
+    whole = uniforms(3, DOMAIN_REQUEST, range(4, 11), 301)
+    for cols in (slice(None), slice(0, 1), slice(17, 217), slice(300, None), slice(1, None, 3)):
+        assert to_uniforms(raw[:, cols]).tolist() == whole[:, cols].tolist()
+    assert to_uniforms(raw[2]).tolist() == whole[2].tolist()
 
 
 def test_rounds_without_words_are_empty():
