@@ -7,7 +7,6 @@ parameters, into --out (created if missing).  Re-running with the same
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -40,8 +39,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=Path, default=Path("results"))
     parser.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
-        help="parallel workers; never affects results",
+        "--workers", type=int, default=1,
+        help="parallel workers (default: 1); never affects results",
     )
     parser.add_argument(
         "--format", choices=("csv", "structured"), default="csv"

@@ -505,8 +505,8 @@ def build_parser() -> _Parser:
         help="override a config key (repeatable)",
     )
     run.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
-        help="parallel workers; never affects results",
+        "--workers", type=int, default=1,
+        help="parallel workers (default: 1); never affects results",
     )
 
     validate = subparsers.add_parser(

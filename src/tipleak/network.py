@@ -18,31 +18,34 @@ behind an address's claimed identities are equally likely senders, so its
 anonymity degree is 1.0 when there are two or more of them and 0.0 when
 the address is pinned to one light.
 
-A round is columnar: every light's queried set, every response and every
-follow choice come from the run's one counter-indexed Philox stream
-(:func:`tipleak.rng.words`), in which each round owns a fixed range of
-words.  Reach never changes during a run, so the request plan -- which
-lights send how many requests, under which identity -- is built once,
-with the reach, in :class:`Requesters`.
+A round is columnar, and a run draws from two counter-indexed Philox
+streams (:func:`tipleak.rng.words`), in each of which every round owns a
+fixed range of words: ``DOMAIN_REQUEST`` holds every light's queried set
+and follow choice, ``DOMAIN_URTS`` the URTS (uniform random tip selection)
+draws of every response, or of every light under direct tip selection.
+Reach never changes during a run, so the request plan -- which lights send
+how many requests, under which identity -- is built once, with the reach,
+in :class:`Requesters`.
 
 Only the tips pass from one round to the next, and neither the queried
 nodes, the follow choices nor the matching depend on them, so a run goes
 in blocks of rounds bounded by ``_BLOCK`` requests.  Before a block, one
-call draws all its rounds' words, and the queried positions
+call draws its rounds' request words, and the queried positions
 (:func:`sample_positions`) and follow choices are mapped from them into
-its :class:`Schedule`; the URTS columns, which read the tips, stay words.
-After the block, adversaries match its log: a nonce-tagged response names
-the one attach that followed it, so assume_unique links are a gather of
-the logged mask at the followed requests, and collision-aware matching is
-a join keyed by round and tip pair.  Either way links come out in (round,
-attach, log row) order for any block size.
+its :class:`Schedule`.  After the block, adversaries match its log: a
+nonce-tagged response names the one attach that followed it, so
+assume_unique links are a gather of the logged mask at the followed
+requests, and collision-aware matching is a join keyed by round and tip
+pair.  Either way links come out in (round, attach, log row) order for any
+block size.
 
-A round attaches as one ledger batch, its URTS words mapped against the
-tips it starts from.  Only collision-aware matching reads the served
-pairs, so only its rounds attach as they run; otherwise, and under direct
-tip selection, which logs nothing, the ledger is grown on read:
-:attr:`Simulation.ledger` attaches every round run so far from the same
-words, drawn again, a block at a time.
+A round attaches as one ledger batch, its URTS uniforms mapped against the
+tips it starts from, and a block's URTS words are drawn only where it is
+grown (:meth:`Simulation._grow`).  Only collision-aware matching reads the
+served pairs, so only its rounds draw them and attach as they run;
+otherwise, and under direct tip selection, which logs nothing, the ledger
+is grown on read: :attr:`Simulation.ledger` attaches every round run so
+far, drawing each block's URTS words then, and its follow choices again.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -63,15 +66,15 @@ import numpy as np
 from .rng import (
     DOMAIN_ADVERSARY,
     DOMAIN_LAYOUT,
-    DOMAIN_LOCAL,
     DOMAIN_REQUEST,
+    DOMAIN_URTS,
     substream,
     to_uniforms,
     words,
 )
 from .tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
 
-RNG_SCHEME = "philox-run-v2"
+RNG_SCHEME = "philox-run-v3"
 
 PLANE = (10.0, 10.0)  # width and height of the placement plane
 GRID_DIM = 3  # heatmap cells per plane axis
@@ -216,26 +219,17 @@ class SimConfig:
 # placement
 # ---------------------------------------------------------------------------
 
-def _grid_positions(n: int) -> list[tuple[float, float]]:
+def _grid_positions(n: int) -> np.ndarray:
     """Spread n points evenly over the GRID_DIM x GRID_DIM cells: round-robin
-    across cells, sub-lattice inside each cell."""
-    cell_w = PLANE[0] / GRID_DIM
-    cell_h = PLANE[1] / GRID_DIM
-    per_cell: list[list[int]] = [[] for _ in range(GRID_DIM * GRID_DIM)]
-    for i in range(n):
-        per_cell[i % (GRID_DIM * GRID_DIM)].append(i)
-    positions: list[tuple[float, float] | None] = [None] * n
-    for cell_idx, members in enumerate(per_cell):
-        if not members:
-            continue
-        row, col = divmod(cell_idx, GRID_DIM)
-        side = math.ceil(math.sqrt(len(members)))
-        for slot, node_idx in enumerate(members):
-            sx, sy = slot % side, slot // side
-            x = (col + (sx + 0.5) / side) * cell_w
-            y = (row + (sy + 0.5) / side) * cell_h
-            positions[node_idx] = (x, y)
-    return positions  # type: ignore[return-value]
+    across cells, sub-lattice inside each cell.  ``(n, 2)``."""
+    cells = GRID_DIM * GRID_DIM
+    slot, cell = np.divmod(np.arange(n), cells)
+    row, col = np.divmod(cell, GRID_DIM)
+    # a cell's side is the ceiling of the root of how many points it holds
+    side = np.ceil(np.sqrt((n - cell + cells - 1) // cells)).astype(np.int64)
+    sy, sx = np.divmod(slot, side)
+    return np.column_stack(((col + (sx + 0.5) / side) * (PLANE[0] / GRID_DIM),
+                            (row + (sy + 0.5) / side) * (PLANE[1] / GRID_DIM)))
 
 
 def _clustered_positions(
@@ -257,19 +251,23 @@ def _clustered_positions(
     return positions
 
 
+def _uniform_positions(n: int, rng: random.Random) -> np.ndarray:
+    """``(n, 2)`` points uniform on the plane, x then y of each in turn:
+    ``rng.uniform(0, w)`` is ``0 + w * rng.random()``, the same float."""
+    draw = rng.random
+    return np.array([draw() for _ in range(2 * n)]).reshape(n, 2) * PLANE
+
+
 def _positions(n: int, config: SimConfig, rng: random.Random) -> np.ndarray:
     """``(n, 2)`` positions by the config's placement."""
     if config.placement == "uniform_grid":
-        positions = _grid_positions(n)
-    elif config.placement == "clustered":
+        return _grid_positions(n)
+    if config.placement == "clustered":
         positions = _clustered_positions(
             n, rng, config.cluster_count, config.cluster_spread, config.cluster_fraction
         )
-    else:
-        positions = [
-            (rng.uniform(0, PLANE[0]), rng.uniform(0, PLANE[1])) for _ in range(n)
-        ]
-    return np.array(positions, dtype=float).reshape(n, 2)
+        return np.array(positions, dtype=float).reshape(n, 2)
+    return _uniform_positions(n, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,34 +471,44 @@ def sample_positions(draws: np.ndarray, drawing: np.ndarray) -> np.ndarray:
     below ``sizes[r] - t``.  Returns ``(rounds, drawing.sum())``: each
     round's subsets in draw order, rows concatenated.
     """
-    picks = np.zeros((len(draws), *drawing.shape), dtype=np.int64)
-    picks[:, drawing] = draws
-    for t in range(1, drawing.shape[0]):
+    width = drawing.shape[0]
+    picks = np.zeros((width, len(draws), drawing.shape[1]), dtype=np.int64)
+    picks.swapaxes(0, 1)[:, drawing] = draws
+    # the positions taken so far, ascending: ranks[k] is each row's k-th
+    # smallest (rows past their count pick garbage, never read)
+    ranks: list[np.ndarray] = []
+    for t, pick in enumerate(picks):
         # the pick-th position not taken yet: step over the taken ones in
-        # ascending order (rows past their count pick garbage, never read)
-        pick = picks[:, t]
-        for taken in np.sort(picks[:, :t], axis=1).swapaxes(0, 1):
+        # ascending order
+        for taken in ranks:
             pick += taken <= pick
-    return picks.swapaxes(1, 2)[:, drawing.T]
+        if t + 1 < width:
+            # insert the pick into the ranks in one min/max pass
+            for k, taken in enumerate(ranks):
+                ranks[k], pick = np.minimum(taken, pick), np.maximum(taken, pick)
+            ranks.append(pick)
+    return picks.transpose(1, 2, 0)[:, drawing.T]
 
 
 _BLOCK = 1 << 14  # requests drawn per block of rounds: bounds its arrays
 
 
-@dataclass(frozen=True)
+@dataclass
 class Schedule:
     """The draws of a block of consecutive rounds.  Row ``i`` is round
-    ``rounds[i]``: the words of its URTS draws, which map to tips once the
-    round's tip count is known, and which of the served pairs each light
-    attaches on (None under direct tip selection: a light's own pair).  A
-    block drawn to be matched also holds who answers each request and
-    whether that node logs."""
+    ``rounds[i]``: which of the served pairs each light attaches on (None
+    under direct tip selection: a light's own pair) and, in a block drawn
+    to be matched, who answers each request and whether that node logs.
+    The URTS uniforms, which map to tips once the round's tip count is
+    known, come from their own stream and are drawn only where the block
+    is grown (:meth:`Simulation._grow`), so a block matched by nonce never
+    draws them."""
 
     rounds: range
-    urts: np.ndarray                # (rounds, 2 * n) words
     followed: np.ndarray | None     # (rounds, lights) request rows
     responder: np.ndarray | None = None  # (rounds, n)
     logged: np.ndarray | None = None     # (rounds, n) bool
+    urts: np.ndarray | None = None       # (rounds, 2 * n) uniforms, once grown
 
 
 def _transactions(links: Links, lights: np.ndarray) -> tuple[int, np.ndarray]:
@@ -593,9 +601,10 @@ class Simulation:
     the ledger view only advances between rounds.
 
     Which tips were served reaches a link only under collision_aware
-    matching, so only those rounds attach as they run.  Otherwise the
-    ledger past its bootstrap tips is grown on read: :attr:`ledger`
-    attaches every round run so far from the same words, drawn again.
+    matching, so only those rounds draw their URTS words and attach as
+    they run.  Otherwise the ledger past its bootstrap tips is grown on
+    read: :attr:`ledger` draws the URTS words of every round run so far
+    and attaches them.
     """
 
     def __init__(self, config: SimConfig):
@@ -665,45 +674,49 @@ class Simulation:
 
     def _draw_schedule(self, start: int, stop: int, match: bool = False) -> Schedule:
         """Draw the block of rounds from ``start``: as many rounds as fit in
-        ``_BLOCK`` requests, none from ``stop`` on.  A request round's words
-        are its queried positions, its two URTS columns and its follow
-        choices, in order, and only the columns the block reads become
-        uniforms: the queried positions only when it is to be matched.  A
-        direct round's words are its lights' URTS columns."""
-        seed = self.config.seed
+        ``_BLOCK`` requests (lights, under direct tip selection), none from
+        ``stop`` on.  A request round's words are its queried positions,
+        then its follow choices, and only the columns the block reads
+        become uniforms: the queried positions only when it is to be
+        matched.  A direct round has no request words."""
         if self.config.mode == MODE_DIRECT:
             n = len(self.population.light_ids)
-            rounds = range(start, min(start + max(1, _BLOCK // n), stop))
-            return Schedule(rounds, words(seed, DOMAIN_LOCAL, rounds, 2 * n), None)
+            return Schedule(range(start, min(start + max(1, _BLOCK // n), stop)), None)
         req = self._requesters
         picks, n = len(req.bounds), len(req.request_light)
         rounds = range(start, min(start + max(1, _BLOCK // max(n, 1)), stop))
-        w = words(seed, DOMAIN_REQUEST, rounds, picks + 2 * n + len(req.light))
-        urts = w[:, picks:picks + 2 * n]
-        followed = req.first + (to_uniforms(w[:, picks + 2 * n:]) * req.fanout).astype(np.int64)
+        w = words(self.config.seed, DOMAIN_REQUEST, rounds, picks + len(req.light))
+        followed = req.first + (to_uniforms(w[:, picks:]) * req.fanout).astype(np.int64)
         if not match:
-            return Schedule(rounds, urts, followed)
+            return Schedule(rounds, followed)
         draws = (to_uniforms(w[:, :picks]) * req.bounds).astype(np.int64)
         responder = req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
-        return Schedule(rounds, urts, followed, responder, self.population.adversary[responder])
+        return Schedule(rounds, followed, responder, self.population.adversary[responder])
 
     def _grow(self, stop: int) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Attach every round from the ledger's next one up to ``stop``, a
         block of rounds at a time: the block being run when it holds the
-        round, else one drawn again.  Returns the last round's served pairs
+        round, else one drawn again.  A block's URTS uniforms -- two per
+        request (per light, under direct tip selection) and round -- are
+        drawn here, once per block.  Returns the last round's served pairs
         and the pairs it attached on."""
         if self.config.mode == MODE_DIRECT:
             issuers = labels = self.population.light_ids
+            width = 2 * len(issuers)
         else:
-            issuers, labels = self._requesters.visible, self._requesters.light
+            req = self._requesters
+            issuers, labels, width = req.visible, req.light, 2 * len(req.request_light)
         served = parents = None
         while self._grown < stop:
             block = self._schedule
             if block is None or self._grown not in block.rounds:
                 block = self._draw_schedule(self._grown, stop)
+            if block.urts is None:
+                urts = words(self.config.seed, DOMAIN_URTS, block.rounds, width)
+                block.urts = to_uniforms(urts)
             for round_idx in range(self._grown, min(block.rounds.stop, stop)):
                 i = round_idx - block.rounds.start
-                served = urts_pairs(self._ledger.tips, to_uniforms(block.urts[i]).reshape(2, -1))
+                served = urts_pairs(self._ledger.tips, block.urts[i].reshape(2, -1))
                 parents = served if block.followed is None else served[block.followed[i]]
                 self._ledger.attach_round(parents, round_idx, issuers, labels)
                 self._grown = round_idx + 1

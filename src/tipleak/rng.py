@@ -8,14 +8,17 @@ names the consumer, and draws from a stream keyed by it:
   placement, adversary choice and every experiment-level draw use it.
 * :func:`words` reads a counter-based Philox stream (Salmon et al.,
   "Parallel random numbers: as easy as 1, 2, 3", SC'11) keyed by
-  ``(root_seed, domain)``, one per simulation run.  Philox's word ``n``
-  under key ``k`` is a pure function of ``(k, n)``, so every round owns a
-  fixed range of counters: a block of rounds is one call, and a round's
-  words are the same whichever block it falls in, or however late they
-  are drawn again.  :func:`to_uniforms` converts words to uniforms, so a
-  caller converts only the columns it reads; :func:`uniforms` is the two
-  in one.  Every light node's request, response, follow and tip draws
-  come from them.
+  ``(root_seed, domain)``.  Philox's word ``n`` under key ``k`` is a pure
+  function of ``(k, n)``, so every round owns a fixed range of counters:
+  a block of rounds is one call, and a round's words are the same
+  whichever block it falls in, or however late they are drawn again.
+  :func:`to_uniforms` converts words to uniforms, so a caller converts
+  only the columns it reads; :func:`uniforms` is the two in one.
+  A simulation run reads two such streams.  ``DOMAIN_REQUEST`` holds each
+  round's queried positions and follow choices, which decide every link;
+  ``DOMAIN_URTS`` holds each round's URTS (uniform random tip selection)
+  draws, which pick the tips served and attached on, and which a run
+  draws only when it grows its ledger.
 
 Because a key is a pure function of ``(root_seed, key path)``, results
 never depend on scheduling or worker count: two runs with the same seed
@@ -33,8 +36,8 @@ import numpy as np
 # Domain tags keep key paths from different subsystems disjoint.
 DOMAIN_LAYOUT = 1      # node placement
 DOMAIN_ADVERSARY = 2   # adversary subset draws
-DOMAIN_REQUEST = 3     # a run's requests, responses and follow choices
-DOMAIN_LOCAL = 5       # a run's local tip selection (no request issued)
+DOMAIN_REQUEST = 3     # a run's queried positions and follow choices
+DOMAIN_URTS = 5        # a run's URTS draws: responses' or lights' own tip pairs
 DOMAIN_EXPERIMENT = 6  # experiment-level draws (samples, subsets, ...)
 
 

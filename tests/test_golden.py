@@ -4,11 +4,12 @@ Each case runs ``tipleak run <study> --seed 7 --workers 1`` at small
 settings and compares the CSV and the structured JSON against recorded
 digests.  A refactor that keeps behaviour keeps these digests; a deliberate
 change of the output must update them and say why.  The studies that
-simulate (decentralized, mitigations, custom) are recorded under the
-counter-indexed per-run Philox uniforms of ``network.RNG_SCHEME``
-"philox-run-v2", and the cell studies (heatmap, variance) under the
-per-cell Philox draws of ``experiments.CELL_RNG_SCHEME`` "philox-cell-v1";
-the others never changed.  The battery script's files and the attack
+simulate (decentralized, mitigations, custom) are recorded under
+``network.RNG_SCHEME`` "philox-run-v3": each run's counter-indexed Philox
+uniforms, its queried sets and follow choices on one stream and its URTS
+draws on another.  The cell studies (heatmap, variance) are recorded under
+the per-cell Philox draws of ``experiments.CELL_RNG_SCHEME``
+"philox-cell-v1"; the others never changed.  The battery script's files and the attack
 demo's printed table are pinned as well.
 """
 
@@ -27,8 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # (study, --set settings, csv sha256, json sha256)
 CASES = [
     ("decentralized", ("light_nodes=10", "rounds=10"),
-     "db2ff53c3b8ae925e5c96343a4a792b77ce9f5c0551077ee9526545e34776b02",
-     "945a96dce8b8a7e134766eb189d1d0960e00dd0b5b0fab0159e47f23e5cc045a"),
+     "d1f549f1ebd012a9f65833c280c9fc92ce43cb45f09f894caafcb7a71905a06f",
+     "6bb5f2427107024c14bae60cce53d7a33959dc8afa06b155859c1c1883a75c29"),
     ("realworld", ("samples=20", "max_adversaries=5"),
      "efb01041b64a84fc6f046ff19ff87817cd0bc4c4ac9bf78c3acdeb5bcc748205",
      "085c87e1dd51cf7e92be131386c3bd2764a6b9cd069d0a159e373365468232b4"),
@@ -45,38 +46,38 @@ CASES = [
      "8493447b9efa464c846bb4fc0e5d583b7206df64e231d166fb9da510d18fb1a5",
      "a7cdaf95eef77f4741cddcf2f0ca1f1950c751e9c0e1457c8e1777240ec2c452"),
     ("mitigations", ("baseline_rounds=20", "scaling_rounds=5", "light_nodes=10"),
-     "9ad8db95c143f3f31b750a3e56330a3f865fe016a59fbcc27ce575644b7e00b3",
-     "38fc6055f3b53690eacc0b8e514a58b529acfb2dbf2ddf999b47fd2346ccb26e"),
+     "98c9dac7bb03adb63a9ed491fb8810cbc7ab9fadd5f87943fc56b5ba73850027",
+     "d553913a3e1e2c0f15965bbaa47d149dcf8914b978313b44b674d4c2ba080bff"),
     ("custom", ("light_node_count=40", "rounds=10", "mode=proxy", "proxy_count=3",
                 "matching=collision_aware", "adversary_count=20"),
-     "ca85c2d168489dbfff175927defc86994ea6086644b72b7635160ccda3fe1b9e",
-     "2c97228314b808f3b6b53d90054f9ed4231799c37804bb4fef31b890629887df"),
+     "7d5926773dab880a33ea7a8f2dd60258494befdea11ef3b06a4d86cb902fb79f",
+     "c40d1cab2c777c91ca5bf2a7b9e13ab2881390897e18122d10fe55843e713ca7"),
     ("custom", ("light_node_count=20", "rounds=5", "request_radius=4",
                 "placement=clustered", "adversary_ratio=0.2"),
-     "64410a18dd04eff48de7904d6ff605a0710cdc92cc3553aa13574a17e700c7b3",
-     "dad923f626c3baa10cd7cb017706dfd3c50a4081db17995fe4387de6bdbe9839"),
+     "4b4036efdb1cc6aa372de66139ef57a198ab391dd876de636219d32acacd9698",
+     "b55df29d6e743b1c626eeb6e125118308b30a946215454cd92b23dd8a8ba881b"),
     # two lights sit exactly as far from proxy 101 as from proxy 103; with a
     # finite radius the proxy a light goes through decides what it reaches,
     # so the lowest-id tie rule shows in the bytes
     ("custom", ("light_node_count=40", "rounds=5", "placement=uniform_grid",
                 "mode=proxy", "proxy_count=4", "request_radius=3"),
-     "5484a516110873387acdce5393fc93bf01b3b8fb8d062b9f74b4f550802f5788",
-     "6da70987b2c5bc461954647613b622a9a65556e5e83b63836d3a1a1b413ce694"),
+     "ade37efe87650c1ea6b683b8dacf4cdd87a35454cfcd59eafb2002d4670c1308",
+     "2c4b922cc909d24a244d1449812b21c067b61e53c1d3551e033cab1b55a493fc"),
     ("custom", ("light_node_count=10", "rounds=5", "mode=direct_tip_selection"),
-     "883d42a6523b2059815a9388654886adb33b13a3883542f2b85a87920bb69fb7",
-     "4838651c75b8eede78182108f39535d869a2f7f71ea7cc5dc5048439602f8c6c"),
+     "bbd9ceb352b3cac74ee7a7000e7d69b0dd28253d145309803d9a2efd3e1ca6b5",
+     "32b3da5a0676eedb90c1b8a999ba4b83f319687bcc080bff3e09565e6c98eef8"),
     # every URTS draw and every collision-aware match reads the ids of the
     # pre-attached bootstrap tips
     ("custom", ("light_node_count=40", "rounds=5", "bootstrap_tips=60", "mode=proxy",
                 "proxy_count=2", "matching=collision_aware"),
-     "8890f30666b68f483c2bca186f1fcef1f528f16117214eb09d56dca7adbdafa6",
-     "bdd69a122b91e604337698546bb7e319c04bee9d5e872c01ff79be4d1cbed8da"),
+     "34ac031f7e3a6f83b5742c260ed69e5a1f5afc3da797ee2ad169523cd832d682",
+     "84438c495280ea9a12f9a87a62faa9cf399bba1835920416012ae339109f25dc"),
 ]
 
 # `run_all_experiments.py --fast --seed 42`, the files that are not heatmaps
 BATTERY = {
     "decentralized_42.csv":
-        "e448597363405e42945808cd48326a78317cf2d2eecd43be3fd35c0cbd3d553c",
+        "aae4342335bae4db3686b4a59380eca2d018e05f10ce6f81db4a913ff96b3e35",
     "realworld_42.csv":
         "04c9c14b8407f91db962f8525062ee42f2f7498db9f872a18fe8052234f442e2",
     "variance_42.csv":
@@ -84,7 +85,7 @@ BATTERY = {
     "mixer_42.csv":
         "943000c92d61577b5c71b9d80dfc5e65dcbf770d16760ce4031c825df9d76ae2",
     "mitigations_42.csv":
-        "3e1706a472d7e89b5d07421cdc0729ded602d1459b4c1deb15101524a0230421",
+        "e11b3eafe6ad33ee1593fb81098edd953385de981a570d3a8241f6da75c2e117",
 }
 PLACEMENTS = ("uniform_grid", "uniform_random", "clustered")
 
@@ -139,7 +140,7 @@ SCORING_MIXED = [
     ("light_node_count=30", "rounds=5", "matching=collision_aware", "adversary_count=50",
      "mode=proxy", "proxy_count=40", "request_radius=2"),
 ]
-SCORING_SHA256 = "a2fe3e89d9647bd7fe93a76dfe7a10898b669165fcd46c90aebc94c42edd326b"
+SCORING_SHA256 = "df76809fed303ac54771ce7c2475ad04477475d4555cd893622b521630bcb244"
 
 
 def _scoring(sim):
@@ -171,9 +172,9 @@ def test_scoring_outputs_are_pinned():
 # (reach counts 1 to 8): rows leave the request draws partway through
 SHORT_REACH = ("full_node_count=30", "light_node_count=40", "rounds=5",
                "request_radius=2", "request_fanout=5", "adversary_ratio=0.2")
-SHORT_REACH_CSV = "0e69d41f3aa7365bcf2d7cf7dd96f6dcaf7c7e50ab4c6951b4c59d1fe40d7d55"
-SHORT_REACH_JSON = "9c3bb79b93c400ef91731deed9464cd9f7b41a9f186d088c369224712ee40509"
-SHORT_REACH_SCORING = "03fefc0d64c2f7d93ed7c9f422dcfd81162ac16387f00d81aed6bace45702293"
+SHORT_REACH_CSV = "707d4e43fd854fc46330b2a1cbf53244335745292e739dbdada163b78ead0553"
+SHORT_REACH_JSON = "7d73735937d677cbb0bf5ef930b286e4169431f7cdf5f16a876ce6efc315c562"
+SHORT_REACH_SCORING = "79fcf1e3afd5ec4976e007fdb8732afa3914d3d9a9dea38de7a2830d34ffd6b4"
 
 
 def test_short_reach_requests_are_pinned(tmp_path):
@@ -190,12 +191,12 @@ def test_short_reach_requests_are_pinned(tmp_path):
 # one light queries four adversaries for 30 rounds over a few tips, so a
 # pair it is served in one round is often attached again in a later round:
 # collision-aware matching must join on the round as well as the pair
-# (75 links at seed 2; a join across rounds finds 76)
+# (77 links at seed 2; a join across rounds finds 78)
 CROSS_ROUND = ("matching=collision_aware", "light_node_count=1", "full_node_count=4",
                "adversary_count=4", "rounds=30", "bootstrap_tips=10")
-CROSS_ROUND_CSV = "675477494d665fe97e4cfbe8878e39ed0080877b07f712033f8406c14620f298"
-CROSS_ROUND_JSON = "e1f9c2b8e088ac869138d4b90c40020305ff1df83f252dd6a69cdff14ff3da8b"
-CROSS_ROUND_SCORING = "8e59876301ce2c88c1ecfd8ead28c5358c64b2cb45810e3960ef0c2c93b795a9"
+CROSS_ROUND_CSV = "2df777239cdc673e63f3566b3d07d7842120ff692d5597505d86f91b54f5e4a1"
+CROSS_ROUND_JSON = "5b6036ad3233f3781eec4f1073646580d065c6f5bda0d1a48d84edb9cf27647b"
+CROSS_ROUND_SCORING = "c2d1a578e6b08f110d8714a1acb944bf403d750589259ee56b066c10fcc2622d"
 
 
 def test_collision_aware_matches_within_a_round_only(tmp_path):
@@ -205,7 +206,7 @@ def test_collision_aware_matches_within_a_round_only(tmp_path):
     assert _sha256(tmp_path / "custom_2.json") == CROSS_ROUND_JSON
     sim = run_simulation(SimConfig(
         **resolve_overrides("custom", None, list(CROSS_ROUND))["custom"], seed=2))
-    assert len(sim.links) == 75
+    assert len(sim.links) == 77
     text = json.dumps([_scoring(sim)], separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == CROSS_ROUND_SCORING
 
@@ -253,11 +254,11 @@ def test_attack_demo_prints_the_readme_excerpt(capsys):
     lines = capsys.readouterr().out.splitlines()
     header = lines.index("wallet  transactions  linked  exposed")
     # wallet ids follow the 20 full nodes
-    assert lines[header + 1] == "    20            25       2      8%"
+    assert lines[header + 1] == "    20            25       4     16%"
     assert [line.split()[0] for line in lines[header + 1:header + 9]] == [
         str(i) for i in range(20, 28)
     ]
     assert lines[-1] == (
-        "linked 39/200 transactions to a wallet identity "
-        "(rate 0.195, closed form 0.200)"
+        "linked 48/200 transactions to a wallet identity "
+        "(rate 0.240, closed form 0.200)"
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 from collections import Counter
 
@@ -27,7 +28,7 @@ from tipleak.network import (
     run_simulation,
     sample_positions,
 )
-from tipleak.rng import DOMAIN_LOCAL, DOMAIN_REQUEST, uniforms
+from tipleak.rng import DOMAIN_REQUEST, DOMAIN_URTS, uniforms, words
 from tipleak.tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
 
 
@@ -133,6 +134,42 @@ def test_uniform_grid_spreads_counts_evenly():
         row = min(int(y / cell), GRID_DIM - 1)
         counts[row * GRID_DIM + col] += 1
     assert max(counts) - min(counts) <= 1
+
+
+def _grid_positions_per_point(n):
+    """The reference lattice: each cell's members listed round-robin, then
+    placed one by one on the cell's sub-lattice."""
+    cell_w, cell_h = network.PLANE[0] / GRID_DIM, network.PLANE[1] / GRID_DIM
+    per_cell = [[] for _ in range(GRID_DIM * GRID_DIM)]
+    for i in range(n):
+        per_cell[i % (GRID_DIM * GRID_DIM)].append(i)
+    positions = [None] * n
+    for cell_idx, members in enumerate(per_cell):
+        row, col = divmod(cell_idx, GRID_DIM)
+        side = math.ceil(math.sqrt(len(members)))
+        for slot, node_idx in enumerate(members):
+            sx, sy = slot % side, slot // side
+            positions[node_idx] = ((col + (sx + 0.5) / side) * cell_w,
+                                   (row + (sy + 0.5) / side) * cell_h)
+    return np.array(positions, dtype=float).reshape(n, 2)
+
+
+def test_grid_positions_equal_the_per_point_reference():
+    for n in [*range(300), 3200, 10007]:
+        got, want = _grid_positions(n), _grid_positions_per_point(n)
+        assert got.shape == want.shape == (n, 2) and got.dtype == want.dtype
+        assert got.tolist() == want.tolist(), n
+
+
+def test_uniform_positions_equal_two_uniform_draws_per_point():
+    for n in (0, 1, 2, 37, 400):
+        got_rng, want_rng = random.Random(n), random.Random(n)
+        got = network._uniform_positions(n, got_rng)
+        want = np.array([(want_rng.uniform(0, network.PLANE[0]),
+                          want_rng.uniform(0, network.PLANE[1])) for _ in range(n)],
+                        dtype=float).reshape(n, 2)
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+        assert got_rng.random() == want_rng.random()  # the stream is left alike
 
 
 def test_placement_is_deterministic():
@@ -362,6 +399,34 @@ def test_sample_positions_equals_the_per_step_reference():
             (own,) = uniforms(9, 3, range(round_idx, round_idx + 1), len(bounds))
             want = _sample_positions_per_step(own, sizes, counts)
             assert picks.dtype == want.dtype and picks.tolist() == want.tolist()
+
+
+def test_sample_positions_equals_the_per_step_reference_at_wide_fanouts():
+    # planned as Requesters plans them: fan-outs up to 8, rows that reach
+    # fewer full nodes than the fan-out (and so query every one of them),
+    # and rows that reach a single node
+    cases = np.random.default_rng(21)
+    widths = set()
+    for case in range(200):
+        rows = int(cases.integers(1, 12))
+        sizes = cases.integers(1, 12, rows)
+        sizes[cases.random(rows) < 0.25] = 1
+        counts = np.minimum(sizes, int(cases.integers(1, 9)))
+        widths.add(int(counts.max()))
+        drawing, bounds = _step_plan(sizes, counts)
+        rounds = range(4 * case, 4 * case + int(cases.integers(1, 4)))
+        draws = (uniforms(11, 3, rounds, len(bounds)) * bounds).astype(np.int64)
+        got = sample_positions(draws, drawing)
+        first = np.cumsum(counts) - counts
+        for picks, round_idx in zip(got, rounds):
+            (own,) = uniforms(11, 3, range(round_idx, round_idx + 1), len(bounds))
+            assert picks.tolist() == _sample_positions_per_step(own, sizes, counts).tolist()
+            for start, count, size in zip(first.tolist(), counts.tolist(), sizes.tolist()):
+                subset = sorted(picks[start:start + count].tolist())
+                assert len(set(subset)) == count and subset[-1] < size
+                if count == size:  # a row that queries all it reaches
+                    assert subset == list(range(size))
+    assert widths == set(range(1, 9))
 
 
 def _join_reference(left, right):
@@ -680,14 +745,14 @@ def _eager_ledger(sim, rounds):
     for r in range(rounds):
         if config.mode == "direct_tip_selection":
             lights = sim.population.light_ids
-            (u,) = uniforms(config.seed, DOMAIN_LOCAL, range(r, r + 1), 2 * len(lights))
+            (u,) = uniforms(config.seed, DOMAIN_URTS, range(r, r + 1), 2 * len(lights))
             ledger.attach_round(urts_pairs(ledger.tips, u.reshape(2, -1)), r, lights, lights)
             continue
         picks, n = len(req.bounds), len(req.request_light)
-        (u,) = uniforms(config.seed, DOMAIN_REQUEST, range(r, r + 1),
-                        picks + 2 * n + len(req.light))
-        served = urts_pairs(ledger.tips, u[picks:picks + 2 * n].reshape(2, -1))
-        followed = req.first + (u[picks + 2 * n:] * req.fanout).astype(np.int64)
+        (u,) = uniforms(config.seed, DOMAIN_URTS, range(r, r + 1), 2 * n)
+        served = urts_pairs(ledger.tips, u.reshape(2, -1))
+        (u,) = uniforms(config.seed, DOMAIN_REQUEST, range(r, r + 1), picks + len(req.light))
+        followed = req.first + (u[picks:] * req.fanout).astype(np.int64)
         ledger.attach_round(served[followed], r, req.visible, req.light)
     return ledger
 
@@ -767,6 +832,77 @@ def test_only_collision_aware_rounds_attach_as_they_run(monkeypatch, settings):
     sim.ledger
     sim.ledger
     assert attached == [3, 4, 5, 6]
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Every ``words`` call a simulation makes, as (domain, rounds, width)."""
+    calls = []
+
+    def recorded(root_seed, domain, rounds, width):
+        calls.append((domain, rounds, width))
+        return words(root_seed, domain, rounds, width)
+
+    monkeypatch.setattr(network, "words", recorded)
+    return calls
+
+
+def _blocked(monkeypatch, config, rounds_a_block):
+    """A simulation of ``config`` whose blocks hold ``rounds_a_block`` rounds."""
+    sim = Simulation(config)
+    monkeypatch.setattr(network, "_BLOCK", rounds_a_block * len(sim._requesters.request_light))
+    return sim
+
+
+@pytest.mark.parametrize("case", range(len(GATHER_CASES)))
+def test_a_nonce_matched_run_draws_no_urts_word(monkeypatch, drawn, case):
+    config = GATHER_CASES[case]
+    assert config.matching == "assume_unique"
+    sim = _blocked(monkeypatch, config, 2)
+    req = sim._requesters
+    sim.run()
+    assert {domain for domain, _, _ in drawn} == {DOMAIN_REQUEST}
+    assert {width for _, _, width in drawn} == {len(req.bounds) + len(req.light)}
+    blocks = [rounds for _, rounds, _ in drawn]
+    assert [r for rounds in blocks for r in rounds] == list(range(config.rounds))
+    # reading the ledger draws each block's URTS words once, and the follow
+    # choices again
+    drawn.clear()
+    sim.ledger
+    urts = [(rounds, width) for domain, rounds, width in drawn if domain == DOMAIN_URTS]
+    assert urts == [(rounds, 2 * len(req.request_light)) for rounds in blocks]
+    assert [rounds for domain, rounds, _ in drawn if domain == DOMAIN_REQUEST] == blocks
+    drawn.clear()
+    sim.ledger
+    assert drawn == []
+
+
+def test_a_collision_aware_run_draws_both_streams_as_it_runs(monkeypatch, drawn):
+    config = _tiny_config(rounds=7, matching="collision_aware")
+    sim = _blocked(monkeypatch, config, 3)
+    req = sim._requesters
+    blocks = (range(0, 3), range(3, 6), range(6, 7))
+    for round_idx in range(config.rounds):
+        sim.run_round(round_idx)
+        # by the time a round has run, both streams of its block are drawn
+        block = blocks[round_idx // 3]
+        assert drawn[-2:] == [(DOMAIN_REQUEST, block, len(req.bounds) + len(req.light)),
+                              (DOMAIN_URTS, block, 2 * len(req.request_light))]
+    assert len(drawn) == 2 * len(blocks)
+    drawn.clear()
+    sim.ledger
+    assert drawn == []
+
+
+def test_direct_tip_selection_draws_only_urts_words(monkeypatch, drawn):
+    config = _tiny_config(rounds=7, mode="direct_tip_selection")
+    sim = Simulation(config)
+    monkeypatch.setattr(network, "_BLOCK", 3 * config.light_node_count)
+    sim.run()
+    assert drawn == []
+    sim.ledger
+    assert drawn == [(DOMAIN_URTS, rounds, 2 * config.light_node_count)
+                     for rounds in (range(0, 3), range(3, 6), range(6, 7))]
 
 
 def test_per_light_table_consistent_with_totals():

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from tipleak.rng import DOMAIN_LOCAL, DOMAIN_REQUEST, _stream_key, to_uniforms, uniforms, words
+from tipleak.rng import DOMAIN_REQUEST, DOMAIN_URTS, _stream_key, to_uniforms, uniforms, words
 
 LARGEST = float((2**64 - 1) >> 11) * 2.0**-53  # the uniform of the largest word
 
 
 def test_uniforms_are_top_53_bits_of_the_rounds_philox_words():
     # numpy's Generator.random is the same top-53-bits map of the same words
-    for seed, domain, round_idx, width in [(1, DOMAIN_REQUEST, 0, 7), (-5, DOMAIN_LOCAL, 2**40, 4),
+    for seed, domain, round_idx, width in [(1, DOMAIN_REQUEST, 0, 7), (-5, DOMAIN_URTS, 2**40, 4),
                                            (2**63 - 1, DOMAIN_REQUEST, 999, 410)]:
         per_round = -(-width // 4)
         gen = np.random.Generator(np.random.Philox(
@@ -31,7 +31,7 @@ def test_block_rows_equal_each_rounds_own_call(width):
         assert (block * 2.0**53 == np.floor(block * 2.0**53)).all()
     # domains and seeds key unrelated streams
     first = uniforms(3, DOMAIN_REQUEST, range(1), width).tolist()
-    assert uniforms(3, DOMAIN_LOCAL, range(1), width).tolist() != first
+    assert uniforms(3, DOMAIN_URTS, range(1), width).tolist() != first
     assert uniforms(4, DOMAIN_REQUEST, range(1), width).tolist() != first
 
 
