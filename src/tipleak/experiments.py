@@ -12,7 +12,6 @@ results are byte-identical for a fixed seed regardless of worker count.
 Only ``decentralized`` (its simulations) and ``variance`` (its layouts)
 fan out, through :func:`pmap`, whose jobs send back numbers; every other
 study runs in one process.
-Only ``variance`` imports ``scipy``, for its Spearman test.
 
 :data:`STUDIES` is the registry of ``tipleak run`` names.  The CLI, its
 ``validate`` command and ``scripts/run_all_experiments.py`` all read it, and
@@ -61,6 +60,9 @@ CELL_RNG_SCHEME = "philox-cell-v1"  # echoed by the heatmap and variance studies
 # fixes how a cell's chance sum is grouped into float additions, and so the
 # bytes of every cell estimate: changing it changes results.
 _CELL_BLOCK_ELEMENTS = 1 << 17
+# Relative slack of the cell's reach prefilter over the few ulps by which a
+# rounded distance can fall short of the exact one.
+_NEAR_SLACK = 1e-9
 REGION_DATA_FILE = "fullnode_regions_2020.json"
 
 # substream tags, one per experiment family
@@ -207,6 +209,18 @@ def local_adversary_default(placement: str) -> bool:
     return placement != "uniform_grid"
 
 
+def _near_cell(nodes, corner, size, radius: float) -> np.ndarray:
+    """Mask of the nodes within ``radius`` of the closed cell from
+    ``corner * size`` to ``(corner + 1) * size``, which holds every sample
+    point ``(corner + u) * size`` with ``0 <= u < 1`` as rounded.  A node's
+    gap to the cell is at most its rounded distance to any such point, so
+    the relative slack ``_NEAR_SLACK`` keeps every node that
+    :func:`reachable` can find from the cell."""
+    low, high = corner * size, (corner + 1) * size
+    gap = np.maximum(np.maximum(low - nodes, nodes - high), 0.0)
+    return np.hypot(gap[:, 0], gap[:, 1]) <= radius * (1 + _NEAR_SLACK)
+
+
 def measure_cell_probability(
     positions,
     adversary_count: int,
@@ -227,7 +241,8 @@ def measure_cell_probability(
     (whatever it polls), so its hit chance is the mean adversary chance of
     the nodes in reach (:func:`tipleak.analytic.cell_adversary_odds`); the
     estimate is the mean of that chance over the points that reach any
-    node.  No adversary set is drawn.
+    node.  No adversary set is drawn, and only the nodes within ``radius``
+    of the cell (:func:`_near_cell`) are tested against its points.
 
     Returns ``(probability, effective_samples)``, the latter the number of
     those points; probability is None when no sample point could reach any
@@ -250,6 +265,10 @@ def measure_cell_probability(
     row, col = divmod(cell, GRID_DIM)
     corner = np.array((col, row), dtype=float)
     size = np.array(PLANE) / GRID_DIM
+    near = _near_cell(nodes, corner, size, radius)
+    if not near.any():
+        return None, 0
+    nodes, members = nodes[near], members[near]
     block = -(-_CELL_BLOCK_ELEMENTS // n)  # points per block: bounded memory
     chance = 0.0
     effective = 0
@@ -427,6 +446,62 @@ def exp_heatmap(
 # variance experiment
 # ---------------------------------------------------------------------------
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, tied values sharing their mean rank."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    edges = np.flatnonzero(np.append(new, True))  # each tie run's [start, stop)
+    ranks = np.empty(len(values))
+    ranks[order] = ((edges[:-1] + edges[1:] + 1) / 2)[np.cumsum(new) - 1]
+    return ranks
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of the incomplete beta function I_x(a, b),
+    by the modified Lentz method (Press et al., Numerical Recipes, 6.4)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1 + aa * d
+            d = 1 / (d if abs(d) > tiny else tiny)
+            c = 1 + aa / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1) < 4e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}")
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """The regularised incomplete beta function I_x(a, b), given ``x`` and
+    ``y = 1 - x`` each computed without cancellation."""
+    if x == 0 or y == 0:
+        return float(y == 0)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1) / (a + b + 2):
+        return front * _beta_fraction(a, b, x) / a
+    return 1 - front * _beta_fraction(b, a, y) / b
+
+
+def spearman(x, y) -> tuple[float, float]:
+    """Spearman's rank correlation of ``x`` and ``y`` (three or more pairs,
+    neither constant) and its two-sided p-value, as
+    ``scipy.stats.spearmanr`` gives them: the correlation of the average
+    ranks, tested by Student's t with ``n - 2`` degrees of freedom.  The
+    t tail is I_{dof/(dof+t^2)}(dof/2, 1/2), where dof/(dof+t^2) is
+    ``1 - rho^2``."""
+    rho = float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+    dof = len(x) - 2
+    return rho, _incomplete_beta(dof / 2, 0.5, (1 - rho) * (1 + rho), rho * rho)
+
+
 def exp_variance(
     runs: int = 100,
     node_count: int = 100,
@@ -449,7 +524,7 @@ def exp_variance(
     count order until one is reachable, each from its own substream, so
     the rows equal those picked from a full heatmap.  The summary rows
     carry the Spearman rank correlation of variance against each, with the
-    p-value in the dispersion column.
+    p-value in the dispersion column (:func:`spearman`).
     """
     if runs < 3:
         # with two layouts Spearman's p-value is undefined
@@ -492,9 +567,7 @@ def exp_variance(
             # a constant column carries no rank information
             result.add("summary", metric, 0.0, 1.0)
         else:
-            from scipy.stats import spearmanr  # slow to import; only used here
-            rho, p_value = spearmanr(variances, column)
-            result.add("summary", metric, rho, p_value)
+            result.add("summary", metric, *spearman(variances, column))
     return result
 
 

@@ -387,6 +387,21 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_run_variance_leaves_scipy_unloaded(tmp_path):
+    # the variance study's Spearman test is computed without scipy
+    probe = ("import sys; from tipleak.cli import main; "
+             f"code = main(['run', 'variance', '--set', 'variance.runs=3', "
+             f"'--out', {str(tmp_path)!r}]); "
+             "print(code, 'scipy' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+    assert (tmp_path / "variance_42.csv").exists()
+
+
 def test_run_rejects_nonpositive_workers(tmp_path, capsys):
     assert run_cli(
         "run", "mixer", "--out", str(tmp_path), "--workers", "0",

@@ -1,6 +1,7 @@
 """Experiment-scenario tests: spatial machinery, presets, serialization."""
 
 import inspect
+import itertools
 import json
 import math
 import pickle
@@ -10,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from tipleak.experiments import (
     GRID_CELLS,
@@ -31,9 +33,10 @@ from tipleak.experiments import (
     STUDIES,
     regional_rates,
     simulate_mixer_chains,
+    spearman,
 )
 from tipleak import experiments
-from tipleak.network import ConfigError, SimConfig, place_nodes, run_simulation
+from tipleak.network import ConfigError, SimConfig, place_nodes, reachable, run_simulation
 from tipleak.results import (
     config_hash,
     format_value,
@@ -218,6 +221,66 @@ def test_cell_probability_memory_is_bounded_by_blocks():
     assert peak < 50 * 2**20
 
 
+def _ring_layout(cell: int, radius: float) -> np.ndarray:
+    """Nodes exactly ``radius`` from each edge and corner of ``cell``, and
+    just inside and outside that distance."""
+    row, col = divmod(cell, 3)
+    low, high = np.array((col, row)) * 10 / 3, np.array((col + 1, row + 1)) * 10 / 3
+    mid, diag = (low + high) / 2, radius / math.sqrt(2)
+    nodes = []
+    for reach in (radius * (1 - 1e-12), radius, radius * (1 + 1e-12), 1.01 * radius):
+        nodes += [(low[0] - reach, mid[1]), (high[0] + reach, mid[1]),
+                  (mid[0], low[1] - reach), (mid[0], high[1] + reach)]
+    nodes += [(low[0] - diag, low[1] - diag), (high[0] + diag, low[1] - diag),
+              (low[0] - diag, high[1] + diag), (high[0] + diag, high[1] + diag)]
+    return np.array(nodes)
+
+
+def test_near_cell_keeps_every_node_the_cell_boundary_reaches():
+    # reach is a closed ball: a node exactly radius from an edge or corner
+    # is reached from the boundary points the sampler can round to, so the
+    # prefilter keeps it
+    size = np.array((10 / 3, 10 / 3))
+    edge = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])  # u = 0, mid, rounds to 1
+    for cell in range(GRID_CELLS):
+        row, col = divmod(cell, 3)
+        corner = np.array((col, row), dtype=float)
+        u = np.array([(a, b) for a in edge for b in edge])
+        boundary = (corner + u) * size
+        for radius in (0.25, 1.0, 1.5, 3.0):
+            nodes = _ring_layout(cell, radius)
+            near = experiments._near_cell(nodes, corner, size, radius)
+            reached = reachable(boundary, nodes, radius).any(axis=0)
+            assert reached.sum() >= 4 and not (reached & ~near).any(), (cell, radius)
+            assert not near[12:16].any()  # 1.01 * radius from the cell
+
+
+def test_near_cell_prefilter_changes_no_cell_estimate(monkeypatch):
+    layouts = [(_ring_layout(cell, radius), radius)
+               for cell in (0, 4, 8) for radius in (0.5, 1.5)]
+    layouts += [(place_nodes(SimConfig(full_node_count=30, light_node_count=1,
+                                       placement=placement, seed=3)).full_nodes, radius)
+                for placement in ("uniform_grid", "uniform_random", "clustered")
+                for radius in (0.5, 1.5, 3.0, 20.0)]
+
+    def estimates():
+        return [
+            measure_cell_probability(
+                positions, 3, cell, substream(4, case, cell), samples=300,
+                radius=radius, require_local_adversary=conditioned,
+            )
+            for case, (positions, radius) in enumerate(layouts)
+            for cell in range(GRID_CELLS) for conditioned in (False, True)
+        ]
+
+    filtered = estimates()
+    monkeypatch.setattr(experiments, "_near_cell",
+                        lambda nodes, *_: np.ones(len(nodes), dtype=bool))
+    unfiltered = estimates()
+    assert filtered == unfiltered
+    assert any(p is None for p, _ in filtered) and any(p for p, _ in filtered)
+
+
 # ---------------------------------------------------------------------------
 # heatmap experiment
 # ---------------------------------------------------------------------------
@@ -313,6 +376,36 @@ def test_variance_study_rows_and_summary():
         r.dispersion for r in result.rows if r.metric == "spearman_variance_min"
     )
     assert 0.0 <= p_value <= 1.0
+
+
+def _spearman_cases():
+    gen = np.random.default_rng(19)
+    for n in range(3, 120, 2):
+        x = gen.random(n)
+        yield x, gen.random(n) + gen.uniform(-2, 2) * x  # random, any trend
+        yield gen.integers(0, 4, n), gen.integers(0, 1 + n // 3, n)  # tied
+    for y in itertools.permutations((1.0, 2.0, 3.0)):  # n = 3
+        yield (1.0, 2.0, 3.0), y
+        yield (1.0, 1.0, 3.0), y
+    for n in (3, 4, 10, 100):  # perfect rank orders
+        x = gen.random(n)
+        yield x, x ** 3
+        yield x, -x
+
+
+def test_spearman_matches_scipy():
+    checked = 0
+    for x, y in _spearman_cases():
+        if len(set(x)) < 2 or len(set(y)) < 2:
+            continue  # exp_variance reports a constant column itself
+        rho, p_value = spearman(x, y)
+        want = stats.spearmanr(x, y)
+        assert math.isclose(rho, want.statistic, rel_tol=1e-9, abs_tol=0), (x, y)
+        assert math.isclose(p_value, want.pvalue, rel_tol=1e-9, abs_tol=0), (x, y)
+        checked += 1
+    assert checked > 120
+    assert spearman([1, 2, 3, 4], [2, 4, 6, 8]) == (1.0, 0.0)
+    assert spearman([1, 2, 3], [3, 2, 1]) == (-1.0, 0.0)
 
 
 def test_variance_zero_variance_grid_min_equals_max_near_share():

@@ -41,7 +41,7 @@ CASES = [
      "ceae0de7ca1b7a01348ad0c4969eebefb9b65613877cbb76a7dfbcf2a3ae5332"),
     ("variance", ("runs=4", "node_count=50", "samples_per_cell=50"),
      "e935bebfcde376d7c5c114a9f083db551a48776454215c5a9fdfe34eada6143d",
-     "fdbaf095a49fca02aa209c8326e2b9637b3e8be7e5b27155140eece80b85a566"),
+     "c9216b2f62fae2da6bf9d822eb4cda5e71263378300ed1de1c9895b0750b16d6"),
     ("mixer", ("participants=2000", "p_values=0.1,0.2"),
      "8493447b9efa464c846bb4fc0e5d583b7206df64e231d166fb9da510d18fb1a5",
      "a7cdaf95eef77f4741cddcf2f0ca1f1950c751e9c0e1457c8e1777240ec2c452"),

@@ -429,6 +429,31 @@ def test_sample_positions_equals_the_per_step_reference_at_wide_fanouts():
     assert widths == set(range(1, 9))
 
 
+def test_sample_positions_drawing_everywhere_equals_the_masked_path():
+    # when every row picks at every step no mask is applied; one more row
+    # that picks only at the first step sends the same draws through the
+    # masked path, and must leave the other rows' picks as they were
+    cases = np.random.default_rng(31)
+    shapes = [(3200, 3, 1)] + [(int(cases.integers(1, 12)), int(cases.integers(1, 7)),
+                                int(cases.integers(1, 4))) for _ in range(200)]
+    for case, (rows, width, span) in enumerate(shapes):
+        sizes = width + cases.integers(0, 5, rows)
+        drawing, bounds = _step_plan(sizes, np.full(rows, width))
+        assert drawing.all()
+        rounds = range(4 * case, 4 * case + span)
+        draws = (uniforms(13, 3, rounds, len(bounds)) * bounds).astype(np.int64)
+        got = sample_positions(draws, drawing)
+        extra = np.arange(span) % 2  # the extra row picks from two positions
+        masked = sample_positions(
+            np.insert(draws, rows, extra, axis=1),
+            np.column_stack((drawing, np.arange(width) < 1)))
+        assert got.dtype == masked.dtype and got.shape == (span, rows * width)
+        assert got.tolist() == masked[:, :-1].tolist()
+        assert masked[:, -1].tolist() == extra.tolist()
+    empty = sample_positions(np.zeros((2, 0), dtype=np.int64), np.ones((0, 5), bool))
+    assert empty.shape == (2, 0)
+
+
 def _join_reference(left, right):
     """Every (left row, right row) pair of equal rows, by right then left row."""
     pairs = [(i, j) for j, b in enumerate(right.tolist())
