@@ -431,6 +431,8 @@ def exp_heatmap(
     sampling streams.  ``require_local_adversary=None`` applies the
     placement-dependent default from :func:`local_adversary_default`.
     """
+    if not -2**63 <= layout_index < 2**63:  # stream keys pack it in 64 bits
+        raise ConfigError(f"layout_index must be a signed 64-bit integer, got {layout_index}")
     (heatmap,) = _measure_layouts(
         _measure_layout, _TAG_HEATMAP, [layout_index], 0, placement=placement,
         node_count=node_count, adversary_ratio=adversary_ratio,

@@ -31,8 +31,9 @@ Only the tips pass from one round to the next, and neither the queried
 nodes, the follow choices nor the matching depend on them, so a run goes
 in blocks of rounds bounded by ``_BLOCK`` requests.  Before a block, one
 call draws its rounds' request words, and the queried positions
-(:func:`sample_positions`) and follow choices are mapped from them into
-its :class:`Schedule`.  After the block, adversaries match its log: a
+(:func:`sample_positions`) are mapped from them into its :class:`Schedule`
+and the follow choices into the run's one follow table, which the match
+and the ledger both read.  After the block, adversaries match its log: a
 nonce-tagged response names the one attach that followed it, so
 assume_unique links are a gather of the logged mask at the followed
 requests, and collision-aware matching is a join keyed by round and tip
@@ -40,12 +41,12 @@ pair.  Either way links come out in (round, attach, log row) order for any
 block size.
 
 A round attaches as one ledger batch, its URTS uniforms mapped against the
-tips it starts from, and a block's URTS words are drawn only where it is
-grown (:meth:`Simulation._grow`).  Only collision-aware matching reads the
-served pairs, so only its rounds draw them and attach as they run;
-otherwise, and under direct tip selection, which logs nothing, the ledger
-is grown on read: :attr:`Simulation.ledger` attaches every round run so
-far, drawing each block's URTS words then, and its follow choices again.
+tips it starts from.  :meth:`Simulation._grow` is the ledger's one growth
+path, and it draws the URTS words of the rounds it attaches.  No round
+touches the ledger as it runs: collision-aware matching, the only reader
+of served pairs, grows the rounds it matches, and otherwise the ledger is
+grown on read -- :attr:`Simulation.ledger` matches every round run so far,
+then attaches them.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -505,22 +506,15 @@ def sample_positions(draws: np.ndarray, drawing: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 14  # requests drawn per block of rounds: bounds its arrays
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
-    """The draws of a block of consecutive rounds.  Row ``i`` is round
-    ``rounds[i]``: which of the served pairs each light attaches on (None
-    under direct tip selection: a light's own pair) and, in a block drawn
-    to be matched, who answers each request and whether that node logs.
-    The URTS uniforms, which map to tips once the round's tip count is
-    known, come from their own stream and are drawn only where the block
-    is grown (:meth:`Simulation._grow`), so a block matched by nonce never
-    draws them."""
+    """The request draws of a block of consecutive rounds: row ``i`` of
+    ``rounds[i]`` says who answers each request and whether that node
+    logs."""
 
     rounds: range
-    followed: np.ndarray | None     # (rounds, lights) request rows
-    responder: np.ndarray | None = None  # (rounds, n)
-    logged: np.ndarray | None = None     # (rounds, n) bool
-    urts: np.ndarray | None = None       # (rounds, 2 * n) uniforms, once grown
+    responder: np.ndarray  # (rounds, n)
+    logged: np.ndarray     # (rounds, n) bool
 
 
 def _transactions(links: Links, lights: np.ndarray) -> tuple[int, np.ndarray]:
@@ -612,11 +606,11 @@ class Simulation:
     block of rounds -- so light nodes are independent inside a round and
     the ledger view only advances between rounds.
 
-    Which tips were served reaches a link only under collision_aware
-    matching, so only those rounds draw their URTS words and attach as
-    they run.  Otherwise the ledger past its bootstrap tips is grown on
-    read: :attr:`ledger` draws the URTS words of every round run so far
-    and attaches them.
+    The ledger past its bootstrap tips grows only in :meth:`_grow`, which
+    draws the URTS words of the rounds it attaches: under collision_aware
+    matching when a match needs the tips served, otherwise when
+    :attr:`ledger` is read.  A read matches first, so a request mode keeps
+    ``_grown <= _matched <= _ran``: no round grows before it is matched.
     """
 
     def __init__(self, config: SimConfig):
@@ -628,21 +622,23 @@ class Simulation:
             np.full(config.bootstrap_tips, NO_ISSUER),
             addresses=[f"bootstrap-{i}" for i in range(config.bootstrap_tips)],
         )
-        self._ran = 0    # rounds run
-        self._grown = 0  # rounds attached to the ledger
-        # one table per matched block, after an empty one
+        self._ran = 0      # rounds run
+        self._matched = 0  # rounds whose log is matched
+        self._grown = 0    # rounds attached to the ledger
+        # one table per match, after an empty one
         self._links = [Links(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
         self._schedule: Schedule | None = None  # the block being run
-        # per round run and not yet matched: (schedule row, logged tips and
-        # parents, or None when nonces match)
-        self._unmatched: list[tuple[int, np.ndarray | None, np.ndarray | None]] = []
         # the identity responders see: a proxied light's proxy, else its own
         self._visible = (
             proxy_assign(self.population) if config.mode == MODE_PROXY
             else self.population.light_ids
         )
         self._requesters = self._reachability()
+        # each round's request row each light attaches on, drawn with its
+        # block; None under direct tip selection: a light's own pair
+        self._followed = None if config.mode == MODE_DIRECT else np.empty(
+            (config.rounds, len(self._requesters.light)), dtype=np.int64)
 
     def _reachability(self) -> Requesters:
         """Reachable full-node ids per light (positions never move); a
@@ -680,58 +676,49 @@ class Simulation:
 
     @property
     def ledger(self) -> Ledger:
-        """The ledger through every round run so far, grown on read."""
+        """The ledger through every round run so far, grown on read, after
+        matching what has run so that no served pair goes unmatched."""
+        self._match()
         self._grow(self._ran)
         return self._ledger
 
-    def _draw_schedule(self, start: int, stop: int, match: bool = False) -> Schedule:
+    def _draw_schedule(self, start: int) -> Schedule:
         """Draw the block of rounds from ``start``: as many rounds as fit in
-        ``_BLOCK`` requests (lights, under direct tip selection), none from
-        ``stop`` on.  A request round's words are its queried positions,
-        then its follow choices, and only the columns the block reads
-        become uniforms: the queried positions only when it is to be
-        matched.  A direct round has no request words."""
-        if self.config.mode == MODE_DIRECT:
-            n = len(self.population.light_ids)
-            return Schedule(range(start, min(start + max(1, _BLOCK // n), stop)), None)
+        ``_BLOCK`` requests.  A round's request words are its queried
+        positions, then its follow choices, which go to ``_followed``."""
         req = self._requesters
         picks, n = len(req.bounds), len(req.request_light)
-        rounds = range(start, min(start + max(1, _BLOCK // max(n, 1)), stop))
+        rounds = range(start, min(start + max(1, _BLOCK // max(n, 1)), self.config.rounds))
         w = words(self.config.seed, DOMAIN_REQUEST, rounds, picks + len(req.light))
-        followed = req.first + (to_uniforms(w[:, picks:]) * req.fanout).astype(np.int64)
-        if not match:
-            return Schedule(rounds, followed)
+        self._followed[rounds.start:rounds.stop] = (
+            req.first + (to_uniforms(w[:, picks:]) * req.fanout).astype(np.int64))
         draws = (to_uniforms(w[:, :picks]) * req.bounds).astype(np.int64)
         responder = req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
-        return Schedule(rounds, followed, responder, self.population.adversary[responder])
+        return Schedule(rounds, responder, self.population.adversary[responder])
 
-    def _grow(self, stop: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Attach every round from the ledger's next one up to ``stop``, a
-        block of rounds at a time: the block being run when it holds the
-        round, else one drawn again.  A block's URTS uniforms -- two per
-        request (per light, under direct tip selection) and round -- are
-        drawn here, once per block.  Returns the last round's served pairs
+    def _grow(self, stop: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Attach every round from the ledger's next one up to ``stop``.
+        The URTS uniforms -- two per request (per light, under direct tip
+        selection) and round -- are drawn here, as many rounds at a time as
+        fit in ``_BLOCK`` draws.  Returns each grown round's served pairs
         and the pairs it attached on."""
         if self.config.mode == MODE_DIRECT:
             issuers = labels = self.population.light_ids
-            width = 2 * len(issuers)
+            n = len(issuers)
         else:
             req = self._requesters
-            issuers, labels, width = req.visible, req.light, 2 * len(req.request_light)
-        served = parents = None
+            issuers, labels, n = req.visible, req.light, len(req.request_light)
+        served, parents = [], []
         while self._grown < stop:
-            block = self._schedule
-            if block is None or self._grown not in block.rounds:
-                block = self._draw_schedule(self._grown, stop)
-            if block.urts is None:
-                urts = words(self.config.seed, DOMAIN_URTS, block.rounds, width)
-                block.urts = to_uniforms(urts)
-            for round_idx in range(self._grown, min(block.rounds.stop, stop)):
-                i = round_idx - block.rounds.start
-                served = urts_pairs(self._ledger.tips, block.urts[i].reshape(2, -1))
-                parents = served if block.followed is None else served[block.followed[i]]
-                self._ledger.attach_round(parents, round_idx, issuers, labels)
-                self._grown = round_idx + 1
+            rounds = range(self._grown, min(self._grown + max(1, _BLOCK // max(n, 1)), stop))
+            urts = to_uniforms(words(self.config.seed, DOMAIN_URTS, rounds, 2 * n))
+            for u, round_idx in zip(urts, rounds):
+                pairs = urts_pairs(self._ledger.tips, u.reshape(2, -1))
+                attached = pairs if self._followed is None else pairs[self._followed[round_idx]]
+                self._ledger.attach_round(attached, round_idx, issuers, labels)
+                served.append(pairs)
+                parents.append(attached)
+            self._grown = rounds.stop
         return served, parents
 
     def run_round(self, round_idx: int) -> None:
@@ -740,7 +727,8 @@ class Simulation:
         against the round-start tips, and the light follows one answer
         uniformly and attaches.  Under direct tip selection every light
         selects its own tips: no request, nothing logged, so the round only
-        counts.  Only collision_aware matching attaches the round now."""
+        counts.  A round's queried nodes and follow choices are drawn with
+        its block; the ledger is left to grow when read or matched."""
         config = self.config
         if round_idx != self._ran or round_idx >= config.rounds:
             raise ValueError(
@@ -750,52 +738,45 @@ class Simulation:
         if config.mode == MODE_DIRECT:
             return
         if self._schedule is None:
-            self._schedule = self._draw_schedule(round_idx, config.rounds, match=True)
-        schedule = self._schedule
-        i = round_idx - schedule.rounds.start
-        if config.matching == MATCH_COLLISION_AWARE:
-            # collision-aware matching compares tip pairs; a nonce needs none
-            served, parents = self._grow(round_idx + 1)
-            self._unmatched.append((i, served[schedule.logged[i]], parents))
-        else:
-            self._unmatched.append((i, None, None))
-        if round_idx == schedule.rounds[-1]:
+            self._schedule = self._draw_schedule(round_idx)
+        if round_idx == self._schedule.rounds[-1]:
             self._match()
             self._schedule = None  # the block is done; scoring need not hold it
 
     def _match(self) -> None:
         """Match the log of every round run since the last match against
-        those rounds' attaches, in one pass over the block."""
-        if not self._unmatched:
+        those rounds' attaches, in one pass."""
+        if self.config.mode == MODE_DIRECT or self._matched == self._ran:
             return
-        rows, tips, parents = zip(*self._unmatched)
-        self._unmatched = []
         schedule, req = self._schedule, self._requesters
-        rows = np.array(rows)
-        rounds = schedule.rounds.start + rows
-        responder = schedule.responder[rows]
+        rounds = np.arange(self._matched, self._ran)
+        rows = slice(self._matched - schedule.rounds.start, self._ran - schedule.rounds.start)
+        responder, logged = schedule.responder[rows], schedule.logged[rows]
+        self._matched = self._ran
         if self.config.matching == MATCH_ASSUME_UNIQUE:
             # a nonce names one response, and only the light that followed
             # it attaches under it: a link wherever a light's followed
             # request was logged, in attach order
-            followed = schedule.followed[rows]
-            at, row = np.nonzero(np.take_along_axis(schedule.logged[rows], followed, 1))
+            followed = self._followed[rounds]
+            at, row = np.nonzero(np.take_along_axis(logged, followed, 1))
             light = req.light[row]
             self._links.append(Links(
                 nonce=np.column_stack((rounds[at], responder[at, followed[at, row]], light)),
                 claimed=req.visible[row], light=light, correct=np.ones(len(row), dtype=bool),
             ))
             return
-        at, request = np.nonzero(schedule.logged[rows])
+        # collision-aware matching compares tip pairs: grow these rounds
+        served, parents = self._grow(self._ran)
+        at, request = np.nonzero(logged)
         log = ResponseLog(
             nonce=np.column_stack((rounds[at], responder[at, request],
                                    req.request_light[request])),
             requester=req.request_visible[request],
-            tips=np.concatenate(tips),
+            tips=np.stack(served)[logged],
         )
         attaches = RoundAttaches(
-            light=np.tile(req.light, len(rows)),
-            identity=np.tile(req.visible, len(rows)),
+            light=np.tile(req.light, len(rounds)),
+            identity=np.tile(req.visible, len(rounds)),
             parents=np.concatenate(parents),
             round=np.repeat(rounds, len(req.light)),  # each attach's round
         )

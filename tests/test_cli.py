@@ -304,6 +304,8 @@ def _usage_error_line(capsys) -> str:
     ("custom.placement=explicit",
      "placement must be one of ('uniform_grid', 'uniform_random', 'clustered')"),
     ("heatmap.node_count=0", "error: node_count must be >= 1"),
+    ("heatmap.layout_index=99999999999999999999",
+     "layout_index must be a signed 64-bit integer, got 99999999999999999999"),
     ("variance.node_count=-1", "error: node_count must be >= 1"),
     ("variance.runs=2", "variance study needs runs >= 3"),
     ("variance.fanout=0", "unknown config key variance.fanout"),

@@ -543,22 +543,21 @@ def test_links_never_claim_adversaries():
     assert not adversaries & set(result.links.claimed.tolist())
 
 
-def test_unreachable_light_is_counted_and_skipped():
+def test_unreachable_light_is_counted_and_skipped(monkeypatch):
     # nodes cluster near the origin; one light sits far outside any radius
     config = SimConfig(
         full_node_count=4, adversary_count=1, request_fanout=2,
         light_node_count=3, rounds=3, seed=31,
         request_radius=2.0, placement="uniform_random",
     )
-    sim = Simulation(config)
-    # rewrite positions by hand: lights 0/1 near the nodes, light 2 stranded
-    sim.population = dataclasses.replace(
-        sim.population,
+    # place by hand: lights 0/1 near the nodes, light 2 stranded
+    population = dataclasses.replace(
+        place_nodes(config),
         full_nodes=np.array([(1.0 + 0.1 * i, 1.0) for i in range(4)]),
         light_nodes=np.array([(1.2, 1.1), (1.4, 0.8), (9.5, 9.5)]),
     )
-    sim._requesters = sim._reachability()
-    result = sim.run()
+    monkeypatch.setattr(network, "place_nodes", lambda _: population)
+    result = Simulation(config).run()
     assert result.unreachable_light_nodes == 1
     assert result.total_transactions == 6  # two lights, three rounds
     stranded = result.per_light[-1]
@@ -684,13 +683,33 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
         assert _link_rows(sim._result().links) == _link_rows(want.links, config.rounds - 2)
 
 
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_reading_the_ledger_every_round_changes_no_result(monkeypatch, name):
+    # a read matches the rounds run before it grows them, so no served pair
+    # escapes collision-aware matching
+    config = BLOCK_CASES[name]
+    want = _scored(run_simulation(config))
+    sim = Simulation(config)
+    requests = len(sim._requesters.request_light)
+    issuers = len(sim.population.light_ids if config.mode == "direct_tip_selection"
+                  else sim._requesters.light)
+    for block in (1, 4 * requests, network._BLOCK):
+        monkeypatch.setattr(network, "_BLOCK", block)
+        sim = Simulation(config)
+        size = len(sim.ledger)
+        for round_idx in range(config.rounds):
+            sim.run_round(round_idx)
+            assert len(sim.ledger) == size + (round_idx + 1) * issuers
+        assert _scored(sim._result()) == want
+
+
 def _nonce_join(sim):
     """``match_responses(..., assume_unique)`` over the rounds ``sim`` has
     run since its last match: the log of every logged request and every
     attach with the nonce of the request it followed."""
     schedule, req = sim._schedule, sim._requesters
-    rows = np.array([row for row, _, _ in sim._unmatched])
-    rounds = schedule.rounds.start + rows
+    rounds = np.arange(sim._matched, sim._ran)
+    rows = rounds - schedule.rounds.start
     responder = schedule.responder[rows]
     at, request = np.nonzero(schedule.logged[rows])
     log = ResponseLog(
@@ -698,7 +717,7 @@ def _nonce_join(sim):
         requester=req.request_visible[request], tips=np.zeros((len(at), 2), dtype=np.int64))
     issued = np.repeat(rounds, len(req.light))
     light = np.tile(req.light, len(rows))
-    followed = np.take_along_axis(responder, schedule.followed[rows], 1).ravel()
+    followed = np.take_along_axis(responder, sim._followed[rounds], 1).ravel()
     attaches = RoundAttaches(
         light=light, identity=np.tile(req.visible, len(rows)),
         parents=np.zeros((len(light), 2), dtype=np.int64), round=issued,
@@ -723,7 +742,7 @@ def test_gathered_links_equal_the_nonce_join(monkeypatch, case):
     match, matched = Simulation._match, []
 
     def checked(sim):
-        want = _nonce_join(sim) if sim._unmatched else None
+        want = _nonce_join(sim) if sim._matched < sim._ran else None
         match(sim)
         if want is not None:
             assert _link_rows(sim._links[-1]) == _link_rows(want)
@@ -830,8 +849,10 @@ def test_ledger_grown_on_read_equals_the_eager_reference(monkeypatch, name):
     dict(matching="collision_aware"),
 ], ids=["assume-unique", "proxy", "direct", "collision-aware"])
 def test_only_collision_aware_rounds_attach_as_they_run(monkeypatch, settings):
-    # each attach_round call is one round attached (the bootstrap tips are
-    # the one call in __init__)
+    # rounds attach when matched or read: collision-aware matching grows the
+    # rounds it matches, at each block's last round or at a read, and no
+    # other run attaches a round before a read.  Each attach_round call is
+    # one round attached (the bootstrap tips are the one call in __init__)
     config = _tiny_config(rounds=7, **settings)
     attached, attach = [], Ledger.attach_round
 
@@ -840,23 +861,33 @@ def test_only_collision_aware_rounds_attach_as_they_run(monkeypatch, settings):
         return attach(ledger, parents, round_issued, *args, **kwargs)
 
     monkeypatch.setattr(Ledger, "attach_round", counted)
-    eager = config.matching == "collision_aware"
+    matched = config.matching == "collision_aware"
     run_simulation(config)
-    assert attached == [0] + (list(range(7)) if eager else [])
+    assert attached == [0] + (list(range(7)) if matched else [])
+    sim = _blocked(monkeypatch, config, 3)  # blocks of rounds 0-2, 3-5 and 6
     attached.clear()
-    sim = Simulation(config)
-    for round_idx in range(3):
+    for round_idx in range(2):
         sim.run_round(round_idx)
-    assert attached == [0] + ([0, 1, 2] if eager else [])
+    assert attached == []
+    sim.run_round(2)
+    assert attached == ([0, 1, 2] if matched else [])  # block 0's match
     attached.clear()
     sim.ledger
-    assert attached == ([] if eager else [0, 1, 2])  # one per round run
+    assert attached == ([] if matched else [0, 1, 2])  # one per round run
     attached.clear()
-    for round_idx in range(3, 7):
+    for round_idx in (3, 4):
         sim.run_round(round_idx)
+    assert attached == []
+    sim.ledger  # inside block 1: matched, then grown
+    assert attached == [3, 4]
+    attached.clear()
+    for round_idx in (5, 6):
+        sim.run_round(round_idx)
+    assert attached == ([5, 6] if matched else [])
+    attached.clear()
     sim.ledger
     sim.ledger
-    assert attached == [3, 4, 5, 6]
+    assert attached == ([] if matched else [5, 6])
 
 
 @pytest.fixture
@@ -890,13 +921,11 @@ def test_a_nonce_matched_run_draws_no_urts_word(monkeypatch, drawn, case):
     assert {width for _, _, width in drawn} == {len(req.bounds) + len(req.light)}
     blocks = [rounds for _, rounds, _ in drawn]
     assert [r for rounds in blocks for r in rounds] == list(range(config.rounds))
-    # reading the ledger draws each block's URTS words once, and the follow
-    # choices again
+    # reading the ledger draws each block's URTS words once, and no request
+    # word: the follow choices are kept from the run
     drawn.clear()
     sim.ledger
-    urts = [(rounds, width) for domain, rounds, width in drawn if domain == DOMAIN_URTS]
-    assert urts == [(rounds, 2 * len(req.request_light)) for rounds in blocks]
-    assert [rounds for domain, rounds, _ in drawn if domain == DOMAIN_REQUEST] == blocks
+    assert drawn == [(DOMAIN_URTS, rounds, 2 * len(req.request_light)) for rounds in blocks]
     drawn.clear()
     sim.ledger
     assert drawn == []
@@ -908,12 +937,14 @@ def test_a_collision_aware_run_draws_both_streams_as_it_runs(monkeypatch, drawn)
     req = sim._requesters
     blocks = (range(0, 3), range(3, 6), range(6, 7))
     for round_idx in range(config.rounds):
+        drawn.clear()
         sim.run_round(round_idx)
-        # by the time a round has run, both streams of its block are drawn
+        # a block's request words are drawn at its first round, and its URTS
+        # words at its match, after its last
         block = blocks[round_idx // 3]
-        assert drawn[-2:] == [(DOMAIN_REQUEST, block, len(req.bounds) + len(req.light)),
-                              (DOMAIN_URTS, block, 2 * len(req.request_light))]
-    assert len(drawn) == 2 * len(blocks)
+        assert drawn == (
+            [(DOMAIN_REQUEST, block, len(req.bounds) + len(req.light))] * (round_idx == block[0])
+            + [(DOMAIN_URTS, block, 2 * len(req.request_light))] * (round_idx == block[-1]))
     drawn.clear()
     sim.ledger
     assert drawn == []
