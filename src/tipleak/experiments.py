@@ -27,7 +27,6 @@ import json
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -402,6 +401,11 @@ def pmap(func, jobs, workers: int = 1) -> list:
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return list(map(func, jobs))
+    # imported here: ``concurrent.futures.process`` and ``multiprocessing``
+    # are a measurable share of the package's import, and one worker needs
+    # neither
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, jobs))
 
@@ -918,13 +922,12 @@ def exp_mitigations(
     sims = {label: run_simulation(config) for label, config in
             zip(configs, _seeded(configs.values(), seed, _TAG_MITIGATIONS))}
     for label, sim in sims.items():
-        degrees = list(sim.address_degrees.values())
+        degree = sim.to_flat()["mean_attacked_degree"]
         result.add(label, "link_rate", *_link_rate(sim))
         result.add(label, "correct_link_rate",
                    sim.correct_link_count / sim.total_transactions)
         # no attacked address leaves every light fully anonymous
-        result.add(label, "anonymity_degree",
-                   statistics.fmean(degrees) if degrees else 1.0)
+        result.add(label, "anonymity_degree", 1.0 if degree is None else degree)
     result.add("scaling", "required_full_nodes", required)
     proxy = configs["proxy"]
     claims = set(sims["proxy"].links.claimed.tolist())

@@ -36,13 +36,18 @@ and the follow choices into the run's one follow table, which the match
 and the ledger both read.  After the block, adversaries match its log: a
 nonce-tagged response names the one attach that followed it, so
 assume_unique links are a gather of the logged mask at the followed
-requests, and collision-aware matching is a join keyed by round and tip
-pair.  Either way links come out in (round, attach, log row) order for any
-block size.
+requests, and collision-aware matching is a join on one int64 key per
+row, ``((round - r0) * R_lo + lo - lo0) * R_hi + hi - hi0`` with ``lo``
+and ``hi`` the lesser and greater tip of the pair, each column offset by
+its least value and ``R`` its range.  The ranges' product is checked in
+Python ints first: a block too wide to key in int64 raises ValueError
+instead of wrapping into false links.  Either way links come out in
+(round, attach, log row) order for any block size.
 
 A round attaches as one ledger batch, its URTS uniforms mapped against the
 tips it starts from.  :meth:`Simulation._grow` is the ledger's one growth
-path, and it draws the URTS words of the rounds it attaches.  No round
+path, and it draws the URTS words of the rounds it attaches; before its
+first attach it reserves the ledger's rows for the whole run.  No round
 touches the ledger as it runs: collision-aware matching, the only reader
 of served pairs, grows the rounds it matches, and otherwise the ledger is
 grown on read -- :attr:`Simulation.ledger` matches every round run so far,
@@ -73,7 +78,14 @@ from .rng import (
     to_uniforms,
     words,
 )
-from .tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
+from .tangle import (
+    GENESIS_ID,
+    NO_ISSUER,
+    Ledger,
+    bootstrap_labels,
+    round_address,
+    urts_pairs,
+)
 
 RNG_SCHEME = "philox-run-v3"
 
@@ -387,21 +399,66 @@ def proxy_assign(population: Population) -> np.ndarray:
 # matching
 # ---------------------------------------------------------------------------
 
+_KEY_MAX = np.iinfo(np.int64).max
+
+
+def _row_keys(*columns: np.ndarray) -> np.ndarray:
+    """One int64 key per row of the equal-length integer ``columns``, equal
+    exactly when the rows are equal: the row's mixed-radix index, each
+    column offset by its least value and ranging up to its greatest, as
+    :func:`np.ravel_multi_index` indexes the offset rows.  Raises
+    ValueError, as that does, when the ranges multiply past int64, where
+    the keys would wrap."""
+    empty = not len(columns[0])
+    offsets = [0 if empty else int(column.min()) for column in columns]
+    ranges = [1 if empty else int(column.max()) - offset + 1
+              for column, offset in zip(columns, offsets)]
+    if math.prod(ranges) > _KEY_MAX:  # Python ints: the check cannot wrap
+        raise ValueError(f"key ranges {ranges} multiply past int64")
+    keys = np.subtract(columns[0], offsets[0], dtype=np.int64)
+    for column, offset, size in zip(columns[1:], offsets[1:], ranges[1:]):
+        keys *= size
+        keys += column - offset
+    return keys
+
+
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every (left row, right row) index pair of equal rows, ordered by
     right row and then by left row."""
-    rows = np.concatenate((left, right))
-    rows = rows - rows.min(axis=0, initial=0)
-    keys = np.ravel_multi_index(rows.T, rows.max(axis=0, initial=0) + 1)
-    left_keys, right_keys = keys[:len(left)], keys[len(left):]
+    keys = _row_keys(*np.concatenate((left, right)).T)
+    return _join_keys(keys[:len(left)], keys[len(left):])
+
+
+def _pair_join(
+    left_round: np.ndarray, left_pairs: np.ndarray,
+    right_round: np.ndarray, right_pairs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_join` of (round, lesser tip, greater tip) rows: every
+    (left row, right row) index pair that shares a round and an unordered
+    tip pair."""
+    pairs = np.concatenate((left_pairs, right_pairs))
+    keys = _row_keys(np.concatenate((left_round, right_round)),
+                     np.minimum(pairs[:, 0], pairs[:, 1]),
+                     np.maximum(pairs[:, 0], pairs[:, 1]))
+    return _join_keys(keys[:len(left_pairs)], keys[len(left_pairs):])
+
+
+def _join_keys(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_join` on one int64 key per row."""
     order = np.argsort(left_keys, kind="stable")
     sorted_keys = left_keys[order]
-    lo = np.searchsorted(sorted_keys, right_keys, "left")
-    counts = np.searchsorted(sorted_keys, right_keys, "right") - lo
+    # both searches run over the needles in ascending order, where each
+    # starts near the last, then the bounds go back to right-row order
+    needles = np.argsort(right_keys)
+    found = right_keys[needles]
+    first = np.searchsorted(sorted_keys, found, "left")
+    lo, counts = np.empty_like(first), np.empty_like(first)
+    lo[needles] = first
+    counts[needles] = np.searchsorted(sorted_keys, found, "right") - first
     if counts.max(initial=0) <= 1:  # unique matches, as nonces always are
         hit = np.flatnonzero(counts)
         return order[lo[hit]], hit
-    right_idx = np.repeat(np.arange(len(right)), counts)
+    right_idx = np.repeat(np.arange(len(right_keys)), counts)
     within = np.arange(len(right_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
     return order[np.repeat(lo, counts) + within], right_idx
 
@@ -420,10 +477,7 @@ def match_responses(log: ResponseLog, new: RoundAttaches, matching: str) -> Link
     if matching == MATCH_ASSUME_UNIQUE:
         log_idx, new_idx = _join(log.nonce, new.followed_nonce)
     elif matching == MATCH_COLLISION_AWARE:
-        log_idx, new_idx = _join(
-            np.column_stack((log.nonce[:, 0], np.sort(log.tips, axis=1))),
-            np.column_stack((new.round, np.sort(new.parents, axis=1))),
-        )
+        log_idx, new_idx = _pair_join(log.nonce[:, 0], log.tips, new.round, new.parents)
     else:
         raise ConfigError(f"unknown matching {matching!r}")
     claimed = log.requester[log_idx]
@@ -441,11 +495,13 @@ class Requesters:
     and the request plan every round of a run shares.
 
     Row ``r`` is one light: the identity responders see (its proxy's, when
-    proxied), its ``count[r]`` reachable full-node ids, ascending, in
-    ``full_ids`` row after row, and the ``fanout[r]`` requests it sends
-    each round, which are rows ``first[r]:first[r] + fanout[r]`` of a
-    round's requests.  The request columns give each request's owner's
-    first row in ``full_ids``, its nonce light and its visible identity.
+    proxied), its ``count[r]`` reachable full-node ids, ascending, and the
+    ``fanout[r]`` requests it sends each round, which are rows
+    ``first[r]:first[r] + fanout[r]`` of a round's requests.  ``full_ids``
+    holds each identity's reachable ids once, identity after identity, so
+    the lights behind one proxy share one run of it.  The request columns
+    give the first entry in ``full_ids`` of each request's owner, its
+    nonce light and its visible identity.
     The ``(width, rows)`` mask ``drawing`` tells which rows make a pick at
     each fan-out step, and ``bounds`` holds the bound of every pick in
     step-major order: step ``t`` of row ``r`` draws below ``count[r] - t``.
@@ -563,24 +619,36 @@ class SimResult:
         ]
 
     @functools.cached_property
-    def address_degrees(self) -> dict[str, float]:
-        """Each linked address's anonymity degree.  A proxy stands for every
-        light assigned to it and no light has two proxies, so the lights
-        behind an address's claims never overlap."""
+    def _anonymous(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """A bound above every light id, each linked address's transaction
+        key (round * span + light), ascending, and whether two or more
+        lights stand behind its claims.  A proxy stands for every light
+        assigned to it and no light has two proxies, so the lights behind
+        an address's claims never overlap."""
         span, tx = _transactions(self.links, self.light_ids)
         claims = np.unique(tx * span + self.links.claimed)
         addresses, inverse = np.unique(claims // span, return_inverse=True)
         lights_behind = np.bincount(
             inverse, np.bincount(self.visible, minlength=span)[claims % span]
         )
+        return span, addresses, lights_behind >= 2
+
+    @functools.cached_property
+    def address_degrees(self) -> dict[str, float]:
+        """Each linked address's anonymity degree: 1.0 when two or more
+        lights stand behind its claims, else 0.0."""
+        span, addresses, anonymous = self._anonymous
         return dict(sorted(
             (round_address(key // span, key % span), degree) for key, degree
-            in zip(addresses.tolist(), (lights_behind >= 2).astype(float).tolist())
+            in zip(addresses.tolist(), anonymous.astype(float).tolist())
         ))
 
     def to_flat(self) -> dict:
-        """Scalar summary used by the CSV/structured writers."""
-        degrees = list(self.address_degrees.values())
+        """Scalar summary used by the CSV/structured writers.  The degrees
+        are 0.0 or 1.0, so their mean is the anonymous share of the linked
+        addresses, exactly, and needs none of their names."""
+        _, addresses, anonymous = self._anonymous
+        attacked = len(addresses)
         return {
             "seed": self.seed,
             "total_transactions": self.total_transactions,
@@ -590,9 +658,9 @@ class SimResult:
             "deanon_rate": self.deanon_rate,
             "false_positive_rate": self.false_positive_rate,
             "unreachable_light_nodes": self.unreachable_light_nodes,
-            "attacked_addresses": len(degrees),
+            "attacked_addresses": attacked,
             "mean_attacked_degree": (
-                sum(degrees) / len(degrees) if degrees else None
+                np.count_nonzero(anonymous) / attacked if attacked else None
             ),
         }
 
@@ -619,8 +687,7 @@ class Simulation:
         self._ledger = Ledger()
         self._ledger.attach_round(
             np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
-            np.full(config.bootstrap_tips, NO_ISSUER),
-            addresses=[f"bootstrap-{i}" for i in range(config.bootstrap_tips)],
+            np.full(config.bootstrap_tips, NO_ISSUER), bootstrap_labels(config.bootstrap_tips),
         )
         self._ran = 0      # rounds run
         self._matched = 0  # rounds whose log is matched
@@ -647,14 +714,12 @@ class Simulation:
         positions = np.concatenate((pop.full_nodes, pop.proxies, pop.light_nodes))
         # reach once per identity that sends: a proxy, or the light itself
         senders, row = np.unique(self._visible, return_inverse=True)
-        reach = reachable(
-            positions[senders], pop.full_nodes, self.config.request_radius
-        )[row]
-        keep = reach.any(axis=1)
-        reach = reach[keep]
-        light, visible = pop.light_ids[keep], self._visible[keep]
-        count = reach.sum(axis=1)
-        start = np.cumsum(count) - count
+        reach = reachable(positions[senders], pop.full_nodes, self.config.request_radius)
+        reached = reach.sum(axis=1)
+        keep = reached[row] > 0
+        light, visible, row = pop.light_ids[keep], self._visible[keep], row[keep]
+        count = reached[row]
+        start = (np.cumsum(reached) - reached)[row]
         fanout = np.minimum(count, self.config.request_fanout)
         owner = np.repeat(np.arange(len(light)), fanout)
         steps = np.arange(fanout.max(initial=0))[:, None]
@@ -663,7 +728,7 @@ class Simulation:
             light=light,
             visible=visible,
             count=count,
-            # the column of every reachable entry, row by row
+            # the column of every reachable entry, sender by sender
             full_ids=np.broadcast_to(np.arange(reach.shape[1]), reach.shape)[reach],
             fanout=fanout,
             first=np.cumsum(fanout) - fanout,
@@ -709,6 +774,11 @@ class Simulation:
             req = self._requesters
             issuers, labels, n = req.visible, req.light, len(req.request_light)
         served, parents = [], []
+        if self._grown < stop:
+            # the rows of the whole run, once: growth by doubling copies
+            # them and, past glibc's mmap threshold, faults in fresh pages
+            self._ledger.reserve(
+                len(self._ledger) + (self.config.rounds - self._grown) * len(labels))
         while self._grown < stop:
             rounds = range(self._grown, min(self._grown + max(1, _BLOCK // max(n, 1)), stop))
             urts = to_uniforms(words(self.config.seed, DOMAIN_URTS, rounds, 2 * n))

@@ -31,6 +31,9 @@ GENESIS_ADDRESS = "genesis"
 
 NO_ISSUER = -1   # issuer column of a transaction without a recorded identity
 NO_LABEL = -1    # label column of a transaction attached under its own address
+# label column of bootstrap-{i}, the i-th genesis child attached before
+# round 0, is _BOOTSTRAP - i: the labels below NO_LABEL
+_BOOTSTRAP = NO_LABEL - 1
 
 # columns of Ledger._rows
 _P0, _P1, _ROUND, _ISSUER, _LABEL = range(5)
@@ -55,6 +58,20 @@ class Transaction:
 def round_address(round_issued: int, label: int) -> str:
     """Fresh address of the transaction issued under ``label`` in a round."""
     return f"addr-{round_issued}-{label}"
+
+
+def bootstrap_labels(n: int) -> np.ndarray:
+    """The labels of ``n`` bootstrap transactions, whose addresses are
+    ``bootstrap-0`` to ``bootstrap-{n - 1}``."""
+    return _BOOTSTRAP - np.arange(n, dtype=np.int64)
+
+
+def _label_address(round_issued: int, label: int) -> str:
+    """The address a label stands for: a bootstrap address below
+    ``NO_LABEL``, else :func:`round_address`."""
+    if label < NO_LABEL:
+        return f"bootstrap-{_BOOTSTRAP - label}"
+    return round_address(round_issued, label)
 
 
 def _bad_address(address: str) -> bool:
@@ -107,8 +124,11 @@ class Ledger:
 
     Transactions are rows of an int array that doubles its capacity when
     full, and :meth:`attach_round` alone appends them and moves the tips.
+    A writer that knows how many rows it will end with reserves them once
+    with :meth:`reserve`, so the array is not copied as it grows.
     A transaction attached without an explicit address stores a label
-    instead; its address is :func:`round_address` of its round and label.
+    instead; its address is :func:`round_address` of its round and label,
+    or ``bootstrap-{i}`` for the labels of :func:`bootstrap_labels`.
     The tips are one ascending id array; the array :attr:`tips` hands out
     is never modified afterwards, so a caller may keep it as a snapshot.
     """
@@ -134,7 +154,7 @@ class Ledger:
             txid=txid,
             parents=(p0, p1),
             issuer_address=(
-                round_address(round_issued, label) if address is None else address
+                _label_address(round_issued, label) if address is None else address
             ),
             round_issued=round_issued,
             issuer_identity=None if issuer == NO_ISSUER else issuer,
@@ -183,8 +203,8 @@ class Ledger:
         Every parent must predate the batch (it need not still be a tip),
         so each new id is larger than its parents' and the DAG stays
         acyclic by construction.  Row ``r`` is issued by ``issuers[r]``
-        under ``addresses[r]`` when addresses are given, else under
-        ``round_address(round_issued, labels[r])``.  A rejected batch
+        under ``addresses[r]`` when addresses are given, else under the
+        address ``labels[r]`` stands for in its round.  A rejected batch
         appends nothing.
         """
         n = len(parents)
@@ -215,13 +235,19 @@ class Ledger:
         self._tips = _frozen(np.concatenate((tips[~approved[tips]], ids)))
         return ids
 
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` transactions in all, genesis included, so
+        that no attach up to that count copies the rows."""
+        if rows > len(self._rows):
+            grown = np.empty((rows, 5), dtype=np.int64)
+            grown[:self._size] = self._rows[:self._size]
+            self._rows = grown
+
     def _append(self, n: int) -> int:
-        """Reserve ``n`` rows; returns the first new id."""
+        """Take ``n`` more rows; returns the first new id."""
         start = self._size
         if start + n > len(self._rows):
-            grown = np.zeros((max(2 * len(self._rows), start + n), 5), dtype=np.int64)
-            grown[:start] = self._rows[:start]
-            self._rows = grown
+            self.reserve(max(2 * len(self._rows), start + n))
         self._size = start + n
         return start
 

@@ -378,15 +378,29 @@ def test_spatial_keys_run_or_fail_with_one_line():
                     assert err.count("\n") == 1 and key in err, (case, err)
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.stats costs about a second to import; only the variance study uses it
-    probe = "import sys, tipleak, tipleak.cli; print('scipy' in sys.modules)"
+def _fresh_python(probe: str) -> str:
+    """The standard output of ``probe`` run in a new interpreter that
+    imports this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats costs about a second to import; only the variance study uses it
+    probe = "import sys, tipleak, tipleak.cli; print('scipy' in sys.modules)"
+    assert _fresh_python(probe).strip() == "False"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process (and multiprocessing) cost about 17 ms of a
+    # fresh import; only a pool of two or more workers needs them
+    probe = ("import sys, tipleak, tipleak.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    assert _fresh_python(probe).strip() == "False"
 
 
 def test_run_variance_leaves_scipy_unloaded(tmp_path):
@@ -395,12 +409,7 @@ def test_run_variance_leaves_scipy_unloaded(tmp_path):
              f"code = main(['run', 'variance', '--set', 'variance.runs=3', "
              f"'--out', {str(tmp_path)!r}]); "
              "print(code, 'scipy' in sys.modules)")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+    assert _fresh_python(probe).splitlines()[-1] == f"{EXIT_OK} False"
     assert (tmp_path / "variance_42.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Experiment-scenario tests: spatial machinery, presets, serialization."""
 
+import concurrent.futures
 import inspect
 import itertools
 import json
@@ -673,6 +674,8 @@ def test_mitigations_table_shape_and_nulls():
     assert result.lookup("direct", "correct_link_rate") == 0.0
     assert result.lookup("proxy", "links_to_proxies_only") == 1.0
     assert result.lookup("proxy", "anonymity_degree") == pytest.approx(1.0, abs=1e-9)
+    # no attacked address: every light keeps its anonymity
+    assert result.lookup("direct", "anonymity_degree") == 1.0
     baseline = result.lookup("baseline", "link_rate")
     assert baseline == pytest.approx(0.1, abs=0.04)
     assert result.lookup("baseline", "anonymity_degree") == 0.0
@@ -775,7 +778,8 @@ def test_pmap_caps_pool_at_jobs_and_cpus(monkeypatch, workers, jobs, cpus, size)
         def map(self, func, jobs):
             return map(func, jobs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # pmap imports the pool class when it needs one: patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     assert pmap(_square, range(jobs), workers=workers) == [j * j for j in range(jobs)]
     assert sizes == ([] if size is None else [size])

@@ -1,6 +1,7 @@
 """Attack-engine tests: placement, reachability, matching, and full runs."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -21,6 +22,7 @@ from tipleak.network import (
     Simulation,
     _grid_positions,
     _join,
+    _pair_join,
     match_responses,
     place_nodes,
     proxy_assign,
@@ -29,7 +31,14 @@ from tipleak.network import (
     sample_positions,
 )
 from tipleak.rng import DOMAIN_REQUEST, DOMAIN_URTS, uniforms, words
-from tipleak.tangle import GENESIS_ID, NO_ISSUER, Ledger, round_address, urts_pairs
+from tipleak.tangle import (
+    GENESIS_ID,
+    NO_ISSUER,
+    Ledger,
+    ledger_from_lines,
+    round_address,
+    urts_pairs,
+)
 
 
 def _tiny_config(**kw) -> SimConfig:
@@ -475,6 +484,84 @@ def test_join_equals_the_pairwise_reference(unique_left):
         right = gen.integers(-2, 3, (int(gen.integers(0, 10)), columns))
         left_idx, right_idx = _join(left, right)
         assert (left_idx.tolist(), right_idx.tolist()) == _join_reference(left, right)
+    # the collision-aware join, on (round, unordered tip pair) keys: a few
+    # ids up to 2**40 per block, so pairs collide, some blocks spanning too
+    # wide a range of ids to key in int64
+    raised = 0
+    for _ in range(300):
+        width = 2 ** int(gen.integers(2, 41))
+        ids = gen.integers(0, 2 ** 40 - width + 1, dtype=np.int64) + gen.integers(
+            0, width, int(gen.integers(1, 6)), dtype=np.int64)
+        span = int(gen.integers(1, 4))
+
+        def block(n):
+            return gen.integers(0, span, n), ids[gen.integers(0, len(ids), (n, 2))]
+
+        left_round, left_pairs = block(int(gen.integers(0, 12)))
+        left = np.column_stack((left_round, np.sort(left_pairs, axis=1)))
+        if unique_left:
+            _, first = np.unique(left, axis=0, return_index=True)
+            left_round, left_pairs, left = left_round[first], left_pairs[first], left[first]
+        right_round, right_pairs = block(int(gen.integers(0, 10)))
+        right = np.column_stack((right_round, np.sort(right_pairs, axis=1)))
+        rows = np.concatenate((left, right))
+        ranges = [int(c.max()) - int(c.min()) + 1 for c in rows.T] if len(rows) else []
+        if math.prod(ranges) > np.iinfo(np.int64).max:
+            raised += 1
+            with pytest.raises(ValueError):
+                _pair_join(left_round, left_pairs, right_round, right_pairs)
+            continue
+        left_idx, right_idx = _pair_join(left_round, left_pairs, right_round, right_pairs)
+        assert (left_idx.tolist(), right_idx.tolist()) == _join_reference(left, right)
+    assert 0 < raised < 300
+
+
+def test_row_keys_are_the_raveled_offset_rows_or_raise_as_ravel_does():
+    gen = np.random.default_rng(29)
+    limit = np.iinfo(np.int64).max
+    raised = 0
+    for _ in range(300):
+        columns = [gen.integers(-(2 ** 40), 2 ** 40, dtype=np.int64)
+                   + gen.integers(0, 2 ** int(gen.integers(0, 40)), 6, dtype=np.int64)
+                   for _ in range(int(gen.integers(1, 4)))]
+        offset = [c - c.min() for c in columns]
+        dims = [int(c.max()) + 1 for c in offset]
+        if math.prod(dims) > limit:
+            raised += 1
+            with pytest.raises(ValueError):
+                np.ravel_multi_index(offset, dims)
+            with pytest.raises(ValueError):
+                network._row_keys(*columns)
+            continue
+        assert network._row_keys(*columns).tolist() == np.ravel_multi_index(offset, dims).tolist()
+    assert 0 < raised < 300
+    # ranges that multiply to exactly 2**63 - 1 still key; one more raises
+    ranges = (7 * 7 * 73 * 127, 337 * 92737, 649657)
+    assert math.prod(ranges) == limit
+    columns = [np.array([0, size - 1]) for size in ranges]
+    assert network._row_keys(*columns).tolist() == [0, limit - 1]
+    columns[-1][-1] += 1
+    with pytest.raises(ValueError):
+        network._row_keys(*columns)
+
+
+def test_collision_aware_keys_never_wrap():
+    # a naive key (round * K + lo) * K + hi with K the ledger span, 2**33,
+    # wraps int64 on the second attach's round and gives it the log's key
+    log = ResponseLog(nonce=np.array([[0, 3, 60]]), requester=np.array([60]),
+                      tips=np.array([[0, 5]]))
+    attaches = RoundAttaches(
+        light=np.array([60, 61]), identity=np.array([60, 61]),
+        parents=np.array([[5, 0], [2 ** 33 - 1, 1]]), round=np.array([1, 1]),
+    )
+    assert len(match_responses(log, attaches, "collision_aware")) == 0
+    # ids too far apart to key in int64 raise instead of wrapping
+    wide = RoundAttaches(
+        light=np.array([60]), identity=np.array([60]),
+        parents=np.array([[2 ** 62, 2 ** 40]]), round=np.array([2 ** 20]),
+    )
+    with pytest.raises(ValueError):
+        match_responses(log, wide, "collision_aware")
 
 
 # ---------------------------------------------------------------------------
@@ -1024,6 +1111,30 @@ def test_flat_record_shape():
     assert isinstance(flat["seed"], int)
 
 
+SUMMARY_CASES = {
+    "proxy-collision": _tiny_config(rounds=8, mode="proxy", proxy_count=3,
+                                    matching="collision_aware", bootstrap_tips=4),
+    "baseline": _tiny_config(rounds=8),
+    "proxy-short-reach": SimConfig(full_node_count=40, adversary_count=10, light_node_count=30,
+                                   rounds=6, mode="proxy", proxy_count=6,
+                                   request_radius=2.0, seed=77),
+    "collision-aware": SimConfig(full_node_count=10, adversary_count=3, light_node_count=12,
+                                 rounds=6, matching="collision_aware", seed=5),
+    "no-adversaries": _tiny_config(adversary_count=0),
+    "direct": _tiny_config(mode="direct_tip_selection"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_CASES))
+def test_flat_summary_equals_the_address_degrees(name):
+    # to_flat counts the anonymous addresses without naming them; it must
+    # say what the per-address table says
+    result = run_simulation(SUMMARY_CASES[name])
+    flat, degrees = result.to_flat(), list(result.address_degrees.values())
+    assert flat["attacked_addresses"] == len(degrees)
+    assert flat["mean_attacked_degree"] == (sum(degrees) / len(degrees) if degrees else None)
+
+
 # ---------------------------------------------------------------------------
 # closed-form oracles
 # ---------------------------------------------------------------------------
@@ -1066,6 +1177,67 @@ def test_bootstrap_tips_attach_to_genesis_before_round_zero():
     assert first.issuer_address == "bootstrap-0"
     assert (first.parents, first.round_issued, first.issuer_identity) == ((0, 0), 0, None)
     assert sim.ledger.get(3).issuer_address == "bootstrap-2"
+
+
+def test_bootstrap_ledger_lines_are_pinned():
+    # bootstrap rows store a label that stands for their address; the
+    # ledger's lines keep their pinned digest and read back unchanged
+    sim = Simulation(_tiny_config(bootstrap_tips=5))
+    sim.run()
+    lines = sim.ledger.export_lines()
+    assert lines[1:6] == [f"{i + 1}\t0\t0\tbootstrap-{i}\t0" for i in range(5)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "895c83edb8f9708242c5db105bdfcbc87c690fca2e2dd28bca35681c14f99a76")
+    rebuilt = ledger_from_lines(lines)
+    assert rebuilt.export_lines() == lines
+    assert rebuilt.tips.tolist() == sim.ledger.tips.tolist()
+
+
+@pytest.mark.parametrize("settings", [
+    {}, dict(mode="direct_tip_selection"), dict(matching="collision_aware", bootstrap_tips=3),
+], ids=["assume-unique", "direct", "collision-aware"])
+def test_the_ledger_reserves_the_runs_rows_once(monkeypatch, settings):
+    # 1 + 20 * 60 rows outgrow the first capacity: the run's growth
+    # reserves its final row count, and no attach copies the rows again
+    config = _tiny_config(light_node_count=60, rounds=20, **settings)
+    reserved, reserve = [], Ledger.reserve
+
+    def counted(ledger, rows):
+        reserved.append(rows)
+        return reserve(ledger, rows)
+
+    monkeypatch.setattr(Ledger, "reserve", counted)
+    sim = Simulation(config)
+    for round_idx in range(config.rounds // 2):
+        sim.run_round(round_idx)
+    if config.matching == "assume_unique":
+        assert reserved == []  # a nonce-matched run grows its ledger on read
+    sim.ledger  # a read grows the rounds run so far
+    for round_idx in range(config.rounds // 2, config.rounds):
+        sim.run_round(round_idx)
+    rows = len(sim.ledger)
+    assert rows == 1 + config.bootstrap_tips + config.rounds * config.light_node_count
+    assert reserved and set(reserved) == {rows}
+    assert len(sim._ledger._rows) == rows
+
+
+def test_a_warm_collision_aware_run_takes_few_page_faults():
+    # the perfbench proxy_collision simulation: once the allocator is warm,
+    # a run reuses its memory; doubling the ledger as it grows, or copying
+    # each proxy's reach once per light, maps fresh pages every run (about
+    # 1,500 minor faults)
+    resource = pytest.importorskip("resource")
+    config = SimConfig(
+        mode="proxy", proxy_count=4, matching="collision_aware", light_node_count=3200,
+        rounds=10, bootstrap_tips=3840, adversary_count=10, placement="uniform_grid",
+        seed=17,
+    )
+    faults = []
+    for _ in range(8):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_simulation(config).to_flat()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert sorted(faults[3:])[2] < 50, faults
 
 
 def test_tip_count_settles_at_mean_field_fixed_point():

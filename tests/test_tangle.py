@@ -19,9 +19,11 @@ from scipy import stats
 from tipleak.rng import substream, uniforms
 from tipleak.tangle import (
     GENESIS_ID,
+    NO_ISSUER,
     AttachError,
     Ledger,
     Transaction,
+    bootstrap_labels,
     ledger_from_lines,
     round_address,
     urts_pair,
@@ -161,6 +163,29 @@ def test_attach_round_equals_the_same_attaches_one_by_one():
                            addresses=["addr-ok", "bad address"])
     assert len(batch) == 8
     assert batch.tips.tolist() == [4, 5, 6, 7]
+
+
+def test_bootstrap_labels_stand_for_bootstrap_addresses():
+    labelled, named = Ledger(), Ledger()
+    labelled.attach_round(np.zeros((3, 2), dtype=np.int64), 0, np.full(3, NO_ISSUER),
+                          bootstrap_labels(3))
+    named.attach_round(np.zeros((3, 2), dtype=np.int64), 0, np.full(3, NO_ISSUER),
+                       addresses=["bootstrap-0", "bootstrap-1", "bootstrap-2"])
+    assert list(labelled.transactions()) == list(named.transactions())
+    assert labelled.export_lines() == named.export_lines()
+
+
+def test_reserve_keeps_the_rows_and_sizes_the_array_once():
+    ledger = _grow_random(3, 40)
+    lines, tips = ledger.export_lines(), ledger.tips.tolist()
+    ledger.reserve(5000)
+    rows = ledger._rows
+    assert len(rows) == 5000
+    assert ledger.export_lines() == lines and ledger.tips.tolist() == tips
+    ledger.reserve(100)  # never shrinks
+    ledger.attach_round(np.ones((4950, 2), dtype=np.int64), 1, np.zeros(4950, dtype=np.int64),
+                        np.arange(4950))
+    assert ledger._rows is rows and len(ledger) == 4991
 
 
 def test_attach_round_tips_equal_the_isin_reference():
