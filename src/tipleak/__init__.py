@@ -42,7 +42,7 @@ from .network import (
     run_simulation,
 )
 from .results import TOOL_VERSION, write_result
-from .tangle import AttachError, Ledger, Transaction, ledger_from_lines, urts_pair
+from .tangle import AttachError, Ledger, ledger_from_lines
 
 __version__ = TOOL_VERSION
 
@@ -61,7 +61,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "Simulation",
-    "Transaction",
     "continental_takeover_rate",
     "deanon_probability",
     "entropy_degree",
@@ -79,7 +78,6 @@ __all__ = [
     "place_nodes",
     "required_full_nodes",
     "run_simulation",
-    "urts_pair",
     "write_result",
     "__version__",
 ]

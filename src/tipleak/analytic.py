@@ -116,13 +116,21 @@ def hypergeom_pmf(full_nodes: int, compromised: int, requests: int, k: int) -> f
 
 
 def deanon_probability(full_nodes: int, compromised: int, requests: int) -> float:
-    """Probability that the response a light node follows was logged.
+    """Probability that the response a light node follows was logged: C/N.
 
-    Sum over k of (k/M) * P(k of M queried are compromised).  Carried out
-    in exact rationals; the result collapses to C/N for every valid
-    parameter set (the mean of a hypergeometric draw), which is why the
-    population ratio alone decides the attack's success rate.
+    The paper writes it as the sum over k of (k/M) * P(k of M queried are
+    compromised), which collapses to C/N for every valid parameter set (the
+    mean of a hypergeometric draw is MC/N) -- so the population ratio alone
+    decides the attack's success rate.  :func:`_deanon_sum` keeps that sum
+    as the reference the ratio is checked against.
     """
+    params = AttackParams(full_nodes, compromised, requests)
+    return float(Fraction(params.compromised, params.full_nodes))
+
+
+def _deanon_sum(full_nodes: int, compromised: int, requests: int) -> Fraction:
+    """The paper's sum behind :func:`deanon_probability`, in exact
+    rationals: min(M, C) terms of big binomials."""
     params = AttackParams(full_nodes, compromised, requests)
     n, c, m = params.full_nodes, params.compromised, params.requests
     total = Fraction(0)
@@ -130,7 +138,7 @@ def deanon_probability(full_nodes: int, compromised: int, requests: int) -> floa
     for k in range(1, min(m, c) + 1):
         weight = Fraction(k, m)
         total += weight * Fraction(math.comb(c, k) * math.comb(n - c, m - k), denom)
-    return float(total)
+    return total
 
 
 def cell_adversary_odds(

@@ -298,6 +298,9 @@ def _check_analytic_identities() -> tuple[bool, str]:
         value = analytic.deanon_probability(n, c, m)
         if abs(value - c / n) > 1e-12:
             return False, f"deanon({n},{c},{m}) = {value} != {c / n}"
+        paper = analytic._deanon_sum(n, c, m)
+        if paper != Fraction(c, n):
+            return False, f"paper's sum for deanon({n},{c},{m}) = {paper} != {c}/{n}"
         total = sum(
             analytic.hypergeom_pmf(n, c, m, k) for k in range(0, min(m, n) + 1)
         )
@@ -348,12 +351,9 @@ def _check_tangle_integrity() -> tuple[bool, str]:
     draws = uniforms(2024, 98, range(200), 2 * len(labels))
     for r in range(200):  # grown round by round, as a simulation grows it
         parents = tangle.urts_pairs(ledger.tips, draws[r].reshape(2, -1))
-        ledger.attach_round(parents, r, np.full_like(labels, tangle.NO_ISSUER), labels)
-    approved = {
-        parent for tx in ledger.transactions()
-        if tx.txid != tangle.GENESIS_ID for parent in tx.parents
-    }
-    recomputed = {tx.txid for tx in ledger.transactions() if tx.txid not in approved}
+        ledger.attach_round(parents, r, labels)
+    approved = set(ledger.parents[1:].ravel().tolist())
+    recomputed = set(range(len(ledger))) - approved
     if recomputed != set(ledger.tips.tolist()):
         return False, "maintained tip set diverged from recomputation"
     lines = ledger.export_lines()

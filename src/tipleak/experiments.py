@@ -43,6 +43,7 @@ from .network import (
     GRID_DIM,
     PLANE,
     RNG_SCHEME,
+    WORK_BOUND,
     ConfigError,
     SimConfig,
     SimResult,
@@ -384,10 +385,12 @@ def _simulated_rate(config: SimConfig) -> tuple[float, float]:
 
 
 def _check_counts(**counts: int) -> None:
-    """Reject any count below 1, naming its key."""
+    """Reject any count below 1 or above ``WORK_BOUND``, naming its key."""
     for key, value in counts.items():
         if value < 1:
             raise ConfigError(f"{key} must be >= 1")
+        if value > WORK_BOUND:
+            raise ConfigError(f"{key} must be <= {WORK_BOUND}")
 
 
 def pmap(func, jobs, workers: int = 1) -> list:
@@ -907,6 +910,9 @@ def exp_mitigations(
     }
     result = ExperimentResult("mitigations", params, seed)
     required = required_full_nodes(baseline_adversaries, scaling_target)
+    if required > WORK_BOUND:
+        raise ConfigError(f"scaling_target {scaling_target} needs {required} full nodes, "
+                          f"more than {WORK_BOUND}")
     attacked = dict(adversary_count=baseline_adversaries, light_node_count=light_nodes)
     small = dict(full_node_count=20, adversary_count=2)
     configs = {

@@ -80,7 +80,6 @@ from .rng import (
 )
 from .tangle import (
     GENESIS_ID,
-    NO_ISSUER,
     Ledger,
     bootstrap_labels,
     round_address,
@@ -100,6 +99,11 @@ MATCH_ASSUME_UNIQUE = "assume_unique"
 MATCH_COLLISION_AWARE = "collision_aware"
 
 PLACEMENTS = ("uniform_grid", "uniform_random", "clustered")
+
+# The most nodes, ledger rows or samples one input may ask for.  Inputs
+# past it are refused up front with a ConfigError naming the key, not left
+# to fail in an allocation or to run without end.
+WORK_BOUND = 2 ** 31
 
 
 class ConfigError(ValueError):
@@ -140,15 +144,13 @@ class ResponseLog:
 
 @dataclass(frozen=True)
 class RoundAttaches:
-    """Attaches in ledger order, with the ground truth needed to score
-    links: each attach's issue round and, for assume_unique matching, the
-    nonce of the response it followed."""
+    """Attaches in ledger order, with their issue round and the ground
+    truth needed to score links."""
 
     light: np.ndarray           # (n,) origin light; address label
     identity: np.ndarray        # (n,) true issuer (the proxy, when proxied)
     parents: np.ndarray         # (n, 2)
     round: np.ndarray           # (n,)
-    followed_nonce: np.ndarray | None = None  # (n, 3)
 
     def __len__(self) -> int:
         return len(self.light)
@@ -220,6 +222,12 @@ class SimConfig:
             raise ConfigError("proxy_count must be >= 0")
         if self.bootstrap_tips < 0:
             raise ConfigError("bootstrap_tips must be >= 0")
+        for name in ("full_node_count", "light_node_count", "proxy_count",
+                     "cluster_count", "bootstrap_tips"):
+            if getattr(self, name) > WORK_BOUND:
+                raise ConfigError(f"{name} must be <= {WORK_BOUND}")
+        if self.rounds * self.light_node_count > WORK_BOUND:
+            raise ConfigError(f"rounds x light_node_count must be <= {WORK_BOUND}")
 
     @property
     def effective_adversaries(self) -> int:
@@ -422,20 +430,12 @@ def _row_keys(*columns: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (left row, right row) index pair of equal rows, ordered by
-    right row and then by left row."""
-    keys = _row_keys(*np.concatenate((left, right)).T)
-    return _join_keys(keys[:len(left)], keys[len(left):])
-
-
 def _pair_join(
     left_round: np.ndarray, left_pairs: np.ndarray,
     right_round: np.ndarray, right_pairs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_join` of (round, lesser tip, greater tip) rows: every
-    (left row, right row) index pair that shares a round and an unordered
-    tip pair."""
+    """Every (left row, right row) index pair that shares a round and an
+    unordered tip pair, ordered by right row and then by left row."""
     pairs = np.concatenate((left_pairs, right_pairs))
     keys = _row_keys(np.concatenate((left_round, right_round)),
                      np.minimum(pairs[:, 0], pairs[:, 1]),
@@ -444,7 +444,8 @@ def _pair_join(
 
 
 def _join_keys(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_join` on one int64 key per row."""
+    """Every (left row, right row) index pair of equal int64 keys, ordered
+    by right row and then by left row."""
     order = np.argsort(left_keys, kind="stable")
     sorted_keys = left_keys[order]
     # both searches run over the needles in ascending order, where each
@@ -463,23 +464,23 @@ def _join_keys(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarra
     return order[np.repeat(lo, counts) + within], right_idx
 
 
-def match_responses(log: ResponseLog, new: RoundAttaches, matching: str) -> Links:
-    """Link new ledger entries to logged requesters.
+def match_responses(
+    log: ResponseLog, new: RoundAttaches, matching: str = MATCH_COLLISION_AWARE,
+) -> Links:
+    """Link new ledger entries to logged requesters under collision_aware
+    matching: on the raw unordered tip pair, within the round it was
+    served in.  Every (logged response, matching entry) combination
+    produces a link, and entries that merely share the pair become false
+    positives.
 
-    assume_unique: responses are nonce-tagged, so a parent pair identifies
-    exactly one served response -- no false positives by construction.
-
-    collision_aware: matching is on the raw unordered tip pair, within the
-    round it was served in; every (logged response, matching entry)
-    combination produces a link, and entries that merely share the pair
-    become false positives.
+    Nonce-tagged (assume_unique) links need no join: :meth:`Simulation._match`
+    gathers them.  ``matching`` stays a third parameter, collision_aware
+    alone, because perfbench's tracer wraps this function with a
+    three-argument call.
     """
-    if matching == MATCH_ASSUME_UNIQUE:
-        log_idx, new_idx = _join(log.nonce, new.followed_nonce)
-    elif matching == MATCH_COLLISION_AWARE:
-        log_idx, new_idx = _pair_join(log.nonce[:, 0], log.tips, new.round, new.parents)
-    else:
-        raise ConfigError(f"unknown matching {matching!r}")
+    if matching != MATCH_COLLISION_AWARE:
+        raise ConfigError(f"match_responses matches collision_aware only, not {matching!r}")
+    log_idx, new_idx = _pair_join(log.nonce[:, 0], log.tips, new.round, new.parents)
     claimed = log.requester[log_idx]
     return Links(nonce=log.nonce[log_idx], claimed=claimed, light=new.light[new_idx],
                  correct=claimed == new.identity[new_idx])
@@ -685,10 +686,8 @@ class Simulation:
         self.config = config
         self.population = place_nodes(config)
         self._ledger = Ledger()
-        self._ledger.attach_round(
-            np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
-            np.full(config.bootstrap_tips, NO_ISSUER), bootstrap_labels(config.bootstrap_tips),
-        )
+        self._ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
+                                  bootstrap_labels(config.bootstrap_tips))
         self._ran = 0      # rounds run
         self._matched = 0  # rounds whose log is matched
         self._grown = 0    # rounds attached to the ledger
@@ -768,11 +767,10 @@ class Simulation:
         fit in ``_BLOCK`` draws.  Returns each grown round's served pairs
         and the pairs it attached on."""
         if self.config.mode == MODE_DIRECT:
-            issuers = labels = self.population.light_ids
-            n = len(issuers)
+            labels = self.population.light_ids
+            n = len(labels)
         else:
-            req = self._requesters
-            issuers, labels, n = req.visible, req.light, len(req.request_light)
+            labels, n = self._requesters.light, len(self._requesters.request_light)
         served, parents = [], []
         if self._grown < stop:
             # the rows of the whole run, once: growth by doubling copies
@@ -785,7 +783,7 @@ class Simulation:
             for u, round_idx in zip(urts, rounds):
                 pairs = urts_pairs(self._ledger.tips, u.reshape(2, -1))
                 attached = pairs if self._followed is None else pairs[self._followed[round_idx]]
-                self._ledger.attach_round(attached, round_idx, issuers, labels)
+                self._ledger.attach_round(attached, round_idx, labels)
                 served.append(pairs)
                 parents.append(attached)
             self._grown = rounds.stop
@@ -850,7 +848,7 @@ class Simulation:
             parents=np.concatenate(parents),
             round=np.repeat(rounds, len(req.light)),  # each attach's round
         )
-        self._links.append(match_responses(log, attaches, MATCH_COLLISION_AWARE))
+        self._links.append(match_responses(log, attaches, self.config.matching))
 
     def run(self) -> SimResult:
         for round_idx in range(self.config.rounds):

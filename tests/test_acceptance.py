@@ -30,7 +30,7 @@ from tipleak.experiments import (
 from tipleak.network import SimConfig, run_simulation
 from tipleak.rng import substream, uniforms
 from tipleak.results import write_result
-from tipleak.tangle import GENESIS_ID, NO_ISSUER, Ledger, urts_pairs
+from tipleak.tangle import GENESIS_ID, Ledger, urts_pairs
 
 
 @pytest.fixture
@@ -334,28 +334,29 @@ def test_c09_dag_integrity(report):
     u = uniforms(2026, 9, range(100), 2 * len(labels))
     for r in range(100):  # 10,000 attaches, grown round by round as a simulation grows
         parents = urts_pairs(ledger.tips, u[r].reshape(2, -1))
-        ledger.attach_round(parents, r, np.full_like(labels, NO_ISSUER), labels)
+        ledger.attach_round(parents, r, labels)
 
+    rows = ledger.parents.tolist()
     approved = {
-        parent for tx in ledger.transactions()
-        if tx.txid != GENESIS_ID for parent in tx.parents
+        parent for txid, parents in enumerate(rows)
+        if txid != GENESIS_ID for parent in parents
     }
-    recomputed = {tx.txid for tx in ledger.transactions() if tx.txid not in approved}
+    recomputed = set(range(len(rows))) - approved
     tips_ok = recomputed == set(ledger.tips)
 
     # Kahn's algorithm over approval edges proves a topological order exists
-    indegree = {tx.txid: 0 for tx in ledger.transactions()}
-    for tx in ledger.transactions():
-        if tx.txid == GENESIS_ID:
+    indegree = {txid: 0 for txid in range(len(rows))}
+    for txid, parents in enumerate(rows):
+        if txid == GENESIS_ID:
             continue
-        for parent in set(tx.parents):
+        for parent in set(parents):
             indegree[parent] += 1
     frontier = [txid for txid, deg in indegree.items() if deg == 0]
     visited = 0
     while frontier:
         txid = frontier.pop()
         visited += 1
-        for parent in set(ledger.get(txid).parents):
+        for parent in set(rows[txid]):
             if txid == GENESIS_ID:
                 continue
             indegree[parent] -= 1
@@ -364,8 +365,7 @@ def test_c09_dag_integrity(report):
     topo_ok = visited == len(ledger)
 
     fixed = Ledger()
-    for i in range(10):
-        fixed.attach((GENESIS_ID, GENESIS_ID), f"tip-{i}")
+    fixed.attach_round(np.zeros((10, 2), dtype=np.int64), 0, np.arange(10))
     assert fixed.tip_count == 10
     observed: dict[tuple[int, int], int] = {}
     draws = 100_000

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tipleak.analytic import (
     AnonymityProfile,
+    _deanon_sum,
     AttackParams,
     MixerParams,
     ParameterError,
@@ -110,6 +111,7 @@ def test_deanon_enumeration_oracle():
     for subset in combinations(range(7), 2):
         s += Fraction(len(set(range(3)) & set(subset)), 2)
     assert s / _factorial_comb(7, 2) == Fraction(3, 7)
+    assert _deanon_sum(7, 3, 2) == Fraction(3, 7)
     assert deanon_probability(7, 3, 2) == pytest.approx(3 / 7, abs=1e-15)
 
 
@@ -120,9 +122,20 @@ def test_deanon_baseline_is_population_ratio():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 3000), st.data())
 def test_deanon_equals_ratio_for_any_m(n, data):
+    # the paper's sum is C/N exactly, and the closed form its float
     c = data.draw(st.integers(0, n))
     m = data.draw(st.integers(1, min(n, 10)))
+    assert _deanon_sum(n, c, m) == Fraction(c, n)
+    assert deanon_probability(n, c, m) == float(_deanon_sum(n, c, m))
     assert abs(deanon_probability(n, c, m) - c / n) < 1e-12
+
+
+def test_deanon_is_quick_at_any_size():
+    # the paper's sum would take min(M, C) big-binomial terms here
+    assert deanon_probability(10 ** 9, 5 * 10 ** 8, 10 ** 5) == 0.5
+    assert deanon_probability(3 * 10 ** 18, 10 ** 18, 10 ** 17) == float(Fraction(1, 3))
+    with pytest.raises(ParameterError):
+        deanon_probability(10 ** 9, 5 * 10 ** 8, 10 ** 9 + 1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])

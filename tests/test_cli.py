@@ -34,6 +34,9 @@ def run_cli(*argv):
 def test_analytic_deanon_prints_six_decimals(capsys):
     assert run_cli("analytic", "deanon", "--n", "100", "--c", "10", "--m", "3") == EXIT_OK
     assert capsys.readouterr().out.strip() == "0.100000"
+    assert run_cli("analytic", "deanon", "--n", "1000000000", "--c", "500000000",
+                   "--m", "100000") == EXIT_OK
+    assert capsys.readouterr().out.strip() == "0.500000"
 
 
 def test_analytic_mixer_expected(capsys):
@@ -290,6 +293,14 @@ def _usage_error_line(capsys) -> str:
     ("mixer.participants=1", "participants must be >= 2"),
     ("mitigations.scaling_target=nan", "scaling_target must be in (0, 1], got nan"),
     ("mitigations.scaling_target=inf", "scaling_target must be in (0, 1], got inf"),
+    ("mitigations.scaling_target=1e-9",
+     "scaling_target 1e-09 needs 10000000001 full nodes, more than 2147483648"),
+    ("custom.rounds=100000000000 custom.light_node_count=1",
+     "rounds x light_node_count must be <= 2147483648"),
+    ("custom.bootstrap_tips=10000000000", "bootstrap_tips must be <= 2147483648"),
+    ("custom.light_node_count=100000000000", "light_node_count must be <= 2147483648"),
+    ("custom.full_node_count=10000000000", "full_node_count must be <= 2147483648"),
+    ("heatmap.samples_per_cell=100000000000", "samples_per_cell must be <= 2147483648"),
     ("mitigations.baseline_nodes=0", "error: baseline_nodes must be >= 1"),
     ("mitigations.baseline_adversaries=0", "error: baseline_adversaries must be >= 1"),
     ("mitigations.baseline_adversaries=101",
@@ -318,9 +329,11 @@ def _usage_error_line(capsys) -> str:
     ("realworld.data=1", "data must be a file path, got 1"),
 ])
 def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message):
+    # ``setting`` holds one --set value, or several separated by spaces
     study = setting.split(".", 1)[0]
+    sets = [arg for value in setting.split(" ") for arg in ("--set", value)]
     assert run_cli(
-        "run", study, "--out", str(tmp_path), "--workers", "1", "--set", setting,
+        "run", study, "--out", str(tmp_path), "--workers", "1", *sets,
     ) == EXIT_USAGE
     assert message in _usage_error_line(capsys)
     assert not any(tmp_path.iterdir())
@@ -401,6 +414,16 @@ def test_import_leaves_the_process_pool_unloaded():
     probe = ("import sys, tipleak, tipleak.cli; "
              "print('concurrent.futures.process' in sys.modules)")
     assert _fresh_python(probe).strip() == "False"
+
+
+def test_every_public_name_imports():
+    # ``from tipleak import *`` fails on a name ``__all__`` lists and the
+    # package no longer has
+    import tipleak
+    namespace: dict = {}
+    exec("from tipleak import *", namespace)
+    assert set(tipleak.__all__) <= set(namespace)
+    assert len(set(tipleak.__all__)) == len(tipleak.__all__)
 
 
 def test_run_variance_leaves_scipy_unloaded(tmp_path):

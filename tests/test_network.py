@@ -15,14 +15,16 @@ from tipleak.analytic import AnonymityProfile, entropy_degree
 from tipleak.network import (
     GRID_DIM,
     ConfigError,
+    Links,
     Population,
     ResponseLog,
     RoundAttaches,
     SimConfig,
     Simulation,
     _grid_positions,
-    _join,
+    _join_keys,
     _pair_join,
+    _row_keys,
     match_responses,
     place_nodes,
     proxy_assign,
@@ -33,8 +35,8 @@ from tipleak.network import (
 from tipleak.rng import DOMAIN_REQUEST, DOMAIN_URTS, uniforms, words
 from tipleak.tangle import (
     GENESIS_ID,
-    NO_ISSUER,
     Ledger,
+    bootstrap_labels,
     ledger_from_lines,
     round_address,
     urts_pairs,
@@ -285,24 +287,40 @@ def _log(*entries):
 
 def _attaches(*rows):
     """Round-0 attaches, one per (light, parents, followed nonce) row; each
-    light issues under its own identity."""
+    light issues under its own identity.  Returns them with the nonces."""
     light = np.array([r[0] for r in rows], dtype=np.int64)
     return RoundAttaches(
         light=light,
         identity=light,
         parents=np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, 2),
-        followed_nonce=np.array([r[2] for r in rows], dtype=np.int64).reshape(-1, 3),
         round=np.zeros(len(light), dtype=np.int64),
-    )
+    ), np.array([r[2] for r in rows], dtype=np.int64).reshape(-1, 3)
+
+
+def _join(left, right):
+    """Every (left row, right row) index pair of equal integer rows, by
+    right row and then by left row."""
+    keys = _row_keys(*np.concatenate((left, right)).T)
+    return _join_keys(keys[:len(left)], keys[len(left):])
+
+
+def _nonce_match(log, new, followed_nonce):
+    """The assume_unique links: each attach joined on the nonce of the
+    response it followed, which names one served response -- no false
+    positives by construction."""
+    log_idx, new_idx = _join(log.nonce, followed_nonce)
+    claimed = log.requester[log_idx]
+    return Links(nonce=log.nonce[log_idx], claimed=claimed, light=new.light[new_idx],
+                 correct=claimed == new.identity[new_idx])
 
 
 def test_assume_unique_ignores_coincident_honest_pairs():
     log = _log(((0, 0, 50), 50, (4, 9)))
-    entries = _attaches(
+    entries, nonces = _attaches(
         (50, (4, 9), (0, 0, 50)),   # followed the logged response
         (51, (4, 9), (0, 1, 51)),   # same pair from an honest node
     )
-    links = match_responses(log, entries, "assume_unique")
+    links = _nonce_match(log, entries, nonces)
     assert len(links) == 1
     assert round_address(links.nonce[0, 0], links.light[0]) == round_address(0, 50)
     assert links.nonce[0].tolist() == [0, 0, 50]
@@ -312,11 +330,11 @@ def test_assume_unique_ignores_coincident_honest_pairs():
 def test_collision_aware_links_all_pair_matches():
     # both entries carry the logged pair (order ignored): two links, one wrong
     log = _log(((0, 0, 50), 50, (4, 9)))
-    entries = _attaches(
+    entries, _ = _attaches(
         (50, (9, 4), (0, 0, 50)),
         (51, (4, 9), (0, 1, 51)),
     )
-    links = match_responses(log, entries, "collision_aware")
+    links = match_responses(log, entries)
     assert len(links) == 2
     assert links.correct.sum() == 1
     assert set(links.claimed.tolist()) == {50}
@@ -324,26 +342,28 @@ def test_collision_aware_links_all_pair_matches():
 
 def test_collision_aware_no_match_no_link():
     log = _log(((0, 0, 50), 50, (4, 9)))
-    entries = _attaches((50, (4, 8), (0, 9, 50)))
-    assert len(match_responses(log, entries, "collision_aware")) == 0
-    assert len(match_responses(log, entries, "assume_unique")) == 0
+    entries, nonces = _attaches((50, (4, 8), (0, 9, 50)))
+    assert len(match_responses(log, entries)) == 0
+    assert len(_nonce_match(log, entries, nonces)) == 0
 
 
 def test_matching_orders_links_by_attach_then_log_row():
     log = _log(((0, 2, 61), 61, (1, 2)), ((0, 3, 60), 60, (2, 1)), ((0, 4, 62), 62, (7, 8)))
-    entries = _attaches((60, (1, 2), (0, 3, 60)), (61, (2, 1), (0, 5, 61)))
-    links = match_responses(log, entries, "collision_aware")
+    entries, nonces = _attaches((60, (1, 2), (0, 3, 60)), (61, (2, 1), (0, 5, 61)))
+    links = match_responses(log, entries)
     assert list(zip(links.light.tolist(), links.claimed.tolist())) == [
         (60, 61), (60, 60), (61, 61), (61, 60),
     ]
-    unique = match_responses(log, entries, "assume_unique")
+    unique = _nonce_match(log, entries, nonces)
     assert list(zip(unique.light.tolist(), unique.claimed.tolist())) == [(60, 60)]
 
 
 def test_matching_empty_inputs():
-    assert len(match_responses(_log(), _attaches(), "assume_unique")) == 0
-    assert len(match_responses(_log(), _attaches((5, (1, 1), (-1, -1, -1))),
-                               "collision_aware")) == 0
+    assert len(_nonce_match(_log(), *_attaches())) == 0
+    assert len(match_responses(_log(), _attaches((5, (1, 1), (-1, -1, -1)))[0])) == 0
+    # nonce-tagged links are gathered by the simulator, never joined here
+    with pytest.raises(ConfigError, match="collision_aware only"):
+        match_responses(_log(), _attaches()[0], "assume_unique")
 
 
 def _step_plan(sizes, counts):
@@ -554,14 +574,14 @@ def test_collision_aware_keys_never_wrap():
         light=np.array([60, 61]), identity=np.array([60, 61]),
         parents=np.array([[5, 0], [2 ** 33 - 1, 1]]), round=np.array([1, 1]),
     )
-    assert len(match_responses(log, attaches, "collision_aware")) == 0
+    assert len(match_responses(log, attaches)) == 0
     # ids too far apart to key in int64 raise instead of wrapping
     wide = RoundAttaches(
         light=np.array([60]), identity=np.array([60]),
         parents=np.array([[2 ** 62, 2 ** 40]]), round=np.array([2 ** 20]),
     )
     with pytest.raises(ValueError):
-        match_responses(log, wide, "collision_aware")
+        match_responses(log, wide)
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +811,9 @@ def test_reading_the_ledger_every_round_changes_no_result(monkeypatch, name):
 
 
 def _nonce_join(sim):
-    """``match_responses(..., assume_unique)`` over the rounds ``sim`` has
-    run since its last match: the log of every logged request and every
-    attach with the nonce of the request it followed."""
+    """:func:`_nonce_match` over the rounds ``sim`` has run since its last
+    match: the log of every logged request and every attach with the nonce
+    of the request it followed."""
     schedule, req = sim._schedule, sim._requesters
     rounds = np.arange(sim._matched, sim._ran)
     rows = rounds - schedule.rounds.start
@@ -807,9 +827,8 @@ def _nonce_join(sim):
     followed = np.take_along_axis(responder, sim._followed[rounds], 1).ravel()
     attaches = RoundAttaches(
         light=light, identity=np.tile(req.visible, len(rows)),
-        parents=np.zeros((len(light), 2), dtype=np.int64), round=issued,
-        followed_nonce=np.column_stack((issued, followed, light)))
-    return match_responses(log, attaches, "assume_unique")
+        parents=np.zeros((len(light), 2), dtype=np.int64), round=issued)
+    return _nonce_match(log, attaches, np.column_stack((issued, followed, light)))
 
 
 GATHER_CASES = [
@@ -871,20 +890,19 @@ def _eager_ledger(sim, rounds):
     config, req = sim.config, sim._requesters
     ledger = Ledger()
     ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
-                        np.full(config.bootstrap_tips, NO_ISSUER),
-                        addresses=[f"bootstrap-{i}" for i in range(config.bootstrap_tips)])
+                        bootstrap_labels(config.bootstrap_tips))
     for r in range(rounds):
         if config.mode == "direct_tip_selection":
             lights = sim.population.light_ids
             (u,) = uniforms(config.seed, DOMAIN_URTS, range(r, r + 1), 2 * len(lights))
-            ledger.attach_round(urts_pairs(ledger.tips, u.reshape(2, -1)), r, lights, lights)
+            ledger.attach_round(urts_pairs(ledger.tips, u.reshape(2, -1)), r, lights)
             continue
         picks, n = len(req.bounds), len(req.request_light)
         (u,) = uniforms(config.seed, DOMAIN_URTS, range(r, r + 1), 2 * n)
         served = urts_pairs(ledger.tips, u.reshape(2, -1))
         (u,) = uniforms(config.seed, DOMAIN_REQUEST, range(r, r + 1), picks + len(req.light))
         followed = req.first + (u[picks:] * req.fanout).astype(np.int64)
-        ledger.attach_round(served[followed], r, req.visible, req.light)
+        ledger.attach_round(served[followed], r, req.light)
     return ledger
 
 
@@ -1076,10 +1094,11 @@ def test_transaction_counts_agree_with_ledger(settings, stranded):
         == len(sim.ledger) - 1 - sim.config.bootstrap_tips
     )
     on_ledger = Counter()
-    for tx in sim.ledger.transactions():
-        issued = re.fullmatch(r"addr-(\d+)-(\d+)", tx.issuer_address)
+    for line in sim.ledger.export_lines():
+        _, _, _, address, round_issued = line.split("\t")
+        issued = re.fullmatch(r"addr-(\d+)-(\d+)", address)
         if issued:
-            assert int(issued[1]) == tx.round_issued
+            assert issued[1] == round_issued
             on_ledger[int(issued[2])] += 1
     per_light = {row["light_id"]: row["transactions"] for row in result.per_light}
     assert per_light == {
@@ -1173,10 +1192,9 @@ def test_spatial_link_rate_matches_reachable_adversary_share():
 def test_bootstrap_tips_attach_to_genesis_before_round_zero():
     sim = Simulation(_tiny_config(bootstrap_tips=3))
     assert sim.ledger.tips.tolist() == [1, 2, 3]
-    first = sim.ledger.get(1)
-    assert first.issuer_address == "bootstrap-0"
-    assert (first.parents, first.round_issued, first.issuer_identity) == ((0, 0), 0, None)
-    assert sim.ledger.get(3).issuer_address == "bootstrap-2"
+    assert sim.ledger.parents.tolist() == [[0, 0]] * 4
+    assert sim.ledger.export_lines()[1:] == [
+        "1\t0\t0\tbootstrap-0\t0", "2\t0\t0\tbootstrap-1\t0", "3\t0\t0\tbootstrap-2\t0"]
 
 
 def test_bootstrap_ledger_lines_are_pinned():

@@ -7,7 +7,6 @@ closed forms.
 """
 
 import math
-import random
 from collections import Counter
 
 import numpy as np
@@ -16,41 +15,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tipleak.rng import substream, uniforms
+from tipleak.rng import uniforms
 from tipleak.tangle import (
     GENESIS_ID,
-    NO_ISSUER,
     AttachError,
     Ledger,
-    Transaction,
     bootstrap_labels,
     ledger_from_lines,
-    round_address,
-    urts_pair,
     urts_pairs,
 )
 
 
 def _recomputed_tips(ledger: Ledger) -> set[int]:
-    """Tip set derived only from the raw transaction list."""
+    """Tip set derived only from the raw parent rows."""
     approved = set()
-    for tx in ledger.transactions():
-        if tx.txid == GENESIS_ID:
+    for txid, parents in enumerate(ledger.parents.tolist()):
+        if txid == GENESIS_ID:
             continue
-        approved.update(tx.parents)
-    return {tx.txid for tx in ledger.transactions() if tx.txid not in approved}
+        approved.update(parents)
+    return set(range(len(ledger))) - approved
 
 
 def _kahn_topological(ledger: Ledger) -> list[int]:
     """Independent topological sort; raises KeyError on a broken DAG."""
-    indeg: dict[int, int] = {tx.txid: 0 for tx in ledger.transactions()}
+    indeg: dict[int, int] = {txid: 0 for txid in range(len(ledger))}
     children: dict[int, list[int]] = {txid: [] for txid in indeg}
-    for tx in ledger.transactions():
-        if tx.txid == GENESIS_ID:
+    for txid, parents in enumerate(ledger.parents.tolist()):
+        if txid == GENESIS_ID:
             continue
-        for p in set(tx.parents):
-            indeg[tx.txid] += 1
-            children[p].append(tx.txid)
+        for p in set(parents):
+            indeg[txid] += 1
+            children[p].append(txid)
     order, frontier = [], [t for t, d in indeg.items() if d == 0]
     while frontier:
         node = frontier.pop()
@@ -63,12 +58,22 @@ def _kahn_topological(ledger: Ledger) -> list[int]:
 
 
 def _grow_random(seed: int, n: int) -> Ledger:
-    ledger = Ledger()
-    rng = random.Random(seed)
-    for i in range(n):
-        parents = urts_pair(ledger.tips, rng)
-        ledger.attach(parents, f"addr-{i}")
+    """``n`` attaches after genesis, in rounds of one to four URTS pairs
+    drawn against the tips each round starts from."""
+    gen = np.random.default_rng(seed)
+    ledger, round_issued = Ledger(), 0
+    while len(ledger) <= n:
+        size = min(int(gen.integers(1, 5)), n + 1 - len(ledger))
+        ledger.attach_round(urts_pairs(ledger.tips, gen.random((2, size))), round_issued,
+                            np.arange(size))
+        round_issued += 1
     return ledger
+
+
+def _attach(ledger: Ledger, *parents: tuple[int, int], round_issued: int = 0) -> list[int]:
+    """Attach one batch of the given parent pairs, labelled 0, 1, ..."""
+    return ledger.attach_round(np.array(parents, dtype=np.int64).reshape(-1, 2),
+                               round_issued, np.arange(len(parents))).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -79,44 +84,44 @@ def test_fresh_ledger_is_genesis_only():
     ledger = Ledger()
     assert len(ledger) == 1
     assert ledger.tips.tolist() == [GENESIS_ID]
-    genesis = ledger.get(GENESIS_ID)
-    assert genesis.parents == (GENESIS_ID, GENESIS_ID)
+    assert ledger.parents.tolist() == [[GENESIS_ID, GENESIS_ID]]
+    assert ledger.export_lines() == ["0\t0\t0\tgenesis\t0"]
 
 
 def test_attach_moves_tip_set():
     ledger = Ledger()
-    a = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-a")
+    (a,) = _attach(ledger, (GENESIS_ID, GENESIS_ID))
     assert ledger.tips.tolist() == [a]
-    b = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-b")
+    (b,) = _attach(ledger, (GENESIS_ID, GENESIS_ID))
     assert ledger.tips.tolist() == [a, b]
-    c = ledger.attach((a, b), "addr-c")
+    (c,) = _attach(ledger, (a, b))
     assert ledger.tips.tolist() == [c]
 
 
 def test_attach_rejects_unknown_parents_and_bad_addresses():
     ledger = Ledger()
-    with pytest.raises(AttachError):
-        ledger.attach((5, GENESIS_ID), "addr-x")
-    with pytest.raises(AttachError):
-        ledger.attach((GENESIS_ID, GENESIS_ID), "bad address")
-    with pytest.raises(AttachError):
-        ledger.attach((GENESIS_ID, GENESIS_ID), "")
+    for parents in ((5, GENESIS_ID), (GENESIS_ID, 1), (-1, GENESIS_ID)):
+        with pytest.raises(AttachError):
+            _attach(ledger, (GENESIS_ID, GENESIS_ID), parents)
     assert len(ledger) == 1  # nothing was appended
+    # addresses come only from read lines, which refuse what the format
+    # cannot hold
+    for address in ("bad address", ""):
+        with pytest.raises(AttachError):
+            ledger_from_lines(["0\t0\t0\tgenesis\t0", f"1\t0\t0\t{address}\t0"])
 
 
-@pytest.mark.parametrize("addresses, bad", [
-    (["ok-0", "ok-1", "tab\there", "", "new\nline"], "tab\there"),
-    (["ok-0", "", "two words"], ""),
-    (["ok-0", "ok-1", "ok-2", "trailing "], "trailing "),
-])
-def test_attach_round_names_the_first_bad_address(addresses, bad):
-    ledger = Ledger()
-    n = len(addresses)
-    with pytest.raises(AttachError) as info:
-        ledger.attach_round(np.zeros((n, 2), dtype=np.int64), 0, np.full(n, 1),
-                            addresses=addresses)
-    assert str(info.value) == f"bad issuer address {bad!r}"
-    assert len(ledger) == 1
+def test_parents_and_tips_are_read_only_snapshots():
+    ledger = _grow_random(seed=5, n=20)
+    parents, tips = ledger.parents, ledger.tips
+    for array in (parents, tips):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    want = (parents.tolist(), tips.tolist())
+    _attach(ledger, *[(tip, tip) for tip in tips.tolist()])
+    ledger.reserve(4096)  # a copy of the rows leaves the snapshots as they were
+    assert (parents.tolist(), tips.tolist()) == want
+    assert ledger.parents[:len(parents)].tolist() == want[0]
 
 
 def test_tip_set_matches_scratch_recount_after_random_growth():
@@ -126,10 +131,10 @@ def test_tip_set_matches_scratch_recount_after_random_growth():
 
 def test_parents_strictly_earlier_and_dag_acyclic():
     ledger = _grow_random(seed=11, n=300)
-    for tx in ledger.transactions():
-        if tx.txid == GENESIS_ID:
+    for txid, parents in enumerate(ledger.parents.tolist()):
+        if txid == GENESIS_ID:
             continue
-        assert max(tx.parents) < tx.txid
+        assert max(parents) < txid
     assert len(_kahn_topological(ledger)) == len(ledger)
 
 
@@ -141,38 +146,41 @@ def test_growth_invariants_property(seed, n):
     assert len(ledger) == n + 1
 
 
-def test_attach_round_equals_the_same_attaches_one_by_one():
-    batch, single = Ledger(), Ledger()
-    for ledger in (batch, single):
-        for i in range(4):
-            ledger.attach((GENESIS_ID, GENESIS_ID), f"bootstrap-{i}")
+@pytest.mark.parametrize("cuts", [(1,), (1, 2), (2,), (0, 1, 2, 3)])
+def test_attach_round_equals_the_same_attaches_one_by_one(cuts):
+    # one batch against the same rows attached in smaller batches, cut
+    # before each row in ``cuts``: empty, one-row and longer batches
+    batch, split = Ledger(), Ledger()
+    for ledger in (batch, split):
+        ledger.attach_round(np.zeros((4, 2), dtype=np.int64), 0, bootstrap_labels(4))
     parents = np.array([[1, 2], [2, 3], [1, 1]])
-    issuers, labels = [7, 8, 9], [17, 18, 19]
-    ids = batch.attach_round(parents, 3, np.array(issuers), np.array(labels))
-    for pair, issuer, label in zip(parents.tolist(), issuers, labels):
-        single.attach(tuple(pair), round_address(3, label), 3, issuer)
-    assert ids.tolist() == [5, 6, 7]
-    assert list(batch.transactions()) == list(single.transactions())
-    assert batch.tips.tolist() == single.tips.tolist() == [4, 5, 6, 7]
+    labels = np.array([17, 18, 19])
+    ids = batch.attach_round(parents, 3, labels)
+    bounds = (0, *cuts, len(parents))
+    split_ids = np.concatenate([split.attach_round(parents[a:b], 3, labels[a:b])
+                                for a, b in zip(bounds, bounds[1:])])
+    assert ids.tolist() == split_ids.tolist() == [5, 6, 7]
+    assert batch.export_lines() == split.export_lines()
+    assert batch.parents.tolist() == split.parents.tolist()
+    assert batch.export_lines()[5:] == [
+        "5\t1\t2\taddr-3-17\t3", "6\t2\t3\taddr-3-18\t3", "7\t1\t1\taddr-3-19\t3"]
+    assert batch.tips.tolist() == split.tips.tolist() == [4, 5, 6, 7]
     # tip 1 is approved by rows 5 and 7 alone
-    assert [tx.txid for tx in batch.transactions() if 1 in tx.parents] == [5, 7]
-    with pytest.raises(AttachError):
-        batch.attach_round(np.array([[0, 8]]), 4, np.array([1]), np.array([1]))
+    assert np.flatnonzero((batch.parents == 1).any(axis=1)).tolist() == [5, 7]
     with pytest.raises(AttachError):  # checked before the good first row lands
-        batch.attach_round(np.array([[4, 5], [6, 7]]), 4, np.array([1, 2]),
-                           addresses=["addr-ok", "bad address"])
+        batch.attach_round(np.array([[4, 5], [0, 8]]), 4, np.array([1, 2]))
     assert len(batch) == 8
     assert batch.tips.tolist() == [4, 5, 6, 7]
 
 
 def test_bootstrap_labels_stand_for_bootstrap_addresses():
-    labelled, named = Ledger(), Ledger()
-    labelled.attach_round(np.zeros((3, 2), dtype=np.int64), 0, np.full(3, NO_ISSUER),
-                          bootstrap_labels(3))
-    named.attach_round(np.zeros((3, 2), dtype=np.int64), 0, np.full(3, NO_ISSUER),
-                       addresses=["bootstrap-0", "bootstrap-1", "bootstrap-2"])
-    assert list(labelled.transactions()) == list(named.transactions())
+    labelled = Ledger()
+    labelled.attach_round(np.zeros((3, 2), dtype=np.int64), 0, bootstrap_labels(3))
+    named = ledger_from_lines(
+        ["0\t0\t0\tgenesis\t0"] + [f"{i + 1}\t0\t0\tbootstrap-{i}\t0" for i in range(3)])
     assert labelled.export_lines() == named.export_lines()
+    assert labelled.parents.tolist() == named.parents.tolist()
+    assert labelled.tips.tolist() == named.tips.tolist() == [1, 2, 3]
 
 
 def test_reserve_keeps_the_rows_and_sizes_the_array_once():
@@ -183,8 +191,7 @@ def test_reserve_keeps_the_rows_and_sizes_the_array_once():
     assert len(rows) == 5000
     assert ledger.export_lines() == lines and ledger.tips.tolist() == tips
     ledger.reserve(100)  # never shrinks
-    ledger.attach_round(np.ones((4950, 2), dtype=np.int64), 1, np.zeros(4950, dtype=np.int64),
-                        np.arange(4950))
+    ledger.attach_round(np.ones((4950, 2), dtype=np.int64), 1, np.arange(4950))
     assert ledger._rows is rows and len(ledger) == 4991
 
 
@@ -197,7 +204,7 @@ def test_attach_round_tips_equal_the_isin_reference():
         parents = gen.integers(0, len(ledger), (n, 2))
         if n and gen.random() < 0.3:
             parents[gen.integers(0, n)] = parents[0, ::-1]
-        ids = ledger.attach_round(parents, r, np.full(n, 0), np.arange(n))
+        ids = ledger.attach_round(parents, r, np.arange(n))
         tips = np.concatenate((tips[~np.isin(tips, parents)], ids))
         assert ledger.tips.dtype == tips.dtype
         assert ledger.tips.tolist() == tips.tolist()
@@ -208,31 +215,9 @@ def test_attach_round_tips_equal_the_isin_reference():
 # uniform selection
 # ---------------------------------------------------------------------------
 
-def test_urts_single_tip_duplicates():
-    ledger = Ledger()
-    assert urts_pair(ledger.tips, random.Random(1)) == (GENESIS_ID, GENESIS_ID)
-    a = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-a")
-    assert urts_pair(ledger.tips, random.Random(2)) == (a, a)
-
-
-def test_urts_empty_tip_list_rejected():
-    with pytest.raises(AttachError):
-        urts_pair([], random.Random(1))
-
-
-def test_urts_pair_always_distinct_with_two_or_more_tips():
-    rng = random.Random(3)
-    tips = list(range(40, 49))
-    for _ in range(2000):
-        a, b = urts_pair(tips, rng)
-        assert a != b
-        assert a in tips and b in tips
-
-
 def _ten_tip_ledger() -> Ledger:
     ledger = Ledger()
-    for i in range(10):
-        ledger.attach((GENESIS_ID, GENESIS_ID), f"addr-{i}")
+    _attach(ledger, *[(GENESIS_ID, GENESIS_ID)] * 10)
     assert ledger.tip_count == 10
     return ledger
 
@@ -249,12 +234,6 @@ def _assert_uniform_pairs(pairs):
         assert abs(seen - draws * p_pair) < 4 * sd, f"pair {pair} at {seen}"
     chi2 = sum((c - draws * p_pair) ** 2 / (draws * p_pair) for c in counts.values())
     assert chi2 < stats.chi2.ppf(0.99, 44)
-
-
-def test_urts_unordered_pair_frequencies_uniform():
-    ledger = _ten_tip_ledger()
-    rng = substream(2024, 1)
-    _assert_uniform_pairs([urts_pair(ledger.tips, rng) for _ in range(30_000)])
 
 
 def test_batch_urts_pairs_uniform_and_distinct():
@@ -278,9 +257,12 @@ def test_batch_urts_pairs_maps_the_ends_of_the_unit_interval():
 
 
 def test_urts_deterministic_under_seed():
-    first = [urts_pair(_ten_tip_ledger().tips, substream(99, 5, i)) for i in range(50)]
-    second = [urts_pair(_ten_tip_ledger().tips, substream(99, 5, i)) for i in range(50)]
-    assert first == second
+    first = [urts_pairs(_ten_tip_ledger().tips, uniforms(99, 5, range(i, i + 1), 8).reshape(2, -1))
+             for i in range(50)]
+    second = [urts_pairs(_ten_tip_ledger().tips, uniforms(99, 5, range(i, i + 1), 8).reshape(2, -1))
+              for i in range(50)]
+    assert [pairs.tolist() for pairs in first] == [pairs.tolist() for pairs in second]
+    assert len({pairs.tobytes() for pairs in first}) > 1  # the seed's rounds differ
 
 
 # ---------------------------------------------------------------------------
@@ -296,36 +278,81 @@ GOLDEN_LINES = [
 
 
 def test_export_golden_bytes():
-    ledger = Ledger()
-    a = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-a", round_issued=0)
-    b = ledger.attach((GENESIS_ID, GENESIS_ID), "addr-b", round_issued=0)
-    ledger.attach((a, b), "addr-c", round_issued=1)
+    ledger = ledger_from_lines(GOLDEN_LINES)
+    assert ledger.parents.tolist() == [[0, 0], [0, 0], [0, 0], [1, 2]]
+    assert ledger.tips.tolist() == [3]
     assert ledger.export_lines() == GOLDEN_LINES
+    # the same DAG attached under labels prints their round addresses
+    labelled = Ledger()
+    a, b = _attach(labelled, (GENESIS_ID, GENESIS_ID), (GENESIS_ID, GENESIS_ID))
+    labelled.attach_round(np.array([[a, b]]), 1, np.array([7]))
+    assert labelled.export_lines() == [
+        "0\t0\t0\tgenesis\t0",
+        "1\t0\t0\taddr-0-0\t0",
+        "2\t0\t0\taddr-0-1\t0",
+        "3\t1\t2\taddr-1-7\t1",
+    ]
 
 
 def test_roundtrip_preserves_structure_and_tips():
     original = _grow_random(seed=21, n=120)
-    clone = ledger_from_lines(original.export_lines())
+    original.attach_round(np.zeros((2, 2), dtype=np.int64), 99, bootstrap_labels(2))
+    lines = original.export_lines()
+    clone = ledger_from_lines(line + "\n" for line in lines)  # as a file reads
     assert len(clone) == len(original)
-    assert set(clone.tips) == set(original.tips)
-    for tx in original.transactions():
-        other = clone.get(tx.txid)
-        assert other.parents == tx.parents
-        assert other.issuer_address == tx.issuer_address
-        assert other.round_issued == tx.round_issued
-        assert other.issuer_identity is None  # ground truth never exported
+    assert clone.parents.tolist() == original.parents.tolist()
+    assert clone.tips.tolist() == original.tips.tolist()
+    assert clone.export_lines() == lines
+    # a clone grows on as the original does
+    for ledger in (original, clone):
+        ledger.attach_round(np.array([[120, 3]]), 100, np.array([5]))
+    assert clone.export_lines() == original.export_lines()
+    assert clone.tips.tolist() == original.tips.tolist()
 
 
 def test_import_rejects_malformed_input():
-    with pytest.raises(AttachError):
-        ledger_from_lines(["0\t0\t0\tgenesis\t0", "1\t0\tx"])
-    with pytest.raises(AttachError):
-        ledger_from_lines(["0\t0\t1\tgenesis\t0"])
-    with pytest.raises(AttachError):
-        ledger_from_lines(["0\t0\t0\tgenesis\t0", "5\t0\t0\taddr\t0"])
+    # one bad line anywhere in a real export is found: first, inside, last
+    lines = _grow_random(seed=4, n=60).export_lines()
+    for at in (0, 1, 30, len(lines) - 1):
+        for bad in ("x", f"{at}\t0\t0\taddr", f"{at}\t0\t{at + 1}\taddr\t0"):
+            corrupt = lines[:at] + [bad] + lines[at + 1:]
+            with pytest.raises(AttachError):
+                ledger_from_lines(corrupt)
+    assert ledger_from_lines(lines[:1] + [""] + lines[1:]).export_lines() == lines
 
 
-def test_transaction_is_frozen_value_object():
-    tx = Transaction(1, (0, 0), "addr", 0)
-    with pytest.raises(AttributeError):
-        tx.txid = 2
+GENESIS_LINE = "0\t0\t0\tgenesis\t0"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([], "no genesis line"),
+    ([GENESIS_LINE, "1\t0\tx"], "malformed ledger line"),
+    ([GENESIS_LINE, "1\t0\t0\taddr\t0\textra"], "malformed ledger line"),
+    ([GENESIS_LINE, "1\t0\tzero\taddr\t0"], "bad ledger field"),
+    ([GENESIS_LINE, "1\t0\t0\taddr\t1.5"], "bad ledger field"),
+    ([GENESIS_LINE, "1\t0\t0\taddr\t99999999999999999999"], "bad ledger field"),
+    ([GENESIS_LINE, "1\t0\t0\ta\t0", "1\t0\t0\tb\t0"], "non-contiguous transaction id 1"),
+    ([GENESIS_LINE, "5\t0\t0\taddr\t0"], "non-contiguous transaction id 5"),
+    (["1\t0\t0\taddr\t0"], "non-contiguous transaction id 1"),
+    (["0\t0\t1\tgenesis\t0"], "genesis must approve itself"),
+    ([GENESIS_LINE, "1\t-1\t0\ta\t0"], "transaction 1 approves [-1, 0]"),
+    ([GENESIS_LINE, "1\t0\t0\ta\t0", "2\t2\t0\ta\t0"], "transaction 2 approves [2, 0]"),
+    ([GENESIS_LINE, "1\t2\t0\ta\t0", "2\t0\t0\ta\t0"], "transaction 1 approves [2, 0]"),
+    # the error names the first bad address
+    ([GENESIS_LINE, "1\t0\t0\t\t0"], "bad issuer address ''"),
+    ([GENESIS_LINE, "1\t0\t0\ttwo words\t0"], "bad issuer address 'two words'"),
+    ([GENESIS_LINE] + [f"{i + 1}\t0\t0\t{a}\t0" for i, a in enumerate(
+        ["ok-0", "ok-1", "new\nline", "", "two words"])], "bad issuer address 'new\\nline'"),
+    ([GENESIS_LINE] + [f"{i + 1}\t0\t0\t{a}\t0" for i, a in enumerate(
+        ["ok-0", "", "two words"])], "bad issuer address ''"),
+    ([GENESIS_LINE] + [f"{i + 1}\t0\t0\t{a}\t0" for i, a in enumerate(
+        ["ok-0", "ok-1", "ok-2", "trailing "])], "bad issuer address 'trailing '"),
+], ids=["empty", "short-line", "long-line", "word-parent", "float-round", "huge-round",
+        "duplicate-id", "skipped-id", "no-genesis", "genesis-not-self", "negative-parent",
+        "self-parent", "later-parent", "empty-address", "spaced-address", "first-of-newline",
+        "first-of-empty", "trailing-space"])
+def test_import_rejects_each_bad_input(lines, message):
+    with pytest.raises(AttachError) as info:
+        ledger_from_lines(lines)
+    assert str(info.value).startswith(message)
+    assert "\n" not in str(info.value).replace("\\n", "")
