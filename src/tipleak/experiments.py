@@ -47,6 +47,7 @@ from .network import (
     ConfigError,
     SimConfig,
     SimResult,
+    _check_counts,
     place_nodes,
     reachable,
     run_simulation,
@@ -382,15 +383,6 @@ def _link_rate(sim: SimResult) -> tuple[float, float]:
 def _simulated_rate(config: SimConfig) -> tuple[float, float]:
     """:func:`_link_rate` of one simulation: a :func:`pmap` job."""
     return _link_rate(run_simulation(config))
-
-
-def _check_counts(**counts: int) -> None:
-    """Reject any count below 1 or above ``WORK_BOUND``, naming its key."""
-    for key, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1")
-        if value > WORK_BOUND:
-            raise ConfigError(f"{key} must be <= {WORK_BOUND}")
 
 
 def pmap(func, jobs, workers: int = 1) -> list:

@@ -28,12 +28,12 @@ how many requests, under which identity -- is built once, with the reach,
 in :class:`Requesters`.
 
 Only the tips pass from one round to the next, and neither the queried
-nodes, the follow choices nor the matching depend on them, so a run goes
-in blocks of rounds bounded by ``_BLOCK`` requests.  Before a block, one
-call draws its rounds' request words, and the queried positions
-(:func:`sample_positions`) are mapped from them into its :class:`Schedule`
-and the follow choices into the run's one follow table, which the match
-and the ledger both read.  After the block, adversaries match its log: a
+nodes, the follow choices nor the matching depend on them, so adversaries
+match a run in blocks of rounds bounded by ``_BLOCK`` requests, once a
+block has run, the run ends or the ledger is read.  The match draws the
+block's request words in one call -- the queried positions
+(:func:`sample_positions`), then the follow choices, which go into the
+run's one follow table that the ledger reads too -- and matches its log: a
 nonce-tagged response names the one attach that followed it, so
 assume_unique links are a gather of the logged mask at the followed
 requests, and collision-aware matching is a join on one int64 key per
@@ -49,9 +49,10 @@ tips it starts from.  :meth:`Simulation._grow` is the ledger's one growth
 path, and it draws the URTS words of the rounds it attaches; before its
 first attach it reserves the ledger's rows for the whole run.  No round
 touches the ledger as it runs: collision-aware matching, the only reader
-of served pairs, grows the rounds it matches, and otherwise the ledger is
-grown on read -- :attr:`Simulation.ledger` matches every round run so far,
-then attaches them.
+of served pairs, grows the rounds it matches and reads their attaches
+back as the ledger's last rows; otherwise the ledger is grown on read --
+:attr:`Simulation.ledger` matches every round run so far, then attaches
+them.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -108,6 +109,15 @@ WORK_BOUND = 2 ** 31
 
 class ConfigError(ValueError):
     """Raised for simulation configs that cannot be run."""
+
+
+def _check_counts(**counts: int) -> None:
+    """Reject any count below 1 or above ``WORK_BOUND``, naming its key."""
+    for key, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1")
+        if value > WORK_BOUND:
+            raise ConfigError(f"{key} must be <= {WORK_BOUND}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +198,12 @@ class SimConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.full_node_count < 1:
-            raise ConfigError("full_node_count must be >= 1")
-        if self.light_node_count < 1:
-            raise ConfigError("light_node_count must be >= 1")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+        _check_counts(full_node_count=self.full_node_count,
+                      light_node_count=self.light_node_count)
+        # light_node_count >= 1, so this also bounds rounds alone
+        if self.rounds * self.light_node_count > WORK_BOUND:
+            raise ConfigError(f"rounds x light_node_count must be <= {WORK_BOUND}")
+        _check_counts(rounds=self.rounds)
         if self.request_fanout < 1:
             raise ConfigError("request_fanout must be >= 1")
         if not 0.0 <= self.adversary_ratio <= 1.0:
@@ -204,8 +214,7 @@ class SimConfig:
             raise ConfigError("adversary_count must be in [0, full_node_count]")
         if self.request_radius is not None and not self.request_radius > 0:
             raise ConfigError("request_radius must be positive or None")
-        if self.cluster_count < 1:
-            raise ConfigError("cluster_count must be >= 1")
+        _check_counts(cluster_count=self.cluster_count)
         if not (self.cluster_spread >= 0 and math.isfinite(self.cluster_spread)):
             raise ConfigError("cluster_spread must be >= 0 and finite")
         if not 0.0 <= self.cluster_fraction <= 1.0:
@@ -222,12 +231,9 @@ class SimConfig:
             raise ConfigError("proxy_count must be >= 0")
         if self.bootstrap_tips < 0:
             raise ConfigError("bootstrap_tips must be >= 0")
-        for name in ("full_node_count", "light_node_count", "proxy_count",
-                     "cluster_count", "bootstrap_tips"):
+        for name in ("proxy_count", "bootstrap_tips"):
             if getattr(self, name) > WORK_BOUND:
                 raise ConfigError(f"{name} must be <= {WORK_BOUND}")
-        if self.rounds * self.light_node_count > WORK_BOUND:
-            raise ConfigError(f"rounds x light_node_count must be <= {WORK_BOUND}")
 
     @property
     def effective_adversaries(self) -> int:
@@ -456,7 +462,7 @@ def _join_keys(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarra
     lo, counts = np.empty_like(first), np.empty_like(first)
     lo[needles] = first
     counts[needles] = np.searchsorted(sorted_keys, found, "right") - first
-    if counts.max(initial=0) <= 1:  # unique matches, as nonces always are
+    if counts.max(initial=0) <= 1:  # no key matched twice: no repeat to expand
         hit = np.flatnonzero(counts)
         return order[lo[hit]], hit
     right_idx = np.repeat(np.arange(len(right_keys)), counts)
@@ -496,23 +502,24 @@ class Requesters:
     and the request plan every round of a run shares.
 
     Row ``r`` is one light: the identity responders see (its proxy's, when
-    proxied), its ``count[r]`` reachable full-node ids, ascending, and the
-    ``fanout[r]`` requests it sends each round, which are rows
-    ``first[r]:first[r] + fanout[r]`` of a round's requests.  ``full_ids``
-    holds each identity's reachable ids once, identity after identity, so
-    the lights behind one proxy share one run of it.  The request columns
+    proxied) and the ``fanout[r]`` requests it sends each round -- at most
+    ``request_fanout``, and no more than the full nodes it reaches -- which
+    are rows ``first[r]:first[r] + fanout[r]`` of a round's requests.
+    ``full_ids`` holds each identity's reachable ids once, ascending,
+    identity after identity, so the lights behind one proxy share one run
+    of it.  The request columns
     give the first entry in ``full_ids`` of each request's owner, its
     nonce light and its visible identity.
     The ``(width, rows)`` mask ``drawing`` tells which rows make a pick at
     each fan-out step, and ``bounds`` holds the bound of every pick in
-    step-major order: step ``t`` of row ``r`` draws below ``count[r] - t``.
+    step-major order: step ``t`` of a row that reaches ``k`` full nodes
+    draws below ``k - t``.
     Reach never changes during a run, so only the queried nodes, the
     responses and the follow choices are drawn per round.
     """
 
     light: np.ndarray
     visible: np.ndarray
-    count: np.ndarray
     full_ids: np.ndarray
     fanout: np.ndarray
     first: np.ndarray
@@ -563,15 +570,9 @@ def sample_positions(draws: np.ndarray, drawing: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 14  # requests drawn per block of rounds: bounds its arrays
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """The request draws of a block of consecutive rounds: row ``i`` of
-    ``rounds[i]`` says who answers each request and whether that node
-    logs."""
-
-    rounds: range
-    responder: np.ndarray  # (rounds, n)
-    logged: np.ndarray     # (rounds, n) bool
+def _block_rounds(draws: int) -> int:
+    """How many rounds of ``draws`` draws each fit in one ``_BLOCK``."""
+    return max(1, _BLOCK // max(draws, 1))
 
 
 def _transactions(links: Links, lights: np.ndarray) -> tuple[int, np.ndarray]:
@@ -673,7 +674,8 @@ class Simulation:
     computed against the round-start tip snapshot, attaches land in
     ascending light-node order, and adversaries match afterwards, once per
     block of rounds -- so light nodes are independent inside a round and
-    the ledger view only advances between rounds.
+    the ledger view only advances between rounds.  :meth:`_match` draws the
+    requests of the rounds it matches, so no block outlives its match.
 
     The ledger past its bootstrap tips grows only in :meth:`_grow`, which
     draws the URTS words of the rounds it attaches: under collision_aware
@@ -694,15 +696,14 @@ class Simulation:
         # one table per match, after an empty one
         self._links = [Links(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
-        self._schedule: Schedule | None = None  # the block being run
         # the identity responders see: a proxied light's proxy, else its own
         self._visible = (
             proxy_assign(self.population) if config.mode == MODE_PROXY
             else self.population.light_ids
         )
         self._requesters = self._reachability()
-        # each round's request row each light attaches on, drawn with its
-        # block; None under direct tip selection: a light's own pair
+        # each round's request row each light attaches on, drawn when the
+        # round is matched; None under direct tip selection: a light's own pair
         self._followed = None if config.mode == MODE_DIRECT else np.empty(
             (config.rounds, len(self._requesters.light)), dtype=np.int64)
 
@@ -726,7 +727,6 @@ class Simulation:
         return Requesters(
             light=light,
             visible=visible,
-            count=count,
             # the column of every reachable entry, sender by sender
             full_ids=np.broadcast_to(np.arange(reach.shape[1]), reach.shape)[reach],
             fanout=fanout,
@@ -746,48 +746,46 @@ class Simulation:
         self._grow(self._ran)
         return self._ledger
 
-    def _draw_schedule(self, start: int) -> Schedule:
-        """Draw the block of rounds from ``start``: as many rounds as fit in
-        ``_BLOCK`` requests.  A round's request words are its queried
-        positions, then its follow choices, which go to ``_followed``."""
+    def _draw_schedule(self, rounds: range) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the requests of ``rounds``: who answers each, one row a
+        round, and whether that node logs.  A round's request words are its
+        queried positions, then its follow choices, which go to
+        ``_followed``."""
         req = self._requesters
-        picks, n = len(req.bounds), len(req.request_light)
-        rounds = range(start, min(start + max(1, _BLOCK // max(n, 1)), self.config.rounds))
+        picks = len(req.bounds)
         w = words(self.config.seed, DOMAIN_REQUEST, rounds, picks + len(req.light))
         self._followed[rounds.start:rounds.stop] = (
             req.first + (to_uniforms(w[:, picks:]) * req.fanout).astype(np.int64))
         draws = (to_uniforms(w[:, :picks]) * req.bounds).astype(np.int64)
         responder = req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
-        return Schedule(rounds, responder, self.population.adversary[responder])
+        return responder, self.population.adversary[responder]
 
-    def _grow(self, stop: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def _grow(self, stop: int) -> list[np.ndarray]:
         """Attach every round from the ledger's next one up to ``stop``.
         The URTS uniforms -- two per request (per light, under direct tip
         selection) and round -- are drawn here, as many rounds at a time as
-        fit in ``_BLOCK`` draws.  Returns each grown round's served pairs
-        and the pairs it attached on."""
+        fit in ``_BLOCK`` draws.  Returns each grown round's served pairs."""
         if self.config.mode == MODE_DIRECT:
             labels = self.population.light_ids
             n = len(labels)
         else:
             labels, n = self._requesters.light, len(self._requesters.request_light)
-        served, parents = [], []
+        served = []
         if self._grown < stop:
             # the rows of the whole run, once: growth by doubling copies
             # them and, past glibc's mmap threshold, faults in fresh pages
             self._ledger.reserve(
                 len(self._ledger) + (self.config.rounds - self._grown) * len(labels))
         while self._grown < stop:
-            rounds = range(self._grown, min(self._grown + max(1, _BLOCK // max(n, 1)), stop))
+            rounds = range(self._grown, min(self._grown + _block_rounds(n), stop))
             urts = to_uniforms(words(self.config.seed, DOMAIN_URTS, rounds, 2 * n))
             for u, round_idx in zip(urts, rounds):
                 pairs = urts_pairs(self._ledger.tips, u.reshape(2, -1))
                 attached = pairs if self._followed is None else pairs[self._followed[round_idx]]
                 self._ledger.attach_round(attached, round_idx, labels)
                 served.append(pairs)
-                parents.append(attached)
             self._grown = rounds.stop
-        return served, parents
+        return served
 
     def run_round(self, round_idx: int) -> None:
         """Run the next round: every reachable light queries a uniform
@@ -795,31 +793,27 @@ class Simulation:
         against the round-start tips, and the light follows one answer
         uniformly and attaches.  Under direct tip selection every light
         selects its own tips: no request, nothing logged, so the round only
-        counts.  A round's queried nodes and follow choices are drawn with
-        its block; the ledger is left to grow when read or matched."""
+        counts.  A round's queried nodes and follow choices are drawn when
+        it is matched: once its block of rounds is full, the run ends or the
+        ledger is read.  The ledger is left to grow when read or matched."""
         config = self.config
         if round_idx != self._ran or round_idx >= config.rounds:
             raise ValueError(
                 f"round {round_idx} cannot run: rounds run once, in order, "
                 f"and {self._ran} of {config.rounds} have run")
         self._ran += 1
-        if config.mode == MODE_DIRECT:
-            return
-        if self._schedule is None:
-            self._schedule = self._draw_schedule(round_idx)
-        if round_idx == self._schedule.rounds[-1]:
+        block = _block_rounds(len(self._requesters.request_light))
+        if self._ran == config.rounds or self._ran - self._matched >= block:
             self._match()
-            self._schedule = None  # the block is done; scoring need not hold it
 
     def _match(self) -> None:
-        """Match the log of every round run since the last match against
-        those rounds' attaches, in one pass."""
+        """Draw the requests of every round run since the last match and
+        match their log against those rounds' attaches, in one pass."""
         if self.config.mode == MODE_DIRECT or self._matched == self._ran:
             return
-        schedule, req = self._schedule, self._requesters
+        req = self._requesters
+        responder, logged = self._draw_schedule(range(self._matched, self._ran))
         rounds = np.arange(self._matched, self._ran)
-        rows = slice(self._matched - schedule.rounds.start, self._ran - schedule.rounds.start)
-        responder, logged = schedule.responder[rows], schedule.logged[rows]
         self._matched = self._ran
         if self.config.matching == MATCH_ASSUME_UNIQUE:
             # a nonce names one response, and only the light that followed
@@ -833,8 +827,10 @@ class Simulation:
                 claimed=req.visible[row], light=light, correct=np.ones(len(row), dtype=bool),
             ))
             return
-        # collision-aware matching compares tip pairs: grow these rounds
-        served, parents = self._grow(self._ran)
+        # collision-aware matching compares tip pairs: grow these rounds,
+        # whose attaches are then the ledger's last rows
+        first = len(self._ledger)
+        served = self._grow(self._ran)
         at, request = np.nonzero(logged)
         log = ResponseLog(
             nonce=np.column_stack((rounds[at], responder[at, request],
@@ -845,7 +841,7 @@ class Simulation:
         attaches = RoundAttaches(
             light=np.tile(req.light, len(rounds)),
             identity=np.tile(req.visible, len(rounds)),
-            parents=np.concatenate(parents),
+            parents=self._ledger.parents[first:],
             round=np.repeat(rounds, len(req.light)),  # each attach's round
         )
         self._links.append(match_responses(log, attaches, self.config.matching))

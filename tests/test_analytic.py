@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tipleak.analytic import (
+    PMF_MAX_REQUESTS,
     AnonymityProfile,
     _deanon_sum,
     AttackParams,
@@ -90,6 +91,20 @@ def test_pmf_large_population_no_overflow():
     value = hypergeom_pmf(10**6, 10**3, 10, 0)
     assert 0.0 < value < 1.0
     assert value == pytest.approx((1 - 1e-3) ** 10, rel=1e-4)
+
+
+def test_pmf_bounds_requests():
+    # at the bound the exact binomials still come out in well under a second
+    n = 2 * PMF_MAX_REQUESTS
+    half = PMF_MAX_REQUESTS // 2
+    assert 0.0 < hypergeom_pmf(n, PMF_MAX_REQUESTS, PMF_MAX_REQUESTS, half) < 1.0
+    for m in (PMF_MAX_REQUESTS + 1, 10 ** 5):
+        message = rf"^requests must be <= {PMF_MAX_REQUESTS}, got {m}$"
+        with pytest.raises(ParameterError, match=message):
+            hypergeom_pmf(10 ** 9, 5 * 10 ** 8, m, m // 2)
+    # a k outside the support is refused too: the bound comes first
+    with pytest.raises(ParameterError, match="requests"):
+        hypergeom_pmf(10 ** 9, 5 * 10 ** 8, 10 ** 5, -1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -39,6 +39,14 @@ def test_analytic_deanon_prints_six_decimals(capsys):
     assert capsys.readouterr().out.strip() == "0.500000"
 
 
+def test_analytic_hypergeom_refuses_large_m_with_one_line():
+    # exact binomials at this m would take seconds: --m is bounded instead
+    code, err = _exit_and_stderr(["analytic", "hypergeom", "--n", "1000000000", "--c",
+                                  "500000000", "--m", "100000", "--k", "50000"])
+    assert code == EXIT_USAGE
+    assert err == "tipleak: error: requests must be <= 10000, got 100000 (--m)\n", err
+
+
 def test_analytic_mixer_expected(capsys):
     assert run_cli(
         "analytic", "mixer-expected", "--p", "0.1", "--mode", "normalized"

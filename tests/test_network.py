@@ -810,23 +810,21 @@ def test_reading_the_ledger_every_round_changes_no_result(monkeypatch, name):
         assert _scored(sim._result()) == want
 
 
-def _nonce_join(sim):
-    """:func:`_nonce_match` over the rounds ``sim`` has run since its last
-    match: the log of every logged request and every attach with the nonce
-    of the request it followed."""
-    schedule, req = sim._schedule, sim._requesters
-    rounds = np.arange(sim._matched, sim._ran)
-    rows = rounds - schedule.rounds.start
-    responder = schedule.responder[rows]
-    at, request = np.nonzero(schedule.logged[rows])
+def _nonce_join(sim, block, responder, logged):
+    """:func:`_nonce_match` over the rounds of ``block``, whose requests
+    ``sim`` drew as ``responder`` and ``logged``: the log of every logged
+    request and every attach with the nonce of the request it followed."""
+    req = sim._requesters
+    rounds = np.arange(block.start, block.stop)
+    at, request = np.nonzero(logged)
     log = ResponseLog(
         nonce=np.column_stack((rounds[at], responder[at, request], req.request_light[request])),
         requester=req.request_visible[request], tips=np.zeros((len(at), 2), dtype=np.int64))
     issued = np.repeat(rounds, len(req.light))
-    light = np.tile(req.light, len(rows))
+    light = np.tile(req.light, len(rounds))
     followed = np.take_along_axis(responder, sim._followed[rounds], 1).ravel()
     attaches = RoundAttaches(
-        light=light, identity=np.tile(req.visible, len(rows)),
+        light=light, identity=np.tile(req.visible, len(rounds)),
         parents=np.zeros((len(light), 2), dtype=np.int64), round=issued)
     return _nonce_match(log, attaches, np.column_stack((issued, followed, light)))
 
@@ -845,15 +843,23 @@ GATHER_CASES = [
 def test_gathered_links_equal_the_nonce_join(monkeypatch, case):
     config = GATHER_CASES[case]
     requests = len(Simulation(config)._requesters.request_light)
-    match, matched = Simulation._match, []
+    match, draw, drawn, matched = Simulation._match, Simulation._draw_schedule, [], []
+
+    def kept(sim, block):
+        responder, logged = draw(sim, block)
+        drawn.append((block, responder, logged))
+        return responder, logged
 
     def checked(sim):
-        want = _nonce_join(sim) if sim._matched < sim._ran else None
+        drawn.clear()
         match(sim)
-        if want is not None:
+        if drawn:
+            ((block, responder, logged),) = drawn
+            want = _nonce_join(sim, block, responder, logged)
             assert _link_rows(sim._links[-1]) == _link_rows(want)
             matched.append(len(want))
 
+    monkeypatch.setattr(Simulation, "_draw_schedule", kept)
     monkeypatch.setattr(Simulation, "_match", checked)
     for block in (1, 3 * requests, network._BLOCK):  # one, several and all rounds a block
         monkeypatch.setattr(network, "_BLOCK", block)
@@ -1044,15 +1050,36 @@ def test_a_collision_aware_run_draws_both_streams_as_it_runs(monkeypatch, drawn)
     for round_idx in range(config.rounds):
         drawn.clear()
         sim.run_round(round_idx)
-        # a block's request words are drawn at its first round, and its URTS
-        # words at its match, after its last
+        # both streams' words of a block are drawn at its match, after its
+        # last round: the request words first, then the URTS words
         block = blocks[round_idx // 3]
-        assert drawn == (
-            [(DOMAIN_REQUEST, block, len(req.bounds) + len(req.light))] * (round_idx == block[0])
-            + [(DOMAIN_URTS, block, 2 * len(req.request_light))] * (round_idx == block[-1]))
+        assert drawn == [(DOMAIN_REQUEST, block, len(req.bounds) + len(req.light)),
+                         (DOMAIN_URTS, block, 2 * len(req.request_light))
+                         ] * (round_idx == block[-1])
     drawn.clear()
     sim.ledger
     assert drawn == []
+
+
+@pytest.mark.parametrize("read", ["every-round", "mid-block", "never"])
+@pytest.mark.parametrize("rounds_a_block", [1, 3, network._BLOCK])
+@pytest.mark.parametrize("name", ["assume-unique", "collision-aware", "proxy"])
+def test_each_round_draws_its_words_once(monkeypatch, drawn, name, rounds_a_block, read):
+    # however the rounds fall into blocks -- at a ledger read or at a full
+    # block -- each round's request words, and its URTS words, are drawn
+    # exactly once
+    config = dataclasses.replace(BLOCK_CASES[name], rounds=8)
+    sim = _blocked(monkeypatch, config, rounds_a_block)
+    for round_idx in range(config.rounds):
+        sim.run_round(round_idx)
+        if read == "every-round" or (read == "mid-block" and round_idx == 4):
+            sim.ledger
+    sim._result()
+    sim.ledger
+    for domain in (DOMAIN_REQUEST, DOMAIN_URTS):
+        drawn_rounds = [r for d, rounds, _ in drawn if d == domain for r in rounds]
+        assert drawn_rounds == list(range(config.rounds)), domain
+    assert _scored(sim._result()) == _scored(run_simulation(config))
 
 
 def test_direct_tip_selection_draws_only_urts_words(monkeypatch, drawn):
