@@ -65,6 +65,7 @@ _CELL_BLOCK_ELEMENTS = 1 << 17
 # rounded distance can fall short of the exact one.
 _NEAR_SLACK = 1e-9
 REGION_DATA_FILE = "fullnode_regions_2020.json"
+REALWORLD_MAX_SAMPLES = 100_000  # realworld keeps each subset: ~1.7 KB a sample
 
 # substream tags, one per experiment family
 _TAG_DECENTRALIZED = 1
@@ -530,6 +531,7 @@ def exp_variance(
     if runs < 3:
         # with two layouts Spearman's p-value is undefined
         raise ConfigError(f"variance study needs runs >= 3, got {runs}")
+    _check_counts(runs=runs)
     if require_local_adversary is None:
         require_local_adversary = local_adversary_default(placement)
     params = {
@@ -653,6 +655,8 @@ def exp_realworld(
     if not 1 <= max_adversaries <= total:
         raise ConfigError(f"max_adversaries must be in [1, {total}]")
     _check_counts(samples=samples)
+    if samples > REALWORLD_MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= {REALWORLD_MAX_SAMPLES}")
     if region_weights is None:
         weights = {name: 1.0 / len(region_counts) for name in region_counts}
     else:
@@ -763,8 +767,9 @@ def exp_decentralized(
 
 def simulate_mixer_chains(
     link_prob: float, participants: int, rng
-) -> list[int]:
-    """Identified-chain lengths for each of ``participants`` chain starts.
+) -> np.ndarray:
+    """How many of ``participants`` chain starts identify a chain of each
+    length: ``counts[k]`` chains of length ``k``, up to the longest.
 
     A chain grows by one participant per hop; a hop succeeds only when both
     of the next participant's address mappings (deposit side and withdrawal
@@ -772,7 +777,7 @@ def simulate_mixer_chains(
     """
     if not 0.0 <= link_prob < 1.0:
         raise ConfigError("link_prob must be in [0, 1)")
-    lengths = []
+    counts = [0]
     for _ in range(participants):
         length = 1
         while True:
@@ -781,8 +786,10 @@ def simulate_mixer_chains(
             if not (deposit_seen and withdraw_seen):
                 break
             length += 1
-        lengths.append(length)
-    return lengths
+        if length >= len(counts):
+            counts.extend([0] * (length + 1 - len(counts)))
+        counts[length] += 1
+    return np.array(counts, dtype=np.int64)
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
@@ -827,16 +834,16 @@ def exp_mixer(
         "max_chain": max_chain,
         "participants": participants,
     }
-    _check_counts(max_chain=max_chain)
     if participants < 2:  # the chain-length spread needs two samples
         raise ConfigError(f"participants must be >= 2, got {participants}")
+    _check_counts(max_chain=max_chain, participants=participants)
     if not all(0.0 <= p < 1.0 for p in p_values):
         raise ConfigError(f"p_values must each be in [0, 1), got {params['p_values']}")
     result = ExperimentResult("mixer", params, seed)
     for p_idx, p in enumerate(p_values):
         rng = substream(seed, DOMAIN_EXPERIMENT, _TAG_MIXER, p_idx)
-        lengths = simulate_mixer_chains(p, participants, rng)
-        counts = np.bincount(lengths, minlength=max_chain + 1)
+        chains = simulate_mixer_chains(p, participants, rng)
+        counts = np.pad(chains, (0, max(0, max_chain + 1 - len(chains))))
         # at_least[x]: chains of length >= x, for every x up to max_chain
         at_least = np.cumsum(counts[::-1])[::-1]
         mean_len, spread = _mean_and_stdev(counts)

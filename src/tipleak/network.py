@@ -28,10 +28,10 @@ how many requests, under which identity -- is built once, with the reach,
 in :class:`Requesters`.
 
 Only the tips pass from one round to the next, and neither the queried
-nodes, the follow choices nor the matching depend on them, so adversaries
-match a run in blocks of rounds bounded by ``_BLOCK`` requests, once a
-block has run, the run ends or the ledger is read.  The match draws the
-block's request words in one call -- the queried positions
+nodes, the follow choices nor the matching depend on them, so
+:meth:`Simulation.run` walks a run in blocks of rounds bounded by
+``_BLOCK`` requests, and adversaries match each block in one pass.  The
+match draws the block's request words in one call -- the queried positions
 (:func:`sample_positions`), then the follow choices, which go into the
 run's one follow table that the ledger reads too -- and matches its log: a
 nonce-tagged response names the one attach that followed it, so
@@ -51,8 +51,8 @@ first attach it reserves the ledger's rows for the whole run.  No round
 touches the ledger as it runs: collision-aware matching, the only reader
 of served pairs, grows the rounds it matches and reads their attaches
 back as the ledger's last rows; otherwise the ledger is grown on read --
-:attr:`Simulation.ledger` matches every round run so far, then attaches
-them.
+:attr:`Simulation.ledger` attaches every round matched, which after
+:meth:`Simulation.run` is every round.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -670,18 +670,19 @@ class SimResult:
 class Simulation:
     """One configured attack run against a shared ledger.
 
-    Rounds run once each, in order.  Within a round every response is
-    computed against the round-start tip snapshot, attaches land in
-    ascending light-node order, and adversaries match afterwards, once per
-    block of rounds -- so light nodes are independent inside a round and
-    the ledger view only advances between rounds.  :meth:`_match` draws the
-    requests of the rounds it matches, so no block outlives its match.
+    :meth:`run` runs every round once, in order, and only once.  Within a
+    round every response is computed against the round-start tip snapshot,
+    attaches land in ascending light-node order, and adversaries match
+    afterwards, once per block of rounds -- so light nodes are independent
+    inside a round and the ledger view only advances between rounds.
+    :meth:`_match` draws the requests of the rounds it matches, so no block
+    outlives its match.
 
     The ledger past its bootstrap tips grows only in :meth:`_grow`, which
     draws the URTS words of the rounds it attaches: under collision_aware
     matching when a match needs the tips served, otherwise when
-    :attr:`ledger` is read.  A read matches first, so a request mode keeps
-    ``_grown <= _matched <= _ran``: no round grows before it is matched.
+    :attr:`ledger` is read.  A read never matches, so ``_grown <=
+    _matched``: no round grows before it is matched.
     """
 
     def __init__(self, config: SimConfig):
@@ -690,7 +691,6 @@ class Simulation:
         self._ledger = Ledger()
         self._ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
                                   bootstrap_labels(config.bootstrap_tips))
-        self._ran = 0      # rounds run
         self._matched = 0  # rounds whose log is matched
         self._grown = 0    # rounds attached to the ledger
         # one table per match, after an empty one
@@ -740,10 +740,9 @@ class Simulation:
 
     @property
     def ledger(self) -> Ledger:
-        """The ledger through every round run so far, grown on read, after
-        matching what has run so that no served pair goes unmatched."""
-        self._match()
-        self._grow(self._ran)
+        """The ledger through every matched round, grown on read: the
+        bootstrap tips alone before :meth:`run`, every round after it."""
+        self._grow(self._matched)
         return self._ledger
 
     def _draw_schedule(self, rounds: range) -> tuple[np.ndarray, np.ndarray]:
@@ -787,34 +786,16 @@ class Simulation:
             self._grown = rounds.stop
         return served
 
-    def run_round(self, round_idx: int) -> None:
-        """Run the next round: every reachable light queries a uniform
-        subset of its reachable full nodes, each answers with a URTS pair
-        against the round-start tips, and the light follows one answer
-        uniformly and attaches.  Under direct tip selection every light
-        selects its own tips: no request, nothing logged, so the round only
-        counts.  A round's queried nodes and follow choices are drawn when
-        it is matched: once its block of rounds is full, the run ends or the
-        ledger is read.  The ledger is left to grow when read or matched."""
-        config = self.config
-        if round_idx != self._ran or round_idx >= config.rounds:
-            raise ValueError(
-                f"round {round_idx} cannot run: rounds run once, in order, "
-                f"and {self._ran} of {config.rounds} have run")
-        self._ran += 1
-        block = _block_rounds(len(self._requesters.request_light))
-        if self._ran == config.rounds or self._ran - self._matched >= block:
-            self._match()
-
-    def _match(self) -> None:
-        """Draw the requests of every round run since the last match and
-        match their log against those rounds' attaches, in one pass."""
-        if self.config.mode == MODE_DIRECT or self._matched == self._ran:
+    def _match(self, block: range) -> None:
+        """Draw the requests of the rounds of ``block`` and match their log
+        against those rounds' attaches, in one pass.  Under direct tip
+        selection nothing is requested, so nothing is logged."""
+        self._matched = block.stop
+        if self.config.mode == MODE_DIRECT:
             return
         req = self._requesters
-        responder, logged = self._draw_schedule(range(self._matched, self._ran))
-        rounds = np.arange(self._matched, self._ran)
-        self._matched = self._ran
+        responder, logged = self._draw_schedule(block)
+        rounds = np.arange(block.start, block.stop)
         if self.config.matching == MATCH_ASSUME_UNIQUE:
             # a nonce names one response, and only the light that followed
             # it attaches under it: a link wherever a light's followed
@@ -830,7 +811,7 @@ class Simulation:
         # collision-aware matching compares tip pairs: grow these rounds,
         # whose attaches are then the ledger's last rows
         first = len(self._ledger)
-        served = self._grow(self._ran)
+        served = self._grow(block.stop)
         at, request = np.nonzero(logged)
         log = ResponseLog(
             nonce=np.column_stack((rounds[at], responder[at, request],
@@ -847,8 +828,18 @@ class Simulation:
         self._links.append(match_responses(log, attaches, self.config.matching))
 
     def run(self) -> SimResult:
-        for round_idx in range(self.config.rounds):
-            self.run_round(round_idx)
+        """Run every round, in blocks of ``_BLOCK`` requests, each matched in
+        one pass, and score the run.  In a round every reachable light
+        queries a uniform subset of its reachable full nodes, each answers
+        with a URTS pair against the round-start tips, and the light follows
+        one answer uniformly and attaches.  A second call raises ValueError."""
+        if self._matched:
+            raise ValueError(f"this simulation has run ({self._matched} of "
+                             f"{self.config.rounds} rounds); a Simulation runs once")
+        rounds = self.config.rounds
+        step = _block_rounds(len(self._requesters.request_light))
+        for start in range(0, rounds, step):
+            self._match(range(start, min(start + step, rounds)))
         return self._result()
 
     # -- scoring ----------------------------------------------------------
@@ -857,7 +848,6 @@ class Simulation:
         """Score the run from its links.  Every issuing light -- each light
         in direct mode, each light that reaches a full node otherwise --
         attaches once per round."""
-        self._match()
         lights = self.population.light_ids
         issuing = lights if self.config.mode == MODE_DIRECT else self._requesters.light
         total = self.config.rounds * len(issuing)

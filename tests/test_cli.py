@@ -299,6 +299,7 @@ def _usage_error_line(capsys) -> str:
     ("mixer.participants=0", "participants must be >= 2"),
     ("mixer.participants=-1", "participants must be >= 2"),
     ("mixer.participants=1", "participants must be >= 2"),
+    ("mixer.participants=2147483649", "participants must be <= 2147483648"),
     ("mitigations.scaling_target=nan", "scaling_target must be in (0, 1], got nan"),
     ("mitigations.scaling_target=inf", "scaling_target must be in (0, 1], got inf"),
     ("mitigations.scaling_target=1e-9",
@@ -327,6 +328,7 @@ def _usage_error_line(capsys) -> str:
      "layout_index must be a signed 64-bit integer, got 99999999999999999999"),
     ("variance.node_count=-1", "error: node_count must be >= 1"),
     ("variance.runs=2", "variance study needs runs >= 3"),
+    ("variance.runs=2147483649", "runs must be <= 2147483648"),
     ("variance.fanout=0", "unknown config key variance.fanout"),
     ("variance.adversary_ratio=-0.1", "adversary_ratio must be in [0, 1]"),
     ("variance.samples_per_cell=0", "samples_per_cell must be >= 1"),
@@ -335,6 +337,7 @@ def _usage_error_line(capsys) -> str:
     ("realworld.data=nan", "data must be a file path, got nan"),
     ("realworld.data=-1", "data must be a file path, got -1"),
     ("realworld.data=1", "data must be a file path, got 1"),
+    ("realworld.samples=100001", "samples must be <= 100000"),
 ])
 def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message):
     # ``setting`` holds one --set value, or several separated by spaces

@@ -758,11 +758,10 @@ BLOCK_CASES = {
 }
 
 
-def _link_rows(links, below=None):
-    rows = [[*nonce, claimed, light, correct] for nonce, claimed, light, correct in zip(
+def _link_rows(links):
+    return [[*nonce, claimed, light, correct] for nonce, claimed, light, correct in zip(
         links.nonce.tolist(), links.claimed.tolist(), links.light.tolist(),
         links.correct.tolist())]
-    return [row for row in rows if below is None or row[0] < below]
 
 
 def _scored(result):
@@ -772,42 +771,12 @@ def _scored(result):
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
     config = BLOCK_CASES[name]
-    want = run_simulation(config)
+    want = _scored(run_simulation(config))
     requests = len(Simulation(config)._requesters.request_light)
     assert config.rounds % 4  # four rounds a block leave a partial last block
     for block in (1, 4 * requests, network._BLOCK):
         monkeypatch.setattr(network, "_BLOCK", block)
-        assert _scored(Simulation(config).run()) == _scored(want)
-        sim = Simulation(config)
-        for round_idx in range(config.rounds):
-            sim.run_round(round_idx)
-        assert _scored(sim._result()) == _scored(want)
-        # stopped two rounds short (inside a block, when blocks are long),
-        # scoring matches the rounds run so far
-        sim = Simulation(config)
-        for round_idx in range(config.rounds - 2):
-            sim.run_round(round_idx)
-        assert _link_rows(sim._result().links) == _link_rows(want.links, config.rounds - 2)
-
-
-@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
-def test_reading_the_ledger_every_round_changes_no_result(monkeypatch, name):
-    # a read matches the rounds run before it grows them, so no served pair
-    # escapes collision-aware matching
-    config = BLOCK_CASES[name]
-    want = _scored(run_simulation(config))
-    sim = Simulation(config)
-    requests = len(sim._requesters.request_light)
-    issuers = len(sim.population.light_ids if config.mode == "direct_tip_selection"
-                  else sim._requesters.light)
-    for block in (1, 4 * requests, network._BLOCK):
-        monkeypatch.setattr(network, "_BLOCK", block)
-        sim = Simulation(config)
-        size = len(sim.ledger)
-        for round_idx in range(config.rounds):
-            sim.run_round(round_idx)
-            assert len(sim.ledger) == size + (round_idx + 1) * issuers
-        assert _scored(sim._result()) == want
+        assert _scored(Simulation(config).run()) == want
 
 
 def _nonce_join(sim, block, responder, logged):
@@ -850,14 +819,14 @@ def test_gathered_links_equal_the_nonce_join(monkeypatch, case):
         drawn.append((block, responder, logged))
         return responder, logged
 
-    def checked(sim):
+    def checked(sim, block):
         drawn.clear()
-        match(sim)
-        if drawn:
-            ((block, responder, logged),) = drawn
-            want = _nonce_join(sim, block, responder, logged)
-            assert _link_rows(sim._links[-1]) == _link_rows(want)
-            matched.append(len(want))
+        match(sim, block)
+        ((drew, responder, logged),) = drawn  # the match drew exactly its block
+        assert drew == block
+        want = _nonce_join(sim, block, responder, logged)
+        assert _link_rows(sim._links[-1]) == _link_rows(want)
+        matched.append(len(want))
 
     monkeypatch.setattr(Simulation, "_draw_schedule", kept)
     monkeypatch.setattr(Simulation, "_match", checked)
@@ -868,24 +837,23 @@ def test_gathered_links_equal_the_nonce_join(monkeypatch, case):
         assert sum(matched) > 0
 
 
-def test_rounds_run_once_in_order():
-    config = _tiny_config(rounds=3)
-    sim = Simulation(config)
-    sim.run_round(0)
-    for refused in (0, 2, -1):  # repeated, skipped, before the first
-        with pytest.raises(ValueError, match=f"round {refused} cannot run") as exc:
-            sim.run_round(refused)
+def test_rounds_run_once_in_order(drawn):
+    # run() runs every round once; a second run() is refused with one line,
+    # draws nothing and changes neither the result nor the ledger
+    for settings in ({}, dict(matching="collision_aware"), dict(mode="direct_tip_selection")):
+        config = _tiny_config(rounds=3, **settings)
+        sim = Simulation(config)
+        want = _scored(sim.run())
+        lines = sim.ledger.export_lines()
+        drawn.clear()
+        with pytest.raises(ValueError, match="3 of 3 rounds.*runs once") as exc:
+            sim.run()
         assert "\n" not in str(exc.value)
-    sim.run_round(1)
-    sim.run_round(2)
-    with pytest.raises(ValueError, match="3 of 3 have run"):  # past the end
-        sim.run_round(3)
-    with pytest.raises(ValueError, match="round 0 cannot run"):  # a second run()
-        sim.run()
-    # the refused calls changed nothing
-    assert _scored(sim._result()) == _scored(run_simulation(config))
-    assert sim._result().total_transactions == 3 * config.light_node_count
-    assert len(sim.ledger) == 1 + 3 * config.light_node_count
+        assert drawn == []
+        assert _scored(sim._result()) == want == _scored(run_simulation(config))
+        assert sim._result().total_transactions == 3 * config.light_node_count
+        assert sim.ledger.export_lines() == lines
+        assert len(lines) == 1 + 3 * config.light_node_count
 
 
 def _eager_ledger(sim, rounds):
@@ -938,20 +906,11 @@ def test_ledger_grown_on_read_equals_the_eager_reference(monkeypatch, name):
     want = _eager_ledger(sim, config.rounds)
     draws = len(sim.population.light_ids if config.mode == "direct_tip_selection"
                 else sim._requesters.request_light)
-    read_at = config.rounds // 2
     for block in (1, 3 * draws, network._BLOCK):  # one, a few and all rounds a block
         monkeypatch.setattr(network, "_BLOCK", block)
         sim = Simulation(config)
+        _same_ledger(sim.ledger, _eager_ledger(sim, 0))  # before run(): bootstrap tips only
         sim.run()
-        _same_ledger(sim.ledger, want)
-        # read after round read_at - 1 (inside a block, when blocks are
-        # long), run on, and read again
-        sim = Simulation(config)
-        for round_idx in range(read_at):
-            sim.run_round(round_idx)
-        _same_ledger(sim.ledger, _eager_ledger(sim, read_at))
-        for round_idx in range(read_at, config.rounds):
-            sim.run_round(round_idx)
         _same_ledger(sim.ledger, want)
 
 
@@ -961,9 +920,9 @@ def test_ledger_grown_on_read_equals_the_eager_reference(monkeypatch, name):
 ], ids=["assume-unique", "proxy", "direct", "collision-aware"])
 def test_only_collision_aware_rounds_attach_as_they_run(monkeypatch, settings):
     # rounds attach when matched or read: collision-aware matching grows the
-    # rounds it matches, at each block's last round or at a read, and no
-    # other run attaches a round before a read.  Each attach_round call is
-    # one round attached (the bootstrap tips are the one call in __init__)
+    # rounds it matches as the run goes, and no other run attaches a round
+    # before the ledger is read after it.  Each attach_round call is one
+    # round attached (the bootstrap tips are the one call in __init__)
     config = _tiny_config(rounds=7, **settings)
     attached, attach = [], Ledger.attach_round
 
@@ -977,28 +936,14 @@ def test_only_collision_aware_rounds_attach_as_they_run(monkeypatch, settings):
     assert attached == [0] + (list(range(7)) if matched else [])
     sim = _blocked(monkeypatch, config, 3)  # blocks of rounds 0-2, 3-5 and 6
     attached.clear()
-    for round_idx in range(2):
-        sim.run_round(round_idx)
+    sim.ledger  # before run(): no round is matched, so none grows
     assert attached == []
-    sim.run_round(2)
-    assert attached == ([0, 1, 2] if matched else [])  # block 0's match
-    attached.clear()
-    sim.ledger
-    assert attached == ([] if matched else [0, 1, 2])  # one per round run
-    attached.clear()
-    for round_idx in (3, 4):
-        sim.run_round(round_idx)
-    assert attached == []
-    sim.ledger  # inside block 1: matched, then grown
-    assert attached == [3, 4]
-    attached.clear()
-    for round_idx in (5, 6):
-        sim.run_round(round_idx)
-    assert attached == ([5, 6] if matched else [])
+    sim.run()
+    assert attached == (list(range(7)) if matched else [])
     attached.clear()
     sim.ledger
     sim.ledger
-    assert attached == ([] if matched else [5, 6])
+    assert attached == ([] if matched else list(range(7)))  # one per round, once
 
 
 @pytest.fixture
@@ -1046,40 +991,35 @@ def test_a_collision_aware_run_draws_both_streams_as_it_runs(monkeypatch, drawn)
     config = _tiny_config(rounds=7, matching="collision_aware")
     sim = _blocked(monkeypatch, config, 3)
     req = sim._requesters
-    blocks = (range(0, 3), range(3, 6), range(6, 7))
-    for round_idx in range(config.rounds):
-        drawn.clear()
-        sim.run_round(round_idx)
-        # both streams' words of a block are drawn at its match, after its
-        # last round: the request words first, then the URTS words
-        block = blocks[round_idx // 3]
-        assert drawn == [(DOMAIN_REQUEST, block, len(req.bounds) + len(req.light)),
-                         (DOMAIN_URTS, block, 2 * len(req.request_light))
-                         ] * (round_idx == block[-1])
+    sim.run()
+    # both streams' words of a block are drawn at its match, block after
+    # block: the request words first, then the URTS words
+    assert drawn == [call for block in (range(0, 3), range(3, 6), range(6, 7)) for call in (
+        (DOMAIN_REQUEST, block, len(req.bounds) + len(req.light)),
+        (DOMAIN_URTS, block, 2 * len(req.request_light)))]
     drawn.clear()
     sim.ledger
     assert drawn == []
 
 
-@pytest.mark.parametrize("read", ["every-round", "mid-block", "never"])
+@pytest.mark.parametrize("read", ["before-run", "never"])
 @pytest.mark.parametrize("rounds_a_block", [1, 3, network._BLOCK])
 @pytest.mark.parametrize("name", ["assume-unique", "collision-aware", "proxy"])
 def test_each_round_draws_its_words_once(monkeypatch, drawn, name, rounds_a_block, read):
-    # however the rounds fall into blocks -- at a ledger read or at a full
-    # block -- each round's request words, and its URTS words, are drawn
-    # exactly once
+    # however the rounds fall into blocks, each round's request words, and
+    # its URTS words, are drawn exactly once; a ledger read before run()
+    # holds the bootstrap tips alone, draws nothing and changes no result
     config = dataclasses.replace(BLOCK_CASES[name], rounds=8)
     sim = _blocked(monkeypatch, config, rounds_a_block)
-    for round_idx in range(config.rounds):
-        sim.run_round(round_idx)
-        if read == "every-round" or (read == "mid-block" and round_idx == 4):
-            sim.ledger
-    sim._result()
+    if read == "before-run":
+        assert len(sim.ledger) == 1 + config.bootstrap_tips
+        assert drawn == []
+    result = sim.run()
     sim.ledger
     for domain in (DOMAIN_REQUEST, DOMAIN_URTS):
         drawn_rounds = [r for d, rounds, _ in drawn if d == domain for r in rounds]
         assert drawn_rounds == list(range(config.rounds)), domain
-    assert _scored(sim._result()) == _scored(run_simulation(config))
+    assert _scored(result) == _scored(run_simulation(config))
 
 
 def test_direct_tip_selection_draws_only_urts_words(monkeypatch, drawn):
@@ -1252,14 +1192,12 @@ def test_the_ledger_reserves_the_runs_rows_once(monkeypatch, settings):
         return reserve(ledger, rows)
 
     monkeypatch.setattr(Ledger, "reserve", counted)
-    sim = Simulation(config)
-    for round_idx in range(config.rounds // 2):
-        sim.run_round(round_idx)
+    sim = _blocked(monkeypatch, config, 3)  # collision-aware: seven growth calls
+    sim.ledger  # before run(): nothing to grow
+    assert reserved == []
+    sim.run()
     if config.matching == "assume_unique":
         assert reserved == []  # a nonce-matched run grows its ledger on read
-    sim.ledger  # a read grows the rounds run so far
-    for round_idx in range(config.rounds // 2, config.rounds):
-        sim.run_round(round_idx)
     rows = len(sim.ledger)
     assert rows == 1 + config.bootstrap_tips + config.rounds * config.light_node_count
     assert reserved and set(reserved) == {rows}
@@ -1290,9 +1228,14 @@ def test_tip_count_settles_at_mean_field_fixed_point():
     # field k = L/x with 1 - exp(-2x) = x puts the tip count near 1.255 L.
     config = SimConfig(full_node_count=100, light_node_count=100, rounds=200, seed=8)
     sim = Simulation(config)
-    counts = []
-    for round_idx in range(config.rounds):
-        sim.run_round(round_idx)
-        counts.append(sim.ledger.tip_count)
+    sim.run()
+    ledger = sim.ledger
+    # the tips after round r, from the finished ledger: the rows issued by
+    # round r whose first approver was issued later
+    issued = np.array([int(line.rsplit("\t", 1)[1]) for line in ledger.export_lines()])
+    approved = np.full(len(ledger), config.rounds)
+    np.minimum.at(approved, ledger.parents[1:].ravel(), np.repeat(issued[1:], 2))
+    counts = [np.count_nonzero((issued <= r) & (approved > r)) for r in range(config.rounds)]
+    assert counts[-1] == ledger.tip_count
     mean = sum(counts[100:]) / len(counts[100:])
     assert 1.15 * config.light_node_count <= mean <= 1.35 * config.light_node_count
