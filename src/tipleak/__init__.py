@@ -7,77 +7,39 @@ provides the closed-form analysis of that attack, a seeded Monte Carlo
 simulator of it, preset experiment scenarios, and a CLI.
 """
 
-from .analytic import (
-    AnonymityProfile,
-    AttackParams,
-    MixerParams,
-    ParameterError,
-    continental_takeover_rate,
-    deanon_probability,
-    entropy_degree,
-    hypergeom_pmf,
-    mixer_chain_probability,
-    mixer_expected_identified,
-    required_full_nodes,
-)
-from .experiments import (
-    DEFAULT_SEED,
-    ExperimentResult,
-    GridHeatmap,
-    exp_custom,
-    exp_decentralized,
-    exp_heatmap,
-    exp_mitigations,
-    exp_mixer,
-    exp_realworld,
-    exp_variance,
-)
-from .network import (
-    ConfigError,
-    Links,
-    SimConfig,
-    SimResult,
-    Simulation,
-    place_nodes,
-    run_simulation,
-)
-from .results import TOOL_VERSION, write_result
-from .tangle import AttachError, Ledger, ledger_from_lines
+import importlib
 
-__version__ = TOOL_VERSION
+# each public name and the module that defines it, imported on first use so
+# that ``import tipleak`` loads no numpy
+_SOURCES = {
+    **dict.fromkeys((
+        "AnonymityProfile", "AttackParams", "MixerParams", "ParameterError",
+        "continental_takeover_rate", "deanon_probability", "entropy_degree",
+        "hypergeom_pmf", "mixer_chain_probability", "mixer_expected_identified",
+        "required_full_nodes",
+    ), "analytic"),
+    **dict.fromkeys((
+        "DEFAULT_SEED", "ExperimentResult", "GridHeatmap", "exp_custom",
+        "exp_decentralized", "exp_heatmap", "exp_mitigations", "exp_mixer",
+        "exp_realworld", "exp_variance",
+    ), "experiments"),
+    **dict.fromkeys((
+        "ConfigError", "Links", "SimConfig", "SimResult", "Simulation",
+        "place_nodes", "run_simulation",
+    ), "network"),
+    **dict.fromkeys(("TOOL_VERSION", "write_result"), "results"),
+    **dict.fromkeys(("AttachError", "Ledger", "ledger_from_lines"), "tangle"),
+}
+__all__ = [name for name in _SOURCES if name != "TOOL_VERSION"] + ["__version__"]
 
-__all__ = [
-    "AnonymityProfile",
-    "AttackParams",
-    "AttachError",
-    "ConfigError",
-    "DEFAULT_SEED",
-    "ExperimentResult",
-    "GridHeatmap",
-    "Ledger",
-    "Links",
-    "MixerParams",
-    "ParameterError",
-    "SimConfig",
-    "SimResult",
-    "Simulation",
-    "continental_takeover_rate",
-    "deanon_probability",
-    "entropy_degree",
-    "exp_custom",
-    "exp_decentralized",
-    "exp_heatmap",
-    "exp_mitigations",
-    "exp_mixer",
-    "exp_realworld",
-    "exp_variance",
-    "hypergeom_pmf",
-    "ledger_from_lines",
-    "mixer_chain_probability",
-    "mixer_expected_identified",
-    "place_nodes",
-    "required_full_nodes",
-    "run_simulation",
-    "write_result",
-    "__version__",
-]
+
+def __getattr__(name: str):
+    if name == "__version__":
+        name = "TOOL_VERSION"
+    elif name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

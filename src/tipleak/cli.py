@@ -2,25 +2,28 @@
 
 Exit codes follow the interface contract: 0 on success, 1 for usage errors
 (bad flags, unknown keys, unreadable files), 2 when `validate` checks fail.
+
+Each call builds only the parser of the command it invokes; the others are
+listed by name and help alone, so every help text reads the same.  The
+simulator, its experiments and numpy load on the first `run` or `validate`:
+`tipleak analytic` and a bare `import tipleak.cli` never load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import re
 import sys
-import textwrap
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analytic, experiments, results, tangle
+from . import analytic
 from .analytic import ParameterError
-from .network import ConfigError, SimConfig, run_simulation
-from .rng import substream, uniforms
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,7 +43,20 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage by default; the contract wants 1."""
+    """argparse exits 2 on bad usage by default; the contract wants 1.
+
+    ``epilog_from``, when given, makes the epilog when help is printed, so
+    a call that prints no help never formats it.
+    """
+
+    def __init__(self, *args, epilog_from=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._epilog_from = epilog_from
+
+    def format_help(self) -> str:
+        if self._epilog_from is not None:
+            self.epilog = self._epilog_from()
+        return super().format_help()
 
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see --help)\n")
@@ -66,14 +82,14 @@ def _cast(section: str, key: str, caster, raw: str):
         ) from exc
 
 
-def _coerce(section: str, key: str, raw: str):
-    """Parse one value to the type of the key's default in its study.
+def _coerce(section: str, key: str, raw: str, defaults: dict):
+    """Parse one value to the type of the key's default in its study,
+    whose keys and defaults are ``defaults``.
 
     A tuple default takes comma-separated values of its element type.  A
     key whose default is None takes none, a boolean word, a number, or
     text; the study checks what it got.
     """
-    defaults = experiments.STUDIES[section].defaults()
     if key not in defaults:
         raise UsageError(f"unknown config key {section}.{key}")
     witness = defaults[key]
@@ -112,7 +128,9 @@ def parse_config_line(line: str, default_section: str) -> tuple[str, str, str] |
         key = key.strip()
     else:
         section = default_section
-    if section not in experiments.STUDIES:
+    from .experiments import STUDIES
+
+    if section not in STUDIES:
         raise UsageError(f"unknown config section {section!r}")
     return section, key, value
 
@@ -121,7 +139,10 @@ def resolve_overrides(
     experiment: str, config_path: str | None, sets: list[str]
 ) -> dict[str, dict]:
     """Merge file config then --set pairs into per-section override maps."""
-    merged: dict[str, dict] = {name: {} for name in experiments.STUDIES}
+    from .experiments import STUDIES
+
+    merged: dict[str, dict] = {name: {} for name in STUDIES}
+    defaults: dict[str, dict] = {}  # each section's, read once per call
     lines: list[str] = []
     if config_path:
         try:
@@ -133,7 +154,9 @@ def resolve_overrides(
         if parsed is None:
             continue
         section, key, value = parsed
-        merged[section][key] = _coerce(section, key, value)
+        if section not in defaults:
+            defaults[section] = STUDIES[section].defaults()
+        merged[section][key] = _coerce(section, key, value, defaults[section])
     return merged
 
 
@@ -141,10 +164,8 @@ def resolve_overrides(
 # analytic subcommand
 # ---------------------------------------------------------------------------
 
-def _add_analytic_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "analytic", help="evaluate a closed-form quantity and print it"
-    )
+def _add_analytic_parser(subparsers, name: str, help_text: str) -> None:
+    parser = subparsers.add_parser(name, help=help_text)
     ops = parser.add_subparsers(dest="operation", required=True, parser_class=_Parser)
 
     deanon = ops.add_parser("deanon", help="per-transaction link probability")
@@ -243,13 +264,15 @@ def cmd_analytic(args) -> int:
 # run subcommand
 # ---------------------------------------------------------------------------
 
-def _print_summary(result: experiments.ExperimentResult) -> None:
+def _print_summary(result: ExperimentResult) -> None:
+    from .results import format_value
+
     by_metric: dict[str, list[float]] = {}
     for row in result.rows:
         by_metric.setdefault(row.metric, []).append(row.value)
     for metric, values in by_metric.items():
         if len(values) == 1:
-            print(f"{result.name}: {metric} = {results.format_value(values[0])}")
+            print(f"{result.name}: {metric} = {format_value(values[0])}")
         else:
             lo, hi = min(values), max(values)
             mean = sum(values) / len(values)
@@ -260,11 +283,14 @@ def _print_summary(result: experiments.ExperimentResult) -> None:
 
 
 def cmd_run(args) -> int:
-    study = experiments.STUDIES.get(args.experiment)
+    from . import results
+    from .experiments import STUDIES
+
+    study = STUDIES.get(args.experiment)
     if study is None:
         raise UsageError(
             f"unknown experiment {args.experiment!r}; "
-            f"choose from {tuple(experiments.STUDIES)}"
+            f"choose from {tuple(STUDIES)}"
         )
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
@@ -272,10 +298,8 @@ def cmd_run(args) -> int:
         raise UsageError(f"--seed must be a signed 64-bit integer, got {args.seed}")
     overrides = resolve_overrides(args.experiment, args.config, args.set or [])
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
-    try:
-        result = study.run(overrides[args.experiment], args.seed, args.workers)
-    except (ConfigError, ParameterError) as exc:
-        raise UsageError(str(exc)) from exc
+    # a ConfigError or ParameterError is a ValueError: main prints it
+    result = study.run(overrides[args.experiment], args.seed, args.workers)
     try:
         path = results.write_result(result, out_dir, args.format)
     except OSError as exc:
@@ -290,6 +314,8 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_analytic_identities() -> tuple[bool, str]:
+    from .rng import substream
+
     rng = substream(2024, 99)
     for _ in range(200):
         n = rng.randint(1, 2000)
@@ -346,6 +372,11 @@ def _check_analytic_required() -> tuple[bool, str]:
 
 
 def _check_tangle_integrity() -> tuple[bool, str]:
+    import numpy as np
+
+    from . import tangle
+    from .rng import uniforms
+
     ledger = tangle.Ledger()
     labels = np.arange(10)
     draws = uniforms(2024, 98, range(200), 2 * len(labels))
@@ -363,6 +394,8 @@ def _check_tangle_integrity() -> tuple[bool, str]:
 
 
 def _check_determinism() -> tuple[bool, str]:
+    from . import experiments, results
+
     first = experiments.exp_mixer(p_values=(0.1,), participants=2000, seed=5)
     second = experiments.exp_mixer(p_values=(0.1,), participants=2000, seed=5)
     if results.result_to_csv_bytes(first) != results.result_to_csv_bytes(second):
@@ -371,6 +404,8 @@ def _check_determinism() -> tuple[bool, str]:
 
 
 def _check_null_adversary() -> tuple[bool, str]:
+    from .network import SimConfig, run_simulation
+
     sim = run_simulation(SimConfig(
         full_node_count=10, adversary_count=0, light_node_count=5,
         rounds=20, seed=3,
@@ -381,6 +416,8 @@ def _check_null_adversary() -> tuple[bool, str]:
 
 
 def _check_null_direct() -> tuple[bool, str]:
+    from .network import SimConfig, run_simulation
+
     sim = run_simulation(SimConfig(
         full_node_count=10, adversary_count=5, light_node_count=5,
         rounds=20, mode="direct_tip_selection", seed=3,
@@ -391,6 +428,8 @@ def _check_null_direct() -> tuple[bool, str]:
 
 
 def _check_proxy_claims() -> tuple[bool, str]:
+    from .network import SimConfig, run_simulation
+
     sim = run_simulation(SimConfig(
         full_node_count=10, adversary_count=5, light_node_count=4,
         rounds=20, mode="proxy", proxy_count=1, seed=3,
@@ -406,6 +445,10 @@ def _check_proxy_claims() -> tuple[bool, str]:
 
 def _make_data_check(path: str | None):
     def check() -> tuple[bool, str]:
+        import hashlib
+
+        from . import experiments
+
         counts = experiments.load_region_counts(path)
         total = sum(counts.values())
         if total != 47 or len(counts) != 5:
@@ -465,8 +508,12 @@ def _show(value) -> str:
 
 def _run_epilog() -> str:
     """Every study's keys with their defaults, for ``tipleak run --help``."""
+    import textwrap
+
+    from .experiments import STUDIES
+
     lines = ["keys and their defaults (--set STUDY.KEY=VALUE):"]
-    for name, study in experiments.STUDIES.items():
+    for name, study in STUDIES.items():
         pairs = " ".join(
             f"{key}={_show(value)}" for key, value in study.defaults().items()
         )
@@ -476,7 +523,53 @@ def _run_epilog() -> str:
     return "\n".join(lines)
 
 
-def build_parser() -> _Parser:
+def _add_run_parser(subparsers, name: str, help_text: str) -> None:
+    from .experiments import DEFAULT_SEED, STUDIES
+    from .results import FORMATS
+
+    run = subparsers.add_parser(
+        name, help=help_text, epilog_from=_run_epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    run.add_argument("experiment", help=f"one of {', '.join(STUDIES)}")
+    run.add_argument("--config", help="flat key=value config file")
+    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument("--out", help=f"output directory (or ${OUT_ENV_VAR})")
+    run.add_argument("--format", choices=FORMATS, default="csv")
+    run.add_argument(
+        "--set", action="append", metavar="KEY=VALUE",
+        help="override a config key (repeatable)",
+    )
+    run.add_argument(
+        "--workers", type=int, default=1,
+        help="parallel workers (default: 1); never affects results",
+    )
+
+
+def _add_validate_parser(subparsers, name: str, help_text: str) -> None:
+    validate = subparsers.add_parser(name, help=help_text)
+    validate.add_argument("--only", help="substring filter on check names")
+    validate.add_argument(
+        "--set", action="append", metavar="KEY=VALUE",
+        help="override a config key, e.g. realworld.data=PATH",
+    )
+
+
+# each command: its help line, the function that adds its parser, its handler
+_COMMANDS = {
+    "analytic": ("evaluate a closed-form quantity and print it",
+                 _add_analytic_parser, cmd_analytic),
+    "run": ("run an experiment and write files", _add_run_parser, cmd_run),
+    "validate": ("run the fast self-checks and report PASS/FAIL",
+                 _add_validate_parser, cmd_validate),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI's parser.  Given a command name, only that command's parser
+    takes arguments and the others are listed by name and help, which is
+    all the top-level help shows.  Anything else builds every command, so
+    a usage error reads the same whatever was mistyped."""
     parser = _Parser(
         prog="tipleak",
         description=(
@@ -487,53 +580,21 @@ def build_parser() -> _Parser:
     subparsers = parser.add_subparsers(
         dest="command", required=True, parser_class=_Parser
     )
-    _add_analytic_parser(subparsers)
-
-    run = subparsers.add_parser(
-        "run", help="run an experiment and write files", epilog=_run_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    run.add_argument(
-        "experiment", help=f"one of {', '.join(experiments.STUDIES)}"
-    )
-    run.add_argument("--config", help="flat key=value config file")
-    run.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-    run.add_argument("--out", help=f"output directory (or ${OUT_ENV_VAR})")
-    run.add_argument("--format", choices=results.FORMATS, default="csv")
-    run.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
-    run.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel workers (default: 1); never affects results",
-    )
-
-    validate = subparsers.add_parser(
-        "validate", help="run the fast self-checks and report PASS/FAIL"
-    )
-    validate.add_argument("--only", help="substring filter on check names")
-    validate.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a config key, e.g. realworld.data=PATH",
-    )
+    for name, (help_text, add_parser, _) in _COMMANDS.items():
+        if command == name or command not in _COMMANDS:
+            add_parser(subparsers, name, help_text)
+        else:
+            subparsers.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "analytic": cmd_analytic,
-        "run": cmd_run,
-        "validate": cmd_validate,
-    }
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    _, _, handler = _COMMANDS[args.command]
     try:
-        return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"tipleak: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, ParameterError, ValueError) as exc:
+        return handler(args)
+    except (UsageError, ValueError) as exc:  # ConfigError, ParameterError too
         print(f"tipleak: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

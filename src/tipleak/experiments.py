@@ -66,6 +66,7 @@ _CELL_BLOCK_ELEMENTS = 1 << 17
 _NEAR_SLACK = 1e-9
 REGION_DATA_FILE = "fullnode_regions_2020.json"
 REALWORLD_MAX_SAMPLES = 100_000  # realworld keeps each subset: ~1.7 KB a sample
+MIXER_MAX_CHAIN = 100_000  # mixer adds two rows per chain length: ~2.4 KB each
 
 # substream tags, one per experiment family
 _TAG_DECENTRALIZED = 1
@@ -837,6 +838,8 @@ def exp_mixer(
     if participants < 2:  # the chain-length spread needs two samples
         raise ConfigError(f"participants must be >= 2, got {participants}")
     _check_counts(max_chain=max_chain, participants=participants)
+    if max_chain > MIXER_MAX_CHAIN:
+        raise ConfigError(f"max_chain must be <= {MIXER_MAX_CHAIN}")
     if not all(0.0 <= p < 1.0 for p in p_values):
         raise ConfigError(f"p_values must each be in [0, 1), got {params['p_values']}")
     result = ExperimentResult("mixer", params, seed)

@@ -575,6 +575,19 @@ def _block_rounds(draws: int) -> int:
     return max(1, _BLOCK // max(draws, 1))
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending: what ``np.unique`` returns for
+    an integer array.  numpy 2.x answers a plain ``np.unique`` of integers
+    through a hash table and then sorts the result, several times the cost
+    of one sort and a neighbour compare for the few thousand keys that
+    scoring passes it."""
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _transactions(links: Links, lights: np.ndarray) -> tuple[int, np.ndarray]:
     """A bound above every light id, and each link's transaction -- its
     address -- keyed round * span + light."""
@@ -608,7 +621,7 @@ class SimResult:
         links claiming its identity."""
         lights, links = self.light_ids, self.links
         span, tx = _transactions(links, lights)
-        correct_txs = np.unique(tx[links.correct])
+        correct_txs = _distinct(tx[links.correct])
         return [
             {"light_id": light, "transactions": transactions,
              "correct_links": correct_links, "claimed_links": claimed_links}
@@ -628,7 +641,7 @@ class SimResult:
         assigned to it and no light has two proxies, so the lights behind
         an address's claims never overlap."""
         span, tx = _transactions(self.links, self.light_ids)
-        claims = np.unique(tx * span + self.links.claimed)
+        claims = _distinct(tx * span + self.links.claimed)
         addresses, inverse = np.unique(claims // span, return_inverse=True)
         lights_behind = np.bincount(
             inverse, np.bincount(self.visible, minlength=span)[claims % span]
@@ -856,7 +869,7 @@ class Simulation:
             for column in fields(Links)
         ))
         # a transaction counts once however many adversaries linked it
-        correct_txs = np.unique(_transactions(links, lights)[1][links.correct])
+        correct_txs = _distinct(_transactions(links, lights)[1][links.correct])
         correct = int(np.count_nonzero(links.correct))
         false_pos = len(links) - correct
         return SimResult(

@@ -14,8 +14,10 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .experiments import ExperimentResult
+if TYPE_CHECKING:  # the writers need no numpy until a result exists
+    from .experiments import ExperimentResult
 
 TOOL_VERSION = "0.1.0"
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from tipleak.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     UsageError,
+    build_parser,
     main,
     parse_config_line,
     resolve_overrides,
@@ -300,6 +302,7 @@ def _usage_error_line(capsys) -> str:
     ("mixer.participants=-1", "participants must be >= 2"),
     ("mixer.participants=1", "participants must be >= 2"),
     ("mixer.participants=2147483649", "participants must be <= 2147483648"),
+    ("mixer.max_chain=100001", "max_chain must be <= 100000"),
     ("mitigations.scaling_target=nan", "scaling_target must be in (0, 1], got nan"),
     ("mitigations.scaling_target=inf", "scaling_target must be in (0, 1], got inf"),
     ("mitigations.scaling_target=1e-9",
@@ -402,13 +405,13 @@ def test_spatial_keys_run_or_fail_with_one_line():
                     assert err.count("\n") == 1 and key in err, (case, err)
 
 
-def _fresh_python(probe: str) -> str:
-    """The standard output of ``probe`` run in a new interpreter that
+def _fresh_python(*args: str) -> str:
+    """The standard output of a new interpreter, run with ``args``, that
     imports this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
 
@@ -416,7 +419,30 @@ def _fresh_python(probe: str) -> str:
 def test_import_leaves_scipy_unloaded():
     # scipy.stats costs about a second to import; only the variance study uses it
     probe = "import sys, tipleak, tipleak.cli; print('scipy' in sys.modules)"
-    assert _fresh_python(probe).strip() == "False"
+    assert _fresh_python("-c", probe).strip() == "False"
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy costs most of a fresh import; only run and validate need it
+    probe = "import sys, tipleak, tipleak.cli; print('numpy' in sys.modules)"
+    assert _fresh_python("-c", probe).strip() == "False"
+
+
+def test_analytic_leaves_numpy_unloaded():
+    probe = ("import sys; from tipleak.cli import main; "
+             "main(['analytic', 'deanon', '--n', '100', '--c', '10', '--m', '3']); "
+             "print('numpy' in sys.modules)")
+    assert _fresh_python("-c", probe).splitlines() == ["0.100000", "False"]
+
+
+def test_package_names_resolve_on_first_use():
+    import tipleak
+    from tipleak.network import SimConfig
+    assert tipleak.SimConfig is SimConfig
+    assert tipleak.__version__ == tipleak.TOOL_VERSION
+    assert set(tipleak.__all__) <= set(dir(tipleak))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tipleak.no_such_name
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -424,7 +450,7 @@ def test_import_leaves_the_process_pool_unloaded():
     # fresh import; only a pool of two or more workers needs them
     probe = ("import sys, tipleak, tipleak.cli; "
              "print('concurrent.futures.process' in sys.modules)")
-    assert _fresh_python(probe).strip() == "False"
+    assert _fresh_python("-c", probe).strip() == "False"
 
 
 def test_every_public_name_imports():
@@ -443,7 +469,7 @@ def test_run_variance_leaves_scipy_unloaded(tmp_path):
              f"code = main(['run', 'variance', '--set', 'variance.runs=3', "
              f"'--out', {str(tmp_path)!r}]); "
              "print(code, 'scipy' in sys.modules)")
-    assert _fresh_python(probe).splitlines()[-1] == f"{EXIT_OK} False"
+    assert _fresh_python("-c", probe).splitlines()[-1] == f"{EXIT_OK} False"
     assert (tmp_path / "variance_42.csv").exists()
 
 
@@ -469,6 +495,61 @@ def test_run_help_lists_every_key_with_its_default(capsys):
     out = capsys.readouterr().out
     assert "mixer: p_values=0.05,0.1,0.2 max_chain=5 participants=100000" in out
     assert "data=none" in out and "bootstrap_tips=0" in out
+
+
+def _help(parser, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as info:
+        parser.parse_args(argv + ["--help"])
+    assert info.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic"], ["run"], ["validate"], *(["analytic", op] for op in ANALYTIC_FLAGS),
+], ids=" ".join)
+def test_one_command_parser_prints_the_full_parsers_help(argv):
+    # a call builds only the parser of the command it names
+    full, alone = build_parser(), build_parser(argv[0])
+    assert _help(alone, argv) == _help(full, argv)
+    assert _help(alone, []) == _help(full, [])
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([], "tipleak: error: the following arguments are required: command"),
+    (["run"], "tipleak run: error: the following arguments are required: experiment"),
+    (["bogus"], None),  # argparse's quoting of the choices varies by version
+    (["run", "x", "--bad"], "tipleak: error: unrecognized arguments: --bad"),
+    (["analytic", "deanon"], "tipleak analytic deanon: error: the following "
+                             "arguments are required: --n, --c"),
+], ids=["no-arguments", "run", "bogus", "run-bad-flag", "analytic-deanon"])
+def test_usage_errors_read_as_from_the_full_parser(argv, line):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    assert info.value.code == EXIT_USAGE
+    assert _exit_and_stderr(argv) == (EXIT_USAGE, err.getvalue())
+    if line is not None:
+        assert err.getvalue() == f"{line} (see --help)\n"
+
+
+def test_module_entry_point_prints_the_in_process_run_help(monkeypatch):
+    # ``main()`` without arguments reads the command line itself; both
+    # processes wrap the help at the width COLUMNS gives
+    monkeypatch.setenv("COLUMNS", "100")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert _fresh_python("-m", "tipleak.cli", "run", "--help") == out.getvalue()
+
+
+def test_mixer_refuses_a_table_above_its_cap_at_once(tmp_path):
+    start = time.perf_counter()
+    code, err = _exit_and_stderr(["run", "mixer", "--out", str(tmp_path),
+                                  "--set", "mixer.max_chain=100001"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (EXIT_USAGE, "tipleak: error: max_chain must be <= 100000\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_unwritable_out_dir(tmp_path, capsys):

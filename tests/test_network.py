@@ -565,6 +565,29 @@ def test_row_keys_are_the_raveled_offset_rows_or_raise_as_ravel_does():
         network._row_keys(*columns)
 
 
+def _distinct_cases() -> dict[str, np.ndarray]:
+    gen = np.random.default_rng(31)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    cases = {
+        "empty": np.array([], dtype=np.int64),
+        "single": np.array([7], dtype=np.int64),
+        "all-equal": np.full(50, -3, dtype=np.int64),
+        "int64-bounds": np.array([hi, lo, hi, 0, lo, hi - 1, lo + 1], dtype=np.int64),
+    }
+    for size in (2, 10, 1000):
+        for span in (3, size, 2 ** 40):  # many repeats to almost none
+            cases[f"random-{size}-in-{span}"] = gen.integers(
+                -span, span, size, dtype=np.int64)
+    return cases
+
+
+@pytest.mark.parametrize("name, values", _distinct_cases().items())
+def test_distinct_equals_numpy_unique(name, values):
+    got, want = network._distinct(values), np.unique(values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_collision_aware_keys_never_wrap():
     # a naive key (round * K + lo) * K + hi with K the ledger span, 2**33,
     # wraps int64 on the second attach's round and gives it the log's key
