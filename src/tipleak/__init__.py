@@ -28,7 +28,7 @@ _SOURCES = {
         "place_nodes", "run_simulation",
     ), "network"),
     **dict.fromkeys(("TOOL_VERSION", "write_result"), "results"),
-    **dict.fromkeys(("AttachError", "Ledger", "ledger_from_lines"), "tangle"),
+    **dict.fromkeys(("AttachError", "Ledger"), "tangle"),
 }
 __all__ = [name for name in _SOURCES if name != "TOOL_VERSION"] + ["__version__"]
 

@@ -387,10 +387,7 @@ def _check_tangle_integrity() -> tuple[bool, str]:
     recomputed = set(range(len(ledger))) - approved
     if recomputed != set(ledger.tips.tolist()):
         return False, "maintained tip set diverged from recomputation"
-    lines = ledger.export_lines()
-    if tangle.ledger_from_lines(lines).export_lines() != lines:
-        return False, "export/import roundtrip changed the ledger"
-    return True, "200 rounds x 10 attaches, tips + roundtrip"
+    return True, "200 rounds x 10 attaches, tips"
 
 
 def _check_determinism() -> tuple[bool, str]:

@@ -640,7 +640,6 @@ def exp_realworld(
     max_adversaries: int = 16,
     *,
     data=None,
-    region_weights: dict[str, float] | None = None,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
     """Box-plot statistics of the link rate over random adversary subsets.
@@ -648,8 +647,8 @@ def exp_realworld(
     Nodes come from the bundled 2020 region snapshot.  For each adversary
     count the study draws up to ``samples`` distinct subsets (every subset
     when fewer exist), scores each by the region-weighted link rate --
-    requesters poll only their own region; regions weigh equally unless
-    ``region_weights`` is given -- and reports min/q1/median/q3/max.
+    requesters poll only their own region, and regions weigh equally --
+    and reports min/q1/median/q3/max.
     """
     region_counts = load_region_counts(data)
     total = sum(region_counts.values())
@@ -658,16 +657,7 @@ def exp_realworld(
     _check_counts(samples=samples)
     if samples > REALWORLD_MAX_SAMPLES:
         raise ConfigError(f"samples must be <= {REALWORLD_MAX_SAMPLES}")
-    if region_weights is None:
-        weights = {name: 1.0 / len(region_counts) for name in region_counts}
-    else:
-        missing = set(region_counts) - set(region_weights)
-        if missing:
-            raise ConfigError(f"region_weights missing {sorted(missing)}")
-        scale = sum(region_weights[name] for name in region_counts)
-        if scale <= 0:
-            raise ConfigError("region_weights must sum to a positive value")
-        weights = {name: region_weights[name] / scale for name in region_counts}
+    weights = {name: 1.0 / len(region_counts) for name in region_counts}
 
     node_regions = [
         name for name in region_counts for _ in range(region_counts[name])
@@ -715,9 +705,6 @@ def exp_decentralized(
     *,
     light_nodes: int = 100,
     rounds: int = 100,
-    node_sweep=(50, 100, 200),
-    fanout_sweep=(1, 3, 5),
-    ratio_sweep=(0.05, 0.1, 0.2, 0.33),
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> ExperimentResult:
@@ -731,6 +718,8 @@ def exp_decentralized(
     """
     _check_counts(light_nodes=light_nodes, rounds=rounds)
     base_n, base_m, base_ratio = 100, 3, 0.1
+    node_sweep, fanout_sweep = (50, 100, 200), (1, 3, 5)
+    ratio_sweep = (0.05, 0.1, 0.2, 0.33)
     specs = [(f"N-{n}", n, base_ratio, base_m) for n in node_sweep]
     specs += [(f"M-{m}", base_n, base_ratio, m) for m in fanout_sweep]
     specs += [(f"p-{ratio:g}", base_n, ratio, base_m) for ratio in ratio_sweep]
@@ -977,15 +966,13 @@ class Study:
     """One ``tipleak run`` name: the function it calls and the keys it takes.
 
     Every parameter of ``defaults_from`` (the study function unless named)
-    is a key, except the ``fixed`` ones and the seed and worker count.  A
-    key's default is the parameter's default; it also tells a text parser
-    which type to expect.  Functions are looked up in this module on each
-    use, so a study function patched or replaced at run time is the one
-    that runs.
+    is a key, except the seed and worker count.  A key's default is the
+    parameter's default; it also tells a text parser which type to expect.
+    Functions are looked up in this module on each use, so a study function
+    patched or replaced at run time is the one that runs.
     """
 
     function: str
-    fixed: tuple[str, ...] = ()
     defaults_from: str | None = None
 
     def defaults(self) -> dict:
@@ -994,7 +981,7 @@ class Study:
         return {
             name: param.default
             for name, param in inspect.signature(source).parameters.items()
-            if name not in self.fixed + _RUN_ARGUMENTS
+            if name not in _RUN_ARGUMENTS
         }
 
     def run(self, settings: dict, seed: int = DEFAULT_SEED,
@@ -1015,12 +1002,8 @@ class Study:
 
 
 STUDIES: dict[str, Study] = {
-    "decentralized": Study(
-        "exp_decentralized", fixed=("node_sweep", "fanout_sweep", "ratio_sweep")
-    ),
-    "realworld": Study(
-        "exp_realworld", fixed=("region_weights",)
-    ),
+    "decentralized": Study("exp_decentralized"),
+    "realworld": Study("exp_realworld"),
     "heatmap": Study("exp_heatmap"),
     "variance": Study("exp_variance"),
     "mixer": Study("exp_mixer"),

@@ -162,9 +162,6 @@ class RoundAttaches:
     parents: np.ndarray         # (n, 2)
     round: np.ndarray           # (n,)
 
-    def __len__(self) -> int:
-        return len(self.light)
-
 
 _COUNT_FIELDS = (
     "full_node_count", "adversary_count", "request_fanout", "light_node_count",
@@ -212,7 +209,9 @@ class SimConfig:
             0 <= self.adversary_count <= self.full_node_count
         ):
             raise ConfigError("adversary_count must be in [0, full_node_count]")
-        if self.request_radius is not None and not self.request_radius > 0:
+        radius = self.request_radius
+        numeric = isinstance(radius, (int, float)) and not isinstance(radius, bool)
+        if radius is not None and not (numeric and radius > 0):
             raise ConfigError("request_radius must be positive or None")
         _check_counts(cluster_count=self.cluster_count)
         if not (self.cluster_spread >= 0 and math.isfinite(self.cluster_spread)):
@@ -280,9 +279,16 @@ def _clustered_positions(
 
 def _uniform_positions(n: int, rng: random.Random) -> np.ndarray:
     """``(n, 2)`` points uniform on the plane, x then y of each in turn:
-    ``rng.uniform(0, w)`` is ``0 + w * rng.random()``, the same float."""
-    draw = rng.random
-    return np.array([draw() for _ in range(2 * n)]).reshape(n, 2) * PLANE
+    ``rng.uniform(0, w)`` is ``0 + w * rng.random()``, the same float, and
+    ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` of its next two
+    32-bit words, which ``getrandbits`` hands out least significant first."""
+    draws = np.empty((n, 2))
+    for start in range(0, n, 2**16):  # bounds the int each getrandbits call builds
+        k = min(2**16, n - start)
+        words = np.frombuffer(rng.getrandbits(128 * k).to_bytes(16 * k, "little"), "<u4")
+        a, b = words[0::2] >> 5, words[1::2] >> 6
+        draws[start:start + k].flat = (a * 67108864.0 + b) / 2**53
+    return draws * PLANE
 
 
 def _positions(n: int, config: SimConfig, rng: random.Random) -> np.ndarray:

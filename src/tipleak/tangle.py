@@ -14,13 +14,10 @@ or the bootstrap tips, attach as one array update.  The tip update marks
 the batch's parents in a mask over the earlier ids (every parent predates
 its batch), drops the marked tips and appends the new ids, which keeps the
 array ascending.  The read API is :attr:`Ledger.tips`,
-:attr:`Ledger.parents`, :meth:`Ledger.export_lines` and
-:func:`ledger_from_lines`, which parses the line format back in one pass.
+:attr:`Ledger.parents` and :meth:`Ledger.export_lines`.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -52,12 +49,6 @@ def _label_address(round_issued: int, label: int) -> str:
     if label < 0:
         return f"bootstrap-{-1 - label}"
     return round_address(round_issued, label)
-
-
-def _bad_address(address: str) -> bool:
-    """An address the line format cannot hold: empty, or with a space, tab
-    or newline in it."""
-    return not address or any(ch in address for ch in " \t\n")
 
 
 def second_index(i, j):
@@ -94,10 +85,9 @@ class Ledger:
     full, and :meth:`attach_round` alone appends them and moves the tips.
     A writer that knows how many rows it will end with reserves them once
     with :meth:`reserve`, so the array is not copied as it grows.
-    The first rows -- genesis, and every row :func:`ledger_from_lines`
-    read -- keep their address in ``_addresses``; each later row stores a
-    label instead, which stands for :func:`round_address` of its round and
-    label, or ``bootstrap-{i}`` for the labels of :func:`bootstrap_labels`.
+    Genesis has the address ``GENESIS_ADDRESS``; every later row stores a
+    label, which stands for :func:`round_address` of its round and label,
+    or ``bootstrap-{i}`` for the labels of :func:`bootstrap_labels`.
     The arrays :attr:`tips` and :attr:`parents` hand out are never
     modified afterwards, so a caller may keep them as snapshots.
     """
@@ -105,7 +95,6 @@ class Ledger:
     def __init__(self) -> None:
         self._rows = np.zeros((1024, 4), dtype=np.int64)
         self._size = 1
-        self._addresses = [GENESIS_ADDRESS]
         self._tips = _frozen(np.array([GENESIS_ID], dtype=np.int64))
 
     def __len__(self) -> int:
@@ -173,68 +162,11 @@ class Ledger:
     def export_lines(self) -> list[str]:
         """One transaction per line: id, both parent ids, address, round."""
         rows = self._rows[:self._size].tolist()
-        named = len(self._addresses)
-        addresses = self._addresses + [
-            _label_address(round_issued, label) for _, _, round_issued, label in rows[named:]
+        addresses = [GENESIS_ADDRESS] + [
+            _label_address(round_issued, label) for _, _, round_issued, label in rows[1:]
         ]
         return [
             f"{txid}\t{p0}\t{p1}\t{address}\t{round_issued}"
             for txid, ((p0, p1, round_issued, _), address) in enumerate(zip(rows, addresses))
         ]
 
-
-def ledger_from_lines(lines: Iterable[str]) -> Ledger:
-    """Rebuild a ledger from :meth:`Ledger.export_lines` output, skipping
-    blank lines.
-
-    Every line holds five tab-separated fields, its id, parents and round
-    integers.  The ids run 0, 1, 2, ... from the genesis line, which
-    approves itself; every other line approves two earlier ids, under an
-    address the line format can hold.  The tips are the ids no line
-    approves.
-    """
-    fields = []
-    for raw in lines:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise AttachError(f"malformed ledger line: {line!r}")
-        fields.append(parts)
-    if not fields:
-        raise AttachError("no genesis line")
-    txids, p0, p1, addresses, rounds = zip(*fields)
-    try:
-        numbers = np.array((txids, p0, p1, rounds), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise AttachError(f"bad ledger field: {exc}") from None
-    n = len(fields)
-    ids, parents = numbers[0], numbers[1:3].T
-    skipped = np.flatnonzero(ids != np.arange(n))
-    if len(skipped):
-        first = int(skipped[0])
-        raise AttachError(f"non-contiguous transaction id {ids[first]} (expected {first})")
-    if parents[GENESIS_ID].tolist() != [GENESIS_ID, GENESIS_ID]:
-        raise AttachError("genesis must approve itself")
-    later = parents[1:]
-    late = np.flatnonzero(((later < 0) | (later >= ids[1:, None])).any(axis=1))
-    if len(late):
-        txid = int(late[0]) + 1
-        raise AttachError(
-            f"transaction {txid} approves {parents[txid].tolist()}, not earlier ids")
-    # one scan of all addresses joined (an empty one vanishes from the
-    # join, so ``all`` looks for it); the loop names the first bad one
-    if not all(addresses) or _bad_address("".join(addresses)):
-        for address in addresses:
-            if _bad_address(address):
-                raise AttachError(f"bad issuer address {address!r}")
-    ledger = Ledger()
-    ledger.reserve(n)
-    ledger._rows[:n, _P0:_ROUND + 1] = numbers[1:].T  # no label: every row is addressed
-    ledger._size = n
-    ledger._addresses = list(addresses)
-    approved = np.zeros(n, dtype=bool)
-    approved[later] = True
-    ledger._tips = _frozen(np.flatnonzero(~approved))
-    return ledger

@@ -324,6 +324,7 @@ def _usage_error_line(capsys) -> str:
     ("decentralized.light_nodes=0", "error: light_nodes must be >= 1"),
     ("custom.cluster_count=0", "cluster_count must be >= 1"),
     ("custom.request_radius=nan", "request_radius must be positive or None"),
+    ("custom.request_radius=true", "request_radius must be positive or None"),
     ("custom.placement=explicit",
      "placement must be one of ('uniform_grid', 'uniform_random', 'clustered')"),
     ("heatmap.node_count=0", "error: node_count must be >= 1"),
@@ -353,7 +354,7 @@ def test_run_rejects_bad_value_with_one_line(tmp_path, capsys, setting, message)
     assert not any(tmp_path.iterdir())
 
 
-BOUNDARY_VALUES = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "", "none", "true")
+BOUNDARY_VALUES = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "", "none", "true", "abc")
 # small enough that every case runs in well under a second
 STUDY_SIZES = {
     "heatmap": {"samples_per_cell": 20},

@@ -544,17 +544,6 @@ def test_realworld_quartiles_ordered_and_counts_monotone():
     assert medians[-1] > medians[0]  # more hostile nodes, higher rates
 
 
-def test_realworld_region_weights_shift_the_rate():
-    eu_only = exp_realworld(
-        samples=10, max_adversaries=1, seed=31,
-        region_weights={
-            "africa": 0, "asia": 0, "europe": 1,
-            "north_america": 0, "south_america": 0,
-        },
-    )
-    assert eu_only.lookup("adversaries-01", "max") == pytest.approx(1 / 31)
-
-
 def test_realworld_rejects_bad_inputs(tmp_path):
     with pytest.raises(ConfigError):
         exp_realworld(samples=0)

@@ -37,7 +37,6 @@ from tipleak.tangle import (
     GENESIS_ID,
     Ledger,
     bootstrap_labels,
-    ledger_from_lines,
     round_address,
     urts_pairs,
 )
@@ -173,7 +172,8 @@ def test_grid_positions_equal_the_per_point_reference():
 
 
 def test_uniform_positions_equal_two_uniform_draws_per_point():
-    for n in (0, 1, 2, 37, 400):
+    # 70000 points take two getrandbits blocks
+    for n in (0, 1, 2, 3, 37, 100, 400, 70000):
         got_rng, want_rng = random.Random(n), random.Random(n)
         got = network._uniform_positions(n, got_rng)
         want = np.array([(want_rng.uniform(0, network.PLANE[0]),
@@ -1189,16 +1189,13 @@ def test_bootstrap_tips_attach_to_genesis_before_round_zero():
 
 def test_bootstrap_ledger_lines_are_pinned():
     # bootstrap rows store a label that stands for their address; the
-    # ledger's lines keep their pinned digest and read back unchanged
+    # ledger's lines keep their pinned digest
     sim = Simulation(_tiny_config(bootstrap_tips=5))
     sim.run()
     lines = sim.ledger.export_lines()
     assert lines[1:6] == [f"{i + 1}\t0\t0\tbootstrap-{i}\t0" for i in range(5)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "895c83edb8f9708242c5db105bdfcbc87c690fca2e2dd28bca35681c14f99a76")
-    rebuilt = ledger_from_lines(lines)
-    assert rebuilt.export_lines() == lines
-    assert rebuilt.tips.tolist() == sim.ledger.tips.tolist()
 
 
 @pytest.mark.parametrize("settings", [
