@@ -215,7 +215,35 @@ def entropy_degree(profile: AnonymityProfile) -> float:
         return 1.0
     h = -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
     h_max = math.log2(n)
-    return min(max(h / h_max, 0.0), 1.0)
+    # 0.0 first: max keeps the first of equal values, so a pinned profile's
+    # -0.0 (the negated sum of 1 * log2(1)) comes back as +0.0
+    return min(max(0.0, h / h_max), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# tip count
+# ---------------------------------------------------------------------------
+
+def tip_count_step(tips: int, attaching: int) -> tuple[float, float]:
+    """Mean and variance of the tip count after one round, given ``tips``
+    (k >= 2) tips at its start and ``attaching`` (L >= 0) transactions
+    that each approve an independent uniform pair of distinct ones.
+
+    Each new transaction is a tip, and an old tip stays one when no pair
+    holds it: one pair misses a given tip with p1 = (k-2)/k and two given
+    tips with p2 = (k-2)(k-3)/(k(k-1)).  So E[k'] = L + k p1^L and
+    Var[k'] = k (p1^L - p1^2L) + k (k-1) (p2^L - p1^2L).
+    """
+    if tips < 2:
+        raise ParameterError(f"tips must be >= 2, got {tips}")
+    if attaching < 0:
+        raise ParameterError(f"attaching must be >= 0, got {attaching}")
+    k = tips
+    p1 = (k - 2) / k
+    p2 = (k - 2) * (k - 3) / (k * (k - 1))
+    kept = p1 ** attaching  # p1^L
+    return (attaching + k * kept,
+            k * (kept - kept * kept) + k * (k - 1) * (p2 ** attaching - kept * kept))
 
 
 # ---------------------------------------------------------------------------

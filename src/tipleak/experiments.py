@@ -271,20 +271,21 @@ def measure_cell_probability(
     near = _near_cell(nodes, corner, size, radius)
     if not near.any():
         return None, 0
-    nodes, members = nodes[near], members[near]
+    nodes = nodes[near]
+    # each point's reach and local counts in one product: sums of 0/1
+    # terms, exact integers in float64 below 2**53
+    weights = np.ones((len(nodes), 2))
+    weights[:, 1] = members[near]
     block = -(-_CELL_BLOCK_ELEMENTS // n)  # points per block: bounded memory
     chance = 0.0
     effective = 0
     for start in range(0, samples, block):
         points = (corner + gen.random((min(block, samples - start), 2))) * size
-        reach = reachable(points, nodes, radius)
-        count = np.count_nonzero(reach, axis=1)
-        local = np.count_nonzero(reach & members, axis=1)
+        count, local = (reachable(points, nodes, radius) @ weights).T
         seen = count > 0
-        chance += float(np.sum(
-            (q_in * local[seen] + q_out * (count[seen] - local[seen])) / count[seen]
-        ))
-        effective += int(np.count_nonzero(seen))
+        count, local = count[seen], local[seen]
+        chance += float(np.sum((q_in * local + q_out * (count - local)) / count))
+        effective += len(count)
     if effective == 0:
         return None, 0
     return chance / effective, effective

@@ -343,16 +343,22 @@ def place_nodes(config: SimConfig) -> Population:
     )
 
 
-# Squared distances carry a few ulps of rounding, hypot under one: outside
-# this relative band around radius**2 both give the same side of the ball.
+# Reach is decided on squared distances from one matrix product per chunk
+# (see reachable for the error bound).  _REACH_BAND is the relative margin
+# around radius**2 that covers hypot's own rounding.  _REACH_RADII keeps
+# radius**2 a normal float, so the margin, at least 1e-312, dwarfs what
+# underflow can lose (about 5e-324 an operation).
 _REACH_BAND = 1e-12
-_REACH_RADII = (1e-150, 1e150)  # squares stay normal, band bounds finite
-# (point, node) pairs per pass.  Its two float64 temporaries, 64 KiB each,
-# stay in cache and under glibc's 128 KiB mmap threshold, so malloc serves
-# them from the heap.  At 1 << 15 (256 KiB each) glibc mapped and unmapped
-# them afresh every pass: a perfbench ``variance`` call took about 9,200
-# minor page faults and 4-16 ms of system time, against 0-12 faults now.
-_REACH_CHUNK = 1 << 13
+_REACH_RADII = (1e-150, 1e150)
+# (point, node) pairs per product: a float64 block of at most 1 MiB.  It
+# and its bool twin are allocated once a call and every chunk writes into
+# them through ``out=``: temporaries allocated afresh each pass above
+# glibc's 128 KiB mmap threshold are mapped and unmapped every time (about
+# 9,200 minor page faults a perfbench ``variance`` call with 256 KiB ones).
+# Over 30 in-process ``variance`` calls (16 layouts) a call now takes a
+# median 0 minor faults (at most 6) at 1 << 13, 1 << 15 and 1 << 17 pairs.
+_REACH_CHUNK = 1 << 17
+_EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 def _distances(points, nodes) -> np.ndarray:
@@ -364,34 +370,34 @@ def _distances(points, nodes) -> np.ndarray:
                     points[:, None, 1] - nodes[None, :, 1])
 
 
-def _within(points, nodes, radius: float) -> np.ndarray:
-    """:func:`reachable` for one chunk of points, by squared distance."""
-    d2 = np.subtract.outer(points[:, 0], nodes[:, 0])
-    d2 *= d2
-    dy = np.subtract.outer(points[:, 1], nodes[:, 1])
-    dy *= dy
-    d2 += dy
-    r2 = radius * radius
-    reach = d2 <= r2 * (1 - _REACH_BAND)
-    band = d2 <= r2 * (1 + _REACH_BAND)
-    if np.count_nonzero(band) != np.count_nonzero(reach):
-        i, j = np.nonzero(band ^ reach)
-        reach[i, j] = np.hypot(points[i, 0] - nodes[j, 0],
-                               points[i, 1] - nodes[j, 1]) <= radius
-    return reach
-
-
 def reachable(points, nodes, radius: float | None) -> np.ndarray:
     """``(k, n)`` bool: whether node ``j`` lies within ``radius`` of point
     ``i``.  Reach is a closed ball (a distance exactly equal to the radius
     counts); every node is reachable when ``radius`` is None.
 
     The result equals ``np.hypot(dx, dy) <= radius`` element for element,
-    but is computed on squared distances: a pair whose ``dx*dx + dy*dy``
-    lies more than ``_REACH_BAND`` (relative) from ``radius * radius``
-    cannot round to the other side of the ball, so only the few-ulp band
-    around the boundary -- almost always empty -- is decided by ``hypot``.
-    Radii whose square leaves the normal float range use ``hypot`` alone.
+    but the squared distances come from one matrix product per chunk:
+    with ``P = p - c`` and ``Q = q - c`` taken from the first point ``c``,
+    ``d2 = [P, |P|**2, 1] @ [-2Q; 1; |Q|**2]``.  Let ``u = eps / 2`` and
+    ``S = max|P| + max|Q|``.  Against the exact ``D = |p - q|**2``, d2 errs
+    by at most:
+
+    * ``2u S**2`` from rounding ``P`` and ``Q``: each moves ``P - Q`` by at
+      most ``u (|P| + |Q|)``, and ``|p - q| <= S``;
+    * ``2u S**2`` from rounding ``|P|**2`` and ``|Q|**2``;
+    * ``4u S**2`` from the four-term sum, whatever its order or fused
+      multiply-adds (the ``gamma_4`` bound on ``sum |terms| <= S**2``), so
+      whatever the BLAS kernel or thread count.
+
+    That is ``8u S**2 = 4 eps S**2``; ``tol = r2 * _REACH_BAND + 16 eps
+    S**2`` adds room for rounding ``S``, ``tol`` and ``r2 +- tol``, and
+    ``_REACH_BAND`` covers hypot's few ulps, underflow residues and the
+    rounding of ``r2 = radius**2``.  So a pair with ``d2 <= r2 - tol``
+    is in reach and one with ``d2 > r2 + tol`` is not by hypot too; the
+    rest -- almost always none -- are decided by ``hypot`` on the original
+    coordinates.  Radii whose square leaves the normal float range use
+    ``hypot`` alone, and so do inputs with ``16 S**2`` above the float
+    range (or not finite), where a term or partial sum could overflow.
     """
     if radius is None:
         return np.ones((len(points), len(nodes)), dtype=bool)
@@ -399,10 +405,47 @@ def reachable(points, nodes, radius: float | None) -> np.ndarray:
         return _distances(points, nodes) <= radius
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
-    reach = np.empty((len(points), len(nodes)), dtype=bool)
-    step = max(1, _REACH_CHUNK // max(len(nodes), 1))
-    for start in range(0, len(points), step):
-        reach[start:start + step] = _within(points[start:start + step], nodes, radius)
+    k, n = len(points), len(nodes)
+    reach = np.empty((k, n), dtype=bool)
+    if not reach.size:
+        return reach
+    # rows [P, |P|^2, 1] and columns [-2Q; 1; |Q|^2], centred on points[0];
+    # an overflow or a coordinate that is not finite leaves bound infinite
+    # or NaN, and such inputs go to hypot
+    left = np.empty((k, 4))
+    right = np.empty((4, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, centre in enumerate(points[0]):
+            np.subtract(points[:, axis], centre, out=left[:, axis])
+        np.multiply(left[:, 0], left[:, 0], out=left[:, 2])
+        left[:, 2] += left[:, 1] * left[:, 1]
+        np.subtract(nodes.T, points[0, :, None], out=right[:2])
+        np.multiply(right[0], right[0], out=right[3])
+        right[3] += right[1] * right[1]
+        right[:2] *= -2.0
+    left[:, 3] = 1.0
+    right[2] = 1.0
+    r2 = radius * radius
+    span = math.sqrt(left[:, 2].max()) + math.sqrt(right[3].max())
+    bound = 16 * (span * span)  # finite: no term or partial sum overflows
+    if not math.isfinite(bound):
+        return _distances(points, nodes) <= radius
+    tol = r2 * _REACH_BAND + _EPS * bound
+    low, high = r2 - tol, r2 + tol
+    step = max(1, _REACH_CHUNK // n)
+    d2 = np.empty((min(step, k), n))
+    beyond = np.empty(d2.shape, dtype=bool)
+    for start in range(0, k, step):
+        rows = min(step, k - start)
+        block, inside, outside = d2[:rows], reach[start:start + rows], beyond[:rows]
+        np.matmul(left[start:start + rows], right, out=block)
+        np.less_equal(block, low, out=inside)
+        np.greater(block, high, out=outside)
+        if np.count_nonzero(inside) + np.count_nonzero(outside) != block.size:
+            i, j = np.nonzero(~(inside | outside))
+            i += start
+            reach[i, j] = np.hypot(points[i, 0] - nodes[j, 0],
+                                   points[i, 1] - nodes[j, 1]) <= radius
     return reach
 
 

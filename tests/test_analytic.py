@@ -8,7 +8,7 @@ are kept here so the frozen constants stay auditable.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +29,7 @@ from tipleak.analytic import (
     mixer_chain_probability,
     mixer_expected_identified,
     required_full_nodes,
+    tip_count_step,
 )
 
 
@@ -227,7 +228,10 @@ def test_entropy_degree_uniform_is_exactly_one():
 
 
 def test_entropy_degree_degenerate_is_zero():
-    assert entropy_degree(AnonymityProfile([1.0, 0.0, 0.0])) == 0.0
+    # == cannot see the sign: a pinned profile must give +0.0, not -0.0
+    for probs in ([1.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0]):
+        d = entropy_degree(AnonymityProfile(probs))
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0
 
 
 def test_entropy_degree_needs_two_candidates():
@@ -263,6 +267,27 @@ def test_entropy_degree_below_one_when_skewed(n, bulk):
         return
     d = entropy_degree(AnonymityProfile([bulk] + [rest] * (n - 1)))
     assert d < 1.0
+
+
+# ---------------------------------------------------------------------------
+# tip count
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tips,attaching", [(2, 1), (3, 2), (4, 0), (4, 2), (5, 3), (6, 3)])
+def test_tip_count_step_matches_enumeration(tips, attaching):
+    # every way the attaching transactions can pick their distinct pairs
+    outcomes = [attaching + tips - len(set().union(*chosen))
+                for chosen in product(combinations(range(tips), 2), repeat=attaching)]
+    mean = Fraction(sum(outcomes), len(outcomes))
+    var = Fraction(sum(o * o for o in outcomes), len(outcomes)) - mean * mean
+    assert tip_count_step(tips, attaching) == pytest.approx((mean, var), rel=1e-12, abs=1e-12)
+
+
+def test_tip_count_step_domain():
+    with pytest.raises(ParameterError):
+        tip_count_step(1, 3)
+    with pytest.raises(ParameterError):
+        tip_count_step(5, -1)
 
 
 # ---------------------------------------------------------------------------

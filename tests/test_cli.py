@@ -76,6 +76,9 @@ def test_analytic_required_nodes_rejects_non_finite_target(capsys, target):
 def test_analytic_entropy_and_hypergeom(capsys):
     assert run_cli("analytic", "entropy", "--probs", "0.25,0.25,0.25,0.25") == EXIT_OK
     assert capsys.readouterr().out.strip() == "1.000000"
+    for probs in ("1,0", "1,0,0", "0,1"):  # a pinned sender prints no minus sign
+        assert run_cli("analytic", "entropy", "--probs", probs) == EXIT_OK
+        assert capsys.readouterr().out == "0.000000\n"
     assert run_cli(
         "analytic", "hypergeom", "--n", "10", "--c", "4", "--m", "3", "--k", "1"
     ) == EXIT_OK

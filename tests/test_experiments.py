@@ -282,6 +282,49 @@ def test_near_cell_prefilter_changes_no_cell_estimate(monkeypatch):
     assert any(p is None for p, _ in filtered) and any(p for p, _ in filtered)
 
 
+def _counted_cell_probability(positions, adversary_count, cell, rng, *, samples, radius,
+                              require_local_adversary):
+    """The cell sampler over every node, with points from a numpy Generator,
+    reach by hypot and per-row ``count_nonzero`` counts, in the same blocks:
+    the float sums must come out the same to the last bit."""
+    nodes = np.asarray(positions, dtype=float)
+    n = len(nodes)
+    members = cell_index(nodes) == cell
+    q_in = q_out = adversary_count / n
+    if require_local_adversary:
+        q_in, q_out = map(float, experiments.cell_adversary_odds(
+            n, adversary_count, int(members.sum())))
+    gen = np.random.Generator(np.random.Philox(key=rng.getrandbits(128)))
+    row, col = divmod(cell, 3)
+    block = -(-experiments._CELL_BLOCK_ELEMENTS // n)
+    chance, effective = 0.0, 0
+    for start in range(0, samples, block):
+        points = (np.array((col, row), dtype=float)
+                  + gen.random((min(block, samples - start), 2))) * (np.array((10.0, 10.0)) / 3)
+        reach = np.hypot(np.subtract.outer(points[:, 0], nodes[:, 0]),
+                         np.subtract.outer(points[:, 1], nodes[:, 1])) <= radius
+        count = np.count_nonzero(reach, axis=1)
+        local = np.count_nonzero(reach & members, axis=1)
+        seen = count > 0
+        chance += float(np.sum(
+            (q_in * local[seen] + q_out * (count[seen] - local[seen])) / count[seen]))
+        effective += int(np.count_nonzero(seen))
+    return (None, 0) if effective == 0 else (chance / effective, effective)
+
+
+@pytest.mark.parametrize("node_count", [30, 200])  # 200 nodes: a 656-point block and a 44
+def test_cell_estimate_equals_count_nonzero_reference(node_count):
+    for placement in ("uniform_grid", "uniform_random", "clustered"):
+        positions = place_nodes(SimConfig(full_node_count=node_count, light_node_count=1,
+                                          placement=placement, seed=5)).full_nodes
+        for radius, cell, conditioned in itertools.product(
+                (0.4, 1.5, 3.0), range(GRID_CELLS), (False, True)):
+            kw = dict(samples=700, radius=radius, require_local_adversary=conditioned)
+            got = measure_cell_probability(positions, 4, cell, substream(6, cell), **kw)
+            want = _counted_cell_probability(positions, 4, cell, substream(6, cell), **kw)
+            assert got == want, (placement, radius, cell, conditioned)
+
+
 # ---------------------------------------------------------------------------
 # heatmap experiment
 # ---------------------------------------------------------------------------

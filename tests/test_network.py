@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tipleak import network
-from tipleak.analytic import AnonymityProfile, entropy_degree
+from tipleak.analytic import AnonymityProfile, entropy_degree, tip_count_step
 from tipleak.network import (
     GRID_DIM,
     ConfigError,
@@ -251,6 +251,69 @@ def test_reachability_equals_hypot_on_random_blocks():
     # radii that reach nothing or whose square is not a normal float
     for radius in (-3.0, 0.0, 1e-200, 1e200, math.inf, math.nan):
         assert np.array_equal(reachable(points, nodes, radius), dist <= radius)
+
+
+def _on_circles(nodes, radius, gen, per_node=8):
+    """Points on the circle of ``radius`` about each node, as rounded, and
+    one ulp off it either way in each coordinate."""
+    angle = gen.random((len(nodes), per_node)) * (2 * np.pi)
+    ring = nodes[:, None] + radius * np.stack((np.cos(angle), np.sin(angle)), axis=-1)
+    ring = ring.reshape(-1, 2)
+    up, down = np.nextafter(ring, np.inf), np.nextafter(ring, -np.inf)
+    return np.concatenate((ring, up, down, np.column_stack((up[:, 0], down[:, 1]))))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("offset", [0.0, -3e5, 1e9])
+def test_reachability_equals_hypot_on_and_beside_circles(scale, offset):
+    # Nodes spread over a thousand radii: the product's cancellation error
+    # then dwarfs _REACH_BAND, so points on each node's circle and one ulp
+    # off it land on hypot's side only if the bound covers that error.
+    gen = np.random.default_rng(int(np.log10(scale)) + 100)
+    nodes = offset + scale * 1000 * gen.random((40, 2))
+    radius = 1.7 * scale
+    points = _on_circles(nodes, radius, gen)
+    dist = _hypot_distances(points, nodes)
+    assert np.array_equal(reachable(points, nodes, radius), dist <= radius)
+
+
+def test_reachability_equals_hypot_at_the_edges_of_the_float_range():
+    # squares that overflow and coordinates that are not finite go to hypot,
+    # silently (warnings are errors here), whichever point is the centre
+    points = np.array([[0.0, 0.0], [1e308, -1e308], [1e154, 0.0], [np.inf, 0.0], [0.0, np.nan]])
+    nodes = np.array([[1e308, 0.0], [1.0, 0.0], [1e154, 1.0], [-np.inf, 2.0]])
+    for first in range(len(points)):
+        rolled = np.roll(points, -first, axis=0)
+        with np.errstate(invalid="ignore"):
+            want = _hypot_distances(rolled, nodes) <= 2.0
+        assert np.array_equal(reachable(rolled, nodes, 2.0), want), first
+
+
+def _lattice_circle(radius: int) -> np.ndarray:
+    """Every integer ``(a, b)`` with ``a*a + b*b == radius*radius``."""
+    a = np.arange(-radius, radius + 1)
+    b = np.round(np.sqrt(radius * radius - a * a)).astype(np.int64)
+    hit = a * a + b * b == radius * radius
+    a, b = a[hit], b[hit]
+    return np.unique(np.concatenate((np.column_stack((a, b)), np.column_stack((a, -b)))), axis=0)
+
+
+@pytest.mark.parametrize("radius", [5, 13, 25, 65, 1105])
+def test_reachability_equals_hypot_on_lattices_at_pythagorean_radii(radius):
+    # Lattice points exactly at the radius from a node, and their four
+    # neighbours, on integer and on decimal (x0.1) lattices up to 1e9 out.
+    gen = np.random.default_rng(radius)
+    circle = _lattice_circle(radius)
+    assert len(circle) >= 12
+    steps = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+    for offset in (0, 10**9):
+        nodes = offset + gen.integers(0, 100 * radius, (12, 2))
+        ring = (nodes[:, None, None] + circle[:, None] + steps).reshape(-1, 2)
+        for scale in (1, 0.1):
+            points, centres = ring * scale, nodes * scale
+            dist = _hypot_distances(points, centres)
+            assert np.array_equal(reachable(points, centres, radius * scale),
+                                  dist <= radius * scale), (offset, scale)
 
 
 def test_unbounded_radius_reaches_everyone():
@@ -1259,3 +1322,45 @@ def test_tip_count_settles_at_mean_field_fixed_point():
     assert counts[-1] == ledger.tip_count
     mean = sum(counts[100:]) / len(counts[100:])
     assert 1.15 * config.light_node_count <= mean <= 1.35 * config.light_node_count
+
+
+def _tip_count_steps(config):
+    """``(k, L, k')`` of each round of a finished run: its round-start tips,
+    the transactions it attached and its tips after, read from the ledger.
+    Every light attaches every round (no radius), so round ``r`` holds the
+    ids from ``1 + bootstrap_tips + r * L`` on."""
+    sim = Simulation(config)
+    sim.run()
+    size, lights = len(sim.ledger), config.light_node_count
+    start = 1 + config.bootstrap_tips
+    assert size == start + config.rounds * lights
+    # a row stops being a tip at its first approver's id
+    approver = np.full(size, size)
+    np.minimum.at(approver, sim.ledger.parents[1:].ravel(), np.repeat(np.arange(1, size), 2))
+    ends = start + lights * np.arange(config.rounds + 1)
+    tips = ends - np.searchsorted(np.sort(approver), ends)
+    assert tips[-1] == sim.ledger.tip_count
+    return zip(tips[:-1].tolist(), np.diff(ends).tolist(), tips[1:].tolist())
+
+
+@pytest.mark.parametrize("configs", [
+    [SimConfig(full_node_count=100, light_node_count=100, rounds=200, seed=seed)
+     for seed in range(1, 11)],
+    [SimConfig(full_node_count=50, light_node_count=7, rounds=300, bootstrap_tips=40,
+               seed=seed) for seed in range(1, 11)],
+    [SimConfig(full_node_count=30, light_node_count=20, rounds=200,
+               mode="direct_tip_selection", seed=seed) for seed in range(100, 300)],
+], ids=["baseline", "bootstrapped", "direct"])
+def test_tip_count_steps_follow_the_exact_one_round_law(configs):
+    # Given k round-start tips, the round's tip count has the exact mean
+    # and variance of analytic.tip_count_step; the pooled deviation over
+    # every step from k >= 4 tips, in units of its standard deviation,
+    # read 0.27, -0.23 and 0.92 here.
+    deviation = variance = 0.0
+    for config in configs:
+        for tips, attaching, after in _tip_count_steps(config):
+            if tips >= 4:
+                mean, var = tip_count_step(tips, attaching)
+                deviation += after - mean
+                variance += var
+    assert abs(deviation / math.sqrt(variance)) <= 4
