@@ -372,17 +372,13 @@ def _check_analytic_required() -> tuple[bool, str]:
 
 
 def _check_tangle_integrity() -> tuple[bool, str]:
-    import numpy as np
-
     from . import tangle
     from .rng import uniforms
 
-    ledger = tangle.Ledger()
-    labels = np.arange(10)
-    draws = uniforms(2024, 98, range(200), 2 * len(labels))
+    ledger = tangle.Ledger(1 + 200 * 10)
+    draws = uniforms(2024, 98, range(200), 2 * 10)
     for r in range(200):  # grown round by round, as a simulation grows it
-        parents = tangle.urts_pairs(ledger.tips, draws[r].reshape(2, -1))
-        ledger.attach_round(parents, r, labels)
+        ledger.attach_round(tangle.urts_pairs(ledger.tips, draws[r].reshape(2, -1)))
     approved = set(ledger.parents[1:].ravel().tolist())
     recomputed = set(range(len(ledger))) - approved
     if recomputed != set(ledger.tips.tolist()):

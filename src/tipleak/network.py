@@ -8,8 +8,8 @@ proxied light queries through its nearest proxy.  Each round every light
 node asks up to ``request_fanout`` reachable full nodes for a tip
 selection, follows exactly one answer, and attaches a transaction under a
 fresh address.  Adversarial full nodes log every response they serve,
-compare the new ledger entries of each round against their log of that
-round and emit identity links, the rows of one columnar :class:`Links`.
+match each round's attaches against their log of that round and emit
+identity links, the rows of one columnar :class:`Links`.
 
 A finished run is scored once, from its links: every light that reaches a
 full node (every light, under direct tip selection) attaches once per
@@ -22,19 +22,17 @@ A round is columnar, and a run draws from two counter-indexed Philox
 streams (:func:`tipleak.rng.words`), in each of which every round owns a
 fixed range of words: ``DOMAIN_REQUEST`` holds every light's queried set
 and follow choice, ``DOMAIN_URTS`` the URTS (uniform random tip selection)
-draws of every response, or of every light under direct tip selection.
-Reach never changes during a run, so the request plan -- which lights send
-how many requests, under which identity -- is built once, with the reach,
-in :class:`Requesters`.
+draws of every response.  Reach never changes during a run, so the request
+plan -- which lights send how many requests, under which identity -- is
+built once, with the reach, in :class:`Requesters`.
 
 Only the tips pass from one round to the next, and neither the queried
 nodes, the follow choices nor the matching depend on them, so
 :meth:`Simulation.run` walks a run in blocks of rounds bounded by
 ``_BLOCK`` requests, and adversaries match each block in one pass.  The
 match draws the block's request words in one call -- the queried positions
-(:func:`sample_positions`), then the follow choices, which go into the
-run's one follow table that the ledger reads too -- and matches its log: a
-nonce-tagged response names the one attach that followed it, so
+(:func:`sample_positions`), then the follow choices -- and matches its
+log: a nonce-tagged response names the one attach that followed it, so
 assume_unique links are a gather of the logged mask at the followed
 requests, and collision-aware matching is a join on one int64 key per
 row, ``((round - r0) * R_lo + lo - lo0) * R_hi + hi - hi0`` with ``lo``
@@ -44,15 +42,15 @@ Python ints first: a block too wide to key in int64 raises ValueError
 instead of wrapping into false links.  Either way links come out in
 (round, attach, log row) order for any block size.
 
-A round attaches as one ledger batch, its URTS uniforms mapped against the
-tips it starts from.  :meth:`Simulation._grow` is the ledger's one growth
-path, and it draws the URTS words of the rounds it attaches; before its
-first attach it reserves the ledger's rows for the whole run.  No round
-touches the ledger as it runs: collision-aware matching, the only reader
-of served pairs, grows the rounds it matches and reads their attaches
-back as the ledger's last rows; otherwise the ledger is grown on read --
-:attr:`Simulation.ledger` attaches every round matched, which after
-:meth:`Simulation.run` is every round.
+Only collision-aware matching compares served tip pairs with the parents
+of new ledger entries, so only a collision-aware run keeps a ledger and
+draws URTS words.  :meth:`Simulation._grow` is its one growth path: at
+each block's match it draws the block's URTS words in one call, maps each
+round's against the tips the round starts from, attaches the pairs the
+lights followed as one batch a round and hands the served pairs to the
+match.  A nonce-matched run and a run under direct tip selection -- where
+no response is served, so nothing can link -- build no ledger: their links
+do not depend on the tips.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -79,13 +77,7 @@ from .rng import (
     to_uniforms,
     words,
 )
-from .tangle import (
-    GENESIS_ID,
-    Ledger,
-    bootstrap_labels,
-    round_address,
-    urts_pairs,
-)
+from .tangle import GENESIS_ID, Ledger, round_address, urts_pairs
 
 RNG_SCHEME = "philox-run-v3"
 
@@ -730,7 +722,7 @@ class SimResult:
 
 
 class Simulation:
-    """One configured attack run against a shared ledger.
+    """One configured attack run.
 
     :meth:`run` runs every round once, in order, and only once.  Within a
     round every response is computed against the round-start tip snapshot,
@@ -740,21 +732,16 @@ class Simulation:
     :meth:`_match` draws the requests of the rounds it matches, so no block
     outlives its match.
 
-    The ledger past its bootstrap tips grows only in :meth:`_grow`, which
-    draws the URTS words of the rounds it attaches: under collision_aware
-    matching when a match needs the tips served, otherwise when
-    :attr:`ledger` is read.  A read never matches, so ``_grown <=
-    _matched``: no round grows before it is matched.
+    :attr:`ledger` is None unless the run matches collision_aware outside
+    direct tip selection.  Then it holds the bootstrap tips from the
+    start, with room for every row the run attaches, and :meth:`_grow`
+    attaches each block's rounds at the block's match.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.population = place_nodes(config)
-        self._ledger = Ledger()
-        self._ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
-                                  bootstrap_labels(config.bootstrap_tips))
         self._matched = 0  # rounds whose log is matched
-        self._grown = 0    # rounds attached to the ledger
         # one table per match, after an empty one
         self._links = [Links(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
@@ -764,10 +751,11 @@ class Simulation:
             else self.population.light_ids
         )
         self._requesters = self._reachability()
-        # each round's request row each light attaches on, drawn when the
-        # round is matched; None under direct tip selection: a light's own pair
-        self._followed = None if config.mode == MODE_DIRECT else np.empty(
-            (config.rounds, len(self._requesters.light)), dtype=np.int64)
+        self.ledger: Ledger | None = None
+        if config.matching == MATCH_COLLISION_AWARE and config.mode != MODE_DIRECT:
+            self.ledger = Ledger(
+                1 + config.bootstrap_tips + config.rounds * len(self._requesters.light))
+            self.ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID))
 
     def _reachability(self) -> Requesters:
         """Reachable full-node ids per light (positions never move); a
@@ -800,52 +788,30 @@ class Simulation:
             bounds=(count - steps)[drawing],
         )
 
-    @property
-    def ledger(self) -> Ledger:
-        """The ledger through every matched round, grown on read: the
-        bootstrap tips alone before :meth:`run`, every round after it."""
-        self._grow(self._matched)
-        return self._ledger
-
-    def _draw_schedule(self, rounds: range) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the requests of ``rounds``: who answers each, one row a
-        round, and whether that node logs.  A round's request words are its
-        queried positions, then its follow choices, which go to
-        ``_followed``."""
+    def _draw_schedule(self, rounds: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw the requests of ``rounds``, one row a round: who answers
+        each, whether that node logs, and the request each light follows.
+        A round's request words are its queried positions, then its follow
+        choices."""
         req = self._requesters
         picks = len(req.bounds)
         w = words(self.config.seed, DOMAIN_REQUEST, rounds, picks + len(req.light))
-        self._followed[rounds.start:rounds.stop] = (
-            req.first + (to_uniforms(w[:, picks:]) * req.fanout).astype(np.int64))
+        followed = req.first + (to_uniforms(w[:, picks:]) * req.fanout).astype(np.int64)
         draws = (to_uniforms(w[:, :picks]) * req.bounds).astype(np.int64)
         responder = req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
-        return responder, self.population.adversary[responder]
+        return responder, self.population.adversary[responder], followed
 
-    def _grow(self, stop: int) -> list[np.ndarray]:
-        """Attach every round from the ledger's next one up to ``stop``.
-        The URTS uniforms -- two per request (per light, under direct tip
-        selection) and round -- are drawn here, as many rounds at a time as
-        fit in ``_BLOCK`` draws.  Returns each grown round's served pairs."""
-        if self.config.mode == MODE_DIRECT:
-            labels = self.population.light_ids
-            n = len(labels)
-        else:
-            labels, n = self._requesters.light, len(self._requesters.request_light)
-        served = []
-        if self._grown < stop:
-            # the rows of the whole run, once: growth by doubling copies
-            # them and, past glibc's mmap threshold, faults in fresh pages
-            self._ledger.reserve(
-                len(self._ledger) + (self.config.rounds - self._grown) * len(labels))
-        while self._grown < stop:
-            rounds = range(self._grown, min(self._grown + _block_rounds(n), stop))
-            urts = to_uniforms(words(self.config.seed, DOMAIN_URTS, rounds, 2 * n))
-            for u, round_idx in zip(urts, rounds):
-                pairs = urts_pairs(self._ledger.tips, u.reshape(2, -1))
-                attached = pairs if self._followed is None else pairs[self._followed[round_idx]]
-                self._ledger.attach_round(attached, round_idx, labels)
-                served.append(pairs)
-            self._grown = rounds.stop
+    def _grow(self, block: range, followed: np.ndarray) -> np.ndarray:
+        """Attach the rounds of ``block``, each light on the served pair of
+        the request it follows (``followed``, one row a round).  The URTS
+        uniforms, two per request and round, are drawn in one call.
+        Returns the served pairs, ``(rounds, requests, 2)``."""
+        n = len(self._requesters.request_light)
+        urts = to_uniforms(words(self.config.seed, DOMAIN_URTS, block, 2 * n))
+        served = np.empty((len(block), n, 2), dtype=np.int64)
+        for u, pairs, follows in zip(urts, served, followed):
+            pairs[:] = urts_pairs(self.ledger.tips, u.reshape(2, -1))
+            self.ledger.attach_round(pairs[follows])
         return served
 
     def _match(self, block: range) -> None:
@@ -856,13 +822,12 @@ class Simulation:
         if self.config.mode == MODE_DIRECT:
             return
         req = self._requesters
-        responder, logged = self._draw_schedule(block)
+        responder, logged, followed = self._draw_schedule(block)
         rounds = np.arange(block.start, block.stop)
         if self.config.matching == MATCH_ASSUME_UNIQUE:
             # a nonce names one response, and only the light that followed
             # it attaches under it: a link wherever a light's followed
             # request was logged, in attach order
-            followed = self._followed[rounds]
             at, row = np.nonzero(np.take_along_axis(logged, followed, 1))
             light = req.light[row]
             self._links.append(Links(
@@ -872,19 +837,19 @@ class Simulation:
             return
         # collision-aware matching compares tip pairs: grow these rounds,
         # whose attaches are then the ledger's last rows
-        first = len(self._ledger)
-        served = self._grow(block.stop)
+        first = len(self.ledger)
+        served = self._grow(block, followed)
         at, request = np.nonzero(logged)
         log = ResponseLog(
             nonce=np.column_stack((rounds[at], responder[at, request],
                                    req.request_light[request])),
             requester=req.request_visible[request],
-            tips=np.stack(served)[logged],
+            tips=served[logged],
         )
         attaches = RoundAttaches(
             light=np.tile(req.light, len(rounds)),
             identity=np.tile(req.visible, len(rounds)),
-            parents=self._ledger.parents[first:],
+            parents=self.ledger.parents[first:],
             round=np.repeat(rounds, len(req.light)),  # each attach's round
         )
         self._links.append(match_responses(log, attaches, self.config.matching))

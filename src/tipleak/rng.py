@@ -17,8 +17,9 @@ names the consumer, and draws from a stream keyed by it:
   A simulation run reads two such streams.  ``DOMAIN_REQUEST`` holds each
   round's queried positions and follow choices, which decide every link;
   ``DOMAIN_URTS`` holds each round's URTS (uniform random tip selection)
-  draws, which pick the tips served and attached on, and which a run
-  draws only when it grows its ledger.
+  draws, which pick the tips served and attached on.  Only a run under
+  collision-aware matching draws them: it alone compares served pairs
+  with the parents of new ledger entries, so it alone keeps a ledger.
 
 Because a key is a pure function of ``(root_seed, key path)``, results
 never depend on scheduling or worker count: two runs with the same seed
@@ -37,7 +38,7 @@ import numpy as np
 DOMAIN_LAYOUT = 1      # node placement
 DOMAIN_ADVERSARY = 2   # adversary subset draws
 DOMAIN_REQUEST = 3     # a run's queried positions and follow choices
-DOMAIN_URTS = 5        # a run's URTS draws: responses' or lights' own tip pairs
+DOMAIN_URTS = 5        # a collision-aware run's URTS draws: responses' tip pairs
 DOMAIN_EXPERIMENT = 6  # experiment-level draws (samples, subsets, ...)
 
 

@@ -7,14 +7,16 @@ is uniform: :func:`urts_pairs` maps an array of uniforms, drawn by the
 caller who owns determinism, to ordered pairs of distinct tips (the lone
 tip twice when only one exists).
 
-The ledger is columnar: parents, round and address label are rows of one
-int array, and the tips are one ascending id array.  One batch attach,
-:meth:`Ledger.attach_round`, is the only writer of both, so a whole round,
-or the bootstrap tips, attach as one array update.  The tip update marks
-the batch's parents in a mask over the earlier ids (every parent predates
-its batch), drops the marked tips and appends the new ids, which keeps the
-array ascending.  The read API is :attr:`Ledger.tips`,
-:attr:`Ledger.parents` and :meth:`Ledger.export_lines`.
+The ledger is columnar: the parents are one ``(capacity, 2)`` int array,
+sized once when the ledger is built, and the tips are one ascending id
+array.  One batch attach, :meth:`Ledger.attach_round`, is the only writer
+of both, so a whole round, or the bootstrap tips, attach as one array
+update.  The tip update marks the batch's parents in a mask over the
+earlier ids (every parent predates its batch), drops the marked tips and
+appends the new ids, which keeps the array ascending.  The read API is
+:attr:`Ledger.tips` and :attr:`Ledger.parents`.  A transaction's address
+is not stored: the one issued by a light in a round is
+:func:`round_address` of the two.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 GENESIS_ID = 0
-GENESIS_ADDRESS = "genesis"
-
-# columns of Ledger._rows
-_P0, _P1, _ROUND, _LABEL = range(4)
 
 
 class AttachError(ValueError):
@@ -35,20 +33,6 @@ class AttachError(ValueError):
 def round_address(round_issued: int, label: int) -> str:
     """Fresh address of the transaction issued under ``label`` in a round."""
     return f"addr-{round_issued}-{label}"
-
-
-def bootstrap_labels(n: int) -> np.ndarray:
-    """The labels of ``n`` bootstrap transactions, whose addresses are
-    ``bootstrap-0`` to ``bootstrap-{n - 1}``: the negative labels."""
-    return -1 - np.arange(n, dtype=np.int64)
-
-
-def _label_address(round_issued: int, label: int) -> str:
-    """The address a label stands for: a bootstrap address below 0, else
-    :func:`round_address`."""
-    if label < 0:
-        return f"bootstrap-{-1 - label}"
-    return round_address(round_issued, label)
 
 
 def second_index(i, j):
@@ -81,19 +65,19 @@ def _frozen(ids: np.ndarray) -> np.ndarray:
 class Ledger:
     """DAG of transactions plus a live tip set.
 
-    Transactions are rows of an int array that doubles its capacity when
-    full, and :meth:`attach_round` alone appends them and moves the tips.
-    A writer that knows how many rows it will end with reserves them once
-    with :meth:`reserve`, so the array is not copied as it grows.
-    Genesis has the address ``GENESIS_ADDRESS``; every later row stores a
-    label, which stands for :func:`round_address` of its round and label,
-    or ``bootstrap-{i}`` for the labels of :func:`bootstrap_labels`.
-    The arrays :attr:`tips` and :attr:`parents` hand out are never
-    modified afterwards, so a caller may keep them as snapshots.
+    Transactions are the rows of a parents array with room for
+    ``capacity`` of them, genesis included; every writer knows how many
+    rows it will end with, so the array is sized once and never copied.
+    :meth:`attach_round` alone appends rows and moves the tips.  The
+    arrays :attr:`tips` and :attr:`parents` hand out are never modified
+    afterwards, so a caller may keep them as snapshots.
     """
 
-    def __init__(self) -> None:
-        self._rows = np.zeros((1024, 4), dtype=np.int64)
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise AttachError(f"a ledger holds genesis: capacity {capacity} < 1")
+        self._parents = np.empty((capacity, 2), dtype=np.int64)
+        self._parents[GENESIS_ID] = GENESIS_ID
         self._size = 1
         self._tips = _frozen(np.array([GENESIS_ID], dtype=np.int64))
 
@@ -113,27 +97,25 @@ class Ledger:
     def parents(self) -> np.ndarray:
         """Each transaction's two parents as a read-only ``(n, 2)`` array,
         row ``i`` for id ``i``; genesis approves itself."""
-        return _frozen(self._rows[:self._size, _P0:_P1 + 1])
+        return _frozen(self._parents[:self._size])
 
-    def attach_round(
-        self, parents: np.ndarray, round_issued: int, labels: np.ndarray,
-    ) -> np.ndarray:
+    def attach_round(self, parents: np.ndarray) -> np.ndarray:
         """Append one transaction per row of the ``(n, 2)`` ``parents``
-        array, in row order, row ``r`` under the address ``labels[r]``
-        stands for in ``round_issued``; returns their ids.
+        array, in row order; returns their ids.
 
         Every parent must predate the batch (it need not still be a tip),
         so each new id is larger than its parents' and the DAG stays
-        acyclic by construction.  A rejected batch appends nothing.
+        acyclic by construction.  A rejected batch -- an unknown parent,
+        or more rows than the capacity leaves -- appends nothing.
         """
-        n = len(parents)
-        if n and (parents.min() < 0 or parents.max() >= self._size):
+        n, start = len(parents), self._size
+        if start + n > len(self._parents):
+            raise AttachError(f"a batch of {n} rows overflows the ledger: "
+                              f"{start} of {len(self._parents)} rows taken")
+        if n and (parents.min() < 0 or parents.max() >= start):
             raise AttachError("unknown parent in batch")
-        start = self._append(n)
-        rows = self._rows[start:start + n]
-        rows[:, _P0:_P1 + 1] = parents
-        rows[:, _ROUND] = round_issued
-        rows[:, _LABEL] = labels
+        self._parents[start:start + n] = parents
+        self._size = start + n
         ids = np.arange(start, start + n, dtype=np.int64)
         # every parent predates the batch: a mask over the old ids marks
         # the tips the batch approves
@@ -142,31 +124,3 @@ class Ledger:
         tips = self._tips
         self._tips = _frozen(np.concatenate((tips[~approved[tips]], ids)))
         return ids
-
-    def reserve(self, rows: int) -> None:
-        """Make room for ``rows`` transactions in all, genesis included, so
-        that no attach up to that count copies the rows."""
-        if rows > len(self._rows):
-            grown = np.empty((rows, 4), dtype=np.int64)
-            grown[:self._size] = self._rows[:self._size]
-            self._rows = grown
-
-    def _append(self, n: int) -> int:
-        """Take ``n`` more rows; returns the first new id."""
-        start = self._size
-        if start + n > len(self._rows):
-            self.reserve(max(2 * len(self._rows), start + n))
-        self._size = start + n
-        return start
-
-    def export_lines(self) -> list[str]:
-        """One transaction per line: id, both parent ids, address, round."""
-        rows = self._rows[:self._size].tolist()
-        addresses = [GENESIS_ADDRESS] + [
-            _label_address(round_issued, label) for _, _, round_issued, label in rows[1:]
-        ]
-        return [
-            f"{txid}\t{p0}\t{p1}\t{address}\t{round_issued}"
-            for txid, ((p0, p1, round_issued, _), address) in enumerate(zip(rows, addresses))
-        ]
-

@@ -329,12 +329,11 @@ def test_c08_determinism(report, tmp_path):
 
 def test_c09_dag_integrity(report):
     started = time.perf_counter()
-    ledger = Ledger()
-    labels = np.arange(100)
-    u = uniforms(2026, 9, range(100), 2 * len(labels))
+    ledger = Ledger(1 + 100 * 100)
+    u = uniforms(2026, 9, range(100), 2 * 100)
     for r in range(100):  # 10,000 attaches, grown round by round as a simulation grows
         parents = urts_pairs(ledger.tips, u[r].reshape(2, -1))
-        ledger.attach_round(parents, r, labels)
+        ledger.attach_round(parents)
 
     rows = ledger.parents.tolist()
     approved = {
@@ -364,8 +363,8 @@ def test_c09_dag_integrity(report):
                 frontier.append(parent)
     topo_ok = visited == len(ledger)
 
-    fixed = Ledger()
-    fixed.attach_round(np.zeros((10, 2), dtype=np.int64), 0, np.arange(10))
+    fixed = Ledger(11)
+    fixed.attach_round(np.zeros((10, 2), dtype=np.int64))
     assert fixed.tip_count == 10
     observed: dict[tuple[int, int], int] = {}
     draws = 100_000

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import math
 import random
-import re
 from collections import Counter
 
 import numpy as np
@@ -33,13 +32,7 @@ from tipleak.network import (
     sample_positions,
 )
 from tipleak.rng import DOMAIN_REQUEST, DOMAIN_URTS, uniforms, words
-from tipleak.tangle import (
-    GENESIS_ID,
-    Ledger,
-    bootstrap_labels,
-    round_address,
-    urts_pairs,
-)
+from tipleak.tangle import GENESIS_ID, Ledger, round_address, urts_pairs
 
 
 def _tiny_config(**kw) -> SimConfig:
@@ -865,10 +858,11 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
         assert _scored(Simulation(config).run()) == want
 
 
-def _nonce_join(sim, block, responder, logged):
+def _nonce_join(sim, block, responder, logged, followed):
     """:func:`_nonce_match` over the rounds of ``block``, whose requests
-    ``sim`` drew as ``responder`` and ``logged``: the log of every logged
-    request and every attach with the nonce of the request it followed."""
+    ``sim`` drew as ``responder``, ``logged`` and ``followed``: the log of
+    every logged request and every attach with the nonce of the request it
+    followed."""
     req = sim._requesters
     rounds = np.arange(block.start, block.stop)
     at, request = np.nonzero(logged)
@@ -877,7 +871,7 @@ def _nonce_join(sim, block, responder, logged):
         requester=req.request_visible[request], tips=np.zeros((len(at), 2), dtype=np.int64))
     issued = np.repeat(rounds, len(req.light))
     light = np.tile(req.light, len(rounds))
-    followed = np.take_along_axis(responder, sim._followed[rounds], 1).ravel()
+    followed = np.take_along_axis(responder, followed, 1).ravel()
     attaches = RoundAttaches(
         light=light, identity=np.tile(req.visible, len(rounds)),
         parents=np.zeros((len(light), 2), dtype=np.int64), round=issued)
@@ -901,16 +895,16 @@ def test_gathered_links_equal_the_nonce_join(monkeypatch, case):
     match, draw, drawn, matched = Simulation._match, Simulation._draw_schedule, [], []
 
     def kept(sim, block):
-        responder, logged = draw(sim, block)
-        drawn.append((block, responder, logged))
-        return responder, logged
+        schedule = draw(sim, block)
+        drawn.append((block, schedule))
+        return schedule
 
     def checked(sim, block):
         drawn.clear()
         match(sim, block)
-        ((drew, responder, logged),) = drawn  # the match drew exactly its block
+        ((drew, schedule),) = drawn  # the match drew exactly its block
         assert drew == block
-        want = _nonce_join(sim, block, responder, logged)
+        want = _nonce_join(sim, block, *schedule)
         assert _link_rows(sim._links[-1]) == _link_rows(want)
         matched.append(len(want))
 
@@ -930,7 +924,8 @@ def test_rounds_run_once_in_order(drawn):
         config = _tiny_config(rounds=3, **settings)
         sim = Simulation(config)
         want = _scored(sim.run())
-        lines = sim.ledger.export_lines()
+        ledger = sim.ledger
+        rows = None if ledger is None else (ledger.parents.tobytes(), ledger.tips.tobytes())
         drawn.clear()
         with pytest.raises(ValueError, match="3 of 3 rounds.*runs once") as exc:
             sim.run()
@@ -938,32 +933,44 @@ def test_rounds_run_once_in_order(drawn):
         assert drawn == []
         assert _scored(sim._result()) == want == _scored(run_simulation(config))
         assert sim._result().total_transactions == 3 * config.light_node_count
-        assert sim.ledger.export_lines() == lines
-        assert len(lines) == 1 + 3 * config.light_node_count
+        assert sim.ledger is ledger
+        if ledger is not None:
+            assert (ledger.parents.tobytes(), ledger.tips.tobytes()) == rows
+            assert len(ledger) == 1 + 3 * config.light_node_count
 
 
-def _eager_ledger(sim, rounds):
-    """The ledger of ``sim``'s first ``rounds`` rounds, grown by hand the
-    way validate's tangle-integrity check grows its own: each round's own
-    uniforms, its URTS pairs against the tips it starts from, and one
-    attach of the pairs its lights follow."""
-    config, req = sim.config, sim._requesters
-    ledger = Ledger()
-    ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID), 0,
-                        bootstrap_labels(config.bootstrap_tips))
-    for r in range(rounds):
-        if config.mode == "direct_tip_selection":
-            lights = sim.population.light_ids
-            (u,) = uniforms(config.seed, DOMAIN_URTS, range(r, r + 1), 2 * len(lights))
-            ledger.attach_round(urts_pairs(ledger.tips, u.reshape(2, -1)), r, lights)
-            continue
-        picks, n = len(req.bounds), len(req.request_light)
-        (u,) = uniforms(config.seed, DOMAIN_URTS, range(r, r + 1), 2 * n)
-        served = urts_pairs(ledger.tips, u.reshape(2, -1))
-        (u,) = uniforms(config.seed, DOMAIN_REQUEST, range(r, r + 1), picks + len(req.light))
-        followed = req.first + (u[picks:] * req.fanout).astype(np.int64)
-        ledger.attach_round(served[followed], r, req.light)
+def _eager_ledger(config):
+    """The ledger of ``config``'s run, grown by hand the way validate's
+    tangle-integrity check grows its own: each round's URTS pairs against
+    the tips it starts from, and one attach of the pairs its lights follow
+    -- under direct tip selection, every light's own pair.  Each stream's
+    uniforms come from one call for the whole run."""
+    sim = Simulation(config)
+    req, rounds = sim._requesters, range(config.rounds)
+    direct = config.mode == "direct_tip_selection"
+    lights = sim.population.light_ids if direct else req.light
+    ledger = Ledger(1 + config.bootstrap_tips + config.rounds * len(lights))
+    ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID))
+    n = len(lights) if direct else len(req.request_light)
+    urts = uniforms(config.seed, DOMAIN_URTS, rounds, 2 * n)
+    if direct:
+        followed = np.broadcast_to(np.arange(n), (config.rounds, n))
+    else:
+        picks = len(req.bounds)
+        u = uniforms(config.seed, DOMAIN_REQUEST, rounds, picks + len(req.light))
+        followed = req.first + (u[:, picks:] * req.fanout).astype(np.int64)
+    for u, follows in zip(urts, followed):
+        ledger.attach_round(urts_pairs(ledger.tips, u.reshape(2, -1))[follows])
     return ledger
+
+
+def _twin_ledger(config):
+    """The ledger of ``config``'s collision-aware twin after its run.  A
+    run's draws do not depend on its matching mode, so the twin's lights
+    attach on the pairs ``config``'s own lights follow."""
+    sim = Simulation(dataclasses.replace(config, matching="collision_aware"))
+    sim.run()
+    return sim.ledger
 
 
 LEDGER_CASES = {
@@ -981,21 +988,35 @@ LEDGER_CASES = {
 
 
 def _same_ledger(got, want):
-    assert got.export_lines() == want.export_lines()
+    assert got.parents.tolist() == want.parents.tolist()
     assert got.tips.tolist() == want.tips.tolist()
 
 
 @pytest.mark.parametrize("name", sorted(LEDGER_CASES))
 def test_ledger_grown_on_read_equals_the_eager_reference(monkeypatch, name):
+    # the ledger a collision-aware run grows at its matches, read after the
+    # run, equals the one grown round by round from the run's draws,
+    # whatever the block size; for an assume_unique config it is the
+    # ledger of its collision-aware twin.  Only collision-aware runs keep
+    # a ledger: under direct tip selection the reference stands alone, and
+    # test_ledger_bytes_are_pinned pins it
     config = LEDGER_CASES[name]
-    sim = Simulation(config)
-    want = _eager_ledger(sim, config.rounds)
-    draws = len(sim.population.light_ids if config.mode == "direct_tip_selection"
-                else sim._requesters.request_light)
+    want = _eager_ledger(config)
+    if config.matching == "assume_unique" or config.mode == "direct_tip_selection":
+        sim = Simulation(config)
+        sim.run()
+        assert sim.ledger is None
+    if config.mode == "direct_tip_selection":
+        assert Simulation(dataclasses.replace(config, matching="collision_aware")).ledger is None
+        return
+    twin = dataclasses.replace(config, matching="collision_aware")
+    draws = len(Simulation(twin)._requesters.request_light)
     for block in (1, 3 * draws, network._BLOCK):  # one, a few and all rounds a block
         monkeypatch.setattr(network, "_BLOCK", block)
-        sim = Simulation(config)
-        _same_ledger(sim.ledger, _eager_ledger(sim, 0))  # before run(): bootstrap tips only
+        sim = Simulation(twin)
+        bootstrap = config.bootstrap_tips
+        assert sim.ledger.parents.tolist() == [[GENESIS_ID] * 2] * (1 + bootstrap)
+        assert sim.ledger.tips.tolist() == (list(range(1, 1 + bootstrap)) or [GENESIS_ID])
         sim.run()
         _same_ledger(sim.ledger, want)
 
@@ -1005,31 +1026,31 @@ def test_ledger_grown_on_read_equals_the_eager_reference(monkeypatch, name):
     dict(matching="collision_aware"),
 ], ids=["assume-unique", "proxy", "direct", "collision-aware"])
 def test_only_collision_aware_rounds_attach_as_they_run(monkeypatch, settings):
-    # rounds attach when matched or read: collision-aware matching grows the
-    # rounds it matches as the run goes, and no other run attaches a round
-    # before the ledger is read after it.  Each attach_round call is one
-    # round attached (the bootstrap tips are the one call in __init__)
+    # collision-aware matching grows the rounds it matches as the run goes,
+    # each round once, as one attach_round call (after the one call of the
+    # bootstrap tips in __init__); no other run keeps a ledger
     config = _tiny_config(rounds=7, **settings)
+    matched = config.matching == "collision_aware"
     attached, attach = [], Ledger.attach_round
 
-    def counted(ledger, parents, round_issued, *args, **kwargs):
-        attached.append(round_issued)
-        return attach(ledger, parents, round_issued, *args, **kwargs)
+    def counted(ledger, parents):
+        attached.append(len(parents))
+        return attach(ledger, parents)
+
+    grown, match = [], Simulation._match
+
+    def recorded(sim, block):  # the rounds attached by the end of each match
+        match(sim, block)
+        grown.append(len(attached) - 1 if matched else len(attached))
 
     monkeypatch.setattr(Ledger, "attach_round", counted)
-    matched = config.matching == "collision_aware"
-    run_simulation(config)
-    assert attached == [0] + (list(range(7)) if matched else [])
+    monkeypatch.setattr(Simulation, "_match", recorded)
     sim = _blocked(monkeypatch, config, 3)  # blocks of rounds 0-2, 3-5 and 6
-    attached.clear()
-    sim.ledger  # before run(): no round is matched, so none grows
-    assert attached == []
+    assert attached == ([0] if matched else [])
     sim.run()
-    assert attached == (list(range(7)) if matched else [])
-    attached.clear()
-    sim.ledger
-    sim.ledger
-    assert attached == ([] if matched else list(range(7)))  # one per round, once
+    lights = config.light_node_count
+    assert attached == ([0] + [lights] * 7 if matched else [])
+    assert grown == ([3, 6, 7] if matched else [0, 0, 0])
 
 
 @pytest.fixture
@@ -1063,14 +1084,7 @@ def test_a_nonce_matched_run_draws_no_urts_word(monkeypatch, drawn, case):
     assert {width for _, _, width in drawn} == {len(req.bounds) + len(req.light)}
     blocks = [rounds for _, rounds, _ in drawn]
     assert [r for rounds in blocks for r in rounds] == list(range(config.rounds))
-    # reading the ledger draws each block's URTS words once, and no request
-    # word: the follow choices are kept from the run
-    drawn.clear()
-    sim.ledger
-    assert drawn == [(DOMAIN_URTS, rounds, 2 * len(req.request_light)) for rounds in blocks]
-    drawn.clear()
-    sim.ledger
-    assert drawn == []
+    assert sim.ledger is None  # no reader of the tips, so no ledger
 
 
 def test_a_collision_aware_run_draws_both_streams_as_it_runs(monkeypatch, drawn):
@@ -1083,40 +1097,42 @@ def test_a_collision_aware_run_draws_both_streams_as_it_runs(monkeypatch, drawn)
     assert drawn == [call for block in (range(0, 3), range(3, 6), range(6, 7)) for call in (
         (DOMAIN_REQUEST, block, len(req.bounds) + len(req.light)),
         (DOMAIN_URTS, block, 2 * len(req.request_light)))]
-    drawn.clear()
-    sim.ledger
-    assert drawn == []
 
 
 @pytest.mark.parametrize("read", ["before-run", "never"])
 @pytest.mark.parametrize("rounds_a_block", [1, 3, network._BLOCK])
 @pytest.mark.parametrize("name", ["assume-unique", "collision-aware", "proxy"])
 def test_each_round_draws_its_words_once(monkeypatch, drawn, name, rounds_a_block, read):
-    # however the rounds fall into blocks, each round's request words, and
-    # its URTS words, are drawn exactly once; a ledger read before run()
-    # holds the bootstrap tips alone, draws nothing and changes no result
+    # however the rounds fall into blocks, each round's request words are
+    # drawn exactly once, and so are its URTS words under collision-aware
+    # matching (no other run draws one); a collision-aware ledger read
+    # before run() holds the bootstrap tips alone, draws nothing and
+    # changes no result
     config = dataclasses.replace(BLOCK_CASES[name], rounds=8)
     sim = _blocked(monkeypatch, config, rounds_a_block)
+    matched = config.matching == "collision_aware"
     if read == "before-run":
-        assert len(sim.ledger) == 1 + config.bootstrap_tips
+        assert (sim.ledger is not None) == matched
+        if matched:
+            assert len(sim.ledger) == 1 + config.bootstrap_tips
         assert drawn == []
     result = sim.run()
-    sim.ledger
-    for domain in (DOMAIN_REQUEST, DOMAIN_URTS):
+    for domain, want in ((DOMAIN_REQUEST, True), (DOMAIN_URTS, matched)):
         drawn_rounds = [r for d, rounds, _ in drawn if d == domain for r in rounds]
-        assert drawn_rounds == list(range(config.rounds)), domain
+        assert drawn_rounds == (list(range(config.rounds)) if want else []), domain
     assert _scored(result) == _scored(run_simulation(config))
 
 
-def test_direct_tip_selection_draws_only_urts_words(monkeypatch, drawn):
-    config = _tiny_config(rounds=7, mode="direct_tip_selection")
+@pytest.mark.parametrize("matching", ["assume_unique", "collision_aware"])
+def test_direct_tip_selection_draws_no_word(monkeypatch, drawn, matching):
+    # no light requests anything, so no response can link, and no one
+    # reads the tips the lights pick for themselves
+    config = _tiny_config(rounds=7, mode="direct_tip_selection", matching=matching)
     sim = Simulation(config)
     monkeypatch.setattr(network, "_BLOCK", 3 * config.light_node_count)
-    sim.run()
+    assert sim.run().total_transactions == 7 * config.light_node_count
     assert drawn == []
-    sim.ledger
-    assert drawn == [(DOMAIN_URTS, rounds, 2 * config.light_node_count)
-                     for rounds in (range(0, 3), range(3, 6), range(6, 7))]
+    assert sim.ledger is None
 
 
 def test_per_light_table_consistent_with_totals():
@@ -1137,25 +1153,35 @@ def test_per_light_table_consistent_with_totals():
           mode="direct_tip_selection"), False),
     (dict(bootstrap_tips=4), False),
 ], ids=["stranded-light", "proxy", "direct", "bootstrap"])
-def test_transaction_counts_agree_with_ledger(settings, stranded):
-    # the counts are derived from who issues, so hold them to the ledger,
-    # which records each transaction once under addr-<round>-<light>
-    sim = Simulation(_tiny_config(rounds=6, **settings))
-    result = sim.run()
-    assert (
-        result.total_transactions
-        == len(sim.ledger) - 1 - sim.config.bootstrap_tips
-    )
+def test_transaction_counts_agree_with_ledger(monkeypatch, settings, stranded):
+    # the counts are derived from who issues, so hold them to the attaches
+    # the collision-aware twin's matcher receives (the rows its ledger
+    # grows, each issued by a light in a round); under direct tip selection
+    # nothing is matched, and every light attaches every round of the
+    # reference ledger
+    config = _tiny_config(rounds=6, **settings)
+    result = run_simulation(config)
+    received = []
+
+    def kept(log, new, matching):
+        received.append(new)
+        return match_responses(log, new, matching)
+
+    monkeypatch.setattr(network, "match_responses", kept)
     on_ledger = Counter()
-    for line in sim.ledger.export_lines():
-        _, _, _, address, round_issued = line.split("\t")
-        issued = re.fullmatch(r"addr-(\d+)-(\d+)", address)
-        if issued:
-            assert issued[1] == round_issued
-            on_ledger[int(issued[2])] += 1
+    if config.mode == "direct_tip_selection":
+        assert _twin_ledger(config) is None
+        rows = len(_eager_ledger(config))
+        on_ledger.update(result.light_ids.tolist() * config.rounds)
+    else:
+        rows = len(_twin_ledger(config))
+        issued = np.concatenate([np.column_stack((new.round, new.light)) for new in received])
+        assert len(np.unique(issued, axis=0)) == len(issued)  # once a light a round
+        on_ledger.update(issued[:, 1].tolist())
+    assert result.total_transactions == rows - 1 - config.bootstrap_tips
     per_light = {row["light_id"]: row["transactions"] for row in result.per_light}
     assert per_light == {
-        light: on_ledger[light] for light in sim.population.light_ids.tolist()
+        light: on_ledger[light] for light in result.light_ids.tolist()
     }
     assert sum(on_ledger.values()) == result.total_transactions
     assert result.unreachable_light_nodes == list(per_light.values()).count(0)
@@ -1243,48 +1269,76 @@ def test_spatial_link_rate_matches_reachable_adversary_share():
 
 
 def test_bootstrap_tips_attach_to_genesis_before_round_zero():
-    sim = Simulation(_tiny_config(bootstrap_tips=3))
+    sim = Simulation(_tiny_config(bootstrap_tips=3, matching="collision_aware"))
     assert sim.ledger.tips.tolist() == [1, 2, 3]
     assert sim.ledger.parents.tolist() == [[0, 0]] * 4
-    assert sim.ledger.export_lines()[1:] == [
-        "1\t0\t0\tbootstrap-0\t0", "2\t0\t0\tbootstrap-1\t0", "3\t0\t0\tbootstrap-2\t0"]
 
 
-def test_bootstrap_ledger_lines_are_pinned():
-    # bootstrap rows store a label that stands for their address; the
-    # ledger's lines keep their pinned digest
-    sim = Simulation(_tiny_config(bootstrap_tips=5))
-    sim.run()
-    lines = sim.ledger.export_lines()
-    assert lines[1:6] == [f"{i + 1}\t0\t0\tbootstrap-{i}\t0" for i in range(5)]
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "895c83edb8f9708242c5db105bdfcbc87c690fca2e2dd28bca35681c14f99a76")
+# sha256 of each LEDGER_CASES ledger's parents and tips bytes (int64, C
+# order): the collision-aware twin's ledger, or the eager reference under
+# direct tip selection
+LEDGER_DIGESTS = {
+    "baseline": ("d53b24c5f81f4ce106826f4501b0935583ed05d056e1cf69c8770dce257a1f98",
+                 "9520103514a72123f4aecb3e2aff7632d819f0fcf529723f6b78192cb54994ca"),
+    "bootstrap": ("a94c89110fa742cc63d0f5bb39fb2049f5c6a956284df6fe1455653437f3615f",
+                  "da0a782c2f44ff47dca884d9c29ddb4323307acb25e4079f8694a9deb51270d9"),
+    "collision-aware": ("c30b9f54281544072d52b1436ecfbf1da0a52818098267cff7b3abd019fd7f67",
+                        "df96d4d51d8e18a6b6512fa35af463ee4f8562f22c789fac5294f76fdb5dd598"),
+    "direct": ("966f63f6885f70a166725b2b5e351d7c84d17b12f84837c385c9cdbfe494dd7a",
+               "45b8d6427481865572453056969a7cd056c864a2f84be08fa78b87c75d9933d2"),
+    "proxy": ("c30b9f54281544072d52b1436ecfbf1da0a52818098267cff7b3abd019fd7f67",
+              "df96d4d51d8e18a6b6512fa35af463ee4f8562f22c789fac5294f76fdb5dd598"),
+    "stranded": ("ae85eff0b0b7c5d824ef18bc69995441d1419345e1cdc17dae9aea7458c44e39",
+                 "1c49ace3fefa63fcb707b1b178fdf7069e81e79a9045114722a6f1bb9c3416af"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_CASES))
+def test_ledger_bytes_are_pinned(name):
+    config = LEDGER_CASES[name]
+    ledger = (_eager_ledger(config) if config.mode == "direct_tip_selection"
+              else _twin_ledger(config))
+    assert tuple(hashlib.sha256(array.tobytes()).hexdigest()
+                 for array in (ledger.parents, ledger.tips)) == LEDGER_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["baseline", "proxy", "stranded", "bootstrap"])
+def test_assume_unique_links_are_correct_links_of_the_collision_aware_twin(name):
+    # the draws do not depend on the matching mode, which the ledger tests
+    # above lean on: each nonce-matched link (nonce, claimed, light) is a
+    # correct link of the collision-aware twin, which adds the logged
+    # responses its light did not follow but whose pair it attached on
+    config = dataclasses.replace(LEDGER_CASES[name], rounds=40)
+    unique = _link_rows(run_simulation(config).links)
+    twin = _link_rows(run_simulation(dataclasses.replace(config, matching="collision_aware")).links)
+    assert unique and len({tuple(row) for row in unique}) == len(unique)
+    assert {tuple(row) for row in unique} <= {tuple(row) for row in twin if row[-1]}
 
 
 @pytest.mark.parametrize("settings", [
-    {}, dict(mode="direct_tip_selection"), dict(matching="collision_aware", bootstrap_tips=3),
+    {}, dict(mode="direct_tip_selection", matching="collision_aware"),
+    dict(matching="collision_aware", bootstrap_tips=3),
 ], ids=["assume-unique", "direct", "collision-aware"])
 def test_the_ledger_reserves_the_runs_rows_once(monkeypatch, settings):
-    # 1 + 20 * 60 rows outgrow the first capacity: the run's growth
-    # reserves its final row count, and no attach copies the rows again
+    # a collision-aware run builds its ledger once, sized to the rows the
+    # run ends with, so no attach copies them; no other run builds one
     config = _tiny_config(light_node_count=60, rounds=20, **settings)
-    reserved, reserve = [], Ledger.reserve
+    built, init = [], Ledger.__init__
 
-    def counted(ledger, rows):
-        reserved.append(rows)
-        return reserve(ledger, rows)
+    def counted(ledger, capacity):
+        built.append(capacity)
+        init(ledger, capacity)
 
-    monkeypatch.setattr(Ledger, "reserve", counted)
+    monkeypatch.setattr(Ledger, "__init__", counted)
     sim = _blocked(monkeypatch, config, 3)  # collision-aware: seven growth calls
-    sim.ledger  # before run(): nothing to grow
-    assert reserved == []
+    rows = sim.ledger and sim.ledger._parents
     sim.run()
-    if config.matching == "assume_unique":
-        assert reserved == []  # a nonce-matched run grows its ledger on read
-    rows = len(sim.ledger)
-    assert rows == 1 + config.bootstrap_tips + config.rounds * config.light_node_count
-    assert reserved and set(reserved) == {rows}
-    assert len(sim._ledger._rows) == rows
+    if config.matching == "assume_unique" or config.mode == "direct_tip_selection":
+        assert built == [] and sim.ledger is None
+        return
+    assert len(sim.ledger) == 1 + config.bootstrap_tips + config.rounds * config.light_node_count
+    assert built == [len(sim.ledger)]
+    assert sim.ledger._parents is rows
 
 
 def test_a_warm_collision_aware_run_takes_few_page_faults():
@@ -1310,37 +1364,38 @@ def test_tip_count_settles_at_mean_field_fixed_point():
     # L lights attach each round against the round-start tips.  The mean
     # field k = L/x with 1 - exp(-2x) = x puts the tip count near 1.255 L.
     config = SimConfig(full_node_count=100, light_node_count=100, rounds=200, seed=8)
-    sim = Simulation(config)
-    sim.run()
-    ledger = sim.ledger
-    # the tips after round r, from the finished ledger: the rows issued by
-    # round r whose first approver was issued later
-    issued = np.array([int(line.rsplit("\t", 1)[1]) for line in ledger.export_lines()])
-    approved = np.full(len(ledger), config.rounds)
-    np.minimum.at(approved, ledger.parents[1:].ravel(), np.repeat(issued[1:], 2))
-    counts = [np.count_nonzero((issued <= r) & (approved > r)) for r in range(config.rounds)]
-    assert counts[-1] == ledger.tip_count
+    counts = [after for _, _, after in _tip_count_steps(config)]
     mean = sum(counts[100:]) / len(counts[100:])
     assert 1.15 * config.light_node_count <= mean <= 1.35 * config.light_node_count
 
 
-def _tip_count_steps(config):
-    """``(k, L, k')`` of each round of a finished run: its round-start tips,
-    the transactions it attached and its tips after, read from the ledger.
-    Every light attaches every round (no radius), so round ``r`` holds the
-    ids from ``1 + bootstrap_tips + r * L`` on."""
-    sim = Simulation(config)
-    sim.run()
-    size, lights = len(sim.ledger), config.light_node_count
+def _round_tips(ledger, config):
+    """The tip count at the start of each round of a finished run and
+    after its last, read from its ledger.  Every light attaches every round
+    (no radius), so round ``r`` holds the ids from ``1 + bootstrap_tips +
+    r * L`` on."""
+    size, lights = len(ledger), config.light_node_count
     start = 1 + config.bootstrap_tips
     assert size == start + config.rounds * lights
     # a row stops being a tip at its first approver's id
     approver = np.full(size, size)
-    np.minimum.at(approver, sim.ledger.parents[1:].ravel(), np.repeat(np.arange(1, size), 2))
+    np.minimum.at(approver, ledger.parents[1:].ravel(), np.repeat(np.arange(1, size), 2))
     ends = start + lights * np.arange(config.rounds + 1)
     tips = ends - np.searchsorted(np.sort(approver), ends)
-    assert tips[-1] == sim.ledger.tip_count
-    return zip(tips[:-1].tolist(), np.diff(ends).tolist(), tips[1:].tolist())
+    assert tips[-1] == ledger.tip_count
+    return tips
+
+
+def _tip_count_steps(config):
+    """``(k, L, k')`` of each round of ``config``'s run: its round-start
+    tips, the transactions it attached and its tips after, read from the
+    collision-aware twin's ledger (the eager reference under direct tip
+    selection)."""
+    ledger = (_eager_ledger(config) if config.mode == "direct_tip_selection"
+              else _twin_ledger(config))
+    tips = _round_tips(ledger, config)
+    return zip(tips[:-1].tolist(), [config.light_node_count] * config.rounds,
+               tips[1:].tolist())
 
 
 @pytest.mark.parametrize("configs", [
@@ -1364,3 +1419,52 @@ def test_tip_count_steps_follow_the_exact_one_round_law(configs):
                 deviation += after - mean
                 variance += var
     assert abs(deviation / math.sqrt(variance)) <= 4
+
+
+def _false_positive_law(tips, logged, attaching):
+    """Mean and variance, per round, of a collision-aware run's false
+    positives given each round's start tip count ``tips``.  ``logged`` and
+    ``attaching`` count each round's logged responses and attaches by
+    identity, one row a round.  A response logged for identity v carries a
+    uniform pair of distinct round-start tips, and an attach by another
+    identity w carries another, drawn independently; so each such
+    (response, attach) pair matches with probability 1/C(k, 2), or 1 when
+    the one tip is paired with itself."""
+    pairs = logged.sum(axis=1) * attaching.sum(axis=1) - (logged * attaching).sum(axis=1)
+    match = 2 / np.maximum(tips * (tips - 1), 2)  # 1/C(k, 2), and 1 at k = 1
+    return pairs * match, pairs * match * (1 - match)
+
+
+def test_collision_aware_false_positives_follow_the_exact_law(monkeypatch):
+    # the run's false positives against _false_positive_law, pooled over
+    # 20 seeds with k read from each run's own ledger: 7,969 against
+    # 7,903.4 expected here, z = 1.15 with the per-pair Bernoulli variance
+    received = []
+
+    def kept(log, new, matching):
+        received.append((log, new))
+        return match_responses(log, new, matching)
+
+    monkeypatch.setattr(network, "match_responses", kept)
+    observed = expected = variance = 0.0
+    for seed in range(1, 21):
+        config = SimConfig(full_node_count=30, adversary_ratio=0.2, light_node_count=20,
+                           rounds=200, matching="collision_aware", seed=seed)
+        received.clear()
+        sim = Simulation(config)
+        observed += sim.run().false_positive_count
+        span = config.full_node_count + config.light_node_count  # identity ids
+
+        def by_identity(rounds, identity):
+            return np.bincount(rounds * span + identity,
+                               minlength=config.rounds * span).reshape(config.rounds, span)
+
+        logged = by_identity(np.concatenate([log.nonce[:, 0] for log, _ in received]),
+                             np.concatenate([log.requester for log, _ in received]))
+        attaching = by_identity(np.concatenate([new.round for _, new in received]),
+                                np.concatenate([new.identity for _, new in received]))
+        mean, var = _false_positive_law(_round_tips(sim.ledger, config)[:-1].astype(float),
+                                        logged, attaching)
+        expected += mean.sum()
+        variance += var.sum()
+    assert abs(observed - expected) <= 4 * math.sqrt(variance), (observed, expected)

@@ -16,13 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from tipleak.rng import uniforms
-from tipleak.tangle import (
-    GENESIS_ID,
-    AttachError,
-    Ledger,
-    bootstrap_labels,
-    urts_pairs,
-)
+from tipleak.tangle import GENESIS_ID, AttachError, Ledger, urts_pairs
 
 
 def _recomputed_tips(ledger: Ledger) -> set[int]:
@@ -56,23 +50,21 @@ def _kahn_topological(ledger: Ledger) -> list[int]:
     return order
 
 
-def _grow_random(seed: int, n: int) -> Ledger:
+def _grow_random(seed: int, n: int, room: int = 0) -> Ledger:
     """``n`` attaches after genesis, in rounds of one to four URTS pairs
-    drawn against the tips each round starts from."""
+    drawn against the tips each round starts from, in a ledger with
+    ``room`` rows to spare."""
     gen = np.random.default_rng(seed)
-    ledger, round_issued = Ledger(), 0
+    ledger = Ledger(n + 1 + room)
     while len(ledger) <= n:
         size = min(int(gen.integers(1, 5)), n + 1 - len(ledger))
-        ledger.attach_round(urts_pairs(ledger.tips, gen.random((2, size))), round_issued,
-                            np.arange(size))
-        round_issued += 1
+        ledger.attach_round(urts_pairs(ledger.tips, gen.random((2, size))))
     return ledger
 
 
-def _attach(ledger: Ledger, *parents: tuple[int, int], round_issued: int = 0) -> list[int]:
-    """Attach one batch of the given parent pairs, labelled 0, 1, ..."""
-    return ledger.attach_round(np.array(parents, dtype=np.int64).reshape(-1, 2),
-                               round_issued, np.arange(len(parents))).tolist()
+def _attach(ledger: Ledger, *parents: tuple[int, int]) -> list[int]:
+    """Attach one batch of the given parent pairs."""
+    return ledger.attach_round(np.array(parents, dtype=np.int64).reshape(-1, 2)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +72,17 @@ def _attach(ledger: Ledger, *parents: tuple[int, int], round_issued: int = 0) ->
 # ---------------------------------------------------------------------------
 
 def test_fresh_ledger_is_genesis_only():
-    ledger = Ledger()
-    assert len(ledger) == 1
-    assert ledger.tips.tolist() == [GENESIS_ID]
-    assert ledger.parents.tolist() == [[GENESIS_ID, GENESIS_ID]]
-    assert ledger.export_lines() == ["0\t0\t0\tgenesis\t0"]
+    for capacity in (1, 1000):
+        ledger = Ledger(capacity)
+        assert len(ledger) == 1
+        assert ledger.tips.tolist() == [GENESIS_ID]
+        assert ledger.parents.tolist() == [[GENESIS_ID, GENESIS_ID]]
+    with pytest.raises(AttachError, match="holds genesis"):
+        Ledger(0)
 
 
 def test_attach_moves_tip_set():
-    ledger = Ledger()
+    ledger = Ledger(4)
     (a,) = _attach(ledger, (GENESIS_ID, GENESIS_ID))
     assert ledger.tips.tolist() == [a]
     (b,) = _attach(ledger, (GENESIS_ID, GENESIS_ID))
@@ -97,28 +91,36 @@ def test_attach_moves_tip_set():
     assert ledger.tips.tolist() == [c]
 
 
-def test_attach_rejects_unknown_parents_and_bad_addresses():
-    ledger = Ledger()
+def test_attach_rejects_unknown_parents_and_overflow():
+    ledger = Ledger(4)
     for parents in ((5, GENESIS_ID), (GENESIS_ID, 1), (-1, GENESIS_ID)):
-        with pytest.raises(AttachError):
+        with pytest.raises(AttachError, match="unknown parent"):
             _attach(ledger, (GENESIS_ID, GENESIS_ID), parents)
     assert len(ledger) == 1  # nothing was appended
-    # an address comes only from a label, so none is empty or splits a line
-    ledger.attach_round(np.zeros((3, 2), dtype=np.int64), 2, np.array([-5, 0, 2**40]))
-    for line in ledger.export_lines():
-        fields = line.split("\t")
-        assert len(fields) == 5 and fields[3] and " " not in fields[3], line
+    _attach(ledger, (GENESIS_ID, GENESIS_ID), (GENESIS_ID, GENESIS_ID))
+    # the capacity is the ledger's one size: a batch past it is refused
+    # whole, and one that fills it lands
+    with pytest.raises(AttachError, match="a batch of 2 rows overflows the ledger: 3 of 4"):
+        _attach(ledger, (1, 2), (1, 2))
+    assert len(ledger) == 3 and ledger.tips.tolist() == [1, 2]
+    rows = ledger._parents
+    assert _attach(ledger, (1, 2)) == [3]
+    assert ledger._parents is rows and len(rows) == len(ledger) == 4
+    assert ledger.attach_round(np.empty((0, 2), dtype=np.int64)).tolist() == []
+    with pytest.raises(AttachError, match="overflows"):
+        _attach(ledger, (3, 3))
+    assert ledger.tips.tolist() == [3]
 
 
 def test_parents_and_tips_are_read_only_snapshots():
-    ledger = _grow_random(seed=5, n=20)
+    ledger = _grow_random(seed=5, n=20, room=20)
     parents, tips = ledger.parents, ledger.tips
     for array in (parents, tips):
         with pytest.raises(ValueError):
             array[0] = 1
     want = (parents.tolist(), tips.tolist())
+    # later attaches write past the snapshot's rows and replace the tips
     _attach(ledger, *[(tip, tip) for tip in tips.tolist()])
-    ledger.reserve(4096)  # a copy of the rows leaves the snapshots as they were
     assert (parents.tolist(), tips.tolist()) == want
     assert ledger.parents[:len(parents)].tolist() == want[0]
 
@@ -153,64 +155,36 @@ def test_attach_round_equals_the_same_attaches_one_by_one():
 
 
 def _assert_split_attaches_match(cuts):
-    batch, split = Ledger(), Ledger()
+    batch, split = Ledger(10), Ledger(10)
     for ledger in (batch, split):
-        ledger.attach_round(np.zeros((4, 2), dtype=np.int64), 0, bootstrap_labels(4))
+        ledger.attach_round(np.zeros((4, 2), dtype=np.int64))
     parents = np.array([[1, 2], [2, 3], [1, 1]])
-    labels = np.array([17, 18, 19])
-    ids = batch.attach_round(parents, 3, labels)
+    ids = batch.attach_round(parents)
     bounds = (0, *cuts, len(parents))
-    split_ids = np.concatenate([split.attach_round(parents[a:b], 3, labels[a:b])
+    split_ids = np.concatenate([split.attach_round(parents[a:b])
                                 for a, b in zip(bounds, bounds[1:])])
     assert ids.tolist() == split_ids.tolist() == [5, 6, 7]
-    assert batch.export_lines() == split.export_lines()
     assert batch.parents.tolist() == split.parents.tolist()
-    assert batch.export_lines()[5:] == [
-        "5\t1\t2\taddr-3-17\t3", "6\t2\t3\taddr-3-18\t3", "7\t1\t1\taddr-3-19\t3"]
+    assert batch.parents.tolist() == [[0, 0]] * 5 + [[1, 2], [2, 3], [1, 1]]
     assert batch.tips.tolist() == split.tips.tolist() == [4, 5, 6, 7]
     # tip 1 is approved by rows 5 and 7 alone
     assert np.flatnonzero((batch.parents == 1).any(axis=1)).tolist() == [5, 7]
     with pytest.raises(AttachError):  # checked before the good first row lands
-        batch.attach_round(np.array([[4, 5], [0, 8]]), 4, np.array([1, 2]))
+        batch.attach_round(np.array([[4, 5], [0, 8]]))
     assert len(batch) == 8
     assert batch.tips.tolist() == [4, 5, 6, 7]
 
 
-def test_bootstrap_labels_stand_for_bootstrap_addresses():
-    labelled = Ledger()
-    labelled.attach_round(np.zeros((3, 2), dtype=np.int64), 0, bootstrap_labels(3))
-    assert labelled.export_lines() == [
-        "0\t0\t0\tgenesis\t0",
-        "1\t0\t0\tbootstrap-0\t0",
-        "2\t0\t0\tbootstrap-1\t0",
-        "3\t0\t0\tbootstrap-2\t0",
-    ]
-    assert labelled.parents.tolist() == [[0, 0]] * 4
-    assert labelled.tips.tolist() == [1, 2, 3]
-
-
-def test_reserve_keeps_the_rows_and_sizes_the_array_once():
-    ledger = _grow_random(3, 40)
-    lines, tips = ledger.export_lines(), ledger.tips.tolist()
-    ledger.reserve(5000)
-    rows = ledger._rows
-    assert len(rows) == 5000
-    assert ledger.export_lines() == lines and ledger.tips.tolist() == tips
-    ledger.reserve(100)  # never shrinks
-    ledger.attach_round(np.ones((4950, 2), dtype=np.int64), 1, np.arange(4950))
-    assert ledger._rows is rows and len(ledger) == 4991
-
-
 def test_attach_round_tips_equal_the_isin_reference():
     gen = np.random.default_rng(14)
-    ledger, tips = Ledger(), np.array([GENESIS_ID])
-    for r in range(300):
+    ledger, tips = Ledger(1 + 300 * 7), np.array([GENESIS_ID])
+    for _ in range(300):
         n = int(gen.integers(0, 8))
         # any earlier row, tip or not, and duplicates within and across rows
         parents = gen.integers(0, len(ledger), (n, 2))
         if n and gen.random() < 0.3:
             parents[gen.integers(0, n)] = parents[0, ::-1]
-        ids = ledger.attach_round(parents, r, np.arange(n))
+        ids = ledger.attach_round(parents)
         tips = np.concatenate((tips[~np.isin(tips, parents)], ids))
         assert ledger.tips.dtype == tips.dtype
         assert ledger.tips.tolist() == tips.tolist()
@@ -222,7 +196,7 @@ def test_attach_round_tips_equal_the_isin_reference():
 # ---------------------------------------------------------------------------
 
 def _ten_tip_ledger() -> Ledger:
-    ledger = Ledger()
+    ledger = Ledger(11)
     _attach(ledger, *[(GENESIS_ID, GENESIS_ID)] * 10)
     assert ledger.tip_count == 10
     return ledger
@@ -248,7 +222,7 @@ def test_batch_urts_pairs_uniform_and_distinct():
     assert pairs.shape == (30_000, 2)
     assert (pairs[:, 0] != pairs[:, 1]).all()
     _assert_uniform_pairs(pairs.tolist())
-    lone = urts_pairs(Ledger().tips, uniforms(2024, 1, range(1, 2), 6).reshape(2, -1))
+    lone = urts_pairs(Ledger(1).tips, uniforms(2024, 1, range(1, 2), 6).reshape(2, -1))
     assert lone.tolist() == [[GENESIS_ID, GENESIS_ID]] * 3
     with pytest.raises(AttachError):
         urts_pairs(np.empty(0, dtype=np.int64), np.zeros((2, 1)))
@@ -269,22 +243,3 @@ def test_urts_deterministic_under_seed():
               for i in range(50)]
     assert [pairs.tolist() for pairs in first] == [pairs.tolist() for pairs in second]
     assert len({pairs.tobytes() for pairs in first}) > 1  # the seed's rounds differ
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_export_golden_bytes():
-    # a DAG attached under labels prints their round addresses
-    ledger = Ledger()
-    a, b = _attach(ledger, (GENESIS_ID, GENESIS_ID), (GENESIS_ID, GENESIS_ID))
-    ledger.attach_round(np.array([[a, b]]), 1, np.array([7]))
-    assert ledger.parents.tolist() == [[0, 0], [0, 0], [0, 0], [1, 2]]
-    assert ledger.tips.tolist() == [3]
-    assert ledger.export_lines() == [
-        "0\t0\t0\tgenesis\t0",
-        "1\t0\t0\taddr-0-0\t0",
-        "2\t0\t0\taddr-0-1\t0",
-        "3\t1\t2\taddr-1-7\t1",
-    ]
