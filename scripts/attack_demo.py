@@ -8,30 +8,34 @@ linked back to the requester's network identity.  The script prints the
 per-wallet outcome plus the aggregate rate, next to the closed-form c/n.
 """
 
-import argparse
 import sys
 
 from tipleak.analytic import deanon_probability
+from tipleak.cli import _Parser  # exits 1, not argparse's 2, on bad usage
 from tipleak.network import SimConfig, run_simulation
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--full-nodes", type=int, default=20)
     parser.add_argument("--adversaries", type=int, default=4)
     parser.add_argument("--wallets", type=int, default=8)
     parser.add_argument("--rounds", type=int, default=25)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-
-    config = SimConfig(
-        full_node_count=args.full_nodes,
-        adversary_count=args.adversaries,
-        light_node_count=args.wallets,
-        rounds=args.rounds,
-        seed=args.seed,
-    )
-    result = run_simulation(config)
+    if not -2**63 <= args.seed < 2**63:  # stream keys pack the seed in 64 bits
+        parser.error(f"--seed must be a signed 64-bit integer, got {args.seed}")
+    try:
+        config = SimConfig(
+            full_node_count=args.full_nodes,
+            adversary_count=args.adversaries,
+            light_node_count=args.wallets,
+            rounds=args.rounds,
+            seed=args.seed,
+        )
+        result = run_simulation(config)
+    except ValueError as exc:  # a ConfigError too
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
 
     print(
         f"{args.full_nodes} full nodes, {args.adversaries} logging, "

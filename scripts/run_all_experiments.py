@@ -6,11 +6,11 @@ parameters, into --out (created if missing).  Re-running with the same
 --seed produces byte-identical files regardless of --workers.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
+from tipleak.cli import _Parser  # exits 1, not argparse's 2, on bad usage
 from tipleak.experiments import DEFAULT_SEED, STUDIES
 from tipleak.results import write_result
 
@@ -35,7 +35,7 @@ FAST = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=Path, default=Path("results"))
     parser.add_argument(
@@ -51,7 +51,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.workers < 1:
-        parser.exit(1, f"{parser.prog}: error: --workers must be >= 1\n")
+        parser.error("--workers must be >= 1")
+    if not -2**63 <= args.seed < 2**63:  # stream keys pack the seed in 64 bits
+        parser.error(f"--seed must be a signed 64-bit integer, got {args.seed}")
 
     total_start = time.perf_counter()
     for name, study in STUDIES.items():

@@ -19,9 +19,9 @@ _SOURCES = {
         "required_full_nodes",
     ), "analytic"),
     **dict.fromkeys((
-        "DEFAULT_SEED", "ExperimentResult", "GridHeatmap", "exp_custom",
-        "exp_decentralized", "exp_heatmap", "exp_mitigations", "exp_mixer",
-        "exp_realworld", "exp_variance",
+        "DEFAULT_SEED", "ExperimentResult", "exp_custom", "exp_decentralized",
+        "exp_heatmap", "exp_mitigations", "exp_mixer", "exp_realworld",
+        "exp_variance",
     ), "experiments"),
     **dict.fromkeys((
         "ConfigError", "Links", "SimConfig", "SimResult", "Simulation",

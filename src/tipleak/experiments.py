@@ -120,58 +120,6 @@ class ExperimentResult:
         raise KeyError(f"no row {label!r}/{metric!r}")
 
 
-@dataclass
-class GridHeatmap:
-    """3x3 grid of adversary-selection probabilities over the plane.
-
-    ``probabilities[cell]`` is None when no sample point in that cell could
-    reach any full node, in which case the cell is listed in ``unreachable``.
-    ``positions`` is the layout's ``(N, 2)`` array of full-node positions.
-    """
-
-    placement: str
-    probabilities: list[float | None]
-    sample_counts: list[int]
-    node_counts: list[int]
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        for prob, eff in zip(self.probabilities, self.sample_counts):
-            if prob is None:
-                continue
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"cell probability {prob} outside [0, 1]")
-            if eff <= 0:
-                raise ValueError("reachable cell must have sample_count > 0")
-
-    @property
-    def unreachable(self) -> list[int]:
-        return [i for i, p in enumerate(self.probabilities) if p is None]
-
-    def standard_error(self, cell: int) -> float:
-        """Binomial standard error of a reachable cell's probability: an
-        upper bound on the error of an estimate that averages exact hit
-        chances instead of drawing hits."""
-        return _binomial_se(self.probabilities[cell], self.sample_counts[cell])
-
-    def to_result(self, params: dict, seed: int) -> ExperimentResult:
-        result = ExperimentResult(
-            "heatmap", {**params, "rng_scheme": CELL_RNG_SCHEME}, seed
-        )
-        for idx in range(GRID_CELLS):
-            row, col = divmod(idx, GRID_DIM)
-            label = f"cell-{row}-{col}"
-            prob = self.probabilities[idx]
-            result.add(label, "node_count", self.node_counts[idx])
-            if prob is None:
-                result.add(label, "unreachable", 1.0)
-            else:
-                result.add(label, "adversary_selection_probability", prob,
-                           self.standard_error(idx))
-                result.add(label, "effective_samples", self.sample_counts[idx])
-        return result
-
-
 # ---------------------------------------------------------------------------
 # shared spatial machinery
 # ---------------------------------------------------------------------------
@@ -309,15 +257,11 @@ def _layout_cells(index: int, layout: SimConfig, seed: int, tag: int,
 
 
 def _measure_layout(index: int, *, layout: SimConfig, seed: int, tag: int,
-                    cell_key_base: int, **sampling) -> GridHeatmap:
-    """Every cell of layout ``index`` (:func:`_layout_cells`), as a heatmap."""
+                    cell_key_base: int, **sampling):
+    """The full-node positions of layout ``index`` (:func:`_layout_cells`)
+    and the ``(probability, effective_samples)`` of each of its cells."""
     positions, measure = _layout_cells(index, layout, seed, tag, cell_key_base, sampling)
-    return GridHeatmap(
-        layout.placement,
-        *map(list, zip(*map(measure, range(GRID_CELLS)))),
-        np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist(),
-        positions,
-    )
+    return positions, [measure(cell) for cell in range(GRID_CELLS)]
 
 
 def _measure_extremes(index: int, *, layout: SimConfig, seed: int, tag: int,
@@ -425,25 +369,45 @@ def exp_heatmap(
     cluster_fraction: float = 0.8,
     layout_index: int = 0,
     seed: int = DEFAULT_SEED,
-) -> GridHeatmap:
+) -> ExperimentResult:
     """Per-cell adversary-selection probabilities for one node layout.
 
     ``layout_index`` selects among layouts generated under the same seed, so
     a family of random layouts can be scanned without touching the per-cell
     sampling streams.  ``require_local_adversary=None`` applies the
     placement-dependent default from :func:`local_adversary_default`.
+
+    Each cell ``cell-<row>-<col>`` has a ``node_count`` row, then either
+    ``unreachable`` (no sample point reached a full node) or its
+    ``adversary_selection_probability``, with the binomial standard error as
+    dispersion (an upper bound for an estimate that averages exact hit
+    chances), and its ``effective_samples``.  The params echo every key as
+    given.
     """
     if not -2**63 <= layout_index < 2**63:  # stream keys pack it in 64 bits
         raise ConfigError(f"layout_index must be a signed 64-bit integer, got {layout_index}")
-    (heatmap,) = _measure_layouts(
-        _measure_layout, _TAG_HEATMAP, [layout_index], 0, placement=placement,
-        node_count=node_count, adversary_ratio=adversary_ratio,
+    settings = dict(
+        placement=placement, node_count=node_count, adversary_ratio=adversary_ratio,
         samples_per_cell=samples_per_cell, radius=radius,
-        require_local_adversary=require_local_adversary,
-        cluster_count=cluster_count, cluster_spread=cluster_spread,
-        cluster_fraction=cluster_fraction, seed=seed,
+        require_local_adversary=require_local_adversary, cluster_count=cluster_count,
+        cluster_spread=cluster_spread, cluster_fraction=cluster_fraction,
     )
-    return heatmap
+    ((positions, cells),) = _measure_layouts(
+        _measure_layout, _TAG_HEATMAP, [layout_index], 0, **settings, seed=seed)
+    result = ExperimentResult("heatmap", {
+        **settings, "layout_index": layout_index, "rng_scheme": CELL_RNG_SCHEME,
+    }, seed)
+    counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
+    for cell, (count, (prob, effective)) in enumerate(zip(counts, cells)):
+        label = "cell-{}-{}".format(*divmod(cell, GRID_DIM))
+        result.add(label, "node_count", count)
+        if prob is None:
+            result.add(label, "unreachable", 1.0)
+        else:
+            result.add(label, "adversary_selection_probability", prob,
+                       _binomial_se(prob, effective))
+            result.add(label, "effective_samples", effective)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -987,19 +951,14 @@ class Study:
 
     def run(self, settings: dict, seed: int = DEFAULT_SEED,
             workers: int = 1) -> ExperimentResult:
-        """Run at the defaults updated by ``settings``, a key -> value map.
-
-        The result echoes every key's value; a heatmap is tabulated.
-        """
+        """Call the study at the defaults updated by ``settings``, a key ->
+        value map, and return its result as it is: every study returns an
+        :class:`ExperimentResult` that echoes its keys."""
         function = globals()[self.function]
         resolved = {**self.defaults(), **settings}
         if "workers" in inspect.signature(function).parameters:
-            outcome = function(**resolved, seed=seed, workers=workers)
-        else:
-            outcome = function(**resolved, seed=seed)
-        if isinstance(outcome, GridHeatmap):
-            return outcome.to_result(resolved, seed)
-        return outcome
+            return function(**resolved, seed=seed, workers=workers)
+        return function(**resolved, seed=seed)
 
 
 STUDIES: dict[str, Study] = {

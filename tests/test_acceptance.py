@@ -226,14 +226,25 @@ def test_c05_nulls_and_mitigations(report):
 # 6. heatmap band and clustered hot cells
 # ---------------------------------------------------------------------------
 
+PROB = "adversary_selection_probability"
+
+
+def _cells(heatmap):
+    """A heatmap table's rows by cell, in cell order: metric -> value maps."""
+    cells = {}
+    for row in heatmap.rows:
+        cells.setdefault(row.label, {})[row.metric] = row.value
+    return list(cells.values())
+
+
 def test_c06_heatmap_properties(report):
     started = time.perf_counter()
     problems = []
 
     uniform = exp_heatmap("uniform_grid", samples_per_cell=1000, seed=42)
-    off_band = [p for p in uniform.probabilities if not 0.05 <= p <= 0.15]
-    if off_band:
-        problems.append(f"uniform cells off band: {off_band}")
+    off_band = [p for p in uniform.values(PROB) if not 0.05 <= p <= 0.15]
+    if uniform.values("unreachable") or off_band:
+        problems.append(f"uniform cells unreachable or off band: {off_band}")
 
     expected = 50 / GRID_CELLS
     sparse_max, dense_means = 0.0, []
@@ -242,13 +253,13 @@ def test_c06_heatmap_properties(report):
             "clustered", samples_per_cell=1000, layout_index=layout_index, seed=42,
         )
         dense_cells = []
-        for prob, count in zip(heatmap.probabilities, heatmap.node_counts):
-            if prob is None:
+        for cell in _cells(heatmap):
+            if PROB not in cell:
                 continue
-            if count < expected:
-                sparse_max = max(sparse_max, prob)
+            if cell["node_count"] < expected:
+                sparse_max = max(sparse_max, cell[PROB])
             else:
-                dense_cells.append(prob)
+                dense_cells.append(cell[PROB])
         dense_means.append(sum(dense_cells) / len(dense_cells))
     if sparse_max <= 0.15:
         problems.append(f"no sparse cell above 0.15 (max {sparse_max:.3f})")
@@ -301,8 +312,7 @@ def test_c08_determinism(report, tmp_path):
             runs=6, samples_per_cell=150, seed=3, workers=w)),
         # one layout is one job: a heatmap takes no worker count
         ("heatmap", lambda _workers: exp_heatmap(
-            "clustered", samples_per_cell=200, seed=3
-        ).to_result({"placement": "clustered"}, 3)),
+            "clustered", samples_per_cell=200, seed=3)),
     ]
     problems = []
     for name, build in probes:

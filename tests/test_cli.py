@@ -1,6 +1,7 @@
 """CLI behavior: output formatting, exit codes, config plumbing, validate."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -22,7 +23,8 @@ from tipleak.cli import (
     parse_config_line,
     resolve_overrides,
 )
-from tipleak.experiments import STUDIES
+from tipleak import experiments
+from tipleak.experiments import STUDIES, ExperimentResult
 
 
 def run_cli(*argv):
@@ -377,6 +379,25 @@ SIZE_CAPS = {
 }
 
 
+def test_every_study_returns_the_experiment_result_its_function_built(monkeypatch):
+    for name, study in STUDIES.items():
+        function, built = getattr(experiments, study.function), []
+
+        @functools.wraps(function)  # keeps the signature the registry reads
+        def spy(*args, _function=function, _built=built, **kwargs):
+            _built.append(_function(*args, **kwargs))
+            return _built[-1]
+
+        monkeypatch.setattr(experiments, study.function, spy)
+        result = study.run(STUDY_SIZES[name], seed=5)
+        assert len(built) == 1 and isinstance(built[0], ExperimentResult), name
+        assert result is built[0], name
+        if name == "heatmap":
+            assert result.params == {**study.defaults(), **STUDY_SIZES[name],
+                                     "rng_scheme": experiments.CELL_RNG_SCHEME}
+            assert result.params["require_local_adversary"] is None
+
+
 def _capped(key: str, value: str) -> str:
     try:
         too_big = float(value) > SIZE_CAPS[key]
@@ -409,14 +430,22 @@ def test_spatial_keys_run_or_fail_with_one_line():
                     assert err.count("\n") == 1 and key in err, (case, err)
 
 
-def _fresh_python(*args: str) -> str:
-    """The standard output of a new interpreter, run with ``args``, that
-    imports this checkout's package."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fresh_run(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """A new interpreter, run with ``args``, that imports this checkout's
+    package."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, check=True)
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def _fresh_python(*args: str) -> str:
+    """The standard output of :func:`_fresh_run`, which must exit 0."""
+    done = _fresh_run(*args)
+    done.check_returncode()
     return done.stdout
 
 
@@ -475,6 +504,24 @@ def test_run_variance_leaves_scipy_unloaded(tmp_path):
              "print(code, 'scipy' in sys.modules)")
     assert _fresh_python("-c", probe).splitlines()[-1] == f"{EXIT_OK} False"
     assert (tmp_path / "variance_42.csv").exists()
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_all_experiments", ("--fast", "--seed", str(2**63))),
+    ("run_all_experiments", ("--workers", "two")),
+    ("attack_demo", ("--seed", str(2**63))),
+    ("attack_demo", ("--wallets", "0")),
+    ("attack_demo", ("--full-nodes", "0")),
+    ("attack_demo", ("--adversaries", "30")),
+    ("attack_demo", ("--rounds", "x")),
+])
+def test_scripts_refuse_bad_input_with_one_line(tmp_path, script, args):
+    # README: exit codes everywhere are 0 success, 1 usage or invalid parameters
+    done = _fresh_run(str(ROOT / "scripts" / f"{script}.py"), *args, cwd=tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith(f"{script}.py: error: "), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert not any(tmp_path.iterdir())  # the battery writes no file
 
 
 def test_run_rejects_nonpositive_workers(tmp_path, capsys):

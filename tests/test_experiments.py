@@ -17,7 +17,6 @@ from scipy import stats
 from tipleak.experiments import (
     GRID_CELLS,
     ExperimentResult,
-    GridHeatmap,
     ResultRow,
     cell_index,
     exp_decentralized,
@@ -329,12 +328,26 @@ def test_cell_estimate_equals_count_nonzero_reference(node_count):
 # heatmap experiment
 # ---------------------------------------------------------------------------
 
+PROB = "adversary_selection_probability"
+
+
+def _cells(heatmap):
+    """A heatmap table's rows by cell, in cell order: each a metric -> value
+    map, with ``node_count`` and either ``unreachable`` or the probability
+    and ``effective_samples``."""
+    cells = {}
+    for row in heatmap.rows:
+        cells.setdefault(row.label, {})[row.metric] = row.value
+    return list(cells.values())
+
+
 def test_heatmap_uniform_grid_stays_near_global_share():
-    heatmap = exp_heatmap("uniform_grid", samples_per_cell=600, seed=11)
-    assert heatmap.unreachable == []
-    for prob in heatmap.probabilities:
-        assert 0.05 <= prob <= 0.15
-    assert max(heatmap.node_counts) - min(heatmap.node_counts) <= 1
+    cells = _cells(exp_heatmap("uniform_grid", samples_per_cell=600, seed=11))
+    assert all(PROB in cell for cell in cells)
+    for cell in cells:
+        assert 0.05 <= cell[PROB] <= 0.15
+    counts = [cell["node_count"] for cell in cells]
+    assert max(counts) - min(counts) <= 1
 
 
 def test_heatmap_zero_ratio_with_conditioning_off_is_flat_zero():
@@ -342,7 +355,7 @@ def test_heatmap_zero_ratio_with_conditioning_off_is_flat_zero():
         "uniform_grid", adversary_ratio=0.0, samples_per_cell=50,
         require_local_adversary=False, seed=11,
     )
-    assert heatmap.probabilities == [0.0] * GRID_CELLS
+    assert heatmap.values(PROB) == [0.0] * GRID_CELLS
 
 
 def test_heatmap_zero_ratio_with_conditioning_raises():
@@ -353,33 +366,33 @@ def test_heatmap_zero_ratio_with_conditioning_raises():
 
 
 def test_heatmap_clustered_sparse_exceeds_dense_mean():
-    heatmap = exp_heatmap("clustered", samples_per_cell=600, seed=11)
+    cells = _cells(exp_heatmap("clustered", samples_per_cell=600, seed=11))
     expected = 50 / GRID_CELLS
     sparse = [
-        p for p, n in zip(heatmap.probabilities, heatmap.node_counts)
-        if p is not None and n < expected
+        cell[PROB] for cell in cells
+        if PROB in cell and cell["node_count"] < expected
     ]
     dense = [
-        p for p, n in zip(heatmap.probabilities, heatmap.node_counts)
-        if p is not None and n >= expected
+        cell[PROB] for cell in cells
+        if PROB in cell and cell["node_count"] >= expected
     ]
     assert sparse and dense
     assert max(sparse) > statistics.fmean(dense)
 
 
 def test_heatmap_sample_doubling_consistent():
-    first = exp_heatmap("uniform_random", samples_per_cell=500, seed=13)
-    second = exp_heatmap(
+    first = _cells(exp_heatmap("uniform_random", samples_per_cell=500, seed=13))
+    second = _cells(exp_heatmap(
         "uniform_random", samples_per_cell=1000, seed=13, layout_index=0
-    )
-    for cell in range(GRID_CELLS):
-        p1, p2 = first.probabilities[cell], second.probabilities[cell]
+    ))
+    for c1, c2 in zip(first, second, strict=True):
+        p1, p2 = c1.get(PROB), c2.get(PROB)
         if p1 is None or p2 is None:
             assert p1 is None and p2 is None
             continue
         se = math.sqrt(
-            p1 * (1 - p1) / first.sample_counts[cell]
-            + p2 * (1 - p2) / second.sample_counts[cell]
+            p1 * (1 - p1) / c1["effective_samples"]
+            + p2 * (1 - p2) / c2["effective_samples"]
         )
         assert abs(p1 - p2) < max(2 * se, 0.02)
 
@@ -387,23 +400,38 @@ def test_heatmap_sample_doubling_consistent():
 def test_heatmap_layout_index_changes_layout_not_streams():
     a = exp_heatmap("uniform_random", samples_per_cell=100, seed=17, layout_index=0)
     b = exp_heatmap("uniform_random", samples_per_cell=100, seed=17, layout_index=1)
-    assert not np.array_equal(a.positions, b.positions)
+    assert a.values("node_count") != b.values("node_count")
 
 
-def test_heatmap_to_result_rows_are_finite_and_complete():
-    heatmap = exp_heatmap("uniform_grid", samples_per_cell=100, seed=11)
-    result = heatmap.to_result({"placement": "uniform_grid"}, 11)
-    probs = result.values("adversary_selection_probability")
-    assert len(probs) == GRID_CELLS
-    assert all(math.isfinite(v) for v in probs)
-    assert len(result.values("node_count")) == GRID_CELLS
-
-
-def test_grid_heatmap_rejects_bad_cells():
-    with pytest.raises(ValueError):
-        GridHeatmap("uniform_grid", [1.5] + [0.1] * 8, [10] * 9, [5] * 9, [])
-    with pytest.raises(ValueError):
-        GridHeatmap("uniform_grid", [0.1] * 9, [0] * 9, [5] * 9, [])
+@pytest.mark.parametrize("settings", [
+    {"placement": "uniform_grid"},
+    {"placement": "clustered"},
+    # three of this layout's cells lie beyond 0.5 of all its 10 nodes
+    {"placement": "uniform_random", "node_count": 10, "radius": 0.5, "layout_index": 2},
+], ids=["uniform_grid", "clustered", "partly_unreachable"])
+def test_heatmap_rows_are_complete_and_valid(settings):
+    heatmap = exp_heatmap(**settings, samples_per_cell=100, seed=11)
+    rows = iter(heatmap.rows)
+    unreachable = 0
+    for cell in range(GRID_CELLS):
+        label = "cell-{}-{}".format(*divmod(cell, 3))
+        count, first = next(rows), next(rows)
+        assert (count.label, count.metric) == (label, "node_count")
+        assert first.label == label
+        if first.metric == "unreachable":
+            # an unreachable cell carries no probability row
+            assert (first.value, first.dispersion) == (1.0, None)
+            unreachable += 1
+            continue
+        effective = next(rows)
+        assert (first.metric, effective.label, effective.metric) == (
+            PROB, label, "effective_samples")
+        assert 0.0 <= first.value <= 1.0
+        assert 0 < effective.value <= 100
+        assert first.dispersion == math.sqrt(
+            first.value * (1 - first.value) / effective.value)
+    assert next(rows, None) is None
+    assert unreachable == (3 if "radius" in settings else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +507,21 @@ def _variance_rows_from_full_heatmaps(runs, node_count, samples_per_cell, radius
                        light_node_count=1, placement=placement)
     rows, skipped = {}, 0
     for run in range(runs):
-        heatmap = experiments._measure_layout(
+        positions, cells = experiments._measure_layout(
             run, layout=layout, seed=seed, tag=experiments._TAG_VARIANCE,
             cell_key_base=1, samples=samples_per_cell, radius=radius,
             require_local_adversary=require_local_adversary,
         )
-        counts, probs = heatmap.node_counts, heatmap.probabilities
-        measured = [i for i in range(GRID_CELLS) if probs[i] is not None]
+        counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
+        measured = [i for i in range(GRID_CELLS) if cells[i][0] is not None]
         sparse = min(measured, key=lambda i: (counts[i], i))
         dense = max(measured, key=lambda i: (counts[i], -i))
         skipped += sparse != min(range(GRID_CELLS), key=lambda i: (counts[i], i))
         label = f"layout-{run:03d}"
         rows[label, "variance"] = (layout_variance(counts), None)
         for metric, cell in (("min_cell_prob", sparse), ("max_cell_prob", dense)):
-            rows[label, metric] = (probs[cell], heatmap.standard_error(cell))
+            prob, effective = cells[cell]
+            rows[label, metric] = (prob, experiments._binomial_se(prob, effective))
     return rows, skipped
 
 
