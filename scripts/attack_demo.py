@@ -12,7 +12,14 @@ import sys
 
 from tipleak.analytic import deanon_probability
 from tipleak.cli import _Parser  # exits 1, not argparse's 2, on bad usage
+from tipleak.cli import _naming_flags
 from tipleak.network import SimConfig, run_simulation
+
+# the flag that sets each SimConfig field, named in its error lines
+_FLAGS = {
+    "full_node_count": "--full-nodes", "adversary_count": "--adversaries",
+    "light_node_count": "--wallets", "rounds": "--rounds",
+}
 
 
 def main(argv=None) -> int:
@@ -35,7 +42,7 @@ def main(argv=None) -> int:
         )
         result = run_simulation(config)
     except ValueError as exc:  # a ConfigError too
-        parser.exit(1, f"{parser.prog}: error: {exc}\n")
+        parser.exit(1, f"{parser.prog}: error: {_naming_flags(str(exc), _FLAGS)}\n")
 
     print(
         f"{args.full_nodes} full nodes, {args.adversaries} logging, "

@@ -217,6 +217,13 @@ _ANALYTIC_FLAGS = {
 }
 
 
+def _naming_flags(message: str, flags: dict[str, str]) -> str:
+    """``message`` followed by the flag of each parameter it names, given
+    ``flags`` from parameter name to flag."""
+    named = [flag for name, flag in flags.items() if re.search(rf"\b{name}\b", message)]
+    return f"{message} ({', '.join(named)})"
+
+
 def _print_analytic(args) -> None:
     op = args.operation
     if op == "deanon":
@@ -254,9 +261,7 @@ def cmd_analytic(args) -> int:
         _print_analytic(args)
     except ParameterError as exc:
         # the message names parameters; the user typed their flags
-        flags = [flag for name, flag in _ANALYTIC_FLAGS.items()
-                 if re.search(rf"\b{name}\b", str(exc))]
-        raise UsageError(f"{exc} ({', '.join(flags)})") from exc
+        raise UsageError(_naming_flags(str(exc), _ANALYTIC_FLAGS)) from exc
     return EXIT_OK
 
 
@@ -461,6 +466,10 @@ def _make_data_check(path: str | None):
 
 def cmd_validate(args) -> int:
     overrides = resolve_overrides("realworld", None, args.set or [])
+    for section, keys in overrides.items():
+        for key in keys:
+            if (section, key) != ("realworld", "data"):
+                raise UsageError(f"validate reads only realworld.data, got {section}.{key}")
     data_path = overrides["realworld"].get("data")
     checks = [
         ("analytic-identities", _check_analytic_identities),
@@ -544,7 +553,7 @@ def _add_validate_parser(subparsers, name: str, help_text: str) -> None:
     validate.add_argument("--only", help="substring filter on check names")
     validate.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
-        help="override a config key, e.g. realworld.data=PATH",
+        help="check a replacement region file: realworld.data=PATH, the only key",
     )
 
 

@@ -239,13 +239,15 @@ def measure_cell_probability(
     return chance / effective, effective
 
 
-def _layout_cells(index: int, layout: SimConfig, seed: int, tag: int,
-                  cell_key_base: int, sampling: dict):
+def _cell_layout(index: int, *, layout: SimConfig, seed: int, tag: int,
+                 cell_key_base: int, **sampling):
     """Place layout ``index`` of ``layout`` from the sub-seed keyed ``(tag,
-    index)``.  Returns its full-node positions and a function measuring its
-    cell ``c`` from the substream keyed ``(tag, index, cell_key_base + c)``,
-    so a cell's estimate does not depend on which other cells are measured."""
+    index)``.  Returns the node count of each grid cell and a function
+    measuring cell ``c`` from the substream keyed ``(tag, index,
+    cell_key_base + c)``, so a cell's estimate does not depend on which
+    other cells are measured."""
     positions = place_nodes(replace(layout, seed=_sub_seed(seed, tag, index))).full_nodes
+    counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
 
     def measure(cell: int) -> tuple[float | None, int]:
         return measure_cell_probability(
@@ -253,27 +255,17 @@ def _layout_cells(index: int, layout: SimConfig, seed: int, tag: int,
             substream(seed, DOMAIN_EXPERIMENT, tag, index, cell_key_base + cell),
             **sampling,
         )
-    return positions, measure
+    return counts, measure
 
 
-def _measure_layout(index: int, *, layout: SimConfig, seed: int, tag: int,
-                    cell_key_base: int, **sampling):
-    """The full-node positions of layout ``index`` (:func:`_layout_cells`)
-    and the ``(probability, effective_samples)`` of each of its cells."""
-    positions, measure = _layout_cells(index, layout, seed, tag, cell_key_base, sampling)
-    return positions, [measure(cell) for cell in range(GRID_CELLS)]
-
-
-def _measure_extremes(index: int, *, layout: SimConfig, seed: int, tag: int,
-                      cell_key_base: int, **sampling):
-    """The node count of each cell of layout ``index`` (:func:`_layout_cells`)
+def _measure_extremes(index: int, **layout_args):
+    """The node count of each cell of layout ``index`` (:func:`_cell_layout`)
     and the ``(probability, standard error)`` of its sparsest and of its
     densest reachable cell (ties: lower cell index), None when no cell is
     reachable.  Cells are measured in count order until one is reachable,
     so most are never measured."""
-    positions, measure = _layout_cells(index, layout, seed, tag, cell_key_base, sampling)
+    counts, measure = _cell_layout(index, **layout_args)
     measure = functools.cache(measure)
-    counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
 
     def first_reachable(key):
         for cell in sorted(range(GRID_CELLS), key=key):
@@ -285,16 +277,14 @@ def _measure_extremes(index: int, *, layout: SimConfig, seed: int, tag: int,
             first_reachable(lambda i: (-counts[i], i)))
 
 
-def _measure_layouts(
-    job, tag: int, layout_indices, cell_key_base: int, *, placement: str,
-    node_count: int, adversary_ratio: float, samples_per_cell: int,
-    radius: float, require_local_adversary: bool | None,
-    seed: int, workers: int = 1, **clusters,
-) -> list:
-    """The cell measurements of ``heatmap`` and ``variance``: one
-    :func:`pmap` job of ``job`` (:func:`_measure_layout` or
-    :func:`_measure_extremes`) per layout index, after checking the
-    settings they share."""
+def _cell_layouts(
+    tag: int, cell_key_base: int, *, placement: str, node_count: int,
+    adversary_ratio: float, samples_per_cell: int, radius: float,
+    require_local_adversary: bool | None, seed: int, **clusters,
+) -> dict:
+    """Check the settings ``heatmap`` and ``variance`` share and return the
+    keyword arguments of :func:`_cell_layout` for them, with
+    ``require_local_adversary`` resolved (:func:`local_adversary_default`)."""
     _check_counts(node_count=node_count, samples_per_cell=samples_per_cell)
     if not radius > 0:
         raise ConfigError("radius must be positive")
@@ -308,12 +298,9 @@ def _measure_layouts(
     if require_local_adversary and layout.effective_adversaries < 1:
         raise ConfigError("require_local_adversary needs adversary_ratio * node_count "
                           "to round to 1 or more; set it false for no adversaries")
-    measure = functools.partial(
-        job, layout=layout, seed=seed, tag=tag, cell_key_base=cell_key_base,
-        samples=samples_per_cell, radius=radius,
-        require_local_adversary=require_local_adversary,
-    )
-    return pmap(measure, layout_indices, workers)
+    return dict(layout=layout, seed=seed, tag=tag, cell_key_base=cell_key_base,
+                samples=samples_per_cell, radius=radius,
+                require_local_adversary=require_local_adversary)
 
 
 def _seeded(configs, seed: int, tag: int) -> list[SimConfig]:
@@ -392,15 +379,15 @@ def exp_heatmap(
         require_local_adversary=require_local_adversary, cluster_count=cluster_count,
         cluster_spread=cluster_spread, cluster_fraction=cluster_fraction,
     )
-    ((positions, cells),) = _measure_layouts(
-        _measure_layout, _TAG_HEATMAP, [layout_index], 0, **settings, seed=seed)
+    counts, measure = _cell_layout(
+        layout_index, **_cell_layouts(_TAG_HEATMAP, 0, **settings, seed=seed))
     result = ExperimentResult("heatmap", {
         **settings, "layout_index": layout_index, "rng_scheme": CELL_RNG_SCHEME,
     }, seed)
-    counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
-    for cell, (count, (prob, effective)) in enumerate(zip(counts, cells)):
+    for cell, count in enumerate(counts):
         label = "cell-{}-{}".format(*divmod(cell, GRID_DIM))
         result.add(label, "node_count", count)
+        prob, effective = measure(cell)
         if prob is None:
             result.add(label, "unreachable", 1.0)
         else:
@@ -498,8 +485,11 @@ def exp_variance(
         # with two layouts Spearman's p-value is undefined
         raise ConfigError(f"variance study needs runs >= 3, got {runs}")
     _check_counts(runs=runs)
-    if require_local_adversary is None:
-        require_local_adversary = local_adversary_default(placement)
+    layout_args = _cell_layouts(
+        _TAG_VARIANCE, 1, placement=placement, node_count=node_count,
+        adversary_ratio=adversary_ratio, samples_per_cell=samples_per_cell,
+        radius=radius, require_local_adversary=require_local_adversary, seed=seed,
+    )
     params = {
         "runs": runs,
         "node_count": node_count,
@@ -507,16 +497,10 @@ def exp_variance(
         "adversary_ratio": adversary_ratio,
         "radius": radius,
         "placement": placement,
-        "require_local_adversary": require_local_adversary,
+        "require_local_adversary": layout_args["require_local_adversary"],
         "rng_scheme": CELL_RNG_SCHEME,
     }
-    layouts = _measure_layouts(
-        _measure_extremes, _TAG_VARIANCE, range(runs), 1, placement=placement,
-        node_count=node_count, adversary_ratio=adversary_ratio,
-        samples_per_cell=samples_per_cell, radius=radius,
-        require_local_adversary=require_local_adversary,
-        seed=seed, workers=workers,
-    )
+    layouts = pmap(functools.partial(_measure_extremes, **layout_args), range(runs), workers)
 
     result = ExperimentResult("variance", params, seed)
     for run, (counts, sparse, dense) in enumerate(layouts):

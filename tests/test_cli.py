@@ -342,6 +342,10 @@ def _usage_error_line(capsys) -> str:
     ("variance.adversary_ratio=-0.1", "adversary_ratio must be in [0, 1]"),
     ("variance.samples_per_cell=0", "samples_per_cell must be >= 1"),
     ("variance.radius=0", "radius must be positive"),
+    ("heatmap.adversary_ratio=0 heatmap.require_local_adversary=true",
+     "require_local_adversary needs adversary_ratio * node_count to round to 1 or more"),
+    ("variance.adversary_ratio=0",
+     "require_local_adversary needs adversary_ratio * node_count to round to 1 or more"),
     ("realworld.data=/nonexistent/regions.json", "cannot read region data"),
     ("realworld.data=nan", "data must be a file path, got nan"),
     ("realworld.data=-1", "data must be a file path, got -1"),
@@ -450,7 +454,7 @@ def _fresh_python(*args: str) -> str:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.stats costs about a second to import; only the variance study uses it
+    # scipy.stats costs about a second to import, and no study uses it
     probe = "import sys, tipleak, tipleak.cli; print('scipy' in sys.modules)"
     assert _fresh_python("-c", probe).strip() == "False"
 
@@ -514,13 +518,16 @@ def test_run_variance_leaves_scipy_unloaded(tmp_path):
     ("attack_demo", ("--full-nodes", "0")),
     ("attack_demo", ("--adversaries", "30")),
     ("attack_demo", ("--rounds", "x")),
+    ("attack_demo", ("--rounds", "3000000000")),
 ])
 def test_scripts_refuse_bad_input_with_one_line(tmp_path, script, args):
-    # README: exit codes everywhere are 0 success, 1 usage or invalid parameters
+    # README: exit codes everywhere are 0 success, 1 usage or invalid
+    # parameters, and a usage error names the flag at fault
     done = _fresh_run(str(ROOT / "scripts" / f"{script}.py"), *args, cwd=tmp_path)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith(f"{script}.py: error: "), done.stderr
     assert done.stderr.count("\n") == 1, done.stderr
+    assert args[-2] in done.stderr, done.stderr
     assert not any(tmp_path.iterdir())  # the battery writes no file
 
 
@@ -655,6 +662,15 @@ def test_validate_numeric_data_fails_without_touching_descriptors(capsys):
     assert code == EXIT_VALIDATION
     out = capsys.readouterr().out
     assert out == "FAIL realworld-data: ConfigError: data must be a file path, got 1\n"
+
+
+@pytest.mark.parametrize("setting", ["heatmap.radius=2", "realworld.samples=5"])
+def test_validate_refuses_a_key_it_does_not_read(capsys, setting):
+    assert run_cli("validate", "--only", "realworld", "--set", setting) == EXIT_USAGE
+    captured = capsys.readouterr()
+    key = setting.split("=")[0]
+    assert captured.err == f"tipleak: error: validate reads only realworld.data, got {key}\n"
+    assert captured.out == ""  # no check ran
 
 
 @pytest.mark.parametrize("case", [

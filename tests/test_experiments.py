@@ -507,12 +507,12 @@ def _variance_rows_from_full_heatmaps(runs, node_count, samples_per_cell, radius
                        light_node_count=1, placement=placement)
     rows, skipped = {}, 0
     for run in range(runs):
-        positions, cells = experiments._measure_layout(
+        counts, measure = experiments._cell_layout(
             run, layout=layout, seed=seed, tag=experiments._TAG_VARIANCE,
             cell_key_base=1, samples=samples_per_cell, radius=radius,
             require_local_adversary=require_local_adversary,
         )
-        counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
+        cells = [measure(c) for c in range(GRID_CELLS)]
         measured = [i for i in range(GRID_CELLS) if cells[i][0] is not None]
         sparse = min(measured, key=lambda i: (counts[i], i))
         dense = max(measured, key=lambda i: (counts[i], -i))
