@@ -12,7 +12,7 @@ from pathlib import Path
 
 from tipleak.cli import _Parser  # exits 1, not argparse's 2, on bad usage
 from tipleak.experiments import DEFAULT_SEED, STUDIES
-from tipleak.results import write_result
+from tipleak.results import FORMATS, write_result
 
 # Runs per study, each a settings map written to its own file: the heatmap
 # once per placement, and `custom`, one free-form simulation, not at all.
@@ -42,9 +42,7 @@ def main(argv=None) -> int:
         "--workers", type=int, default=1,
         help="parallel workers (default: 1); never affects results",
     )
-    parser.add_argument(
-        "--format", choices=("csv", "structured"), default="csv"
-    )
+    parser.add_argument("--format", choices=FORMATS, default="csv")
     parser.add_argument(
         "--fast", action="store_true",
         help="smaller sample counts for a quick smoke run",
@@ -62,7 +60,10 @@ def main(argv=None) -> int:
             started = time.perf_counter()
             result = study.run(settings, args.seed, args.workers)
             result.name = "-".join((name, *variant.values()))
-            path = write_result(result, args.out, args.format)
+            try:
+                path = write_result(result, args.out, args.format)
+            except OSError as exc:
+                parser.exit(1, f"{parser.prog}: error: cannot write to --out: {exc}\n")
             print(f"{result.name:<26} {time.perf_counter() - started:6.1f}s  -> {path}")
     print(f"total {time.perf_counter() - total_start:.1f}s")
     return 0

@@ -13,10 +13,9 @@ import importlib
 # that ``import tipleak`` loads no numpy
 _SOURCES = {
     **dict.fromkeys((
-        "AnonymityProfile", "AttackParams", "MixerParams", "ParameterError",
-        "continental_takeover_rate", "deanon_probability", "entropy_degree",
-        "hypergeom_pmf", "mixer_chain_probability", "mixer_expected_identified",
-        "required_full_nodes",
+        "AnonymityProfile", "ParameterError", "continental_takeover_rate",
+        "deanon_probability", "entropy_degree", "hypergeom_pmf",
+        "mixer_chain_probability", "mixer_expected_identified", "required_full_nodes",
     ), "analytic"),
     **dict.fromkeys((
         "DEFAULT_SEED", "ExperimentResult", "exp_custom", "exp_decentralized",

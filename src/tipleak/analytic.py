@@ -7,6 +7,11 @@ The chance that the followed answer came from a logging node is what the
 adversary needs; everything here is computed with exact integer
 combinatorics so the numbers stay trustworthy up to ledger-scale node
 counts (10**6 and beyond).
+
+Each closed form takes plain numbers and checks them itself: an argument
+outside its domain raises :class:`ParameterError`, whose message names the
+parameter (``full_nodes``, ``link_prob``, ...) so a front end can name the
+flag that set it.
 """
 
 from __future__ import annotations
@@ -23,29 +28,6 @@ class ParameterError(ValueError):
 # ---------------------------------------------------------------------------
 # parameter bundles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AttackParams:
-    """Population seen by one light node.
-
-    full_nodes:  reachable full nodes (N >= 1)
-    compromised: how many of them log responses (0 <= C <= N)
-    requests:    distinct nodes queried per attach (1 <= M <= N)
-    """
-
-    full_nodes: int
-    compromised: int
-    requests: int
-
-    def __post_init__(self) -> None:
-        n, c, m = self.full_nodes, self.compromised, self.requests
-        if n < 1:
-            raise ParameterError(f"full_nodes must be >= 1, got {n}")
-        if not 0 <= c <= n:
-            raise ParameterError(f"compromised must be in [0, full_nodes={n}], got {c}")
-        if not 1 <= m <= n:
-            raise ParameterError(f"requests must be in [1, full_nodes={n}], got {m}")
-
 
 @dataclass
 class AnonymityProfile:
@@ -80,22 +62,6 @@ class AnonymityProfile:
         return cls([1.0 / n] * n)
 
 
-@dataclass(frozen=True)
-class MixerParams:
-    """Mixing-service chain model: each hop is re-identified only if two
-    independent address-to-identity mappings (probability ``link_prob``
-    each) are both known to the adversary."""
-
-    link_prob: float
-    chain_length: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.link_prob <= 1.0:
-            raise ParameterError(f"link_prob must be in [0, 1], got {self.link_prob}")
-        if self.chain_length < 1:
-            raise ParameterError(f"chain_length must be >= 1, got {self.chain_length}")
-
-
 # ---------------------------------------------------------------------------
 # hypergeometric machinery
 # ---------------------------------------------------------------------------
@@ -105,6 +71,18 @@ class MixerParams:
 PMF_MAX_REQUESTS = 10_000
 
 
+def _check_attack(full_nodes: int, compromised: int, requests: int) -> None:
+    """Refuse a population outside the attack model: N >= 1 full nodes,
+    0 <= C <= N compromised, 1 <= M <= N requests."""
+    n, c, m = full_nodes, compromised, requests
+    if n < 1:
+        raise ParameterError(f"full_nodes must be >= 1, got {n}")
+    if not 0 <= c <= n:
+        raise ParameterError(f"compromised must be in [0, full_nodes={n}], got {c}")
+    if not 1 <= m <= n:
+        raise ParameterError(f"requests must be in [1, full_nodes={n}], got {m}")
+
+
 def hypergeom_pmf(full_nodes: int, compromised: int, requests: int, k: int) -> float:
     """P(exactly k of the queried nodes are compromised).
 
@@ -112,8 +90,8 @@ def hypergeom_pmf(full_nodes: int, compromised: int, requests: int, k: int) -> f
     big-integer binomials, converted to float only at the end.  Returns
     0.0 for k outside the feasible support.
     """
-    params = AttackParams(full_nodes, compromised, requests)
-    n, c, m = params.full_nodes, params.compromised, params.requests
+    _check_attack(full_nodes, compromised, requests)
+    n, c, m = full_nodes, compromised, requests
     if m > PMF_MAX_REQUESTS:
         raise ParameterError(f"requests must be <= {PMF_MAX_REQUESTS}, got {m}")
     if k < max(0, m - (n - c)) or k > min(m, c):
@@ -131,15 +109,15 @@ def deanon_probability(full_nodes: int, compromised: int, requests: int) -> floa
     decides the attack's success rate.  :func:`_deanon_sum` keeps that sum
     as the reference the ratio is checked against.
     """
-    params = AttackParams(full_nodes, compromised, requests)
-    return float(Fraction(params.compromised, params.full_nodes))
+    _check_attack(full_nodes, compromised, requests)
+    return float(Fraction(compromised, full_nodes))
 
 
 def _deanon_sum(full_nodes: int, compromised: int, requests: int) -> Fraction:
     """The paper's sum behind :func:`deanon_probability`, in exact
     rationals: min(M, C) terms of big binomials."""
-    params = AttackParams(full_nodes, compromised, requests)
-    n, c, m = params.full_nodes, params.compromised, params.requests
+    _check_attack(full_nodes, compromised, requests)
+    n, c, m = full_nodes, compromised, requests
     total = Fraction(0)
     denom = math.comb(n, m)
     for k in range(1, min(m, c) + 1):
@@ -221,32 +199,6 @@ def entropy_degree(profile: AnonymityProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tip count
-# ---------------------------------------------------------------------------
-
-def tip_count_step(tips: int, attaching: int) -> tuple[float, float]:
-    """Mean and variance of the tip count after one round, given ``tips``
-    (k >= 2) tips at its start and ``attaching`` (L >= 0) transactions
-    that each approve an independent uniform pair of distinct ones.
-
-    Each new transaction is a tip, and an old tip stays one when no pair
-    holds it: one pair misses a given tip with p1 = (k-2)/k and two given
-    tips with p2 = (k-2)(k-3)/(k(k-1)).  So E[k'] = L + k p1^L and
-    Var[k'] = k (p1^L - p1^2L) + k (k-1) (p2^L - p1^2L).
-    """
-    if tips < 2:
-        raise ParameterError(f"tips must be >= 2, got {tips}")
-    if attaching < 0:
-        raise ParameterError(f"attaching must be >= 0, got {attaching}")
-    k = tips
-    p1 = (k - 2) / k
-    p2 = (k - 2) * (k - 3) / (k * (k - 1))
-    kept = p1 ** attaching  # p1^L
-    return (attaching + k * kept,
-            k * (kept - kept * kept) + k * (k - 1) * (p2 ** attaching - kept * kept))
-
-
-# ---------------------------------------------------------------------------
 # mixing-service chains
 # ---------------------------------------------------------------------------
 
@@ -256,8 +208,11 @@ def mixer_chain_probability(link_prob: float, length: int) -> float:
     Each extra hop needs two fresh mappings known to the adversary, so
     the survival probability is link_prob**(2*(length-1)).
     """
-    params = MixerParams(link_prob, length)
-    return params.link_prob ** (2 * (params.chain_length - 1))
+    if not 0.0 <= link_prob <= 1.0:
+        raise ParameterError(f"link_prob must be in [0, 1], got {link_prob}")
+    if length < 1:
+        raise ParameterError(f"chain_length must be >= 1, got {length}")
+    return link_prob ** (2 * (length - 1))
 
 
 def mixer_expected_identified(link_prob: float, mode: str = "normalized") -> float:

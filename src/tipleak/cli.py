@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import analytic
 from .analytic import ParameterError
@@ -164,57 +164,79 @@ def resolve_overrides(
 # analytic subcommand
 # ---------------------------------------------------------------------------
 
+class _Flag(NamedTuple):
+    option: str
+    param: str  # the closed form's name for it, as its error lines write it
+    type: type = int
+    default: object = None  # None makes the flag required
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+def _entropy(probs: str) -> float:
+    try:
+        values = tuple(float(tok) for tok in probs.split(",") if tok.strip())
+        return analytic.entropy_degree(analytic.AnonymityProfile(values))
+    except ValueError as exc:
+        raise UsageError(f"bad --probs {probs!r}: {exc}") from exc
+
+
+def _required_nodes(compromised: int, target: str) -> int:
+    try:
+        target_value = Fraction(target) if "/" in target else float(target)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --target {target!r}") from exc
+    return analytic.required_full_nodes(compromised, target_value)
+
+
+# each analytic operation: its help line, the closed form it prints (called
+# with its flags' values in order) and its flags
+_OPERATIONS = {
+    "deanon": ("per-transaction link probability", analytic.deanon_probability, (
+        _Flag("--n", "full_nodes", help="full nodes"),
+        _Flag("--c", "compromised", help="hostile full nodes"),
+        _Flag("--m", "requests", default=3, help="request fanout"),
+    )),
+    "hypergeom": ("P(k hostile among m polled)", analytic.hypergeom_pmf, (
+        _Flag("--n", "full_nodes"), _Flag("--c", "compromised"),
+        _Flag("--m", "requests"), _Flag("--k", "k"),
+    )),
+    "entropy": ("normalized anonymity degree", _entropy, (
+        _Flag("--probs", "probs", str, help="comma-separated sender "
+              "probabilities, e.g. 0.5,0.25,0.25"),
+    )),
+    "mixer-chain": (
+        "P(identifying a length-x chain)", analytic.mixer_chain_probability,
+        (_Flag("--p", "link_prob", float), _Flag("--x", "chain_length")),
+    ),
+    "mixer-expected": ("expected identified count", analytic.mixer_expected_identified, (
+        _Flag("--p", "link_prob", float),
+        _Flag("--mode", "mode", str, "normalized", choices=("raw", "normalized")),
+    )),
+    "required-nodes": (
+        "population needed to push the rate under target", _required_nodes,
+        (_Flag("--c", "compromised"), _Flag("--target", "target_rate", str)),
+    ),
+    "takeover": ("regional link rate", analytic.continental_takeover_rate, (
+        _Flag("--nodes", "region_nodes", help="nodes in region"),
+        _Flag("--mode", "mode", str, "takeover", choices=("takeover", "add", "collude")),
+        _Flag("--count", "count", default=1, help="hostile nodes"),
+    )),
+}
+
+
 def _add_analytic_parser(subparsers, name: str, help_text: str) -> None:
     parser = subparsers.add_parser(name, help=help_text)
     ops = parser.add_subparsers(dest="operation", required=True, parser_class=_Parser)
-
-    deanon = ops.add_parser("deanon", help="per-transaction link probability")
-    deanon.add_argument("--n", type=int, required=True, help="full nodes")
-    deanon.add_argument("--c", type=int, required=True, help="hostile full nodes")
-    deanon.add_argument("--m", type=int, default=3, help="request fanout")
-
-    hyper = ops.add_parser("hypergeom", help="P(k hostile among m polled)")
-    hyper.add_argument("--n", type=int, required=True)
-    hyper.add_argument("--c", type=int, required=True)
-    hyper.add_argument("--m", type=int, required=True)
-    hyper.add_argument("--k", type=int, required=True)
-
-    entropy = ops.add_parser("entropy", help="normalized anonymity degree")
-    entropy.add_argument(
-        "--probs", required=True,
-        help="comma-separated sender probabilities, e.g. 0.5,0.25,0.25",
-    )
-
-    chain = ops.add_parser("mixer-chain", help="P(identifying a length-x chain)")
-    chain.add_argument("--p", type=float, required=True)
-    chain.add_argument("--x", type=int, required=True)
-
-    expected = ops.add_parser("mixer-expected", help="expected identified count")
-    expected.add_argument("--p", type=float, required=True)
-    expected.add_argument(
-        "--mode", choices=("raw", "normalized"), default="normalized"
-    )
-
-    required = ops.add_parser(
-        "required-nodes", help="population needed to push the rate under target"
-    )
-    required.add_argument("--c", type=int, required=True)
-    required.add_argument("--target", required=True)
-
-    takeover = ops.add_parser("takeover", help="regional link rate")
-    takeover.add_argument("--nodes", type=int, required=True, help="nodes in region")
-    takeover.add_argument(
-        "--mode", choices=("takeover", "add", "collude"), default="takeover"
-    )
-    takeover.add_argument("--count", type=int, default=1, help="hostile nodes")
-
-
-# the flag that sets each analytic parameter, named in its error lines
-_ANALYTIC_FLAGS = {
-    "full_nodes": "--n", "compromised": "--c", "requests": "--m",
-    "link_prob": "--p", "chain_length": "--x", "target_rate": "--target",
-    "region_nodes": "--nodes", "count": "--count",
-}
+    for op, (op_help, _, flags) in _OPERATIONS.items():
+        op_parser = ops.add_parser(op, help=op_help)
+        for flag in flags:
+            op_parser.add_argument(
+                flag.option, dest=flag.param, type=flag.type, default=flag.default,
+                required=flag.default is None, help=flag.help, choices=flag.choices,
+                # a metavar would replace the choices in the help
+                metavar=None if flag.choices else flag.option[2:].upper(),
+            )
 
 
 def _naming_flags(message: str, flags: dict[str, str]) -> str:
@@ -224,44 +246,15 @@ def _naming_flags(message: str, flags: dict[str, str]) -> str:
     return f"{message} ({', '.join(named)})"
 
 
-def _print_analytic(args) -> None:
-    op = args.operation
-    if op == "deanon":
-        print(_fmt(analytic.deanon_probability(args.n, args.c, args.m)))
-    elif op == "hypergeom":
-        print(_fmt(analytic.hypergeom_pmf(args.n, args.c, args.m, args.k)))
-    elif op == "entropy":
-        try:
-            probs = tuple(float(tok) for tok in args.probs.split(",") if tok.strip())
-            profile = analytic.AnonymityProfile(probs)
-            print(_fmt(analytic.entropy_degree(profile)))
-        except ValueError as exc:
-            raise UsageError(f"bad --probs {args.probs!r}: {exc}") from exc
-    elif op == "mixer-chain":
-        print(_fmt(analytic.mixer_chain_probability(args.p, args.x)))
-    elif op == "mixer-expected":
-        print(_fmt(analytic.mixer_expected_identified(args.p, mode=args.mode)))
-    elif op == "required-nodes":
-        target = args.target
-        try:
-            target_value = Fraction(target) if "/" in target else float(target)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad --target {target!r}") from exc
-        print(analytic.required_full_nodes(args.c, target_value))
-    elif op == "takeover":
-        print(_fmt(analytic.continental_takeover_rate(
-            args.nodes, mode=args.mode, count=args.count
-        )))
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown operation {op!r}")
-
-
 def cmd_analytic(args) -> int:
+    _, closed_form, flags = _OPERATIONS[args.operation]
     try:
-        _print_analytic(args)
+        value = closed_form(*(getattr(args, flag.param) for flag in flags))
     except ParameterError as exc:
         # the message names parameters; the user typed their flags
-        raise UsageError(_naming_flags(str(exc), _ANALYTIC_FLAGS)) from exc
+        names = {flag.param: flag.option for flag in flags}
+        raise UsageError(_naming_flags(str(exc), names)) from exc
+    print(value if isinstance(value, int) else _fmt(value))
     return EXIT_OK
 
 

@@ -45,7 +45,10 @@ DOMAIN_EXPERIMENT = 6  # experiment-level draws (samples, subsets, ...)
 def _stream_key(root_seed: int, *path: int) -> int:
     """128-bit BLAKE2b key of the root seed and integer key path."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(struct.pack("<q", root_seed))
+    try:
+        h.update(struct.pack("<q", root_seed))
+    except struct.error:
+        raise ValueError(f"seed must be a signed 64-bit integer, got {root_seed!r}") from None
     for part in path:
         h.update(struct.pack("<q", part))
     return int.from_bytes(h.digest(), "little")

@@ -7,8 +7,9 @@ are kept here so the frozen constants stay auditable.
 """
 
 import math
+import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,6 @@ from tipleak.analytic import (
     PMF_MAX_REQUESTS,
     AnonymityProfile,
     _deanon_sum,
-    AttackParams,
-    MixerParams,
     ParameterError,
     cell_adversary_odds,
     continental_takeover_rate,
@@ -29,7 +28,6 @@ from tipleak.analytic import (
     mixer_chain_probability,
     mixer_expected_identified,
     required_full_nodes,
-    tip_count_step,
 )
 
 
@@ -202,14 +200,21 @@ def test_cell_adversary_odds_validation():
 
 
 def test_attack_params_validation():
-    with pytest.raises(ParameterError):
-        AttackParams(0, 0, 1)
-    with pytest.raises(ParameterError):
-        AttackParams(10, 11, 3)
-    with pytest.raises(ParameterError):
-        AttackParams(10, 5, 0)
-    with pytest.raises(ParameterError):
-        deanon_probability(10, 5, 11)
+    # every closed form of the attack model refuses the same populations
+    # with the same messages, checking N, then C, then M
+    cases = [
+        ((0, 0, 1), "full_nodes must be >= 1, got 0"),
+        ((0, 5, 0), "full_nodes must be >= 1, got 0"),
+        ((10, 11, 3), "compromised must be in [0, full_nodes=10], got 11"),
+        ((10, -1, 0), "compromised must be in [0, full_nodes=10], got -1"),
+        ((10, 5, 0), "requests must be in [1, full_nodes=10], got 0"),
+        ((10, 5, 11), "requests must be in [1, full_nodes=10], got 11"),
+    ]
+    for closed_form in (deanon_probability, _deanon_sum,
+                        lambda n, c, m: hypergeom_pmf(n, c, m, 1)):
+        for args, message in cases:
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                closed_form(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +275,6 @@ def test_entropy_degree_below_one_when_skewed(n, bulk):
 
 
 # ---------------------------------------------------------------------------
-# tip count
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("tips,attaching", [(2, 1), (3, 2), (4, 0), (4, 2), (5, 3), (6, 3)])
-def test_tip_count_step_matches_enumeration(tips, attaching):
-    # every way the attaching transactions can pick their distinct pairs
-    outcomes = [attaching + tips - len(set().union(*chosen))
-                for chosen in product(combinations(range(tips), 2), repeat=attaching)]
-    mean = Fraction(sum(outcomes), len(outcomes))
-    var = Fraction(sum(o * o for o in outcomes), len(outcomes)) - mean * mean
-    assert tip_count_step(tips, attaching) == pytest.approx((mean, var), rel=1e-12, abs=1e-12)
-
-
-def test_tip_count_step_domain():
-    with pytest.raises(ParameterError):
-        tip_count_step(1, 3)
-    with pytest.raises(ParameterError):
-        tip_count_step(5, -1)
-
-
-# ---------------------------------------------------------------------------
 # mixer chains
 # ---------------------------------------------------------------------------
 
@@ -327,14 +311,19 @@ def test_mixer_zero_link_prob_identifies_exactly_one():
 
 
 def test_mixer_divergence_and_validation():
-    with pytest.raises(ParameterError):
-        mixer_expected_identified(1.0)
-    with pytest.raises(ParameterError):
-        mixer_expected_identified(0.5, mode="weird")
-    with pytest.raises(ParameterError):
-        MixerParams(1.5)
-    with pytest.raises(ParameterError):
-        MixerParams(0.1, 0)
+    cases = [
+        (mixer_expected_identified, (1.0,),
+         "expected chain length diverges unless 0 <= link_prob < 1, got 1.0"),
+        (mixer_expected_identified, (0.5, "weird"),
+         "mode must be 'raw' or 'normalized', got 'weird'"),
+        (mixer_chain_probability, (1.5, 1), "link_prob must be in [0, 1], got 1.5"),
+        (mixer_chain_probability, (0.1, 0), "chain_length must be >= 1, got 0"),
+        # link_prob is checked before the length
+        (mixer_chain_probability, (1.5, 0), "link_prob must be in [0, 1], got 1.5"),
+    ]
+    for closed_form, args, message in cases:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            closed_form(*args)
 
 
 @settings(max_examples=100, deadline=None)

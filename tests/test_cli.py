@@ -531,6 +531,16 @@ def test_scripts_refuse_bad_input_with_one_line(tmp_path, script, args):
     assert not any(tmp_path.iterdir())  # the battery writes no file
 
 
+def test_battery_refuses_an_unwritable_out_with_one_line(tmp_path):
+    # `tipleak run` prints one line for an --out it cannot write; so does the battery
+    (tmp_path / "file").write_text("")
+    done = _fresh_run(str(ROOT / "scripts" / "run_all_experiments.py"), "--fast",
+                      "--out", str(tmp_path / "file" / "x"))
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("run_all_experiments.py: error: cannot write to --out: ")
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
 def test_run_rejects_nonpositive_workers(tmp_path, capsys):
     assert run_cli(
         "run", "mixer", "--out", str(tmp_path), "--workers", "0",
@@ -571,6 +581,17 @@ def test_one_command_parser_prints_the_full_parsers_help(argv):
     full, alone = build_parser(), build_parser(argv[0])
     assert _help(alone, argv) == _help(full, argv)
     assert _help(alone, []) == _help(full, [])
+
+
+def test_analytic_help_shows_each_flags_value_as_typed():
+    # a flag's value reads as the flag in capitals, or as its choices; not
+    # as the parameter it sets
+    choices = {"mixer-expected": "{raw,normalized}", "takeover": "{takeover,add,collude}"}
+    for op, flags in ANALYTIC_FLAGS.items():
+        text = _help(build_parser(), ["analytic", op])
+        for flag in flags:
+            value = choices[op] if flag == "--mode" else flag[2:].upper()
+            assert f"  {flag} {value}" in text, (op, flag, text)
 
 
 @pytest.mark.parametrize("argv, line", [

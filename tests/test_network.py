@@ -5,12 +5,14 @@ import hashlib
 import math
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from tipleak import network
-from tipleak.analytic import AnonymityProfile, entropy_degree, tip_count_step
+from tipleak.analytic import AnonymityProfile, entropy_degree
 from tipleak.network import (
     GRID_DIM,
     ConfigError,
@@ -1398,6 +1400,34 @@ def _tip_count_steps(config):
                tips[1:].tolist())
 
 
+def _tip_count_law(tips, attaching):
+    """Mean and variance of the tip count after one round, given ``tips``
+    (k >= 2) tips at its start and ``attaching`` (L >= 0) transactions
+    that each approve an independent uniform pair of distinct ones.
+
+    Each new transaction is a tip, and an old tip stays one when no pair
+    holds it: one pair misses a given tip with p1 = (k-2)/k and two given
+    tips with p2 = (k-2)(k-3)/(k(k-1)).  So E[k'] = L + k p1^L and
+    Var[k'] = k (p1^L - p1^2L) + k (k-1) (p2^L - p1^2L).
+    """
+    k = tips
+    p1 = (k - 2) / k
+    p2 = (k - 2) * (k - 3) / (k * (k - 1))
+    kept = p1 ** attaching  # p1^L
+    return (attaching + k * kept,
+            k * (kept - kept * kept) + k * (k - 1) * (p2 ** attaching - kept * kept))
+
+
+@pytest.mark.parametrize("tips,attaching", [(2, 1), (3, 2), (4, 0), (4, 2), (5, 3), (6, 3)])
+def test_tip_count_law_matches_enumeration(tips, attaching):
+    # every way the attaching transactions can pick their distinct pairs
+    outcomes = [attaching + tips - len(set().union(*chosen))
+                for chosen in product(combinations(range(tips), 2), repeat=attaching)]
+    mean = Fraction(sum(outcomes), len(outcomes))
+    var = Fraction(sum(o * o for o in outcomes), len(outcomes)) - mean * mean
+    assert _tip_count_law(tips, attaching) == pytest.approx((mean, var), rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("configs", [
     [SimConfig(full_node_count=100, light_node_count=100, rounds=200, seed=seed)
      for seed in range(1, 11)],
@@ -1408,14 +1438,14 @@ def _tip_count_steps(config):
 ], ids=["baseline", "bootstrapped", "direct"])
 def test_tip_count_steps_follow_the_exact_one_round_law(configs):
     # Given k round-start tips, the round's tip count has the exact mean
-    # and variance of analytic.tip_count_step; the pooled deviation over
+    # and variance of _tip_count_law; the pooled deviation over
     # every step from k >= 4 tips, in units of its standard deviation,
     # read 0.27, -0.23 and 0.92 here.
     deviation = variance = 0.0
     for config in configs:
         for tips, attaching, after in _tip_count_steps(config):
             if tips >= 4:
-                mean, var = tip_count_step(tips, attaching)
+                mean, var = _tip_count_law(tips, attaching)
                 deviation += after - mean
                 variance += var
     assert abs(deviation / math.sqrt(variance)) <= 4

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tipleak.experiments import exp_mixer, exp_variance
+from tipleak.network import SimConfig, run_simulation
 from tipleak.rng import DOMAIN_REQUEST, DOMAIN_URTS, _stream_key, to_uniforms, uniforms, words
 
 LARGEST = float((2**64 - 1) >> 11) * 2.0**-53  # the uniform of the largest word
@@ -53,3 +55,15 @@ def test_largest_word_maps_below_k():
     ks = sorted({k for e in range(41) for k in (2**e - 1, 2**e, 2**e + 1) if k >= 1})
     mapped = (LARGEST * np.array(ks, dtype=float)).astype(np.int64)
     assert mapped.tolist() == [k - 1 for k in ks]
+
+
+@pytest.mark.parametrize("call, seed", [
+    (lambda seed: run_simulation(SimConfig(seed=seed)), 2**63),
+    (lambda seed: exp_mixer(seed=seed), 2**63),
+    (lambda seed: exp_variance(runs=3, seed=seed), -2**63 - 1),
+    (lambda seed: exp_mixer(seed=seed), 1.5),
+], ids=["run_simulation", "exp_mixer", "exp_variance", "float"])
+def test_out_of_range_seed_is_a_one_line_value_error(call, seed):
+    # stream keys pack the seed in 64 bits; a seed past them names itself
+    with pytest.raises(ValueError, match=f"^seed must be a signed 64-bit integer, got {seed}$"):
+        call(seed)
