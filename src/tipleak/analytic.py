@@ -66,9 +66,12 @@ class AnonymityProfile:
 # hypergeometric machinery
 # ---------------------------------------------------------------------------
 
-# The most requests hypergeom_pmf takes: its binomials grow with M, and at
-# N = 10**9, C = N/2 one value took 0.5 s at M = 10**4, 7.9 s at M = 10**5.
+# The most requests and full nodes hypergeom_pmf takes: its binomials grow
+# with M and with the digits of N.  At N = 10**9, C = N/2 one value took
+# 0.5 s at M = 10**4 and 7.9 s at M = 10**5; at M = 10**4 it took 0.45 s at
+# N = 10**18, 2.0 s at N = 10**36 and more than 100 s at N = 10**300.
 PMF_MAX_REQUESTS = 10_000
+PMF_MAX_FULL_NODES = 10 ** 18
 
 
 def _check_attack(full_nodes: int, compromised: int, requests: int) -> None:
@@ -94,6 +97,8 @@ def hypergeom_pmf(full_nodes: int, compromised: int, requests: int, k: int) -> f
     n, c, m = full_nodes, compromised, requests
     if m > PMF_MAX_REQUESTS:
         raise ParameterError(f"requests must be <= {PMF_MAX_REQUESTS}, got {m}")
+    if n > PMF_MAX_FULL_NODES:
+        raise ParameterError(f"full_nodes must be <= {PMF_MAX_FULL_NODES}, got {n}")
     if k < max(0, m - (n - c)) or k > min(m, c):
         return 0.0
     num = math.comb(c, k) * math.comb(n - c, m - k)

@@ -18,39 +18,43 @@ behind an address's claimed identities are equally likely senders, so its
 anonymity degree is 1.0 when there are two or more of them and 0.0 when
 the address is pinned to one light.
 
-A round is columnar, and a run draws from two counter-indexed Philox
-streams (:func:`tipleak.rng.words`), in each of which every round owns a
-fixed range of words: ``DOMAIN_REQUEST`` holds every light's queried set
-and follow choice, ``DOMAIN_URTS`` the URTS (uniform random tip selection)
-draws of every response.  Reach never changes during a run, so the request
-plan -- which lights send how many requests, under which identity -- is
-built once, with the reach, in :class:`Requesters`.
+A round is columnar, and a run draws from counter-indexed Philox streams
+(:func:`tipleak.rng.words`), in each of which every round owns a fixed
+range of words.  A light queries a uniform subset of its reach by
+sequential draws without replacement and follows its first pick, which is
+uniform over the queried set: so following it gives the same joint law of
+(queried set, followed node) as following a uniform answer.
+``DOMAIN_FIRST_PICK`` holds every requesting light's first pick, one word
+a light a round.  Reach never changes during a run, so the request plan --
+which lights send how many requests, under which identity -- is built
+once, with the reach, in :class:`Requesters`.
 
 Only the tips pass from one round to the next, and neither the queried
-nodes, the follow choices nor the matching depend on them, so
-:meth:`Simulation.run` walks a run in blocks of rounds bounded by
-``_BLOCK`` requests, and adversaries match each block in one pass.  The
-match draws the block's request words in one call -- the queried positions
-(:func:`sample_positions`), then the follow choices -- and matches its
-log: a nonce-tagged response names the one attach that followed it, so
-assume_unique links are a gather of the logged mask at the followed
-requests, and collision-aware matching is a join on one int64 key per
-row, ``((round - r0) * R_lo + lo - lo0) * R_hi + hi - hi0`` with ``lo``
-and ``hi`` the lesser and greater tip of the pair, each column offset by
-its least value and ``R`` its range.  The ranges' product is checked in
-Python ints first: a block too wide to key in int64 raises ValueError
-instead of wrapping into false links.  Either way links come out in
-(round, attach, log row) order for any block size.
+nodes nor the matching depend on them, so :meth:`Simulation.run` walks a
+run in blocks of rounds bounded by ``_BLOCK`` drawn rows, and adversaries
+match each block in one pass.  A nonce-tagged response names the one
+attach that followed it, so only the followed response can link:
+assume_unique matching draws the block's first picks in one call and
+nothing else, and its links are the lights whose first pick logs.
 
-Only collision-aware matching compares served tip pairs with the parents
-of new ledger entries, so only a collision-aware run keeps a ledger and
-draws URTS words.  :meth:`Simulation._grow` is its one growth path: at
-each block's match it draws the block's URTS words in one call, maps each
-round's against the tips the round starts from, attaches the pairs the
-lights followed as one batch a round and hands the served pairs to the
-match.  A nonce-matched run and a run under direct tip selection -- where
-no response is served, so nothing can link -- build no ledger: their links
-do not depend on the tips.
+Collision-aware matching compares served tip pairs with the parents of new
+ledger entries, so only a collision-aware run keeps a ledger and draws the
+whole queried sets and the URTS (uniform random tip selection) draws of
+every response.  Step 0 of each queried set is the light's first pick, and
+``DOMAIN_REQUEST`` holds steps 1 to fan-out - 1 (:func:`sample_positions`).
+:meth:`Simulation._grow` is the run's one growth path: at each block's
+match it draws the block's ``DOMAIN_URTS`` words in one call, maps each
+round's against the tips the round starts from, attaches the pairs of the
+lights' first picks as one batch a round and hands the served pairs to the
+match, a join on one int64 key per row, ``((round - r0) * R_lo +
+lo - lo0) * R_hi + hi - hi0`` with ``lo`` and ``hi`` the lesser and greater
+tip of the pair, each column offset by its least value and ``R`` its
+range.  The ranges' product is checked in Python ints first: a block too
+wide to key in int64 raises ValueError instead of wrapping into false
+links.  In both modes links come out in (round, attach, log row) order for
+any block size.  A nonce-matched run and a run under direct tip selection --
+where no response is served, so nothing can link -- build no ledger: their
+links do not depend on the tips.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -70,6 +74,7 @@ import numpy as np
 
 from .rng import (
     DOMAIN_ADVERSARY,
+    DOMAIN_FIRST_PICK,
     DOMAIN_LAYOUT,
     DOMAIN_REQUEST,
     DOMAIN_URTS,
@@ -79,7 +84,7 @@ from .rng import (
 )
 from .tangle import GENESIS_ID, Ledger, round_address, urts_pairs
 
-RNG_SCHEME = "philox-run-v3"
+RNG_SCHEME = "philox-run-v4"
 
 PLANE = (10.0, 10.0)  # width and height of the placement plane
 GRID_DIM = 3  # heatmap cells per plane axis
@@ -543,25 +548,28 @@ class Requesters:
     and the request plan every round of a run shares.
 
     Row ``r`` is one light: the identity responders see (its proxy's, when
-    proxied) and the ``fanout[r]`` requests it sends each round -- at most
-    ``request_fanout``, and no more than the full nodes it reaches -- which
-    are rows ``first[r]:first[r] + fanout[r]`` of a round's requests.
-    ``full_ids`` holds each identity's reachable ids once, ascending,
-    identity after identity, so the lights behind one proxy share one run
-    of it.  The request columns
-    give the first entry in ``full_ids`` of each request's owner, its
-    nonce light and its visible identity.
-    The ``(width, rows)`` mask ``drawing`` tells which rows make a pick at
-    each fan-out step, and ``bounds`` holds the bound of every pick in
-    step-major order: step ``t`` of a row that reaches ``k`` full nodes
-    draws below ``k - t``.
-    Reach never changes during a run, so only the queried nodes, the
-    responses and the follow choices are drawn per round.
+    proxied), the ``count[r]`` full nodes it reaches -- entries
+    ``start[r]:start[r] + count[r]`` of ``full_ids`` -- and the
+    ``fanout[r]`` requests it sends each round -- at most
+    ``request_fanout``, and no more than ``count[r]`` -- which are rows
+    ``first[r]:first[r] + fanout[r]`` of a round's requests.  ``full_ids``
+    holds each identity's reachable ids once, ascending, identity after
+    identity, so the lights behind one proxy share one run of it.  Row
+    ``first[r]`` is the light's first pick, the request it follows.
+
+    The request columns, the ``(width, rows)`` mask ``drawing`` of which
+    rows make a pick at each fan-out step and ``bounds``, the bound of
+    every pick after the first in step-major order (step ``t`` of a row
+    draws below ``count[r] - t``), serve collision-aware runs alone: only
+    they draw whole queried sets.  Reach never changes during a run, so
+    only the queried nodes and the responses are drawn per round.
     """
 
     light: np.ndarray
     visible: np.ndarray
     full_ids: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
     fanout: np.ndarray
     first: np.ndarray
     request_start: np.ndarray
@@ -573,7 +581,8 @@ class Requesters:
 
 def sample_positions(draws: np.ndarray, drawing: np.ndarray) -> np.ndarray:
     """Each round's uniform ``counts[r]``-subset of ``range(sizes[r])`` for
-    every row ``r``, from the round's raw draws.
+    every row ``r``, from the round's raw draws: a collision-aware run's
+    queried sets, whose first picks are the followed ones.
 
     Row ``r`` picks at the steps where the ``(width, rows)`` mask
     ``drawing`` is true.  Row ``i`` of ``draws`` holds round ``i``'s picks
@@ -608,11 +617,11 @@ def sample_positions(draws: np.ndarray, drawing: np.ndarray) -> np.ndarray:
     return picks.transpose(1, 2, 0)[:, drawing.T]
 
 
-_BLOCK = 1 << 14  # requests drawn per block of rounds: bounds its arrays
+_BLOCK = 1 << 14  # rows drawn per block of rounds: bounds its arrays
 
 
 def _block_rounds(draws: int) -> int:
-    """How many rounds of ``draws`` draws each fit in one ``_BLOCK``."""
+    """How many rounds of ``draws`` rows each fit in one ``_BLOCK``."""
     return max(1, _BLOCK // max(draws, 1))
 
 
@@ -779,39 +788,49 @@ class Simulation:
             visible=visible,
             # the column of every reachable entry, sender by sender
             full_ids=np.broadcast_to(np.arange(reach.shape[1]), reach.shape)[reach],
+            start=start,
+            count=count,
             fanout=fanout,
             first=np.cumsum(fanout) - fanout,
             request_start=start[owner],
             request_light=light[owner],
             request_visible=visible[owner],
             drawing=drawing,
-            bounds=(count - steps)[drawing],
+            bounds=(count - steps)[1:][drawing[1:]],
         )
 
-    def _draw_schedule(self, rounds: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw the requests of ``rounds``, one row a round: who answers
-        each, whether that node logs, and the request each light follows.
-        A round's request words are its queried positions, then its follow
-        choices."""
+    def _first_picks(self, rounds: range) -> np.ndarray:
+        """Each requesting light's first pick of its reach in ``rounds``,
+        one row a round: ``floor(u * count)`` of one ``DOMAIN_FIRST_PICK``
+        word.  The light follows the full node at that pick."""
         req = self._requesters
-        picks = len(req.bounds)
-        w = words(self.config.seed, DOMAIN_REQUEST, rounds, picks + len(req.light))
-        followed = req.first + (to_uniforms(w[:, picks:]) * req.fanout).astype(np.int64)
-        draws = (to_uniforms(w[:, :picks]) * req.bounds).astype(np.int64)
-        responder = req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
-        return responder, self.population.adversary[responder], followed
+        u = to_uniforms(words(self.config.seed, DOMAIN_FIRST_PICK, rounds, len(req.light)))
+        return (u * req.count).astype(np.int64)
 
-    def _grow(self, block: range, followed: np.ndarray) -> np.ndarray:
+    def _queried(self, rounds: range, first: np.ndarray) -> np.ndarray:
+        """The full node each request of ``rounds`` asks, one row a round.
+        Step 0 of each light's queried set is its ``first`` pick; the
+        round's ``DOMAIN_REQUEST`` words draw the later steps, and no word
+        is drawn when no light sends more than one request."""
+        req = self._requesters
+        draws = first
+        if len(req.bounds):
+            u = to_uniforms(words(self.config.seed, DOMAIN_REQUEST, rounds, len(req.bounds)))
+            draws = np.concatenate((first, (u * req.bounds).astype(np.int64)), axis=1)
+        return req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
+
+    def _grow(self, block: range) -> np.ndarray:
         """Attach the rounds of ``block``, each light on the served pair of
-        the request it follows (``followed``, one row a round).  The URTS
-        uniforms, two per request and round, are drawn in one call.
-        Returns the served pairs, ``(rounds, requests, 2)``."""
-        n = len(self._requesters.request_light)
+        its first pick.  The URTS uniforms, two per request and round, are
+        drawn in one call.  Returns the served pairs, ``(rounds, requests,
+        2)``."""
+        req = self._requesters
+        n = len(req.request_light)
         urts = to_uniforms(words(self.config.seed, DOMAIN_URTS, block, 2 * n))
         served = np.empty((len(block), n, 2), dtype=np.int64)
-        for u, pairs, follows in zip(urts, served, followed):
+        for u, pairs in zip(urts, served):
             pairs[:] = urts_pairs(self.ledger.tips, u.reshape(2, -1))
-            self.ledger.attach_round(pairs[follows])
+            self.ledger.attach_round(pairs[req.first])
         return served
 
     def _match(self, block: range) -> None:
@@ -822,23 +841,26 @@ class Simulation:
         if self.config.mode == MODE_DIRECT:
             return
         req = self._requesters
-        responder, logged, followed = self._draw_schedule(block)
+        first = self._first_picks(block)
         rounds = np.arange(block.start, block.stop)
         if self.config.matching == MATCH_ASSUME_UNIQUE:
             # a nonce names one response, and only the light that followed
-            # it attaches under it: a link wherever a light's followed
-            # request was logged, in attach order
-            at, row = np.nonzero(np.take_along_axis(logged, followed, 1))
+            # it attaches under it: a link wherever a light's first pick
+            # logs, in attach order
+            responder = req.full_ids[req.start + first]
+            at, row = np.nonzero(self.population.adversary[responder])
             light = req.light[row]
             self._links.append(Links(
-                nonce=np.column_stack((rounds[at], responder[at, followed[at, row]], light)),
+                nonce=np.column_stack((rounds[at], responder[at, row], light)),
                 claimed=req.visible[row], light=light, correct=np.ones(len(row), dtype=bool),
             ))
             return
         # collision-aware matching compares tip pairs: grow these rounds,
         # whose attaches are then the ledger's last rows
-        first = len(self.ledger)
-        served = self._grow(block, followed)
+        responder = self._queried(block, first)
+        logged = self.population.adversary[responder]
+        attached = len(self.ledger)
+        served = self._grow(block)
         at, request = np.nonzero(logged)
         log = ResponseLog(
             nonce=np.column_stack((rounds[at], responder[at, request],
@@ -849,22 +871,26 @@ class Simulation:
         attaches = RoundAttaches(
             light=np.tile(req.light, len(rounds)),
             identity=np.tile(req.visible, len(rounds)),
-            parents=self.ledger.parents[first:],
+            parents=self.ledger.parents[attached:],
             round=np.repeat(rounds, len(req.light)),  # each attach's round
         )
         self._links.append(match_responses(log, attaches, self.config.matching))
 
     def run(self) -> SimResult:
-        """Run every round, in blocks of ``_BLOCK`` requests, each matched in
-        one pass, and score the run.  In a round every reachable light
+        """Run every round, in blocks of ``_BLOCK`` drawn rows, each matched
+        in one pass, and score the run.  In a round every reachable light
         queries a uniform subset of its reachable full nodes, each answers
         with a URTS pair against the round-start tips, and the light follows
-        one answer uniformly and attaches.  A second call raises ValueError."""
+        its first pick, a uniform one of the answers, and attaches.  A
+        round draws one row a light under assume_unique matching and one a
+        request under collision-aware matching.  A second call raises
+        ValueError."""
         if self._matched:
             raise ValueError(f"this simulation has run ({self._matched} of "
                              f"{self.config.rounds} rounds); a Simulation runs once")
-        rounds = self.config.rounds
-        step = _block_rounds(len(self._requesters.request_light))
+        req, rounds = self._requesters, self.config.rounds
+        rows = req.request_light if self.config.matching == MATCH_COLLISION_AWARE else req.light
+        step = _block_rounds(len(rows))
         for start in range(0, rounds, step):
             self._match(range(start, min(start + step, rounds)))
         return self._result()

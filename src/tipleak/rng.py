@@ -14,12 +14,15 @@ names the consumer, and draws from a stream keyed by it:
   whichever block it falls in, or however late they are drawn again.
   :func:`to_uniforms` converts words to uniforms, so a caller converts
   only the columns it reads; :func:`uniforms` is the two in one.
-  A simulation run reads two such streams.  ``DOMAIN_REQUEST`` holds each
-  round's queried positions and follow choices, which decide every link;
-  ``DOMAIN_URTS`` holds each round's URTS (uniform random tip selection)
-  draws, which pick the tips served and attached on.  Only a run under
-  collision-aware matching draws them: it alone compares served pairs
-  with the parents of new ledger entries, so it alone keeps a ledger.
+  A simulation run reads up to three such streams.  ``DOMAIN_FIRST_PICK``
+  holds each requesting light's first pick of its reach, one word a light
+  a round: the node it follows, which alone decides its nonce-matched
+  links.  Only a run under collision-aware matching reads the other two:
+  ``DOMAIN_REQUEST`` holds the rest of each round's queried sets, and
+  ``DOMAIN_URTS`` each round's URTS (uniform random tip selection) draws,
+  which pick the tips served and attached on.  That run alone compares
+  served pairs with the parents of new ledger entries, so it alone keeps
+  a ledger.
 
 Because a key is a pure function of ``(root_seed, key path)``, results
 never depend on scheduling or worker count: two runs with the same seed
@@ -37,7 +40,8 @@ import numpy as np
 # Domain tags keep key paths from different subsystems disjoint.
 DOMAIN_LAYOUT = 1      # node placement
 DOMAIN_ADVERSARY = 2   # adversary subset draws
-DOMAIN_REQUEST = 3     # a run's queried positions and follow choices
+DOMAIN_REQUEST = 3     # a collision-aware run's queried positions after the first
+DOMAIN_FIRST_PICK = 4  # a run's first picks: the node each requesting light follows
 DOMAIN_URTS = 5        # a collision-aware run's URTS draws: responses' tip pairs
 DOMAIN_EXPERIMENT = 6  # experiment-level draws (samples, subsets, ...)
 

@@ -8,6 +8,7 @@ are kept here so the frozen constants stay auditable.
 
 import math
 import re
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tipleak.analytic import (
+    PMF_MAX_FULL_NODES,
     PMF_MAX_REQUESTS,
     AnonymityProfile,
     _deanon_sum,
@@ -104,6 +106,25 @@ def test_pmf_bounds_requests():
     # a k outside the support is refused too: the bound comes first
     with pytest.raises(ParameterError, match="requests"):
         hypergeom_pmf(10 ** 9, 5 * 10 ** 8, 10 ** 5, -1)
+
+
+def test_pmf_bounds_full_nodes():
+    # the binomials grow with the digits of N too: at the bound, with M at
+    # its own bound, one value still comes out within a few seconds
+    n = PMF_MAX_FULL_NODES
+    start = time.perf_counter()
+    value = hypergeom_pmf(n, n // 2, PMF_MAX_REQUESTS, PMF_MAX_REQUESTS // 2)
+    assert time.perf_counter() - start < 5.0
+    # N far above M: the binomial limit, C(M, M/2) / 2**M
+    limit = Fraction(math.comb(PMF_MAX_REQUESTS, PMF_MAX_REQUESTS // 2), 2 ** PMF_MAX_REQUESTS)
+    assert value == pytest.approx(float(limit), rel=1e-9)
+    for n in (PMF_MAX_FULL_NODES + 1, 10 ** 300):
+        with pytest.raises(ParameterError, match=rf"^full_nodes must be <= {PMF_MAX_FULL_NODES}, "
+                                                 rf"got {n}$"):
+            hypergeom_pmf(n, n // 2, 3, 1)
+    # outside the support too: the bound comes before the support check
+    with pytest.raises(ParameterError, match="full_nodes must be <="):
+        hypergeom_pmf(PMF_MAX_FULL_NODES + 1, 1, 3, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -51,6 +51,15 @@ def test_analytic_hypergeom_refuses_large_m_with_one_line():
     assert err == "tipleak: error: requests must be <= 10000, got 100000 (--m)\n", err
 
 
+def test_analytic_hypergeom_refuses_large_n_with_one_line():
+    # exact binomials grow with the digits of n: --n is bounded as well
+    code, err = _exit_and_stderr(["analytic", "hypergeom", "--n", "1000000000000000001",
+                                  "--c", "500000000000000000", "--m", "10000", "--k", "5000"])
+    assert code == EXIT_USAGE
+    assert err == ("tipleak: error: full_nodes must be <= 1000000000000000000, "
+                   "got 1000000000000000001 (--n)\n"), err
+
+
 def test_analytic_mixer_expected(capsys):
     assert run_cli(
         "analytic", "mixer-expected", "--p", "0.1", "--mode", "normalized"

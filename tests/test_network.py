@@ -33,7 +33,7 @@ from tipleak.network import (
     run_simulation,
     sample_positions,
 )
-from tipleak.rng import DOMAIN_REQUEST, DOMAIN_URTS, uniforms, words
+from tipleak.rng import DOMAIN_FIRST_PICK, DOMAIN_REQUEST, DOMAIN_URTS, uniforms, words
 from tipleak.tangle import GENESIS_ID, Ledger, round_address, urts_pairs
 
 
@@ -828,7 +828,7 @@ BLOCK_CASES = {
     # round: a collision-aware join across rounds would add links
     "collision-aware": SimConfig(full_node_count=4, adversary_count=4, light_node_count=1,
                                  rounds=30, bootstrap_tips=10,
-                                 matching="collision_aware", seed=2),
+                                 matching="collision_aware", seed=4),
     "proxy": _tiny_config(rounds=9, mode="proxy", proxy_count=3,
                           matching="collision_aware"),
     # reach of 1 to 8 full nodes against a fan-out of 5
@@ -860,11 +860,10 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
         assert _scored(Simulation(config).run()) == want
 
 
-def _nonce_join(sim, block, responder, logged, followed):
+def _nonce_join(sim, block, responder, logged):
     """:func:`_nonce_match` over the rounds of ``block``, whose requests
-    ``sim`` drew as ``responder``, ``logged`` and ``followed``: the log of
-    every logged request and every attach with the nonce of the request it
-    followed."""
+    ask ``responder`` and log where ``logged``: the log of every logged
+    request and every attach with the nonce of its light's first pick."""
     req = sim._requesters
     rounds = np.arange(block.start, block.stop)
     at, request = np.nonzero(logged)
@@ -873,7 +872,7 @@ def _nonce_join(sim, block, responder, logged, followed):
         requester=req.request_visible[request], tips=np.zeros((len(at), 2), dtype=np.int64))
     issued = np.repeat(rounds, len(req.light))
     light = np.tile(req.light, len(rounds))
-    followed = np.take_along_axis(responder, followed, 1).ravel()
+    followed = responder[:, req.first].ravel()
     attaches = RoundAttaches(
         light=light, identity=np.tile(req.visible, len(rounds)),
         parents=np.zeros((len(light), 2), dtype=np.int64), round=issued)
@@ -892,27 +891,32 @@ GATHER_CASES = [
 
 @pytest.mark.parametrize("case", range(len(GATHER_CASES)))
 def test_gathered_links_equal_the_nonce_join(monkeypatch, case):
+    # an assume_unique match draws only its block's first picks; its links
+    # are those of the nonce join of the whole queried sets' log -- the
+    # first picks and the later steps a collision-aware twin draws --
+    # against the attaches, each under the nonce of its first pick
     config = GATHER_CASES[case]
-    requests = len(Simulation(config)._requesters.request_light)
-    match, draw, drawn, matched = Simulation._match, Simulation._draw_schedule, [], []
+    lights = len(Simulation(config)._requesters.light)
+    match, pick, drawn, matched = Simulation._match, Simulation._first_picks, [], []
 
     def kept(sim, block):
-        schedule = draw(sim, block)
-        drawn.append((block, schedule))
-        return schedule
+        first = pick(sim, block)
+        drawn.append((block, first))
+        return first
 
     def checked(sim, block):
         drawn.clear()
         match(sim, block)
-        ((drew, schedule),) = drawn  # the match drew exactly its block
+        ((drew, first),) = drawn  # the match drew exactly its block
         assert drew == block
-        want = _nonce_join(sim, block, *schedule)
+        responder = sim._queried(block, first)
+        want = _nonce_join(sim, block, responder, sim.population.adversary[responder])
         assert _link_rows(sim._links[-1]) == _link_rows(want)
         matched.append(len(want))
 
-    monkeypatch.setattr(Simulation, "_draw_schedule", kept)
+    monkeypatch.setattr(Simulation, "_first_picks", kept)
     monkeypatch.setattr(Simulation, "_match", checked)
-    for block in (1, 3 * requests, network._BLOCK):  # one, several and all rounds a block
+    for block in (1, 3 * lights, network._BLOCK):  # one, several and all rounds a block
         monkeypatch.setattr(network, "_BLOCK", block)
         matched.clear()
         Simulation(config).run()
@@ -944,8 +948,8 @@ def test_rounds_run_once_in_order(drawn):
 def _eager_ledger(config):
     """The ledger of ``config``'s run, grown by hand the way validate's
     tangle-integrity check grows its own: each round's URTS pairs against
-    the tips it starts from, and one attach of the pairs its lights follow
-    -- under direct tip selection, every light's own pair.  Each stream's
+    the tips it starts from, and one attach of the pairs of its lights'
+    first picks -- under direct tip selection, every light's own pair.  Each stream's
     uniforms come from one call for the whole run."""
     sim = Simulation(config)
     req, rounds = sim._requesters, range(config.rounds)
@@ -955,21 +959,16 @@ def _eager_ledger(config):
     ledger.attach_round(np.full((config.bootstrap_tips, 2), GENESIS_ID))
     n = len(lights) if direct else len(req.request_light)
     urts = uniforms(config.seed, DOMAIN_URTS, rounds, 2 * n)
-    if direct:
-        followed = np.broadcast_to(np.arange(n), (config.rounds, n))
-    else:
-        picks = len(req.bounds)
-        u = uniforms(config.seed, DOMAIN_REQUEST, rounds, picks + len(req.light))
-        followed = req.first + (u[:, picks:] * req.fanout).astype(np.int64)
-    for u, follows in zip(urts, followed):
+    follows = np.arange(n) if direct else req.first  # each light's first pick
+    for u in urts:
         ledger.attach_round(urts_pairs(ledger.tips, u.reshape(2, -1))[follows])
     return ledger
 
 
 def _twin_ledger(config):
-    """The ledger of ``config``'s collision-aware twin after its run.  A
-    run's draws do not depend on its matching mode, so the twin's lights
-    attach on the pairs ``config``'s own lights follow."""
+    """The ledger of ``config``'s collision-aware twin after its run.  The
+    twin draws the first picks ``config``'s run draws, so its lights attach
+    on the pairs of the nodes ``config``'s own lights follow."""
     sim = Simulation(dataclasses.replace(config, matching="collision_aware"))
     sim.run()
     return sim.ledger
@@ -1069,47 +1068,70 @@ def drawn(monkeypatch):
 
 
 def _blocked(monkeypatch, config, rounds_a_block):
-    """A simulation of ``config`` whose blocks hold ``rounds_a_block`` rounds."""
+    """A simulation of ``config`` whose blocks hold ``rounds_a_block``
+    rounds: a round draws a row a request under collision-aware matching,
+    else a row a light."""
     sim = Simulation(config)
-    monkeypatch.setattr(network, "_BLOCK", rounds_a_block * len(sim._requesters.request_light))
+    req = sim._requesters
+    rows = req.request_light if config.matching == "collision_aware" else req.light
+    monkeypatch.setattr(network, "_BLOCK", rounds_a_block * len(rows))
     return sim
 
 
 @pytest.mark.parametrize("case", range(len(GATHER_CASES)))
 def test_a_nonce_matched_run_draws_no_urts_word(monkeypatch, drawn, case):
+    # an assume_unique run draws one first-pick word a light a round and
+    # nothing else: no later step of a queried set, no URTS word
     config = GATHER_CASES[case]
     assert config.matching == "assume_unique"
     sim = _blocked(monkeypatch, config, 2)
     req = sim._requesters
     sim.run()
-    assert {domain for domain, _, _ in drawn} == {DOMAIN_REQUEST}
-    assert {width for _, _, width in drawn} == {len(req.bounds) + len(req.light)}
-    blocks = [rounds for _, rounds, _ in drawn]
-    assert [r for rounds in blocks for r in rounds] == list(range(config.rounds))
+    assert drawn == [(DOMAIN_FIRST_PICK, range(start, min(start + 2, config.rounds)),
+                      len(req.light)) for start in range(0, config.rounds, 2)]
     assert sim.ledger is None  # no reader of the tips, so no ledger
 
 
-def test_a_collision_aware_run_draws_both_streams_as_it_runs(monkeypatch, drawn):
+def test_a_collision_aware_run_draws_every_stream_as_it_runs(monkeypatch, drawn):
     config = _tiny_config(rounds=7, matching="collision_aware")
     sim = _blocked(monkeypatch, config, 3)
     req = sim._requesters
     sim.run()
-    # both streams' words of a block are drawn at its match, block after
-    # block: the request words first, then the URTS words
+    # every stream's words of a block are drawn at its match, block after
+    # block: the first picks, the later steps of the queried sets, then
+    # the URTS words
+    assert len(req.bounds) == len(req.request_light) - len(req.light) > 0
     assert drawn == [call for block in (range(0, 3), range(3, 6), range(6, 7)) for call in (
-        (DOMAIN_REQUEST, block, len(req.bounds) + len(req.light)),
+        (DOMAIN_FIRST_PICK, block, len(req.light)),
+        (DOMAIN_REQUEST, block, len(req.bounds)),
         (DOMAIN_URTS, block, 2 * len(req.request_light)))]
+
+
+@pytest.mark.parametrize("settings", [
+    dict(request_fanout=1), dict(request_fanout=4, request_radius=0.5, seed=3),
+], ids=["fanout-1", "reach-of-one"])
+def test_a_collision_aware_run_of_single_requests_draws_no_request_word(
+        monkeypatch, drawn, settings):
+    # when no light sends a second request the first picks are the whole
+    # queried sets, so the run draws no DOMAIN_REQUEST word
+    config = _tiny_config(rounds=7, matching="collision_aware", **settings)
+    sim = _blocked(monkeypatch, config, 3)
+    req = sim._requesters
+    assert len(req.light) and (req.fanout == 1).all() and len(req.bounds) == 0
+    sim.run()
+    assert [d for d, _, _ in drawn] == [DOMAIN_FIRST_PICK, DOMAIN_URTS] * 3
+    assert len(sim.ledger) == 1 + 7 * len(req.light)
 
 
 @pytest.mark.parametrize("read", ["before-run", "never"])
 @pytest.mark.parametrize("rounds_a_block", [1, 3, network._BLOCK])
 @pytest.mark.parametrize("name", ["assume-unique", "collision-aware", "proxy"])
 def test_each_round_draws_its_words_once(monkeypatch, drawn, name, rounds_a_block, read):
-    # however the rounds fall into blocks, each round's request words are
-    # drawn exactly once, and so are its URTS words under collision-aware
-    # matching (no other run draws one); a collision-aware ledger read
-    # before run() holds the bootstrap tips alone, draws nothing and
-    # changes no result
+    # however the rounds fall into blocks, each round's first picks are
+    # drawn exactly once, and so are the later steps of its queried sets
+    # and its URTS words under collision-aware matching (no other run
+    # draws one); a collision-aware ledger read before run() holds the
+    # bootstrap tips alone, draws nothing and changes no result
     config = dataclasses.replace(BLOCK_CASES[name], rounds=8)
     sim = _blocked(monkeypatch, config, rounds_a_block)
     matched = config.matching == "collision_aware"
@@ -1119,7 +1141,8 @@ def test_each_round_draws_its_words_once(monkeypatch, drawn, name, rounds_a_bloc
             assert len(sim.ledger) == 1 + config.bootstrap_tips
         assert drawn == []
     result = sim.run()
-    for domain, want in ((DOMAIN_REQUEST, True), (DOMAIN_URTS, matched)):
+    for domain, want in ((DOMAIN_FIRST_PICK, True), (DOMAIN_REQUEST, matched),
+                         (DOMAIN_URTS, matched)):
         drawn_rounds = [r for d, rounds, _ in drawn if d == domain for r in rounds]
         assert drawn_rounds == (list(range(config.rounds)) if want else []), domain
     assert _scored(result) == _scored(run_simulation(config))
@@ -1280,18 +1303,18 @@ def test_bootstrap_tips_attach_to_genesis_before_round_zero():
 # order): the collision-aware twin's ledger, or the eager reference under
 # direct tip selection
 LEDGER_DIGESTS = {
-    "baseline": ("d53b24c5f81f4ce106826f4501b0935583ed05d056e1cf69c8770dce257a1f98",
-                 "9520103514a72123f4aecb3e2aff7632d819f0fcf529723f6b78192cb54994ca"),
-    "bootstrap": ("a94c89110fa742cc63d0f5bb39fb2049f5c6a956284df6fe1455653437f3615f",
-                  "da0a782c2f44ff47dca884d9c29ddb4323307acb25e4079f8694a9deb51270d9"),
-    "collision-aware": ("c30b9f54281544072d52b1436ecfbf1da0a52818098267cff7b3abd019fd7f67",
+    "baseline": ("7ae107dad278279c1964af2fce9bff23dd9f592ee28948345805052d57f67249",
+                 "8ac404d085d45d17d8020589b195e172102b1cb15a4c51c26e3ae33512d83102"),
+    "bootstrap": ("6cfc6ccb5e2943cf57fa9599104e72b2482a4548ae02971816ff6c662c3e8364",
+                  "17acd2bbc38dcfaeec63a97e02082ce8d9c942d24ef0237da9bd3098cb2afadf"),
+    "collision-aware": ("004ca187a85afd4ad23bad1db9617e1cd0ac4531f18e0107ffbbcc298d65ea36",
                         "df96d4d51d8e18a6b6512fa35af463ee4f8562f22c789fac5294f76fdb5dd598"),
     "direct": ("966f63f6885f70a166725b2b5e351d7c84d17b12f84837c385c9cdbfe494dd7a",
                "45b8d6427481865572453056969a7cd056c864a2f84be08fa78b87c75d9933d2"),
-    "proxy": ("c30b9f54281544072d52b1436ecfbf1da0a52818098267cff7b3abd019fd7f67",
+    "proxy": ("004ca187a85afd4ad23bad1db9617e1cd0ac4531f18e0107ffbbcc298d65ea36",
               "df96d4d51d8e18a6b6512fa35af463ee4f8562f22c789fac5294f76fdb5dd598"),
-    "stranded": ("ae85eff0b0b7c5d824ef18bc69995441d1419345e1cdc17dae9aea7458c44e39",
-                 "1c49ace3fefa63fcb707b1b178fdf7069e81e79a9045114722a6f1bb9c3416af"),
+    "stranded": ("d41c5dde3444ba5735a117f8dc322d9e29d4a1d202ef20ac0a0134bb80828a75",
+                 "bb59f8af8d9a7281e8858c058b81585ae02ab7411cbf19422f4e1ea7e5c90084"),
 }
 
 
@@ -1315,6 +1338,24 @@ def test_assume_unique_links_are_correct_links_of_the_collision_aware_twin(name)
     twin = _link_rows(run_simulation(dataclasses.replace(config, matching="collision_aware")).links)
     assert unique and len({tuple(row) for row in unique}) == len(unique)
     assert {tuple(row) for row in unique} <= {tuple(row) for row in twin if row[-1]}
+
+
+@pytest.mark.parametrize("name", ["baseline", "stranded", "proxy"])
+def test_assume_unique_links_do_not_depend_on_the_fanout(name):
+    # a light follows its first pick, which no later step of its queried
+    # set moves: one seed links the same (nonce, claimed, light) rows at
+    # every request_fanout, including one past every light's reach
+    config = dataclasses.replace(LEDGER_CASES[name], rounds=40)
+    runs = [run_simulation(dataclasses.replace(config, request_fanout=fanout))
+            for fanout in (1, 3, 5, 50)]
+    want = runs[0]
+    assert len(want.links) and (want.unreachable_light_nodes > 0) == (name == "stranded")
+    assert Simulation(config)._requesters.count.max() < 50
+    for result in runs[1:]:
+        for column in ("nonce", "claimed", "light"):
+            got, expected = getattr(result.links, column), getattr(want.links, column)
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                expected.dtype, expected.shape, expected.tobytes())
 
 
 @pytest.mark.parametrize("settings", [
