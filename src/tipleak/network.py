@@ -43,18 +43,21 @@ whole queried sets and the URTS (uniform random tip selection) draws of
 every response.  Step 0 of each queried set is the light's first pick, and
 ``DOMAIN_REQUEST`` holds steps 1 to fan-out - 1 (:func:`sample_positions`).
 :meth:`Simulation._grow` is the run's one growth path: at each block's
-match it draws the block's ``DOMAIN_URTS`` words in one call, maps each
-round's against the tips the round starts from, attaches the pairs of the
-lights' first picks as one batch a round and hands the served pairs to the
-match, a join on one int64 key per row, ``((round - r0) * R_lo +
-lo - lo0) * R_hi + hi - hi0`` with ``lo`` and ``hi`` the lesser and greater
-tip of the pair, each column offset by its least value and ``R`` its
-range.  The ranges' product is checked in Python ints first: a block too
-wide to key in int64 raises ValueError instead of wrapping into false
-links.  In both modes links come out in (round, attach, log row) order for
-any block size.  A nonce-matched run and a run under direct tip selection --
-where no response is served, so nothing can link -- build no ledger: their
-links do not depend on the tips.
+match it draws the block's ``DOMAIN_URTS`` words in one call and serves
+only the pairs somebody reads -- the lights' first picks, attached as one
+batch a round, and the logged requests -- each against the tips its round
+starts from.  A pair depends on its own two words alone, so the pairs
+nobody reads are not served, and that changes no draw.  The logged pairs
+go to the match, a join on one int64 key per row, ``((round - r0) * R_lo
++ lo - lo0) * R_hi + hi - hi0`` with ``lo`` and ``hi`` the lesser and
+greater tip of the pair, each column offset by its least value and ``R``
+its range, which sorts and searches candidate rows alone
+(:func:`_join_keys`).  The ranges' product is checked in Python ints
+first: a block too wide to key in int64 raises ValueError instead of
+wrapping into false links.  In both modes links come out in (round,
+attach, log row) order for any block size.  A nonce-matched run and a run
+under direct tip selection -- where no response is served, so nothing can
+link -- build no ledger: their links do not depend on the tips.
 
 Placement and adversary choice come from :func:`tipleak.rng.substream`.
 Results are a pure function of the config and seed -- scheduling, block
@@ -497,7 +500,35 @@ def _pair_join(
 
 def _join_keys(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every (left row, right row) index pair of equal int64 keys, ordered
-    by right row and then by left row."""
+    by right row and then by left row.
+
+    Only candidate rows are sorted and searched: the rows of the larger
+    side that :func:`_candidates` keeps against the smaller side, and then
+    the rows of the smaller side it keeps against those."""
+    left_small = len(left_keys) <= len(right_keys)
+    small, large = (left_keys, right_keys) if left_small else (right_keys, left_keys)
+    large_rows = _candidates(large, small)
+    small_rows = _candidates(small, large[large_rows])
+    left_rows, right_rows = (small_rows, large_rows) if left_small else (large_rows, small_rows)
+    left_idx, right_idx = _sorted_join(left_keys[left_rows], right_keys[right_rows])
+    return left_rows[left_idx], right_rows[right_idx]
+
+
+def _candidates(keys: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """The rows of ``keys``, ascending, whose low bits hit a bool table
+    that ``marks`` sets by its own low bits.  The table is a power of two
+    sized from ``len(marks)``, 16 to 32 slots a mark, so every row with a
+    key in ``marks`` is kept, and at most about one in 16 other rows when
+    the low bits spread evenly."""
+    table = np.zeros(1 << (len(marks).bit_length() + 4), dtype=bool)
+    low_bits = len(table) - 1
+    table[marks & low_bits] = True
+    return np.flatnonzero(table[keys & low_bits])
+
+
+def _sorted_join(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_join_keys` by one sort of the left keys and a search of it
+    for every right key."""
     order = np.argsort(left_keys, kind="stable")
     sorted_keys = left_keys[order]
     # both searches run over the needles in ascending order, where each
@@ -744,7 +775,10 @@ class Simulation:
     :attr:`ledger` is None unless the run matches collision_aware outside
     direct tip selection.  Then it holds the bootstrap tips from the
     start, with room for every row the run attaches, and :meth:`_grow`
-    attaches each block's rounds at the block's match.
+    attaches each block's rounds at the block's match.  Every request's
+    URTS words are drawn, but a pair is served only where it is read: at
+    a light's first pick, which it attaches on, and at a logged request.
+    The others would not change a link or a draw.
     """
 
     def __init__(self, config: SimConfig):
@@ -819,24 +853,44 @@ class Simulation:
             draws = np.concatenate((first, (u * req.bounds).astype(np.int64)), axis=1)
         return req.full_ids[req.request_start + sample_positions(draws, req.drawing)]
 
-    def _grow(self, block: range) -> np.ndarray:
-        """Attach the rounds of ``block``, each light on the served pair of
-        its first pick.  The URTS uniforms, two per request and round, are
-        drawn in one call.  Returns the served pairs, ``(rounds, requests,
-        2)``."""
+    def _grow(self, block: range, logged: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Attach the rounds of ``block``, each light on the pair served at
+        its first pick, and return the pairs served to the ``logged``
+        requests -- (round offset, request) index arrays in round-major
+        order, as :func:`np.nonzero` gives them -- as an ``(n, 2)`` array.
+
+        The block's ``DOMAIN_URTS`` words, two a request and round, are
+        drawn in one call, as if every request were served.  Only the
+        columns somebody reads are converted and mapped to tips: each
+        round's first picks, whose pairs are attached, and its logged
+        requests, whose pairs go into the log.  The pairs nobody reads are
+        not served, which changes no draw: a pair depends only on its own
+        two words and the round-start tips."""
         req = self._requesters
-        n = len(req.request_light)
-        urts = to_uniforms(words(self.config.seed, DOMAIN_URTS, block, 2 * n))
-        served = np.empty((len(block), n, 2), dtype=np.int64)
-        for u, pairs in zip(urts, served):
-            pairs[:] = urts_pairs(self.ledger.tips, u.reshape(2, -1))
-            self.ledger.attach_round(pairs[req.first])
-        return served
+        at, request = logged
+        rounds, lights, n = len(block), len(req.light), len(req.request_light)
+        # the read columns of a round lie side by side, its lights' first
+        # picks and then its logged requests, each as the flat index of
+        # its first word in the block's words (its second is n words on)
+        start = np.arange(rounds) * lights + np.searchsorted(at, np.arange(rounds))
+        word = np.insert((np.arange(0, rounds * 2 * n, 2 * n)[:, None] + req.first).ravel(),
+                         (at + 1) * lights, at * (2 * n) + request)
+        raw = words(self.config.seed, DOMAIN_URTS, block, 2 * n)
+        u = to_uniforms(np.take(raw, (word, word + n)))
+        logged_pairs = []
+        for lo, hi in zip(start.tolist(), start[1:].tolist() + [u.shape[1]]):
+            pairs = urts_pairs(self.ledger.tips, u[:, lo:hi])
+            self.ledger.attach_round(pairs[:lights])
+            logged_pairs.append(pairs[lights:])
+        return np.concatenate(logged_pairs)
 
     def _match(self, block: range) -> None:
         """Draw the requests of the rounds of ``block`` and match their log
         against those rounds' attaches, in one pass.  Under direct tip
-        selection nothing is requested, so nothing is logged."""
+        selection nothing is requested, so nothing is logged.  A
+        collision-aware match has :meth:`_grow` serve pairs only to the
+        first picks and the logged requests, the pairs its links read; the
+        others are drawn but not served, which changes no draw."""
         self._matched = block.stop
         if self.config.mode == MODE_DIRECT:
             return
@@ -858,15 +912,14 @@ class Simulation:
         # collision-aware matching compares tip pairs: grow these rounds,
         # whose attaches are then the ledger's last rows
         responder = self._queried(block, first)
-        logged = self.population.adversary[responder]
+        logged = np.nonzero(self.population.adversary[responder])
+        at, request = logged
         attached = len(self.ledger)
-        served = self._grow(block)
-        at, request = np.nonzero(logged)
         log = ResponseLog(
             nonce=np.column_stack((rounds[at], responder[at, request],
                                    req.request_light[request])),
             requester=req.request_visible[request],
-            tips=served[logged],
+            tips=self._grow(block, logged),
         )
         attaches = RoundAttaches(
             light=np.tile(req.light, len(rounds)),

@@ -12,11 +12,11 @@ sized once when the ledger is built, and the tips are one ascending id
 array.  One batch attach, :meth:`Ledger.attach_round`, is the only writer
 of both, so a whole round, or the bootstrap tips, attach as one array
 update.  The tip update marks the batch's parents in a mask over the
-earlier ids (every parent predates its batch), drops the marked tips and
-appends the new ids, which keeps the array ascending.  The read API is
-:attr:`Ledger.tips` and :attr:`Ledger.parents`.  A transaction's address
-is not stored: the one issued by a light in a round is
-:func:`round_address` of the two.
+earlier ids (every parent predates its batch) from the least parent or
+the oldest tip on, drops the marked tips and appends the new ids, which
+keeps the array ascending.  The read API is :attr:`Ledger.tips` and
+:attr:`Ledger.parents`.  A transaction's address is not stored: the one
+issued by a light in a round is :func:`round_address` of the two.
 """
 
 from __future__ import annotations
@@ -112,15 +112,17 @@ class Ledger:
         if start + n > len(self._parents):
             raise AttachError(f"a batch of {n} rows overflows the ledger: "
                               f"{start} of {len(self._parents)} rows taken")
-        if n and (parents.min() < 0 or parents.max() >= start):
+        least = int(parents.min()) if n else start
+        if n and (least < 0 or parents.max() >= start):
             raise AttachError("unknown parent in batch")
         self._parents[start:start + n] = parents
         self._size = start + n
         ids = np.arange(start, start + n, dtype=np.int64)
-        # every parent predates the batch: a mask over the old ids marks
-        # the tips the batch approves
-        approved = np.zeros(start, dtype=bool)
-        approved[parents] = True
+        # every parent predates the batch: a mask over the old ids from the
+        # least parent or the oldest tip on marks the tips the batch approves
         tips = self._tips
-        self._tips = _frozen(np.concatenate((tips[~approved[tips]], ids)))
+        low = min(least, int(tips[0]))
+        approved = np.zeros(start - low, dtype=bool)
+        approved[parents - low] = True
+        self._tips = _frozen(np.concatenate((tips[~approved[tips - low]], ids)))
         return ids

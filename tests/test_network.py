@@ -594,6 +594,47 @@ def test_join_equals_the_pairwise_reference(unique_left):
     assert 0 < raised < 300
 
 
+def _prefilter_cases():
+    """(left, right) int64 key pairs for the join's low-bit prefilter.
+    Keys share a few low parts and differ above bit 40, past any table a
+    side of under 2**35 keys sizes, so rows whose low bits hit the table
+    without an equal key -- false candidates -- are common; highs run
+    negative too, and both sides repeat keys."""
+    gen = np.random.default_rng(37)
+    for _ in range(300):
+        low = gen.integers(0, 2 ** 12, int(gen.integers(1, 6)))
+        high = gen.integers(-3, 4, int(gen.integers(1, 4)))
+
+        def side(n):
+            return (high[gen.integers(0, len(high), n)] << 40) + low[
+                gen.integers(0, len(low), n)]
+
+        yield side(int(gen.integers(0, 40))), side(int(gen.integers(0, 40)))
+    empty = np.empty(0, dtype=np.int64)
+    some = np.array([-(2 ** 41), 5, 5, 2 ** 40 + 5, -7], dtype=np.int64)
+    yield from ((empty, empty), (empty, some), (some, empty))
+
+
+def test_join_prefilter_keeps_every_true_candidate():
+    # the join sorts only candidate rows, those whose low bits hit a table
+    # the other side marks: with false candidates, negative and repeated
+    # keys, empty sides and either side the smaller, it still gives every
+    # pair of equal keys, by right row and then left row
+    sides = Counter()
+    false_candidates = 0
+    for left, right in _prefilter_cases():
+        left_idx, right_idx = _join_keys(left, right)
+        assert (left_idx.tolist(), right_idx.tolist()) == _join_reference(
+            left[:, None], right[:, None])
+        sides[(len(left) <= len(right), min(len(left), len(right)) == 0)] += 1
+        low_bits = (1 << 40) - 1
+        false_candidates += sum(
+            (a & low_bits) == (b & low_bits) and a != b
+            for a in left.tolist() for b in right.tolist())
+    assert set(sides) == {(True, False), (False, False), (True, True), (False, True)}
+    assert false_candidates > 1000
+
+
 def test_row_keys_are_the_raveled_offset_rows_or_raise_as_ravel_does():
     gen = np.random.default_rng(29)
     limit = np.iinfo(np.int64).max
@@ -1121,6 +1162,52 @@ def test_a_collision_aware_run_of_single_requests_draws_no_request_word(
     sim.run()
     assert [d for d, _, _ in drawn] == [DOMAIN_FIRST_PICK, DOMAIN_URTS] * 3
     assert len(sim.ledger) == 1 + 7 * len(req.light)
+
+
+@pytest.mark.parametrize("settings", [
+    dict(request_fanout=1), dict(request_fanout=3),
+    dict(mode="proxy", proxy_count=3), dict(adversary_count=0),
+], ids=["fanout-1", "fanout-3", "proxy", "none-logged"])
+def test_a_collision_aware_round_serves_only_the_pairs_it_reads(monkeypatch, drawn, settings):
+    # a round maps to tips only its lights' first picks, whose pairs are
+    # attached, and its logged requests, whose pairs are logged, in one
+    # URTS call; every URTS word is still drawn, so the log and the ledger
+    # equal those of a reference that serves every request
+    config = _tiny_config(rounds=7, light_node_count=12, matching="collision_aware", **settings)
+    served, pairs = [], network.urts_pairs
+
+    def counted(tips, u):
+        served.append(u.shape[1])
+        return pairs(tips, u)
+
+    logs, match = [], network.match_responses
+
+    def kept(log, new, matching):
+        logs.append(log.tips)
+        return match(log, new, matching)
+
+    monkeypatch.setattr(network, "urts_pairs", counted)
+    monkeypatch.setattr(network, "match_responses", kept)
+    sim = _blocked(monkeypatch, config, 3)
+    sim.run()
+    req, rounds = sim._requesters, range(config.rounds)
+    n = len(req.request_light)
+    assert [(block, width) for domain, block, width in drawn if domain == DOMAIN_URTS] == [
+        (block, 2 * n) for block in (range(0, 3), range(3, 6), range(6, 7))]
+    reference = Simulation(config)
+    logged = reference.population.adversary[
+        reference._queried(rounds, reference._first_picks(rounds))]
+    assert served == [len(req.light) + k for k in logged.sum(axis=1).tolist()]
+    assert logged.any() == (config.adversary_count > 0)
+    ledger = reference.ledger
+    want_log = []
+    for r in rounds:
+        every = urts_pairs(ledger.tips, uniforms(config.seed, DOMAIN_URTS, range(r, r + 1),
+                                                 2 * n).reshape(2, -1))
+        want_log.append(every[logged[r]])
+        ledger.attach_round(every[req.first])
+    assert np.concatenate(logs).tolist() == np.concatenate(want_log).tolist()
+    _same_ledger(sim.ledger, ledger)
 
 
 @pytest.mark.parametrize("read", ["before-run", "never"])

@@ -191,6 +191,20 @@ def test_attach_round_tips_equal_the_isin_reference():
     assert set(ledger.tips.tolist()) == _recomputed_tips(ledger)
 
 
+def test_attach_round_approves_tips_past_a_parent_older_than_every_tip():
+    # the tip mask starts at the least parent or the oldest tip: a batch
+    # naming genesis, older than the bootstrap tips, still drops the tips
+    # it names, and one naming no tip drops none
+    ledger = Ledger(1 + 4 + 3)
+    _attach(ledger, *[(GENESIS_ID, GENESIS_ID)] * 4)
+    assert ledger.tips.tolist() == [1, 2, 3, 4]
+    assert _attach(ledger, (GENESIS_ID, 2), (4, GENESIS_ID)) == [5, 6]
+    assert ledger.tips.tolist() == [1, 3, 5, 6]
+    assert _attach(ledger, (GENESIS_ID, 2)) == [7]
+    assert ledger.tips.tolist() == [1, 3, 5, 6, 7]
+    assert set(ledger.tips.tolist()) == _recomputed_tips(ledger)
+
+
 # ---------------------------------------------------------------------------
 # uniform selection
 # ---------------------------------------------------------------------------
