@@ -143,6 +143,9 @@ def cell_adversary_odds(
     q_in = (C/N)/(1-P0) and q_out = (C/N)(1 - C(N-1-s,C-1)/C(N-1,C-1))/(1-P0).
     Both are C/N when the condition is void, because no C-subset hits a
     member (C = 0 or s = 0), and when there is no other node (s = N).
+    The two ratios are formed from integers alone: with A = C(N-s,C),
+    B = C(N,C), A' = C(N-1-s,C-1) and B' = C(N-1,C-1), q_in =
+    C B / (N (B-A)) and q_out = C (B'-A') B / (N B' (B-A)).
     """
     n, c, s = full_nodes, compromised, members
     if n < 1:
@@ -151,13 +154,13 @@ def cell_adversary_odds(
         raise ParameterError(f"compromised must be in [0, {n}], got {c}")
     if not 0 <= s <= n:
         raise ParameterError(f"members must be in [0, {n}], got {s}")
-    share = Fraction(c, n)
-    hit = 1 - Fraction(math.comb(n - s, c), math.comb(n, c))
+    b = math.comb(n, c)
+    hit = b - math.comb(n - s, c)  # B - A
     if hit == 0 or s == n:
-        return share, share
-    # a non-member is hostile, and the other C-1 hostile nodes hit a member
-    joint = share * (1 - Fraction(math.comb(n - 1 - s, c - 1), math.comb(n - 1, c - 1)))
-    return share / hit, joint / hit
+        return Fraction(c, n), Fraction(c, n)
+    b1 = math.comb(n - 1, c - 1)
+    a1 = math.comb(n - 1 - s, c - 1)
+    return Fraction(c * b, n * hit), Fraction(c * (b1 - a1) * b, n * b1 * hit)
 
 
 def required_full_nodes(compromised: int, target_rate: float | str | Fraction) -> int:

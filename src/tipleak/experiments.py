@@ -7,8 +7,10 @@ the layout-variance trend, mixer chain identification, and a comparison of
 the candidate mitigations; ``exp_custom`` runs one free-form simulation.
 Every experiment-level draw comes from a substream keyed on (seed,
 experiment, unit), and each simulation or layout from its own seed drawn
-there; a heatmap cell keys its Philox generator from its substream.  So
-results are byte-identical for a fixed seed regardless of worker count.
+there; a layout's cells share one Philox generator, which each cell
+re-keys from its own substream, so a cell draws the same points whichever
+other cells are measured.  So results are byte-identical for a fixed seed
+regardless of worker count.
 Only ``decentralized`` (its simulations) and ``variance`` (its layouts)
 fan out, through :func:`pmap`, whose jobs send back numbers; every other
 study runs in one process.
@@ -64,6 +66,7 @@ _CELL_BLOCK_ELEMENTS = 1 << 17
 # Relative slack of the cell's reach prefilter over the few ulps by which a
 # rounded distance can fall short of the exact one.
 _NEAR_SLACK = 1e-9
+_KEY_WORD = (1 << 64) - 1  # a Philox key is two 64-bit words, low word first
 REGION_DATA_FILE = "fullnode_regions_2020.json"
 REALWORLD_MAX_SAMPLES = 100_000  # realworld keeps each subset: ~1.7 KB a sample
 MIXER_MAX_CHAIN = 100_000  # mixer adds two rows per chain length: ~2.4 KB each
@@ -172,6 +175,32 @@ def _near_cell(nodes, corner, size, radius: float) -> np.ndarray:
     return np.hypot(gap[:, 0], gap[:, 1]) <= radius * (1 + _NEAR_SLACK)
 
 
+class CellLayout:
+    """What every cell of one layout shares: the ``(n, 2)`` full-node
+    array ``nodes`` of ``positions``, each node's grid cell ``cells``
+    (:func:`cell_index`), and one Philox generator ``gen``, which each
+    cell re-keys (:func:`_rekey`) before it draws."""
+
+    __slots__ = ("nodes", "cells", "gen")
+
+    def __init__(self, positions) -> None:
+        self.nodes = np.asarray(positions, dtype=float).reshape(-1, 2)
+        self.cells = cell_index(self.nodes)
+        # seeded, so no OS entropy is read: each cell re-keys it first
+        self.gen = np.random.Generator(np.random.Philox(0))
+
+
+def _rekey(gen: np.random.Generator, key: int) -> None:
+    """Set ``gen``'s Philox to the 128-bit ``key`` at counter 0 with an
+    empty buffer and no pending 32-bit half: it then draws exactly what
+    ``np.random.Generator(np.random.Philox(key=key))`` draws."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (key & _KEY_WORD, key >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
 def measure_cell_probability(
     positions,
     adversary_count: int,
@@ -181,6 +210,7 @@ def measure_cell_probability(
     samples: int,
     radius: float,
     require_local_adversary: bool = False,
+    layout: CellLayout | None = None,
 ) -> tuple[float | None, int]:
     """Estimate how often a requester inside one grid cell follows an adversary.
 
@@ -195,6 +225,14 @@ def measure_cell_probability(
     node.  No adversary set is drawn, and only the nodes within ``radius``
     of the cell (:func:`_near_cell`) are tested against its points.
 
+    ``layout``, the :class:`CellLayout` of ``positions``, lets the cells of
+    one layout share its node cells and its generator, which each cell
+    re-keys from ``rng``; a call without it builds its own.  Either way the
+    draws, and so the estimate, are the same.  The reach of each block of
+    points is summed node by node in integers: over the near nodes for
+    the count, over the cell's own near nodes (put first) for the local
+    count.
+
     Returns ``(probability, effective_samples)``, the latter the number of
     those points; probability is None when no sample point could reach any
     full node.
@@ -204,32 +242,44 @@ def measure_cell_probability(
             "local-adversary conditioning needs at least one adversary; "
             "disable it for adversary-free measurements"
         )
-    nodes = np.asarray(positions, dtype=float).reshape(-1, 2)
+    if layout is None:
+        layout = CellLayout(positions)
+    nodes, gen = layout.nodes, layout.gen
     n = len(nodes)
-    members = cell_index(nodes) == cell
+    members = layout.cells == cell
     if require_local_adversary:
         q_in, q_out = map(float, cell_adversary_odds(
-            n, adversary_count, int(members.sum())))
+            n, adversary_count, int(np.count_nonzero(members))))
     else:
         q_in = q_out = adversary_count / n
-    gen = np.random.Generator(np.random.Philox(key=rng.getrandbits(128)))
+    _rekey(gen, rng.getrandbits(128))
     row, col = divmod(cell, GRID_DIM)
     corner = np.array((col, row), dtype=float)
     size = np.array(PLANE) / GRID_DIM
     near = _near_cell(nodes, corner, size, radius)
     if not near.any():
         return None, 0
-    nodes = nodes[near]
-    # each point's reach and local counts in one product: sums of 0/1
-    # terms, exact integers in float64 below 2**53
-    weights = np.ones((len(nodes), 2))
-    weights[:, 1] = members[near]
+    # the cell's own near nodes first: rows [0, local_rows) of the reach
+    own = near & members
+    local_rows = int(np.count_nonzero(own))
+    nodes = np.concatenate((nodes[own], nodes[near & ~members]))
+    # a count is at most the near-node count
+    counter = np.uint16 if len(nodes) < 1 << 16 else np.int64
     block = -(-_CELL_BLOCK_ELEMENTS // n)  # points per block: bounded memory
     chance = 0.0
     effective = 0
     for start in range(0, samples, block):
-        points = (corner + gen.random((min(block, samples - start), 2))) * size
-        count, local = (reachable(points, nodes, radius) @ weights).T
+        points = gen.random((min(block, samples - start), 2))
+        # (corner + u) * size by axis: numpy loops a (k, 2) array against a
+        # 2-vector two elements at a time, at twice the cost
+        x, y = points.T
+        x += col
+        x *= size[0]
+        y += row
+        y *= size[1]
+        reach = reachable(points, nodes, radius).T  # (near nodes, points)
+        count = np.add.reduce(reach, axis=0, dtype=counter).astype(float)
+        local = np.add.reduce(reach[:local_rows], axis=0, dtype=counter).astype(float)
         seen = count > 0
         count, local = count[seen], local[seen]
         chance += float(np.sum((q_in * local + q_out * (count - local)) / count))
@@ -245,15 +295,17 @@ def _cell_layout(index: int, *, layout: SimConfig, seed: int, tag: int,
     index)``.  Returns the node count of each grid cell and a function
     measuring cell ``c`` from the substream keyed ``(tag, index,
     cell_key_base + c)``, so a cell's estimate does not depend on which
-    other cells are measured."""
+    other cells are measured.  The cells share one :class:`CellLayout`,
+    built here: the node cells behind the counts and one generator."""
     positions = place_nodes(replace(layout, seed=_sub_seed(seed, tag, index))).full_nodes
-    counts = np.bincount(cell_index(positions), minlength=GRID_CELLS).tolist()
+    shared = CellLayout(positions)
+    counts = np.bincount(shared.cells, minlength=GRID_CELLS).tolist()
 
     def measure(cell: int) -> tuple[float | None, int]:
         return measure_cell_probability(
             positions, layout.effective_adversaries, cell,
             substream(seed, DOMAIN_EXPERIMENT, tag, index, cell_key_base + cell),
-            **sampling,
+            **sampling, layout=shared,
         )
     return counts, measure
 

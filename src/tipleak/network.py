@@ -378,7 +378,7 @@ def reachable(points, nodes, radius: float | None) -> np.ndarray:
     The result equals ``np.hypot(dx, dy) <= radius`` element for element,
     but the squared distances come from one matrix product per chunk:
     with ``P = p - c`` and ``Q = q - c`` taken from the first point ``c``,
-    ``d2 = [P, |P|**2, 1] @ [-2Q; 1; |Q|**2]``.  Let ``u = eps / 2`` and
+    ``d2 = [-2Q, 1, |Q|**2] @ [P; |P|**2; 1]``.  Let ``u = eps / 2`` and
     ``S = max|P| + max|Q|``.  Against the exact ``D = |p - q|**2``, d2 errs
     by at most:
 
@@ -398,6 +398,10 @@ def reachable(points, nodes, radius: float | None) -> np.ndarray:
     coordinates.  Radii whose square leaves the normal float range use
     ``hypot`` alone, and so do inputs with ``16 S**2`` above the float
     range (or not finite), where a term or partial sum could overflow.
+
+    The products fill a node-major ``(n, k)`` block, chunk by chunk of
+    nodes, and the result is its transpose: ``reachable(...).T`` is a
+    C-contiguous row of points per node, ready to be summed over nodes.
     """
     if radius is None:
         return np.ones((len(points), len(nodes)), dtype=bool)
@@ -406,47 +410,43 @@ def reachable(points, nodes, radius: float | None) -> np.ndarray:
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
     k, n = len(points), len(nodes)
-    reach = np.empty((k, n), dtype=bool)
+    reach = np.empty((n, k), dtype=bool)
     if not reach.size:
-        return reach
-    # rows [P, |P|^2, 1] and columns [-2Q; 1; |Q|^2], centred on points[0];
+        return reach.T
+    # rows [-2Q, 1, |Q|^2] and columns [P; |P|^2; 1], centred on points[0];
     # an overflow or a coordinate that is not finite leaves bound infinite
     # or NaN, and such inputs go to hypot
-    left = np.empty((k, 4))
-    right = np.empty((4, n))
+    left = np.empty((n, 4))
+    right = np.empty((4, k))
+    left[:, 2] = right[3] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for axis, centre in enumerate(points[0]):
-            np.subtract(points[:, axis], centre, out=left[:, axis])
-        np.multiply(left[:, 0], left[:, 0], out=left[:, 2])
-        left[:, 2] += left[:, 1] * left[:, 1]
-        np.subtract(nodes.T, points[0, :, None], out=right[:2])
-        np.multiply(right[0], right[0], out=right[3])
-        right[3] += right[1] * right[1]
-        right[:2] *= -2.0
-    left[:, 3] = 1.0
-    right[2] = 1.0
+        q = np.subtract(nodes, points[0], out=left[:, :2])
+        np.einsum("ij,ij->i", q, q, out=left[:, 3])
+        q *= -2.0
+        p = np.subtract(points.T, points[0, :, None], out=right[:2])
+        np.einsum("ij,ij->j", p, p, out=right[2])
     r2 = radius * radius
-    span = math.sqrt(left[:, 2].max()) + math.sqrt(right[3].max())
+    span = math.sqrt(right[2].max()) + math.sqrt(left[:, 3].max())
     bound = 16 * (span * span)  # finite: no term or partial sum overflows
     if not math.isfinite(bound):
         return _distances(points, nodes) <= radius
     tol = r2 * _REACH_BAND + _EPS * bound
     low, high = r2 - tol, r2 + tol
-    step = max(1, _REACH_CHUNK // n)
-    d2 = np.empty((min(step, k), n))
+    step = max(1, _REACH_CHUNK // k)
+    d2 = np.empty((min(step, n), k))
     beyond = np.empty(d2.shape, dtype=bool)
-    for start in range(0, k, step):
-        rows = min(step, k - start)
+    for start in range(0, n, step):
+        rows = min(step, n - start)
         block, inside, outside = d2[:rows], reach[start:start + rows], beyond[:rows]
         np.matmul(left[start:start + rows], right, out=block)
         np.less_equal(block, low, out=inside)
         np.greater(block, high, out=outside)
         if np.count_nonzero(inside) + np.count_nonzero(outside) != block.size:
-            i, j = np.nonzero(~(inside | outside))
-            i += start
-            reach[i, j] = np.hypot(points[i, 0] - nodes[j, 0],
+            j, i = np.nonzero(~(inside | outside))
+            j += start
+            reach[j, i] = np.hypot(points[i, 0] - nodes[j, 0],
                                    points[i, 1] - nodes[j, 1]) <= radius
-    return reach
+    return reach.T
 
 
 def proxy_assign(population: Population) -> np.ndarray:

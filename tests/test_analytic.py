@@ -10,7 +10,7 @@ import math
 import re
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +212,35 @@ def test_cell_adversary_odds_edges():
     assert cell_adversary_odds(7, 4, 4) == (Fraction(4, 7),) * 2
     # a lone member is always hostile; the other adversary is any of 19
     assert cell_adversary_odds(20, 2, 1) == (1, Fraction(1, 19))
+
+
+def _fraction_odds(n, c, s):
+    """The defining formula of cell_adversary_odds in Fraction arithmetic:
+    q_in = (C/N)/(1-P0), q_out = (C/N)(1 - C(N-1-s,C-1)/C(N-1,C-1))/(1-P0)."""
+    share = Fraction(c, n)
+    hit = 1 - Fraction(math.comb(n - s, c), math.comb(n, c))
+    if hit == 0 or s == n:
+        return share, share
+    joint = share * (1 - Fraction(math.comb(n - 1 - s, c - 1), math.comb(n - 1, c - 1)))
+    return share / hit, joint / hit
+
+
+def _assert_odds_match_fraction_formula(n, c, s):
+    got, want = cell_adversary_odds(n, c, s), _fraction_odds(n, c, s)
+    assert got == want, (n, c, s)
+    assert tuple(map(float, got)) == tuple(map(float, want)), (n, c, s)
+
+
+def test_cell_adversary_odds_match_the_fraction_formula_up_to_60_nodes():
+    for n in range(1, 61):
+        for c, s in product(range(n + 1), repeat=2):
+            _assert_odds_match_fraction_formula(n, c, s)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_cell_adversary_odds_match_the_fraction_formula_at_scale(n):
+    for c, s in product((0, 1, 2, 10, 100, n - 1, n), (0, 1, 3, 50, 1000, n - 100, n - 1, n)):
+        _assert_odds_match_fraction_formula(n, c, s)
 
 
 def test_cell_adversary_odds_validation():

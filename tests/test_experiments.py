@@ -9,6 +9,7 @@ import pickle
 import statistics
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from tipleak.results import (
     result_to_json_bytes,
     write_result,
 )
-from tipleak.rng import substream
+from tipleak.rng import DOMAIN_EXPERIMENT, substream
 
 
 def _grid_layout(n: int = 45) -> list:
@@ -322,6 +323,82 @@ def test_cell_estimate_equals_count_nonzero_reference(node_count):
             got = measure_cell_probability(positions, 4, cell, substream(6, cell), **kw)
             want = _counted_cell_probability(positions, 4, cell, substream(6, cell), **kw)
             assert got == want, (placement, radius, cell, conditioned)
+
+
+def test_rekeyed_generator_draws_what_a_fresh_one_draws():
+    key = substream(8, 1).getrandbits(128)
+    gen = np.random.Generator(np.random.Philox(key=5))
+    gen.random(3)  # three of the buffer's four words
+    gen.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count: a half word kept
+    state = gen.bit_generator.state
+    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+    experiments._rekey(gen, key)
+    fresh = np.random.Generator(np.random.Philox(key=key))
+    for draw in (lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+                 lambda g: g.random(7), lambda g: g.integers(0, 2**64, size=3, dtype=np.uint64)):
+        assert np.array_equal(draw(gen), draw(fresh))
+
+
+def _heatmap_layout_args(placement: str) -> dict:
+    return experiments._cell_layouts(
+        experiments._TAG_HEATMAP, 0, placement=placement, node_count=40, adversary_ratio=0.1,
+        samples_per_cell=300, radius=2.0, require_local_adversary=None, seed=6)
+
+
+@pytest.mark.parametrize("placement", ["uniform_grid", "uniform_random", "clustered"])
+def test_layout_cells_equal_standalone_calls_in_any_order(placement):
+    args = _heatmap_layout_args(placement)
+    layout, seed, tag = args["layout"], args["seed"], args["tag"]
+
+    def standalone(index, cell):
+        positions = place_nodes(replace(
+            layout, seed=experiments._sub_seed(seed, tag, index))).full_nodes
+        return measure_cell_probability(
+            positions, layout.effective_adversaries, cell,
+            substream(seed, DOMAIN_EXPERIMENT, tag, index, cell),
+            samples=args["samples"], radius=args["radius"],
+            require_local_adversary=args["require_local_adversary"])
+
+    want = {(index, cell): standalone(index, cell)
+            for index in (0, 1) for cell in range(GRID_CELLS)}
+    _, first = experiments._cell_layout(0, **args)
+    _, second = experiments._cell_layout(1, **args)
+    cells = list(range(GRID_CELLS))
+    for order in (cells, cells[::-1], cells + cells):
+        assert [first(cell) for cell in order] == [want[0, cell] for cell in order]
+    for cell in cells:  # interleaved with another layout's cells
+        assert first(cell) == want[0, cell]
+        assert second(GRID_CELLS - 1 - cell) == want[1, GRID_CELLS - 1 - cell]
+
+
+def test_a_layout_builds_one_philox_for_all_its_cells(monkeypatch):
+    philox, built = np.random.Philox, []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+    monkeypatch.setattr(np.random, "Philox", counted)
+    _, measure = experiments._cell_layout(0, **_heatmap_layout_args("clustered"))
+    for cell in range(GRID_CELLS):
+        measure(cell)
+    assert len(built) == 1
+
+
+def test_cell_counts_past_the_uint16_range():
+    # 2**16 + 3 near nodes, every one within reach of every point of cell
+    # 4: a count of 2**16 or more does not fit a uint16 accumulator
+    n, samples, adversaries = 2**16 + 3, 5, 1000
+    spread = np.linspace(0.0, 1.0, n)
+    nodes = np.column_stack((4.0 + spread, 4.0 + spread))  # cell 4 until 6.67
+    nodes[::2, 0] += 3.0  # every other node in cell 5
+    assert 0 < np.count_nonzero(cell_index(nodes) == 4) < n
+    for conditioned in (False, True):
+        kw = dict(samples=samples, radius=20.0, require_local_adversary=conditioned)
+        got = measure_cell_probability(nodes, adversaries, 4, substream(9, 4), **kw)
+        want = _counted_cell_probability(nodes, adversaries, 4, substream(9, 4), **kw)
+        assert got == want and got[1] == samples, conditioned
+        if not conditioned:
+            assert abs(got[0] - adversaries / n) < 1e-12
 
 
 # ---------------------------------------------------------------------------
