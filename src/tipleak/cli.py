@@ -3,15 +3,17 @@
 Exit codes follow the interface contract: 0 on success, 1 for usage errors
 (bad flags, unknown keys, unreadable files), 2 when `validate` checks fail.
 
-Each call builds only the parser of the command it invokes; the others are
-listed by name and help alone, so every help text reads the same.  The
-simulator, its experiments and numpy load on the first `run` or `validate`:
+Each call uses only the parser of the command it invokes, built once per
+command and process; the others are listed by name and help alone, so
+help text and usage errors read as from a fresh full parser on every call.
+The simulator, its experiments and numpy load on the first `run` or `validate`:
 `tipleak analytic` and a bare `import tipleak.cli` never load them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -583,9 +585,13 @@ def build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
+# parse_args leaves a parser as it was, and help is formatted afresh each time
+_cached_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _cached_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     _, _, handler = _COMMANDS[args.command]
     try:
         return handler(args)

@@ -54,7 +54,7 @@ from .network import (
     reachable,
     run_simulation,
 )
-from .rng import DOMAIN_EXPERIMENT, substream
+from .rng import DOMAIN_EXPERIMENT, rekey, substream
 
 DEFAULT_SEED = 42
 GRID_CELLS = GRID_DIM * GRID_DIM
@@ -66,7 +66,6 @@ _CELL_BLOCK_ELEMENTS = 1 << 17
 # Relative slack of the cell's reach prefilter over the few ulps by which a
 # rounded distance can fall short of the exact one.
 _NEAR_SLACK = 1e-9
-_KEY_WORD = (1 << 64) - 1  # a Philox key is two 64-bit words, low word first
 REGION_DATA_FILE = "fullnode_regions_2020.json"
 REALWORLD_MAX_SAMPLES = 100_000  # realworld keeps each subset: ~1.7 KB a sample
 MIXER_MAX_CHAIN = 100_000  # mixer adds two rows per chain length: ~2.4 KB each
@@ -179,7 +178,7 @@ class CellLayout:
     """What every cell of one layout shares: the ``(n, 2)`` full-node
     array ``nodes`` of ``positions``, each node's grid cell ``cells``
     (:func:`cell_index`), and one Philox generator ``gen``, which each
-    cell re-keys (:func:`_rekey`) before it draws."""
+    cell re-keys (:func:`tipleak.rng.rekey`) before it draws."""
 
     __slots__ = ("nodes", "cells", "gen")
 
@@ -188,17 +187,6 @@ class CellLayout:
         self.cells = cell_index(self.nodes)
         # seeded, so no OS entropy is read: each cell re-keys it first
         self.gen = np.random.Generator(np.random.Philox(0))
-
-
-def _rekey(gen: np.random.Generator, key: int) -> None:
-    """Set ``gen``'s Philox to the 128-bit ``key`` at counter 0 with an
-    empty buffer and no pending 32-bit half: it then draws exactly what
-    ``np.random.Generator(np.random.Philox(key=key))`` draws."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (key & _KEY_WORD, key >> 64)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
 
 
 def measure_cell_probability(
@@ -252,7 +240,7 @@ def measure_cell_probability(
             n, adversary_count, int(np.count_nonzero(members))))
     else:
         q_in = q_out = adversary_count / n
-    _rekey(gen, rng.getrandbits(128))
+    rekey(gen.bit_generator, rng.getrandbits(128))
     row, col = divmod(cell, GRID_DIM)
     corner = np.array((col, row), dtype=float)
     size = np.array(PLANE) / GRID_DIM

@@ -588,12 +588,13 @@ class Requesters:
     identity, so the lights behind one proxy share one run of it.  Row
     ``first[r]`` is the light's first pick, the request it follows.
 
-    The request columns, the ``(width, rows)`` mask ``drawing`` of which
-    rows make a pick at each fan-out step and ``bounds``, the bound of
-    every pick after the first in step-major order (step ``t`` of a row
-    draws below ``count[r] - t``), serve collision-aware runs alone: only
-    they draw whole queried sets.  Reach never changes during a run, so
-    only the queried nodes and the responses are drawn per round.
+    The request columns -- ``first``, ``request_*``, the ``(width, rows)``
+    mask ``drawing`` of which rows make a pick at each fan-out step and
+    ``bounds``, the bound of every pick after the first in step-major
+    order (step ``t`` of a row draws below ``count[r] - t``) -- are built
+    on first read, by collision-aware runs alone: only they draw whole
+    queried sets.  Reach never changes during a run, so only the queried
+    nodes and the responses are drawn per round.
     """
 
     light: np.ndarray
@@ -602,12 +603,30 @@ class Requesters:
     start: np.ndarray
     count: np.ndarray
     fanout: np.ndarray
-    first: np.ndarray
-    request_start: np.ndarray
-    request_light: np.ndarray
-    request_visible: np.ndarray
-    drawing: np.ndarray
-    bounds: np.ndarray
+
+    @functools.cached_property
+    def first(self) -> np.ndarray:
+        return np.cumsum(self.fanout) - self.fanout
+
+    @functools.cached_property
+    def request_start(self) -> np.ndarray:
+        return np.repeat(self.start, self.fanout)
+
+    @functools.cached_property
+    def request_light(self) -> np.ndarray:
+        return np.repeat(self.light, self.fanout)
+
+    @functools.cached_property
+    def request_visible(self) -> np.ndarray:
+        return np.repeat(self.visible, self.fanout)
+
+    @functools.cached_property
+    def drawing(self) -> np.ndarray:
+        return np.arange(self.fanout.max(initial=0))[:, None] < self.fanout
+
+    @functools.cached_property
+    def bounds(self) -> np.ndarray:
+        return (self.count - np.arange(1, len(self.drawing))[:, None])[self.drawing[1:]]
 
 
 def sample_positions(draws: np.ndarray, drawing: np.ndarray) -> np.ndarray:
@@ -813,10 +832,6 @@ class Simulation:
         light, visible, row = pop.light_ids[keep], self._visible[keep], row[keep]
         count = reached[row]
         start = (np.cumsum(reached) - reached)[row]
-        fanout = np.minimum(count, self.config.request_fanout)
-        owner = np.repeat(np.arange(len(light)), fanout)
-        steps = np.arange(fanout.max(initial=0))[:, None]
-        drawing = steps < fanout  # (width, rows): which rows pick at each step
         return Requesters(
             light=light,
             visible=visible,
@@ -824,13 +839,7 @@ class Simulation:
             full_ids=np.broadcast_to(np.arange(reach.shape[1]), reach.shape)[reach],
             start=start,
             count=count,
-            fanout=fanout,
-            first=np.cumsum(fanout) - fanout,
-            request_start=start[owner],
-            request_light=light[owner],
-            request_visible=visible[owner],
-            drawing=drawing,
-            bounds=(count - steps)[1:][drawing[1:]],
+            fanout=np.minimum(count, self.config.request_fanout),
         )
 
     def _first_picks(self, rounds: range) -> np.ndarray:
@@ -942,8 +951,8 @@ class Simulation:
             raise ValueError(f"this simulation has run ({self._matched} of "
                              f"{self.config.rounds} rounds); a Simulation runs once")
         req, rounds = self._requesters, self.config.rounds
-        rows = req.request_light if self.config.matching == MATCH_COLLISION_AWARE else req.light
-        step = _block_rounds(len(rows))
+        collision_aware = self.config.matching == MATCH_COLLISION_AWARE
+        step = _block_rounds(int(req.fanout.sum()) if collision_aware else len(req.light))
         for start in range(0, rounds, step):
             self._match(range(start, min(start + step, rounds)))
         return self._result()

@@ -14,6 +14,8 @@ names the consumer, and draws from a stream keyed by it:
   whichever block it falls in, or however late they are drawn again.
   :func:`to_uniforms` converts words to uniforms, so a caller converts
   only the columns it reads; :func:`uniforms` is the two in one.
+  :func:`words` keeps one Philox generator and re-keys it (:func:`rekey`)
+  under a lock for each call, which draws what a fresh generator would.
   A simulation run reads up to three such streams.  ``DOMAIN_FIRST_PICK``
   holds each requesting light's first pick of its reach, one word a light
   a round: the node it follows, which alone decides its nonce-matched
@@ -34,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+import threading
 
 import numpy as np
 
@@ -44,6 +47,10 @@ DOMAIN_REQUEST = 3     # a collision-aware run's queried positions after the fir
 DOMAIN_FIRST_PICK = 4  # a run's first picks: the node each requesting light follows
 DOMAIN_URTS = 5        # a collision-aware run's URTS draws: responses' tip pairs
 DOMAIN_EXPERIMENT = 6  # experiment-level draws (samples, subsets, ...)
+
+_WORD = (1 << 64) - 1  # Philox keys and counters are 64-bit words, low word first
+_PHILOX = np.random.Philox(0)  # seeded, so built without OS entropy; words() re-keys it
+_PHILOX_LOCK = threading.Lock()  # a re-key and its draw are one step
 
 
 def _stream_key(root_seed: int, *path: int) -> int:
@@ -67,6 +74,16 @@ def substream(root_seed: int, *path: int) -> random.Random:
     return random.Random(_stream_key(root_seed, *path))
 
 
+def rekey(bit_generator: np.random.Philox, key: int, counter: int = 0) -> None:
+    """Set ``bit_generator`` to the 128-bit ``key`` at the 256-bit
+    ``counter`` with an empty buffer and no pending 32-bit half: it then
+    draws exactly what ``np.random.Philox(key=key, counter=counter)`` draws."""
+    bit_generator.state = {"bit_generator": "Philox", "state": {
+        "counter": tuple(counter >> shift & _WORD for shift in range(0, 256, 64)),
+        "key": (key & _WORD, key >> 64),
+    }, "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def words(root_seed: int, domain: int, rounds: range, width: int) -> np.ndarray:
     """``width`` 64-bit words for each of the consecutive ``rounds``, as a
     ``(len(rounds), width)`` uint64 array, from the Philox stream keyed by
@@ -77,9 +94,9 @@ def words(root_seed: int, domain: int, rounds: range, width: int) -> np.ndarray:
     row is the same whatever block of rounds it is drawn in.
     """
     per_round = -(-width // 4)
-    raw = np.random.Philox(
-        key=_stream_key(root_seed, domain), counter=rounds.start * per_round,
-    ).random_raw(len(rounds) * per_round * 4)
+    with _PHILOX_LOCK:
+        rekey(_PHILOX, _stream_key(root_seed, domain), rounds.start * per_round)
+        raw = _PHILOX.random_raw(len(rounds) * per_round * 4)
     return raw.reshape(len(rounds), 4 * per_round)[:, :width]
 
 

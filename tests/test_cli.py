@@ -23,7 +23,7 @@ from tipleak.cli import (
     parse_config_line,
     resolve_overrides,
 )
-from tipleak import experiments
+from tipleak import cli, experiments
 from tipleak.experiments import STUDIES, ExperimentResult
 
 
@@ -619,6 +619,69 @@ def test_usage_errors_read_as_from_the_full_parser(argv, line):
     assert _exit_and_stderr(argv) == (EXIT_USAGE, err.getvalue())
     if line is not None:
         assert err.getvalue() == f"{line} (see --help)\n"
+
+
+def _outcome(call, argv) -> tuple[object, str, str]:
+    """Exit code (or return value), stdout and stderr of ``call(argv)``:
+    :func:`_exit_and_stderr` for any call, with its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as info:
+            code = info.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["run", "--help"], ["validate", "--help"],
+    *(["analytic", op, "--help"] for op in ANALYTIC_FLAGS),
+    [], ["run"], ["bogus"], ["run", "x", "--bad"], ["analytic", "deanon"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_reads_as_a_fresh_parser_on_every_call(argv):
+    # main keeps one parser per command and process: each call prints and
+    # exits as a parser built for it does
+    want = _outcome(_fresh_parse, argv)
+    assert want[0] in (0, EXIT_USAGE) and want[1] + want[2]
+    assert _outcome(main, argv) == want
+    assert _outcome(main, argv) == want
+
+
+def test_main_carries_nothing_over_between_calls(tmp_path, monkeypatch):
+    seen = []
+    help_text, add_parser, handler = cli._COMMANDS["run"]
+
+    def recorded(args):
+        seen.append(args)
+        return handler(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "run", (help_text, add_parser, recorded))
+    small = ["--seed", "5", "--set", "participants=500", "--set", "p_values=0.1"]
+    assert main(["run", "mixer", "--format", "structured", "--out", str(tmp_path / "a"),
+                 *small]) == EXIT_OK
+    assert main(["run", "mixer", "--out", str(tmp_path / "b"), *small]) == EXIT_OK
+    # an unknown study is refused before anything runs
+    assert _outcome(main, ["run", "bogus", "--out", str(tmp_path / "c")])[0] == EXIT_USAGE
+    assert [(args.format, args.set) for args in seen] == [
+        ("structured", small[3::2]), ("csv", small[3::2]), ("csv", None)]
+    assert [path.name for path in (tmp_path / "a").iterdir()] == ["mixer_5.json"]
+    assert [path.name for path in (tmp_path / "b").iterdir()] == ["mixer_5.csv"]
+    assert not (tmp_path / "c").exists()
+
+
+def test_main_wraps_help_at_each_calls_width(monkeypatch):
+    helps = []
+    for columns in ("60", "140", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["run", "--help"], ["analytic", "takeover", "--help"]):
+            want = _outcome(_fresh_parse, argv)
+            assert _outcome(main, argv) == want
+            helps.append(want)
+    assert helps[:2] == helps[4:] and helps[:2] != helps[2:4]
 
 
 def test_module_entry_point_prints_the_in_process_run_help(monkeypatch):

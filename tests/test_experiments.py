@@ -45,7 +45,7 @@ from tipleak.results import (
     result_to_json_bytes,
     write_result,
 )
-from tipleak.rng import DOMAIN_EXPERIMENT, substream
+from tipleak.rng import DOMAIN_EXPERIMENT, rekey, substream
 
 
 def _grid_layout(n: int = 45) -> list:
@@ -332,7 +332,7 @@ def test_rekeyed_generator_draws_what_a_fresh_one_draws():
     gen.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count: a half word kept
     state = gen.bit_generator.state
     assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
-    experiments._rekey(gen, key)
+    rekey(gen.bit_generator, key)
     fresh = np.random.Generator(np.random.Philox(key=key))
     for draw in (lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
                  lambda g: g.random(7), lambda g: g.integers(0, 2**64, size=3, dtype=np.uint64)):

@@ -1164,6 +1164,58 @@ def test_a_collision_aware_run_of_single_requests_draws_no_request_word(
     assert len(sim.ledger) == 1 + 7 * len(req.light)
 
 
+REQUEST_COLUMNS = ("first", "request_start", "request_light", "request_visible",
+                   "drawing", "bounds")
+
+
+def _eager_request_columns(req) -> dict:
+    """The request columns of ``req``, each built from its fields up
+    front, as a request plan once built them all."""
+    owner = np.repeat(np.arange(len(req.light)), req.fanout)
+    steps = np.arange(req.fanout.max(initial=0))[:, None]
+    drawing = steps < req.fanout
+    return dict(
+        first=np.cumsum(req.fanout) - req.fanout,
+        request_start=req.start[owner],
+        request_light=req.light[owner],
+        request_visible=req.visible[owner],
+        drawing=drawing,
+        bounds=(req.count - steps)[1:][drawing[1:]],
+    )
+
+
+@pytest.mark.parametrize("settings", [
+    dict(), dict(mode="proxy", proxy_count=3), dict(request_radius=1.5),
+    dict(mode="direct_tip_selection"), dict(mode="direct_tip_selection", matching="collision_aware"),
+], ids=["baseline", "proxy", "radius", "direct", "direct-collision-aware"])
+def test_a_run_that_reads_no_request_column_builds_none(settings):
+    sim = Simulation(_tiny_config(rounds=7, **settings))
+    sim.run()
+    assert not set(REQUEST_COLUMNS) & set(vars(sim._requesters))
+
+
+@pytest.mark.parametrize("config, stranded", [
+    (_tiny_config(rounds=9, mode="proxy", proxy_count=3, matching="collision_aware"), False),
+    (SimConfig(full_node_count=20, adversary_count=8, light_node_count=30, rounds=11,
+               mode="proxy", proxy_count=4, request_radius=4, matching="collision_aware",
+               seed=3), False),
+    # some lights reach no full node and send nothing
+    (SimConfig(full_node_count=60, adversary_count=12, light_node_count=80, rounds=7,
+               request_radius=1.4, matching="collision_aware", seed=404), True),
+], ids=["proxy", "proxy-radius", "stranded"])
+def test_request_columns_equal_the_eager_plan(config, stranded):
+    sim = Simulation(config)
+    req = sim._requesters
+    assert (sim.run().unreachable_light_nodes > 0) == stranded
+    built = vars(req)
+    assert set(REQUEST_COLUMNS) <= set(built)  # the run read each one
+    for name, want in _eager_request_columns(req).items():
+        got = getattr(req, name)
+        assert got is built[name], name  # built once
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
 @pytest.mark.parametrize("settings", [
     dict(request_fanout=1), dict(request_fanout=3),
     dict(mode="proxy", proxy_count=3), dict(adversary_count=0),
